@@ -49,10 +49,8 @@ from .solvers import (
     solve_memit,
 )
 from .synthdata import (
-    EditRequest,
     GenConfig,
     MultilingualDataset,
-    ProbeSet,
     build_benchmark,
     fit_initial_model,
     generate_dataset,

@@ -46,11 +46,6 @@ def _build_parser():
     swp.add_argument("--dataset", required=True, help="benchmark directory")
     swp.add_argument("--out", required=True, help="sweep output directory")
     swp.add_argument("--axis", choices=("alpha", "rank"), required=True)
-    swp.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute editing deltas at every grid point instead of reusing them",
-    )
 
     rep = sub.add_parser("report", help="combine run outputs into a comparison table")
     rep.add_argument("run_dirs", nargs="+", help="run directories holding metrics.json")
@@ -81,7 +76,7 @@ def _apply_run_overrides(config, args):
         ]
     config = replace(config, merges=tuple(merges))
     if args.alpha is not None:
-        if args.alpha <= 0:
+        if not args.alpha > 0:
             raise ConfigError("--alpha must be positive")
         config = replace(config, alpha=args.alpha)
     if args.no_mono:
@@ -119,9 +114,7 @@ def cmd_run(args):
 def cmd_sweep(args):
     config = experiment.load_config(args.config)
     dataset, model, manifest = experiment.load_benchmark(args.dataset)
-    results, point_reports = experiment.sweep(
-        config, dataset, model, args.axis, use_cache=not args.no_cache
-    )
+    results, point_reports = experiment.sweep(config, dataset, model, args.axis)
     experiment.write_sweep_outputs(args.out, config, args.axis, results, point_reports)
     for result in results:
         print(

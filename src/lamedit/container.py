@@ -185,42 +185,3 @@ def load_dataset(path):
         unrelated_index=arrays["unrelated_index"],
     )
 
-
-def save_delta_set(path, delta_set):
-    """Serialize a DeltaSet keyed by (layer, language, method, cov_mode)."""
-    arrays = {}
-    for (layer, lang), dm in delta_set.entries.items():
-        arrays[f"delta_L{layer:02d}_G{lang:03d}"] = dm.delta
-    meta = {
-        "kind": "delta_set",
-        "method": delta_set.method,
-        "cov_mode": delta_set.cov_mode,
-        "layers": list(delta_set.layers),
-        "language_ids": list(delta_set.language_ids),
-    }
-    save_arrays(path, arrays, meta=meta)
-
-
-def load_delta_set(path):
-    from .solvers import DeltaMatrix, DeltaSet
-
-    arrays, meta = load_arrays(path)
-    if meta.get("kind") != "delta_set":
-        raise ShapeError(f"{path}: container does not hold a delta set (kind={meta.get('kind')!r})")
-    entries = {}
-    for layer in meta["layers"]:
-        for lang in meta["language_ids"]:
-            entries[(layer, lang)] = DeltaMatrix(
-                layer=layer,
-                language_id=lang,
-                delta=arrays[f"delta_L{layer:02d}_G{lang:03d}"],
-                method=meta["method"],
-                cov_mode=meta["cov_mode"],
-            )
-    return DeltaSet(
-        method=meta["method"],
-        cov_mode=meta["cov_mode"],
-        layers=tuple(meta["layers"]),
-        language_ids=tuple(meta["language_ids"]),
-        entries=entries,
-    )

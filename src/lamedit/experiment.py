@@ -3,8 +3,9 @@
 A run starts from a generated benchmark directory (dataset + fitted model),
 computes per-language delta sets once per covariance mode, then merges,
 scales, applies, and scores each configured merge method plus the mono
-baseline.  Sweeps reuse cached delta sets where the axis permits: the scale
-axis reuses merges as well, the rank axis recomputes merges only.
+baseline, which reads each language's own deltas from the per-language delta
+set.  Sweeps compute the delta sets once: the scale axis reuses merges as
+well, the rank axis recomputes merges only.
 
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
 floats via ``repr``.  Grid points may be evaluated by a process pool; results
@@ -29,8 +30,6 @@ SCHEMA_VERSION = 1
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 DEFAULT_RANK_GRID = (0.0625, 0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0)
 DEFAULT_TSVM_RANK = 0.375
-DEFAULT_LAM_MEMIT = 2.75
-DEFAULT_LAM_ALPHAEDIT = 0.1
 
 CSV_COLUMNS = (
     "method",
@@ -55,8 +54,8 @@ MANIFEST_FILE = "manifest.json"
 @dataclass(frozen=True)
 class SolverSettings:
     method: str = solvers.METHOD_MEMIT
-    lam_memit: float = DEFAULT_LAM_MEMIT
-    lam_alphaedit: float = DEFAULT_LAM_ALPHAEDIT
+    lam_memit: float = solvers.DEFAULT_LAM_MEMIT
+    lam_alphaedit: float = solvers.DEFAULT_LAM_ALPHAEDIT
     rel_tol: float = solvers.DEFAULT_REL_TOL
     cond_limit: float = solvers.DEFAULT_COND_LIMIT
 
@@ -97,8 +96,10 @@ class ExperimentConfig:
             raise ConfigError("alpha_grid must contain 1.0")
         if self.rank_grid[0] <= 0 or self.rank_grid[-1] > 1:
             raise ConfigError("rank_grid values must lie in (0, 1]")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConfigError("alpha must be positive")
+        if not isinstance(self.include_mono, bool):
+            raise ConfigError(f"include_mono must be true or false, got {self.include_mono!r}")
         if self.workers < 0:
             raise ConfigError("workers must be >= 0")
         if self.dataset.seed != self.seed:
@@ -151,10 +152,10 @@ def config_from_dict(doc):
             alpha=float(doc.get("alpha", 1.0)),
             alpha_grid=tuple(float(a) for a in doc.get("alpha_grid", DEFAULT_ALPHA_GRID)),
             rank_grid=tuple(float(r) for r in doc.get("rank_grid", DEFAULT_RANK_GRID)),
-            include_mono=bool(doc.get("include_mono", True)),
+            include_mono=doc.get("include_mono", True),
             workers=int(doc.get("workers", 0)),
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
@@ -294,19 +295,10 @@ def _map_tasks(task_fn, tasks, workers):
     return [task_fn(t) for t in tasks]
 
 
-def mono_report(model, dataset, solver, alpha, seed):
+def mono_report(model, dataset, delta_set, alpha, seed):
+    """Mono baseline: each language edited with only its own per-language deltas."""
     rows = tuple(
-        metrics.run_mono(
-            model,
-            dataset,
-            i,
-            method=solver.method,
-            lam=solver.lam,
-            alpha=alpha,
-            rel_tol=solver.rel_tol,
-            cond_limit=solver.cond_limit,
-        )
-        for i in range(dataset.m_languages)
+        metrics.run_mono(model, dataset, delta_set, i, alpha) for i in range(dataset.m_languages)
     )
     return metrics.MetricsReport(
         method=MONO_METHOD,
@@ -322,6 +314,8 @@ def mono_report(model, dataset, solver, alpha, seed):
 def run_experiment(config, dataset, model):
     """Score every configured merge method (plus mono) at the anchor alpha."""
     modes = [m.cov_mode for m in config.merges]
+    if config.include_mono:
+        modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
     tasks = [
         (model, dataset, delta_sets[m.cov_mode], m, config.alpha, config.seed)
@@ -329,7 +323,9 @@ def run_experiment(config, dataset, model):
     ]
     reports = _map_tasks(_merge_task, tasks, effective_workers(config))
     if config.include_mono:
-        reports.append(mono_report(model, dataset, config.solver, config.alpha, config.seed))
+        reports.append(
+            mono_report(model, dataset, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
+        )
     return reports
 
 
@@ -377,7 +373,7 @@ def _rank_point_task(args):
     return reports
 
 
-def sweep(config, dataset, model, axis, use_cache=True):
+def sweep(config, dataset, model, axis):
     """Sweep the scale or rank axis over the configured merge methods.
 
     Returns ``(results, point_reports)`` where results hold one SweepResult
@@ -397,37 +393,19 @@ def sweep(config, dataset, model, axis, use_cache=True):
 
     workers = effective_workers(config)
     modes = [m.cov_mode for m in merge_cfgs]
-    if use_cache:
-        delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-        if axis == "alpha":
-            merged_by_method = {m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs}
-            tasks = [
-                (model, dataset, merged_by_method, merge_cfgs, alpha, config.seed) for alpha in grid
-            ]
-            per_point = _map_tasks(_alpha_point_task, tasks, workers)
-        else:
-            tasks = [
-                (model, dataset, delta_sets, merge_cfgs, rank, config.alpha, config.seed)
-                for rank in grid
-            ]
-            per_point = _map_tasks(_rank_point_task, tasks, workers)
+    delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
+    if axis == "alpha":
+        merged_by_method = {m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs}
+        tasks = [
+            (model, dataset, merged_by_method, merge_cfgs, alpha, config.seed) for alpha in grid
+        ]
+        per_point = _map_tasks(_alpha_point_task, tasks, workers)
     else:
-        per_point = []
-        for point in grid:
-            delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-            if axis == "alpha":
-                merged_by_method = {
-                    m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs
-                }
-                per_point.append(
-                    _alpha_point_task((model, dataset, merged_by_method, merge_cfgs, point, config.seed))
-                )
-            else:
-                per_point.append(
-                    _rank_point_task(
-                        (model, dataset, delta_sets, merge_cfgs, point, config.alpha, config.seed)
-                    )
-                )
+        tasks = [
+            (model, dataset, delta_sets, merge_cfgs, rank, config.alpha, config.seed)
+            for rank in grid
+        ]
+        per_point = _map_tasks(_rank_point_task, tasks, workers)
 
     results = []
     for idx, m in enumerate(merge_cfgs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .covariance import PER_LANGUAGE, SHARED
 from .errors import ConfigError, RankRatioError, ShapeError
@@ -96,6 +97,19 @@ def merge_mean(deltas, layer=-1, language_ids=()):
     )
 
 
+def _svd(matrix):
+    """Thin SVD by LAPACK ``gesdd``, falling back to ``gesvd`` when it fails.
+
+    ``gesdd`` fails to converge on some rank-deficient deltas (seen on
+    alphaedit edits at d=128, rank ``n_facts``) that ``gesvd`` factors to
+    machine precision.
+    """
+    try:
+        return np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
+
+
 def truncate_svd(matrix, rank_ratio):
     """Best rank-k approximation factors of one delta.
 
@@ -118,13 +132,13 @@ def truncate_svd(matrix, rank_ratio):
     if k < 1:
         raise RankRatioError(f"rank_ratio {rank_ratio} with d={d} floors to rank 0")
     k = min(k, d, h)
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    u, s, vt = _svd(matrix)
     return u[:, :k], s[:k], vt[:k, :]
 
 
 def _orthogonal_polar_factor(matrix):
     """Nearest matrix with orthonormal columns (rows if wide), via SVD."""
-    u, _, vt = np.linalg.svd(matrix, full_matrices=False)
+    u, _, vt = _svd(matrix)
     return u @ vt
 
 

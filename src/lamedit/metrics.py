@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import merging, model as model_core, solvers
-from .covariance import PER_LANGUAGE
+from . import merging, model as model_core
 from .errors import ShapeError
 
 
@@ -114,39 +113,23 @@ def evaluate_all(model, dataset):
     return tuple(evaluate(model, dataset, i) for i in range(dataset.m_languages))
 
 
-def run_mono(
-    model,
-    dataset,
-    language_id,
-    method=solvers.METHOD_MEMIT,
-    lam=None,
-    alpha=1.0,
-    rel_tol=solvers.DEFAULT_REL_TOL,
-    cond_limit=solvers.DEFAULT_COND_LIMIT,
-):
-    """Edit with a single language and evaluate in that language.
+def run_mono(model, dataset, delta_set, language_id, alpha=1.0):
+    """Edit with a single language's own deltas and evaluate in that language.
 
-    This is exactly the m=1 merge pipeline: solve per-language deltas for the
-    one language, sum-merge them (a no-op for m=1), scale by ``alpha``, apply,
-    evaluate.
+    This is exactly the m=1 merge pipeline.  ``delta_set`` must hold deltas
+    solved with per-language covariance: each language's entries depend only
+    on its own requests, so they equal a single-language solve.  They are
+    scaled by ``alpha``, applied, and scored.
     """
-    delta_set = solvers.edit_model(
-        model,
-        [dataset.language_requests(language_id)],
-        dataset.preserved_inputs_all(),
-        method=method,
-        cov_mode=PER_LANGUAGE,
-        lam=lam,
-        rel_tol=rel_tol,
-        cond_limit=cond_limit,
-        preserved_ids=dataset.preserved_fact_ids(),
-        request_ids=dataset.request_fact_ids(),
-    )
-    merged = {
-        layer: merging.merge_sum(
-            delta_set.layer_deltas(layer), layer=layer, language_ids=delta_set.language_ids
+    own = {
+        layer: merging.MergedDelta(
+            layer=layer,
+            matrix=delta_set.delta(layer, language_id).delta,
+            method="sum",
+            rank_ratio=1.0,
+            language_ids=(language_id,),
         )
         for layer in delta_set.layers
     }
-    edited = merging.apply_update(model, merged, alpha)
+    edited = merging.apply_update(model, own, alpha)
     return evaluate(edited, dataset, language_id)

@@ -108,27 +108,6 @@ class GenConfig:
 
 
 @dataclass(frozen=True)
-class EditRequest:
-    """One fact edit in one language."""
-
-    fact_id: int
-    language_id: int
-    x: np.ndarray  # (d,)
-    old_token: int
-    new_token: int
-
-
-@dataclass(frozen=True)
-class ProbeSet:
-    """The three auxiliary probes attached to one request."""
-
-    rephrase_x: np.ndarray
-    unrelated_x: np.ndarray
-    unrelated_token: int
-    hop_x: np.ndarray
-
-
-@dataclass(frozen=True)
 class MultilingualDataset:
     """Generated benchmark: facts, transforms, tokens, probe material."""
 
@@ -194,34 +173,6 @@ class MultilingualDataset:
 
     def all_language_requests(self):
         return [self.language_requests(i) for i in range(self.m_languages)]
-
-    def requests(self, language_id):
-        inputs = self.request_inputs(language_id)
-        return [
-            EditRequest(
-                fact_id=f,
-                language_id=language_id,
-                x=inputs[:, f],
-                old_token=int(self.old_tokens[f]),
-                new_token=int(self.new_tokens[f]),
-            )
-            for f in range(self.n_facts)
-        ]
-
-    def probes(self, language_id):
-        rephrase = self.rephrase_inputs(language_id)
-        unrelated = self.unrelated_inputs(language_id)
-        unrelated_tok = self.unrelated_expected(language_id)
-        hop = self.hop_inputs(language_id)
-        return [
-            ProbeSet(
-                rephrase_x=rephrase[:, f],
-                unrelated_x=unrelated[:, f],
-                unrelated_token=int(unrelated_tok[f]),
-                hop_x=hop[:, f],
-            )
-            for f in range(self.n_facts)
-        ]
 
 
 def _random_rotation(rng, d):

@@ -35,10 +35,10 @@ def pinned_reports(pinned_config, pinned_bench, pinned_delta_sets):
 
 
 @pytest.fixture(scope="module")
-def pinned_mono(pinned_config, pinned_bench):
+def pinned_mono(pinned_config, pinned_bench, pinned_delta_sets):
     dataset, model = pinned_bench
     report = experiment.mono_report(
-        model, dataset, pinned_config.solver, pinned_config.alpha, pinned_config.seed
+        model, dataset, pinned_delta_sets["per_language"], pinned_config.alpha, pinned_config.seed
     )
     return float(report.mean_row().averaged)
 

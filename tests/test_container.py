@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from lamedit import container
-from lamedit.covariance import SHARED
 from lamedit.errors import ShapeError
-from lamedit.solvers import edit_model
 from lamedit.synthdata import generate_dataset
 
 from test_model import random_model
@@ -80,24 +78,3 @@ class TestDatasetIO:
         assert np.array_equal(loaded.old_tokens, ds.old_tokens)
         assert np.array_equal(loaded.unrelated_index, ds.unrelated_index)
 
-
-class TestDeltaSetIO:
-    def test_delta_set_roundtrip_exact(self, tmp_path, small_bench):
-        dataset, model = small_bench
-        delta_set = edit_model(
-            model,
-            [dataset.language_requests(i) for i in range(2)],
-            dataset.preserved_inputs_all(),
-            method="memit",
-            cov_mode=SHARED,
-            lam=2.75,
-        )
-        path = tmp_path / "deltas.lam"
-        container.save_delta_set(path, delta_set)
-        loaded = container.load_delta_set(path)
-        assert loaded.method == delta_set.method
-        assert loaded.cov_mode == delta_set.cov_mode
-        assert loaded.layers == delta_set.layers
-        assert loaded.language_ids == delta_set.language_ids
-        for key, dm in delta_set.entries.items():
-            assert np.array_equal(loaded.entries[key].delta, dm.delta)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +65,16 @@ class TestConfig:
     def test_missing_required_subfield_rejected(self):
         with pytest.raises(ConfigError):
             experiment.config_from_dict({"merges": [{"alpha": 1.0}]})  # no method
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", "abc"), ("workers", "x"), ("include_mono", "false"), ("alpha", float("nan"))],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, field, value):
+        doc = dict(TINY_CONFIG, **{field: value})
+        config_path = write_config(tmp_path, doc)
+        assert cli.main(["generate", config_path, "--out", str(tmp_path / "b")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_config_roundtrip(self):
         cfg = experiment.config_from_dict(TINY_CONFIG)
@@ -170,6 +181,29 @@ class TestRunCommand:
         by_method = {rep["method"]: rep for rep in doc_out["reports"]}
         assert by_method["sum"]["per_language"] == by_method["mono"]["per_language"]
 
+    def test_sum_cov_run_mono_equals_default_run_mono(self, tiny_setup, tmp_path):
+        # A sum_cov-only run merges no per-language deltas; mono still needs them.
+        config_path, bench_dir, _ = tiny_setup
+        outs = {name: str(tmp_path / name) for name in ("default", "sum_cov")}
+        assert cli.main(["run", config_path, "--dataset", bench_dir, "--out", outs["default"]]) == 0
+        assert cli.main([
+            "run", config_path, "--dataset", bench_dir, "--out", outs["sum_cov"], "--merge", "sum_cov",
+        ]) == 0
+        mono = {}
+        for name, out in outs.items():
+            with open(os.path.join(out, "metrics.json")) as fh:
+                reports = json.load(fh)["reports"]
+            mono[name] = next(rep for rep in reports if rep["method"] == "mono")
+        assert [rep["method"] for rep in reports] == ["sum_cov", "mono"]
+        assert mono["sum_cov"] == mono["default"]
+
+    def test_nan_alpha_override_exit_2(self, tiny_setup, tmp_path):
+        config_path, bench_dir, _ = tiny_setup
+        code = cli.main([
+            "run", config_path, "--dataset", bench_dir, "--out", str(tmp_path / "o"), "--alpha", "nan",
+        ])
+        assert code == 2
+
     def test_merge_and_alpha_overrides(self, tiny_setup, tmp_path):
         config_path, bench_dir, _ = tiny_setup
         out = str(tmp_path / "override")
@@ -188,21 +222,24 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
-    def test_alpha_sweep_caching_soundness(self, tiny_setup, tmp_path):
+    def test_sweep_points_equal_fresh_runs(self, tiny_setup):
+        # A sweep computes the delta sets once; every grid point must equal a
+        # run that computes them afresh at that point.
         config_path, bench_dir, _ = tiny_setup
-        cached, uncached = str(tmp_path / "swc"), str(tmp_path / "swu")
-        assert cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", cached, "--axis", "alpha"]) == 0
-        assert cli.main([
-            "sweep", config_path, "--dataset", bench_dir, "--out", uncached, "--axis", "alpha", "--no-cache",
-        ]) == 0
-        with open(os.path.join(cached, "sweep_alpha.json")) as fh:
-            a = json.load(fh)
-        with open(os.path.join(uncached, "sweep_alpha.json")) as fh:
-            b = json.load(fh)
-        for ra, rb in zip(a["results"], b["results"]):
-            assert ra["method"] == rb["method"]
-            for va, vb in zip(ra["values"], rb["values"]):
-                assert abs(va - vb) <= 1e-10
+        config = replace(experiment.load_config(config_path), include_mono=False)
+        dataset, model, _ = experiment.load_benchmark(bench_dir)
+        _, point_reports = experiment.sweep(config, dataset, model, "alpha")
+        n = len(config.merges)
+        for i, alpha in enumerate(config.alpha_grid):
+            fresh = experiment.run_experiment(replace(config, alpha=alpha), dataset, model)
+            assert point_reports[i * n : (i + 1) * n] == fresh
+        tsvm_merges = [m for m in config.merges if m.base_rule == "tsvm"]
+        _, point_reports = experiment.sweep(config, dataset, model, "rank")
+        n = len(tsvm_merges)
+        for i, rank in enumerate(config.rank_grid):
+            merges = tuple(experiment.MergeConfig(m.method, rank_ratio=rank) for m in tsvm_merges)
+            fresh = experiment.run_experiment(replace(config, merges=merges), dataset, model)
+            assert point_reports[i * n : (i + 1) * n] == fresh
 
     def test_rank_sweep_covers_tsvm_family_only(self, tiny_setup, tmp_path):
         config_path, bench_dir, _ = tiny_setup

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import ConfigError, RankRatioError, ShapeError
@@ -17,21 +18,25 @@ from lamedit.solvers import DeltaMatrix, DeltaSet
 from test_model import random_model
 
 
-def reference_tsvm(mats, ratio):
+def gesvd(m, full_matrices=False):
+    return scipy.linalg.svd(m, full_matrices=full_matrices, lapack_driver="gesvd")
+
+
+def reference_tsvm(mats, ratio, svd=np.linalg.svd):
     """Scripted truncate/concat/orthogonalize/reconstruct pipeline."""
     d, h = mats[0].shape
     k = min(int(np.floor(ratio * d)), d, h)
     lefts, sigmas, rights = [], [], []
     for m in mats:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        u, s, vt = svd(m, full_matrices=False)
         lefts.append(u[:, :k])
         sigmas.append(s[:k])
         rights.append(vt[:k, :])
     left_cat = np.hstack(lefts)
     sigma_cat = np.concatenate(sigmas)
     right_cat = np.vstack(rights)
-    pu, _, qu = np.linalg.svd(left_cat, full_matrices=False)
-    pv, _, qv = np.linalg.svd(right_cat, full_matrices=False)
+    pu, _, qu = svd(left_cat, full_matrices=False)
+    pv, _, qv = svd(right_cat, full_matrices=False)
     return ((pu @ qu) * sigma_cat) @ (pv @ qv)
 
 
@@ -190,6 +195,28 @@ class TestTsvm:
         sensitivity = np.linalg.norm(base - permuted) / np.linalg.norm(base)
         assert np.isfinite(sensitivity)
         print(f"tsvm language-order sensitivity (relative frobenius): {sensitivity:.3e}")
+
+    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        mats = [rng.standard_normal((8, 12)) for _ in range(3)]
+        single = rng.standard_normal((12, 16))
+        expected_merge = reference_tsvm(mats, 0.5, svd=gesvd)
+        failures = []
+
+        def gesdd_fails(matrix, full_matrices=True, **kwargs):
+            failures.append(matrix.shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
+        u, s, vt = truncate_svd(mats[0], 0.5)
+        gu, gs, gvt = gesvd(mats[0])
+        assert np.array_equal(u, gu[:, :4]) and np.array_equal(s, gs[:4])
+        assert np.array_equal(vt, gvt[:4, :])
+        assert np.array_equal(merge_tsvm(mats, 0.5).matrix, expected_merge)
+        # criterion 3's tsvm identity: one full-rank delta at ratio 1 is kept.
+        identity = merge_tsvm([single], 1.0).matrix
+        assert np.linalg.norm(identity - single) <= 1e-6 * np.linalg.norm(single)
+        assert len(failures) == 1 + 5 + 3  # truncate_svd, two tsvm merges' SVDs
 
 
 class TestMergeDispatch:

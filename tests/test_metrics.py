@@ -112,23 +112,29 @@ class TestEvaluate:
             )
 
 
+@pytest.fixture(scope="module")
+def per_language_deltas(small_bench):
+    dataset, model = small_bench
+    return edit_model(
+        model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
+        method="memit", cov_mode="per_language", lam=2.75,
+    )
+
+
 class TestRunMono:
-    def test_zero_alpha_equals_unedited_baseline(self, small_bench):
+    def test_zero_alpha_equals_unedited_baseline(self, small_bench, per_language_deltas):
         dataset, model = small_bench
         for lang in range(dataset.m_languages):
             base = evaluate(model, dataset, lang)
-            mono = run_mono(model, dataset, lang, alpha=0.0)
+            mono = run_mono(model, dataset, per_language_deltas, lang, alpha=0.0)
             assert mono == base
 
-    def test_mono_efficacy_dominates_multilingual_sum(self, small_bench):
+    def test_mono_efficacy_dominates_multilingual_sum(self, small_bench, per_language_deltas):
         dataset, model = small_bench
-        delta_set = edit_model(
-            model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
-            method="memit", cov_mode="per_language", lam=2.75,
-        )
-        edited = apply_update(model, merge(MergeConfig("sum"), delta_set), 1.0)
+        edited = apply_update(model, merge(MergeConfig("sum"), per_language_deltas), 1.0)
         sum_eff = float(np.mean([evaluate(edited, dataset, i).efficacy for i in range(dataset.m_languages)]))
         mono_eff = float(np.mean([
-            run_mono(model, dataset, i, lam=2.75).efficacy for i in range(dataset.m_languages)
+            run_mono(model, dataset, per_language_deltas, i).efficacy
+            for i in range(dataset.m_languages)
         ]))
         assert mono_eff >= sum_eff

@@ -196,24 +196,28 @@ class TestEditModel:
             assert np.allclose(dm.delta, 0.0, atol=1e-12)
 
     def test_mono_equals_m1_merge_pipeline(self, small_bench):
+        # Mono reads each language's deltas out of the all-language
+        # per-language delta set; that must equal a fresh single-language
+        # edit pushed through the m=1 sum merge.
         dataset, model = small_bench
-        lang = 1
-        delta_set = edit_model(
-            model,
-            [dataset.language_requests(lang)],
-            dataset.preserved_inputs_all(),
+        kwargs = dict(
             method="memit",
             cov_mode=PER_LANGUAGE,
             lam=2.75,
+            preserved_ids=dataset.preserved_fact_ids(),
+            request_ids=dataset.request_fact_ids(),
         )
-        merged = {
-            layer: merge_sum(delta_set.layer_deltas(layer), layer=layer)
-            for layer in delta_set.layers
-        }
-        edited = apply_update(model, merged, 1.0)
-        row_pipeline = evaluate(edited, dataset, lang)
-        row_mono = run_mono(model, dataset, lang, method="memit", lam=2.75, alpha=1.0)
-        assert row_pipeline == row_mono
+        preserved = dataset.preserved_inputs_all()
+        all_languages = edit_model(model, dataset.all_language_requests(), preserved, **kwargs)
+        for lang in range(dataset.m_languages):
+            single = edit_model(model, [dataset.language_requests(lang)], preserved, **kwargs)
+            merged = {
+                layer: merge_sum(single.layer_deltas(layer), layer=layer)
+                for layer in single.layers
+            }
+            edited = apply_update(model, merged, 1.0)
+            row_pipeline = evaluate(edited, dataset, lang)
+            assert run_mono(model, dataset, all_languages, lang, alpha=1.0) == row_pipeline
 
     def test_per_language_deltas_solve_own_objective(self):
         # Two languages with disjoint keys: each language's delta must reach

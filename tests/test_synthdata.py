@@ -114,17 +114,6 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             tiny_cfg(edit_layers=(5,))
 
-    def test_probe_views_consistent(self):
-        ds = generate_dataset(tiny_cfg())
-        reqs = ds.requests(1)
-        probes = ds.probes(1)
-        assert len(reqs) == len(probes) == ds.n_facts
-        assert reqs[0].old_token != reqs[0].new_token
-        hop = ds.hop_inputs(1)
-        assert np.allclose(probes[0].hop_x, hop[:, 0])
-        unrelated_ids = ds.unrelated_index[1]
-        assert probes[2].unrelated_token == int(ds.preserved_tokens[unrelated_ids[2]])
-
 
 class TestFit:
     def test_single_fact_single_language_recall(self):
