@@ -9,6 +9,7 @@ portability, with a CLI for experiments and sweeps.
 from .covariance import CovStats, KeyBatch, cov_per_language, cov_shared, const_stats, request_keys
 from .errors import (
     ConfigError,
+    ContainerError,
     FitError,
     IllConditionedError,
     InvalidRequestError,
@@ -35,6 +36,7 @@ from .model import (
     compute_target_values,
     forward,
     forward_batch,
+    keys_and_targets,
     predict,
     predict_batch,
 )
@@ -45,6 +47,7 @@ from .solvers import (
     NullProjector,
     edit_model,
     nullspace_projector,
+    preserved_terms,
     solve_alphaedit,
     solve_memit,
 )

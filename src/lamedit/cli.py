@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import experiment
-from .errors import ConfigError, FitError, IllConditionedError, LameditError, RankRatioError
+from .errors import ConfigError, ContainerError, FitError, IllConditionedError, LameditError, RankRatioError
 
 
 def _build_parser():
@@ -143,7 +143,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, RankRatioError) as exc:
+    except (ConfigError, ContainerError, RankRatioError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (IllConditionedError, FitError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -17,11 +17,12 @@ produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContainerError, ShapeError
 
 MAGIC = b"LAMCONT1"
 FORMAT_VERSION = 1
@@ -76,25 +77,42 @@ def save_arrays(path, arrays, meta=None):
 def load_arrays(path):
     """Read a container written by :func:`save_arrays`.
 
-    Returns ``(arrays, meta)`` with arrays keyed by name.
+    Returns ``(arrays, meta)`` with arrays keyed by name.  A file that is not
+    a well-formed container, a truncated one included, raises
+    :class:`ContainerError` before any array is read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
-            raise ShapeError(f"{path}: not a matrix container (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+            raise ContainerError(f"{path}: not a matrix container (bad magic {magic!r})")
+        raw_len = fh.read(8)
+        header_bytes = fh.read(struct.unpack("<Q", raw_len)[0]) if len(raw_len) == 8 else b""
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContainerError(f"{path}: truncated or unreadable container header") from exc
         if header.get("format_version") != FORMAT_VERSION:
-            raise ShapeError(f"{path}: unsupported container version {header.get('format_version')}")
+            raise ContainerError(f"{path}: unsupported container version {header.get('format_version')}")
         data = fh.read()
     arrays = {}
     for entry in header["arrays"]:
+        name = entry["name"]
         dtype = _DTYPES.get(entry["dtype"])
         if dtype is None:
-            raise ShapeError(f"{path}: unsupported dtype {entry['dtype']}")
+            raise ContainerError(f"{path}: unsupported dtype {entry['dtype']}")
         start, nbytes = entry["offset"], entry["nbytes"]
+        expected = math.prod(entry["shape"]) * dtype.itemsize
+        if nbytes != expected:
+            raise ContainerError(
+                f"{path}: array {name!r} of shape {entry['shape']} needs {expected} bytes, header says {nbytes}"
+            )
+        if start < 0 or start + nbytes > len(data):
+            raise ContainerError(
+                f"{path}: truncated: array {name!r} needs data bytes {start}..{start + nbytes}, "
+                f"the file holds {len(data)}"
+            )
         arr = np.frombuffer(data[start : start + nbytes], dtype=dtype)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        arrays[name] = arr.reshape(entry["shape"]).copy()
     return arrays, header.get("meta", {})
 
 
@@ -123,7 +141,7 @@ def load_model(path):
 
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "toy_model":
-        raise ShapeError(f"{path}: container does not hold a model (kind={meta.get('kind')!r})")
+        raise ContainerError(f"{path}: container does not hold a model (kind={meta.get('kind')!r})")
     layers = tuple(
         LamLayer(
             w_in=arrays[f"w_in_{idx:02d}"],
@@ -168,7 +186,7 @@ def load_dataset(path):
 
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "dataset":
-        raise ShapeError(f"{path}: container does not hold a dataset (kind={meta.get('kind')!r})")
+        raise ContainerError(f"{path}: container does not hold a dataset (kind={meta.get('kind')!r})")
     config = dict(meta["config"])
     config["edit_layers"] = tuple(config["edit_layers"])
     return MultilingualDataset(

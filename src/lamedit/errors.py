@@ -13,6 +13,14 @@ class ShapeError(LameditError):
     """Array dimensions inconsistent with the model or with each other."""
 
 
+class ContainerError(ShapeError):
+    """A ``.lam`` file that is not a well-formed container of the expected kind.
+
+    Covers a bad magic, an unsupported version or dtype, a truncated file and
+    array entries whose byte counts do not match their shapes.
+    """
+
+
 class InvalidRequestError(LameditError):
     """An edit request references a token or fact that does not exist."""
 

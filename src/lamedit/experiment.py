@@ -15,6 +15,7 @@ are assembled in grid order so parallel and serial runs agree.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -90,6 +91,8 @@ class ExperimentConfig:
         for grid, name in ((self.alpha_grid, "alpha_grid"), (self.rank_grid, "rank_grid")):
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
+            if not all(math.isfinite(v) for v in grid):
+                raise ConfigError(f"{name} values must be finite, got {list(grid)}")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
         if 1.0 not in self.alpha_grid:
@@ -111,6 +114,21 @@ def default_merges(rank_ratio=DEFAULT_TSVM_RANK):
         MergeConfig(method, alpha=1.0, rank_ratio=rank_ratio if "tsvm" in method else 1.0)
         for method in merging.MERGE_METHODS
     )
+
+
+# GenConfig fields that hold integers; edit_layers holds a list of them.
+_DATASET_INTEGER_FIELDS = ("n_facts", "m_languages", "d", "h", "n_layers", "n_preserved", "vocab_size")
+
+
+def _integer(name, value):
+    """A JSON integer as ``int``; fractions, booleans and strings raise ConfigError."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def config_from_dict(doc):
@@ -136,11 +154,16 @@ def config_from_dict(doc):
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     try:
-        seed = int(doc.get("seed", 0))
+        seed = _integer("seed", doc.get("seed", 0))
         dataset_doc = dict(doc.get("dataset", {}))
         dataset_doc.pop("seed", None)
+        for name in _DATASET_INTEGER_FIELDS:
+            if name in dataset_doc:
+                dataset_doc[name] = _integer(f"dataset.{name}", dataset_doc[name])
         if "edit_layers" in dataset_doc:
-            dataset_doc["edit_layers"] = tuple(dataset_doc["edit_layers"])
+            dataset_doc["edit_layers"] = tuple(
+                _integer("dataset.edit_layers", l) for l in dataset_doc["edit_layers"]
+            )
         dataset = synthdata.GenConfig(seed=seed, **dataset_doc)
         solver = SolverSettings(**doc.get("solver", {}))
         merges = tuple(MergeConfig(**m) for m in doc.get("merges", [])) or default_merges()
@@ -153,7 +176,7 @@ def config_from_dict(doc):
             alpha_grid=tuple(float(a) for a in doc.get("alpha_grid", DEFAULT_ALPHA_GRID)),
             rank_grid=tuple(float(r) for r in doc.get("rank_grid", DEFAULT_RANK_GRID)),
             include_mono=doc.get("include_mono", True),
-            workers=int(doc.get("workers", 0)),
+            workers=_integer("workers", doc.get("workers", 0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
@@ -251,20 +274,31 @@ def load_benchmark(bench_dir):
 
 
 def compute_delta_sets(model, dataset, solver, cov_modes):
-    """Per-language delta sets for each requested covariance mode."""
+    """Per-language delta sets for each requested covariance mode.
+
+    The preserved statistics (and alphaedit's null-space projectors) are
+    computed once per edit layer and shared by every mode.
+    """
+    preserved_inputs = dataset.preserved_inputs_all()
+    preserved = solvers.preserved_terms(
+        model,
+        preserved_inputs,
+        solver.method,
+        solver.rel_tol,
+        preserved_ids=dataset.preserved_fact_ids(),
+        request_ids=dataset.request_fact_ids(),
+    )
     out = {}
     for mode in sorted(set(cov_modes)):
         out[mode] = solvers.edit_model(
             model,
             dataset.all_language_requests(),
-            dataset.preserved_inputs_all(),
+            preserved_inputs,
             method=solver.method,
             cov_mode=mode,
             lam=solver.lam,
-            rel_tol=solver.rel_tol,
             cond_limit=solver.cond_limit,
-            preserved_ids=dataset.preserved_fact_ids(),
-            request_ids=dataset.request_fact_ids(),
+            preserved=preserved,
         )
     return out
 
@@ -537,19 +571,31 @@ def write_sweep_outputs(out_dir, config, axis, results, point_reports):
 
 
 def build_comparison(run_dirs, allow_mixed=False):
-    """Method-by-language grid of averaged accuracy from run directories."""
-    rows = {}
-    languages = None
-    seeds = set()
+    """Method-by-language grid of averaged accuracy from run directories.
+
+    A row is keyed by merge method, tsvm rank ratio and alpha, plus the seed
+    when mixed seeds are allowed.  Reports that share a key must be the same
+    result (same solver settings and values, as from re-running one config);
+    any other collision raises :class:`ConfigError` naming both run
+    directories, so no row is dropped silently.
+    """
+    docs = []
     for run_dir in run_dirs:
         path = os.path.join(run_dir, "metrics.json")
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                docs.append((run_dir, json.load(fh)))
         except OSError as exc:
             raise ConfigError(f"cannot read run output {path}: {exc}") from exc
+    seeds = {rep["seed"] for _, doc in docs for rep in doc["reports"]}
+    if len(seeds) > 1 and not allow_mixed:
+        raise ConfigError(f"run dirs mix dataset seeds {sorted(seeds)}; pass --allow-mixed to combine")
+    rows = {}
+    sources = {}
+    languages = None
+    for run_dir, doc in docs:
+        solver = doc.get("config", {}).get("solver")
         for rep in doc["reports"]:
-            seeds.add(rep["seed"])
             langs = tuple(rep["languages"])
             if languages is None:
                 languages = langs
@@ -560,11 +606,18 @@ def build_comparison(run_dirs, allow_mixed=False):
                 key = f"{rep['method']}(r={rep['rank_ratio']:g})"
             if float(rep["alpha"]) != 1.0:
                 key = f"{key}@a={rep['alpha']:g}"
-            rows[key] = [rep["per_language"][lang]["averaged"] for lang in languages] + [
+            if len(seeds) > 1:
+                key = f"{key}@seed={rep['seed']}"
+            values = [rep["per_language"][lang]["averaged"] for lang in languages] + [
                 rep["mean"]["averaged"]
             ]
-    if len(seeds) > 1 and not allow_mixed:
-        raise ConfigError(f"run dirs mix dataset seeds {sorted(seeds)}; pass --allow-mixed to combine")
+            if key in rows and (sources[key][1], rows[key]) != (solver, values):
+                raise ConfigError(
+                    f"runs {sources[key][0]} and {run_dir} give different results for "
+                    f"report row {key!r}; report them separately"
+                )
+            rows[key] = values
+            sources[key] = (run_dir, solver)
     return languages, dict(sorted(rows.items()))
 
 

@@ -265,6 +265,14 @@ def predict(model, x):
 def compute_target_values(model, inputs, new_tokens, layer):
     """Per-request target value columns for editing one layer.
 
+    The targets of :func:`keys_and_targets`, without the keys.
+    """
+    return keys_and_targets(model, inputs, new_tokens, layer)[1]
+
+
+def keys_and_targets(model, inputs, new_tokens, layer):
+    """Keys and per-request target values at one edit layer, from one forward pass.
+
     For each request the desired final-state residual is
     ``codebook[new_token] - h_final(input)`` measured on the model passed in.
     The target value at ``layer`` is the layer's current value plus an equal
@@ -282,6 +290,8 @@ def compute_target_values(model, inputs, new_tokens, layer):
 
     Returns
     -------
+    keys : ndarray (h, n)
+        The layer's keys for ``inputs``.
     targets : ndarray (d, n)
     """
     if layer not in model.edit_layers:
@@ -299,7 +309,8 @@ def compute_target_values(model, inputs, new_tokens, layer):
         raise ShapeError(f"inputs must be (d, n) = ({model.d}, {new_tokens.size}), got {inputs.shape}")
 
     hidden, keys = forward_batch(model, inputs)
-    current = model.layer(layer).w_out @ keys[layer - 1]
+    layer_keys = keys[layer - 1]
+    current = model.layer(layer).w_out @ layer_keys
     residual = model.codebook[:, new_tokens] - hidden[-1]
     remaining = sum(1 for l in model.edit_layers if l >= layer)
-    return current + residual / remaining
+    return layer_keys, current + residual / remaining

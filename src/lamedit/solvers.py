@@ -17,6 +17,7 @@ to the original weights.  The input model is never mutated.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ METHODS = (METHOD_MEMIT, METHOD_ALPHAEDIT)
 DEFAULT_LAM_MEMIT = 2.75
 DEFAULT_LAM_ALPHAEDIT = 0.1
 DEFAULT_REL_TOL = 1e-6
+# Ceiling on LAPACK's 1-norm condition estimate of a solve's system
+# (dpocon for memit, dgecon for alphaedit).
 DEFAULT_COND_LIMIT = 1e12
 
 
@@ -112,19 +115,25 @@ class DeltaSet:
         return [self.entries[(layer, lang)].delta for lang in self.language_ids]
 
 
-def _condition_estimate(matrix):
-    try:
-        return float(np.linalg.cond(matrix))
-    except np.linalg.LinAlgError:
-        return float("inf")
+def _check_condition(rcond, cond_limit, system_name):
+    """Raise unless LAPACK's reciprocal 1-norm condition estimate is within the limit."""
+    cond = 1.0 / rcond if rcond > 0 else float("inf")
+    if not cond <= cond_limit:
+        raise IllConditionedError(
+            f"{system_name} condition estimate {cond:.3e} exceeds limit {cond_limit:.1e}",
+            condition_estimate=cond,
+        )
 
 
 def solve_memit(w_out, keys, targets, cov_preserved, cov_request, lam, cond_limit=DEFAULT_COND_LIMIT):
     """Ridge-style closed-form edit of one layer.
 
     Solves ``delta @ (lam * cov_preserved + cov_request) = residual @ keys.T``
-    with ``residual = targets - w_out @ keys`` via a symmetric factorization;
-    the system matrix is never inverted explicitly.
+    with ``residual = targets - w_out @ keys`` through one Cholesky factor of
+    the system; the system matrix is never inverted explicitly.  LAPACK's
+    ``dpocon`` estimates the 1-norm condition number from that factor, and a
+    system that is not positive definite, or whose estimate exceeds
+    ``cond_limit``, raises :class:`IllConditionedError`.
 
     Parameters
     ----------
@@ -159,22 +168,14 @@ def solve_memit(w_out, keys, targets, cov_preserved, cov_request, lam, cond_limi
     residual = targets - w_out @ keys
     system = lam * cov_preserved + cov_request
     system = 0.5 * (system + system.T)
-    cond = _condition_estimate(system)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise IllConditionedError(
-            f"normal-equation system condition {cond:.3e} exceeds limit {cond_limit:.1e}",
-            condition_estimate=cond,
-        )
-    rhs = keys @ residual.T  # (h, d)
     try:
-        solved = scipy.linalg.solve(system, rhs, assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        try:
-            solved = scipy.linalg.solve(system, rhs, assume_a="sym")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise IllConditionedError(
-                f"normal-equation solve failed: {exc}", condition_estimate=cond
-            ) from exc
+        factor = scipy.linalg.cho_factor(system)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
+    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], np.linalg.norm(system, 1))
+    _check_condition(rcond, cond_limit, "normal-equation system")
+    rhs = keys @ residual.T  # (h, d)
+    solved = scipy.linalg.cho_solve(factor, rhs)
     return DeltaMatrix(
         layer=-1, language_id=-1, delta=solved.T, method=METHOD_MEMIT, cov_mode=PER_LANGUAGE
     )
@@ -214,7 +215,9 @@ def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limi
     where ``P`` projects onto the null space of the preserved second moment.
     Because ``P (lam I + cov_request P)^{-1} = (lam I + P cov_request)^{-1} P``
     the result carries a trailing factor of ``P``, so preserved keys map to
-    (numerically) zero under the perturbation.
+    (numerically) zero under the perturbation.  The transposed system is
+    factored once by LU; LAPACK's ``dgecon`` estimates its 1-norm condition
+    number from that factor, checked against ``cond_limit``.
     """
     w_out = np.asarray(w_out, dtype=float)
     keys = np.asarray(keys, dtype=float)
@@ -234,23 +237,55 @@ def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limi
         raise ShapeError("cov_request must be (h, h)")
 
     residual = targets - w_out @ keys
-    system = lam * np.eye(h) + cov_request @ proj
-    cond = _condition_estimate(system)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise IllConditionedError(
-            f"projected system condition {cond:.3e} exceeds limit {cond_limit:.1e}",
-            condition_estimate=cond,
-        )
-    rhs = proj @ keys @ residual.T  # (h, d)
+    system_t = (lam * np.eye(h) + cov_request @ proj).T
     try:
-        solved = scipy.linalg.solve(system.T, rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise IllConditionedError(
-            f"projected solve failed: {exc}", condition_estimate=cond
-        ) from exc
+        with warnings.catch_warnings():
+            # An exactly singular factor shows up below as a zero rcond.
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            factor = scipy.linalg.lu_factor(system_t)
+    except ValueError as exc:
+        raise IllConditionedError(f"projected system cannot be factored: {exc}") from exc
+    rcond, _ = scipy.linalg.lapack.dgecon(factor[0], np.linalg.norm(system_t, 1))
+    _check_condition(rcond, cond_limit, "projected system")
+    rhs = proj @ keys @ residual.T  # (h, d)
+    solved = scipy.linalg.lu_solve(factor, rhs)
     return DeltaMatrix(
         layer=-1, language_id=-1, delta=solved.T, method=METHOD_ALPHAEDIT, cov_mode=PER_LANGUAGE
     )
+
+
+def preserved_terms(
+    model,
+    preserved_inputs,
+    method=METHOD_MEMIT,
+    rel_tol=DEFAULT_REL_TOL,
+    preserved_ids=None,
+    request_ids=None,
+):
+    """Per edit layer, the preserved-knowledge term the solver consumes.
+
+    The statistics come from the unedited model, once per edit layer, so
+    every covariance mode can share them.  memit takes the preserved second
+    moment normalized per sample (``edit_model`` rescales it to the request
+    batch size); alphaedit takes the null-space projector of the raw moment.
+
+    Returns
+    -------
+    dict mapping layer -> ndarray (h, h) for memit, :class:`NullProjector`
+    for alphaedit.
+    """
+    if method not in METHODS:
+        raise ShapeError(f"unknown method {method!r}")
+    terms = {}
+    for layer in model.edit_layers:
+        stats, _ = cov_mod.const_stats(
+            model, preserved_inputs, layer, preserved_ids=preserved_ids, request_ids=request_ids
+        )
+        if method == METHOD_MEMIT:
+            terms[layer] = stats.cov / max(stats.sample_count, 1)
+        else:
+            terms[layer] = nullspace_projector(stats.cov, rel_tol=rel_tol)
+    return terms
 
 
 def edit_model(
@@ -264,6 +299,7 @@ def edit_model(
     cond_limit=DEFAULT_COND_LIMIT,
     preserved_ids=None,
     request_ids=None,
+    preserved=None,
 ):
     """One-step batch edit over all edit layers and languages.
 
@@ -271,7 +307,8 @@ def edit_model(
     each language gets its own working copy that accumulates only its own
     lower-layer edits, which is what makes the resulting per-language deltas
     independently mergeable.  Preserved statistics are computed once per
-    layer on the unedited model.
+    layer on the unedited model.  Each (language, layer) step takes its keys
+    and targets from one forward pass of that language's working copy.
 
     Parameters
     ----------
@@ -288,6 +325,11 @@ def edit_model(
         moment is normalized per sample and rescaled to the request batch
         size before weighting, so lam expresses the preservation-to-request
         ratio regardless of either sample count.
+    preserved : dict, optional
+        :func:`preserved_terms` of this model, method and preserved inputs,
+        for callers that edit the same model more than once; computed here
+        when omitted.  When given, ``preserved_inputs``, ``rel_tol``,
+        ``preserved_ids`` and ``request_ids`` are not read.
 
     Returns
     -------
@@ -306,42 +348,41 @@ def edit_model(
         raise ShapeError(f"duplicate language ids in requests: {language_ids}")
     if lam is None:
         lam = DEFAULT_LAM_MEMIT if method == METHOD_MEMIT else DEFAULT_LAM_ALPHAEDIT
+    if preserved is None:
+        preserved = preserved_terms(
+            model, preserved_inputs, method, rel_tol, preserved_ids=preserved_ids, request_ids=request_ids
+        )
 
     entries = {}
     working = {req.language_id: model for req in requests}
     for layer in model.edit_layers:
-        stats, _ = cov_mod.const_stats(
-            model, preserved_inputs, layer, preserved_ids=preserved_ids, request_ids=request_ids
-        )
-        if method != METHOD_MEMIT:
-            projector = nullspace_projector(stats.cov, rel_tol=rel_tol)
-
-        key_batches = [
-            cov_mod.request_keys(working[req.language_id], req.language_id, req.inputs, layer)
-            for req in requests
-        ]
+        key_batches = []
+        targets = []
+        for req in requests:
+            keys, target = model_core.keys_and_targets(
+                working[req.language_id], req.inputs, req.new_tokens, layer
+            )
+            key_batches.append(cov_mod.KeyBatch(language_id=req.language_id, layer=layer, keys=keys))
+            targets.append(target)
         shared = cov_mod.cov_shared(key_batches).cov if cov_mode == SHARED else None
-        if method == METHOD_MEMIT:
-            # Per-sample preserved moment rescaled to the request batch size,
-            # so lam weighs preservation against requests independently of
-            # how many keys went into either statistic.
-            request_count = sum(kb.n for kb in key_batches) if cov_mode == SHARED else None
-            per_sample = stats.cov / max(stats.sample_count, 1)
+        # memit: the per-sample preserved moment rescaled to the request batch
+        # size, so lam weighs preservation against requests independently of
+        # how many keys went into either statistic.
+        request_count = sum(kb.n for kb in key_batches) if cov_mode == SHARED else None
 
-        for req, kb in zip(requests, key_batches):
+        for req, kb, target in zip(requests, key_batches, targets):
             lang = req.language_id
             current = working[lang]
-            targets = model_core.compute_target_values(current, req.inputs, req.new_tokens, layer)
             cov_request = shared if shared is not None else cov_mod.cov_per_language(kb).cov
             w_out = current.layer(layer).w_out
             if method == METHOD_MEMIT:
-                preserved_term = per_sample * (request_count if request_count is not None else kb.n)
+                preserved_term = preserved[layer] * (request_count if request_count is not None else kb.n)
                 dm = solve_memit(
-                    w_out, kb.keys, targets, preserved_term, cov_request, lam, cond_limit=cond_limit
+                    w_out, kb.keys, target, preserved_term, cov_request, lam, cond_limit=cond_limit
                 )
             else:
                 dm = solve_alphaedit(
-                    w_out, kb.keys, targets, projector, cov_request, lam, cond_limit=cond_limit
+                    w_out, kb.keys, target, preserved[layer], cov_request, lam, cond_limit=cond_limit
                 )
             dm = replace(dm, layer=layer, language_id=lang, method=method, cov_mode=cov_mode)
             entries[(layer, lang)] = dm

@@ -340,8 +340,8 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
     history = []
     for pass_idx in range(max_passes):
         for layer in cfg.edit_layers:
-            targets = model_core.compute_target_values(model, inputs, tokens, layer)
-            kb = cov_mod.request_keys(model, 0, inputs, layer)
+            keys, targets = model_core.keys_and_targets(model, inputs, tokens, layer)
+            kb = cov_mod.KeyBatch(language_id=0, layer=layer, keys=keys)
             cov_request = cov_mod.cov_per_language(kb).cov
             ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
             dm = solve_memit(

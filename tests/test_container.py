@@ -1,8 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from lamedit import container
-from lamedit.errors import ShapeError
+from lamedit.errors import ContainerError, ShapeError
 from lamedit.synthdata import generate_dataset
 
 from test_model import random_model
@@ -37,6 +40,39 @@ class TestArrays:
         path = tmp_path / "junk.lam"
         path.write_bytes(b"NOTACONTAINER")
         with pytest.raises(ShapeError):
+            container.load_arrays(path)
+
+    @pytest.mark.parametrize("keep", [0.5, 0.99])
+    def test_truncated_data_rejected(self, tmp_path, keep):
+        path = tmp_path / "model.lam"
+        container.save_model(path, random_model(np.random.default_rng(3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: int(len(raw) * keep)])
+        with pytest.raises(ContainerError, match="truncated"):
+            container.load_arrays(path)
+
+    @pytest.mark.parametrize("length", [4, 12, 40])
+    def test_truncated_header_rejected(self, tmp_path, length):
+        path = tmp_path / "x.lam"
+        container.save_arrays(path, {"a": np.zeros(3)})
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(ContainerError):
+            container.load_arrays(path)
+
+    def test_nbytes_must_match_shape(self, tmp_path):
+        # An entry whose byte count disagrees with its shape is refused even
+        # when the bytes are present.
+        header = {
+            "format_version": 1,
+            "meta": {},
+            "arrays": [{"name": "a", "dtype": "<f8", "shape": [3], "offset": 0, "nbytes": 16}],
+        }
+        header_bytes = json.dumps(header).encode("utf-8")
+        path = tmp_path / "x.lam"
+        path.write_bytes(
+            container.MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + bytes(24)
+        )
+        with pytest.raises(ContainerError, match="needs 24 bytes"):
             container.load_arrays(path)
 
     def test_unsupported_dtype_rejected(self, tmp_path):

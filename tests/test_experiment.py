@@ -1,10 +1,15 @@
 import json
 import os
+import shutil
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from lamedit import cli, experiment
+from lamedit import cli, covariance, experiment, solvers
+from lamedit import model as model_mod
+from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import ConfigError
 
 TINY_CONFIG = {
@@ -76,6 +81,40 @@ class TestConfig:
         assert cli.main(["generate", config_path, "--out", str(tmp_path / "b")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 5.9), ("seed", True), ("workers", 2.5), ("workers", False)],
+    )
+    def test_non_integral_integer_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            experiment.config_from_dict(dict(TINY_CONFIG, **{field: value}))
+
+    @pytest.mark.parametrize("field, value", [("n_facts", 8.5), ("d", True), ("edit_layers", [2, 2.5])])
+    def test_non_integral_dataset_field_rejected(self, field, value):
+        doc = dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], **{field: value}))
+        with pytest.raises(ConfigError, match=field):
+            experiment.config_from_dict(doc)
+
+    def test_integral_float_accepted(self):
+        cfg = experiment.config_from_dict(dict(TINY_CONFIG, seed=9.0, workers=2.0))
+        assert (cfg.seed, cfg.workers) == (9, 2)
+        assert isinstance(cfg.seed, int) and isinstance(cfg.workers, int)
+
+    @pytest.mark.parametrize(
+        "field, grid",
+        [
+            ("alpha_grid", [0.5, 1.0, float("nan")]),
+            ("alpha_grid", [0.5, 1.0, float("inf")]),
+            ("rank_grid", [0.25, float("nan")]),
+        ],
+    )
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, field, grid):
+        with pytest.raises(ConfigError, match=field):
+            experiment.config_from_dict(dict(TINY_CONFIG, **{field: grid}))
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, **{field: grid}))
+        assert cli.main(["generate", config_path, "--out", str(tmp_path / "b")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_config_roundtrip(self):
         cfg = experiment.config_from_dict(TINY_CONFIG)
         again = experiment.config_from_dict(experiment.config_to_dict(cfg))
@@ -94,6 +133,54 @@ class TestConfig:
             experiment.effective_workers(cfg)
         monkeypatch.delenv("LAMEDIT_WORKERS")
         assert experiment.effective_workers(cfg) == 2
+
+
+class TestComputeDeltaSets:
+    @pytest.mark.parametrize("method", ["memit", "alphaedit"])
+    def test_preserved_terms_shared_and_one_forward_per_step(self, small_bench, monkeypatch, method):
+        dataset, model = small_bench
+        solver = experiment.SolverSettings(method=method, rel_tol=0.02)
+        modes = (PER_LANGUAGE, SHARED)
+        # Reference: one edit_model call per mode, each computing its own
+        # preserved terms.
+        fresh = {
+            mode: solvers.edit_model(
+                model,
+                dataset.all_language_requests(),
+                dataset.preserved_inputs_all(),
+                method=method,
+                cov_mode=mode,
+                lam=solver.lam,
+                rel_tol=solver.rel_tol,
+            )
+            for mode in modes
+        }
+
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(covariance, "const_stats")
+        count(solvers, "nullspace_projector")
+        count(model_mod, "forward_batch")
+        delta_sets = experiment.compute_delta_sets(model, dataset, solver, modes)
+
+        n_layers, m = len(model.edit_layers), dataset.m_languages
+        assert calls["const_stats"] == n_layers
+        assert calls["nullspace_projector"] == (n_layers if method == "alphaedit" else 0)
+        # One preserved forward per edit layer, then one forward per
+        # (mode, language, layer) step serving both keys and targets.
+        assert calls["forward_batch"] == n_layers + len(modes) * m * n_layers
+        for mode in modes:
+            for key, dm in fresh[mode].entries.items():
+                assert np.array_equal(delta_sets[mode].entries[key].delta, dm.delta)
 
 
 class TestGenerateCommand:
@@ -157,6 +244,19 @@ class TestRunCommand:
         config_path, _, _ = tiny_setup
         code = cli.main(["run", config_path, "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_truncated_model_exit_2(self, tiny_setup, tmp_path, capsys):
+        _, bench_dir, _ = tiny_setup
+        config_path = write_config(tmp_path)
+        broken = tmp_path / "bench"
+        shutil.copytree(bench_dir, broken)
+        model_path = broken / experiment.MODEL_FILE
+        raw = model_path.read_bytes()
+        model_path.write_bytes(raw[: len(raw) // 2])
+        code = cli.main(["run", config_path, "--dataset", str(broken), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "truncated" in err
 
     def test_numerical_failure_exit_3(self, tiny_setup, tmp_path, capsys):
         _, bench_dir, _ = tiny_setup
@@ -338,6 +438,38 @@ class TestReportCommand:
             experiment.build_comparison(dirs)
         languages, rows = experiment.build_comparison(dirs, allow_mixed=True)
         assert languages == ("en",)
+
+    def test_colliding_rows_refused(self, tiny_setup, tmp_path, capsys):
+        # A memit sum run and an alphaedit sum run share the row key "sum".
+        config_path, bench_dir, _ = tiny_setup
+        doc = dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02})
+        alpha_config = write_config(tmp_path, doc, name="alphaedit.json")
+        runs = {}
+        for name, path in (("memit", config_path), ("alphaedit", alpha_config)):
+            runs[name] = str(tmp_path / name)
+            code = cli.main([
+                "run", path, "--dataset", bench_dir, "--out", runs[name], "--merge", "sum", "--no-mono",
+            ])
+            assert code == 0
+        with pytest.raises(ConfigError) as err:
+            experiment.build_comparison([runs["memit"], runs["alphaedit"]])
+        assert runs["memit"] in str(err.value) and runs["alphaedit"] in str(err.value)
+        assert cli.main(["report", runs["memit"], runs["alphaedit"], "--out", str(tmp_path / "rep")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_mixed_seed_rows_kept_apart(self, tmp_path):
+        dirs = []
+        for seed, averaged in ((1, 0.25), (2, 0.5)):
+            run_dir = tmp_path / f"run{seed}"
+            run_dir.mkdir()
+            row = {"efficacy": 0.0, "generalization": 0.0, "specificity": 1.0, "portability": 0.0,
+                   "averaged": averaged}
+            report = {"method": "sum", "cov_mode": "per_language", "alpha": 1.0, "rank_ratio": None,
+                      "seed": seed, "languages": ["en"], "per_language": {"en": row}, "mean": row}
+            (run_dir / "metrics.json").write_text(json.dumps({"reports": [report]}))
+            dirs.append(str(run_dir))
+        languages, rows = experiment.build_comparison(dirs, allow_mixed=True)
+        assert rows == {"sum@seed=1": [0.25, 0.25], "sum@seed=2": [0.5, 0.5]}
 
     def test_markdown_bolds_column_maxima(self):
         rows = {"a": [0.2, 0.5], "b": [0.4, 0.3]}

@@ -12,6 +12,7 @@ from lamedit.model import (
     default_layer,
     forward,
     forward_batch,
+    keys_and_targets,
     predict,
     predict_batch,
 )
@@ -240,6 +241,19 @@ class TestComputeTargetValues:
             current = current.with_w_out(layer, current.layer(layer).w_out + dm.delta)
         final = forward(current, x).final
         assert np.linalg.norm(final - current.codebook[:, 5]) <= 1e-5
+
+    def test_keys_and_targets_from_one_forward(self):
+        # The keys are the layer's forward keys and the targets equal
+        # compute_target_values, bit for bit.
+        rng = np.random.default_rng(9)
+        model = random_model(rng, n_layers=4, edit_layers=(2, 3))
+        inputs = rng.standard_normal((8, 5))
+        tokens = np.array([0, 3, 1, 1, 6])
+        _, keys = forward_batch(model, inputs)
+        for layer in model.edit_layers:
+            layer_keys, targets = keys_and_targets(model, inputs, tokens, layer)
+            assert np.array_equal(layer_keys, keys[layer - 1])
+            assert np.array_equal(targets, compute_target_values(model, inputs, tokens, layer))
 
     def test_unknown_token_rejected(self):
         model = zero_model()

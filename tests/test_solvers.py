@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import IllConditionedError, ShapeError
@@ -110,6 +113,67 @@ class TestSolveMemit:
             solve_memit(w, keys, targets, k_const @ k_const.T, keys @ keys.T, -1.0)
 
 
+def projected_instance(rng, h, n, p):
+    """Request keys and a null-space projector of a rank-deficient preserved sample."""
+    keys = rng.standard_normal((h, n))
+    k_const = rng.standard_normal((h, p))
+    return keys, nullspace_projector(k_const @ k_const.T, rel_tol=1e-6)
+
+
+class TestFactoredSolves:
+    def test_memit_equals_positive_definite_solve(self):
+        # One Cholesky factor per solve gives the bits of scipy's "pos" solve.
+        rng = np.random.default_rng(13)
+        for trial in range(25):
+            h = int(rng.integers(4, 80))
+            d, n, p = int(rng.integers(2, h + 1)), int(rng.integers(1, 70)), int(rng.integers(1, 3 * h))
+            w, keys, targets, k_const = random_instance(rng, d=d, h=h, n=n, p=p)
+            lam = float(rng.uniform(0.01, 5.0))
+            cov_c, cov_r = k_const @ k_const.T + 1e-3 * np.eye(h), keys @ keys.T
+            dm = solve_memit(w, keys, targets, cov_c, cov_r, lam)
+            system = lam * cov_c + cov_r
+            system = 0.5 * (system + system.T)
+            rhs = keys @ (targets - w @ keys).T
+            assert np.array_equal(dm.delta, scipy.linalg.solve(system, rhs, assume_a="pos").T)
+
+    def test_alphaedit_equals_general_solve(self):
+        # One LU factor of the transposed system gives the bits of scipy's general solve.
+        rng = np.random.default_rng(14)
+        for trial in range(25):
+            h = int(rng.integers(4, 80))
+            d, n, p = int(rng.integers(2, h + 1)), int(rng.integers(1, 70)), int(rng.integers(1, h))
+            w = rng.standard_normal((d, h)) * 0.3
+            keys, proj = projected_instance(rng, h, n, p)
+            targets = rng.standard_normal((d, n))
+            lam = float(rng.uniform(0.01, 5.0))
+            dm = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, lam)
+            system = lam * np.eye(h) + keys @ keys.T @ proj.projector
+            rhs = proj.projector @ keys @ (targets - w @ keys).T
+            assert np.array_equal(dm.delta, scipy.linalg.solve(system.T, rhs).T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(2, 48),
+        n=st.integers(1, 40),
+        lam=st.floats(1e-3, 1e3),
+    )
+    def test_memit_solution_is_stationary(self, seed, h, n, lam):
+        # The objective ||(W + D) K - T||^2 + lam ||D K0||^2 has gradient
+        # 2 (D S - R K^T) with S = lam K0 K0^T + K K^T and R = T - W K; a
+        # backward-stable solve leaves it at rounding level relative to its terms.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, h + 1))
+        w, keys, targets, k_const = random_instance(rng, d=d, h=h, n=n, p=h + 4)
+        cov_c, cov_r = k_const @ k_const.T, keys @ keys.T
+        delta = solve_memit(w, keys, targets, cov_c, cov_r, lam).delta
+        system = lam * cov_c + cov_r
+        rk = (targets - w @ keys) @ keys.T
+        gradient = delta @ system - rk
+        scale = np.linalg.norm(delta) * np.linalg.norm(system) + np.linalg.norm(rk)
+        assert np.linalg.norm(gradient) <= 1e-10 * scale
+
+
 class TestNullspaceProjector:
     def test_identity_covariance_gives_zero(self):
         proj = nullspace_projector(np.eye(5))
@@ -169,6 +233,14 @@ class TestSolveAlphaedit:
         proj = nullspace_projector(k_const @ k_const.T)
         dm = solve_alphaedit(w, keys, w @ keys, proj, keys @ keys.T, 0.1)
         assert np.allclose(dm.delta, 0.0, atol=1e-10)
+
+    def test_cond_limit_enforced(self):
+        rng = np.random.default_rng(15)
+        w, keys, targets, k_const = random_instance(rng, p=12)
+        proj = nullspace_projector(k_const @ k_const.T)
+        with pytest.raises(IllConditionedError) as err:
+            solve_alphaedit(w, keys, targets, proj, keys @ keys.T, 0.1, cond_limit=1.0)
+        assert 1.0 < err.value.condition_estimate < np.inf
 
     def test_singular_projected_system_raises(self):
         rng = np.random.default_rng(10)
