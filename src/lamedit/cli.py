@@ -101,7 +101,7 @@ def cmd_generate(args):
 
 def cmd_run(args):
     config = _apply_run_overrides(experiment.load_config(args.config), args)
-    dataset, model, manifest = experiment.load_benchmark(args.dataset)
+    dataset, model, manifest = experiment.load_benchmark(args.dataset, config)
     reports = experiment.run_experiment(config, dataset, model)
     experiment.write_run_outputs(args.out, config, reports, manifest)
     for rep in reports:
@@ -113,7 +113,7 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     config = experiment.load_config(args.config)
-    dataset, model, manifest = experiment.load_benchmark(args.dataset)
+    dataset, model, manifest = experiment.load_benchmark(args.dataset, config)
     results, point_reports = experiment.sweep(config, dataset, model, args.axis)
     experiment.write_sweep_outputs(args.out, config, args.axis, results, point_reports)
     for result in results:

@@ -16,6 +16,7 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -116,6 +117,17 @@ def load_arrays(path):
     return arrays, header.get("meta", {})
 
 
+@contextlib.contextmanager
+def _entries(path, kind):
+    """Report an array or meta entry a ``kind`` container lacks as ContainerError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ContainerError(f"{path}: {kind} container has no entry {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ContainerError(f"{path}: malformed {kind} container: {exc}") from exc
+
+
 def save_model(path, toy_model):
     """Serialize a ToyModel: dims, layer matrices, codebook, edit layers."""
     arrays = {"codebook": toy_model.codebook}
@@ -142,22 +154,23 @@ def load_model(path):
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "toy_model":
         raise ContainerError(f"{path}: container does not hold a model (kind={meta.get('kind')!r})")
-    layers = tuple(
-        LamLayer(
-            w_in=arrays[f"w_in_{idx:02d}"],
-            w_out=arrays[f"w_out_{idx:02d}"],
-            norm_scale=arrays[f"norm_scale_{idx:02d}"],
-            norm_bias=arrays[f"norm_bias_{idx:02d}"],
+    with _entries(path, "model"):
+        layers = tuple(
+            LamLayer(
+                w_in=arrays[f"w_in_{idx:02d}"],
+                w_out=arrays[f"w_out_{idx:02d}"],
+                norm_scale=arrays[f"norm_scale_{idx:02d}"],
+                norm_bias=arrays[f"norm_bias_{idx:02d}"],
+            )
+            for idx in range(1, meta["n_layers"] + 1)
         )
-        for idx in range(1, meta["n_layers"] + 1)
-    )
-    return ToyModel(
-        layers=layers,
-        codebook=arrays["codebook"],
-        edit_layers=tuple(meta["edit_layers"]),
-        activation=meta["activation"],
-        norm=meta["norm"],
-    )
+        return ToyModel(
+            layers=layers,
+            codebook=arrays["codebook"],
+            edit_layers=tuple(meta["edit_layers"]),
+            activation=meta["activation"],
+            norm=meta["norm"],
+        )
 
 
 def save_dataset(path, dataset):
@@ -187,19 +200,20 @@ def load_dataset(path):
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "dataset":
         raise ContainerError(f"{path}: container does not hold a dataset (kind={meta.get('kind')!r})")
-    config = dict(meta["config"])
-    config["edit_layers"] = tuple(config["edit_layers"])
-    return MultilingualDataset(
-        config=GenConfig(**config),
-        languages=tuple(meta["languages"]),
-        fact_vectors=arrays["fact_vectors"],
-        preserved_vectors=arrays["preserved_vectors"],
-        old_tokens=arrays["old_tokens"],
-        new_tokens=arrays["new_tokens"],
-        preserved_tokens=arrays["preserved_tokens"],
-        transforms=arrays["transforms"],
-        hop_transform=arrays["hop_transform"],
-        rephrase_offsets=arrays["rephrase_offsets"],
-        unrelated_index=arrays["unrelated_index"],
-    )
+    with _entries(path, "dataset"):
+        config = dict(meta["config"])
+        config["edit_layers"] = tuple(config["edit_layers"])
+        return MultilingualDataset(
+            config=GenConfig(**config),
+            languages=tuple(meta["languages"]),
+            fact_vectors=arrays["fact_vectors"],
+            preserved_vectors=arrays["preserved_vectors"],
+            old_tokens=arrays["old_tokens"],
+            new_tokens=arrays["new_tokens"],
+            preserved_tokens=arrays["preserved_tokens"],
+            transforms=arrays["transforms"],
+            hop_transform=arrays["hop_transform"],
+            rephrase_offsets=arrays["rephrase_offsets"],
+            unrelated_index=arrays["unrelated_index"],
+        )
 

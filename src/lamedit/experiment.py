@@ -4,8 +4,9 @@ A run starts from a generated benchmark directory (dataset + fitted model),
 computes per-language delta sets once per covariance mode, then merges,
 scales, applies, and scores each configured merge method plus the mono
 baseline, which reads each language's own deltas from the per-language delta
-set.  Sweeps compute the delta sets once: the scale axis reuses merges as
-well, the rank axis recomputes merges only.
+set.  Sweeps compute the delta sets once and build every grid point's merge
+up front: the scale axis reuses one merge per method, the rank axis slices
+one SVD per delta at each rank ratio.  Grid-point tasks only apply and score.
 
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
 floats via ``repr``.  Grid points may be evaluated by a process pool; results
@@ -18,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import container, merging, metrics, solvers, synthdata
 from .covariance import PER_LANGUAGE
@@ -63,8 +64,12 @@ class SolverSettings:
     def __post_init__(self):
         if self.method not in solvers.METHODS:
             raise ConfigError(f"unknown solver method {self.method!r}")
-        if self.lam_memit < 0 or self.lam_alphaedit < 0:
-            raise ConfigError("solver lam values must be nonnegative")
+        for name in ("lam_memit", "lam_alphaedit", "rel_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"solver {name} must be finite and nonnegative, got {value!r}")
+        if not (math.isfinite(self.cond_limit) and self.cond_limit > 0):
+            raise ConfigError(f"solver cond_limit must be finite and positive, got {self.cond_limit!r}")
 
     @property
     def lam(self):
@@ -99,8 +104,8 @@ class ExperimentConfig:
             raise ConfigError("alpha_grid must contain 1.0")
         if self.rank_grid[0] <= 0 or self.rank_grid[-1] > 1:
             raise ConfigError("rank_grid values must lie in (0, 1]")
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha!r}")
         if not isinstance(self.include_mono, bool):
             raise ConfigError(f"include_mono must be true or false, got {self.include_mono!r}")
         if self.workers < 0:
@@ -258,13 +263,35 @@ def write_benchmark(config, out_dir, force=False):
     return dataset, model, manifest
 
 
-def load_benchmark(bench_dir):
+def check_benchmark_dataset(config, manifest):
+    """Raise ConfigError unless ``config``'s dataset section is the benchmark's.
+
+    The manifest records the config the benchmark was built from; a run under
+    another seed or shape would record settings its numbers did not come from.
+    The error names the first differing field.
+    """
+    built = config_from_dict(manifest.get("config")).dataset
+    for f in fields(built):
+        ours, theirs = getattr(config.dataset, f.name), getattr(built, f.name)
+        if ours != theirs:
+            name = f.name if f.name == "seed" else f"dataset.{f.name}"
+            raise ConfigError(f"config {name}={ours!r} differs from the benchmark's {theirs!r}")
+
+
+def load_benchmark(bench_dir, config=None):
+    """Dataset, model and manifest of a benchmark directory.
+
+    With ``config``, its dataset section must match the benchmark's
+    (:func:`check_benchmark_dataset`).
+    """
     manifest_path = os.path.join(bench_dir, MANIFEST_FILE)
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"no benchmark at {bench_dir} (missing {MANIFEST_FILE}): {exc}") from exc
+    if config is not None:
+        check_benchmark_dataset(config, manifest)
     dataset = container.load_dataset(os.path.join(bench_dir, manifest["files"]["dataset"]))
     model = container.load_model(os.path.join(bench_dir, manifest["files"]["model"]))
     return dataset, model, manifest
@@ -303,30 +330,28 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
     return out
 
 
-def _report_for_merged(model, dataset, merged, merge_cfg, alpha, seed):
-    edited = merging.apply_update(model, merged, alpha)
-    return metrics.MetricsReport(
-        method=merge_cfg.method,
-        cov_mode=merge_cfg.cov_mode,
-        alpha=float(alpha),
-        rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
-        seed=seed,
-        languages=dataset.languages,
-        rows=metrics.evaluate_all(edited, dataset),
-    )
+def _point_task(args):
+    """Apply and score each ``(merged, merge_cfg, alpha)`` of one grid point."""
+    model, dataset, points, seed = args
+    return [
+        metrics.MetricsReport(
+            method=merge_cfg.method,
+            cov_mode=merge_cfg.cov_mode,
+            alpha=float(alpha),
+            rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
+            seed=seed,
+            languages=dataset.languages,
+            rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), dataset),
+        )
+        for merged, merge_cfg, alpha in points
+    ]
 
 
-def _merge_task(args):
-    model, dataset, delta_set, merge_cfg, alpha, seed = args
-    merged = merging.merge(merge_cfg, delta_set)
-    return _report_for_merged(model, dataset, merged, merge_cfg, alpha, seed)
-
-
-def _map_tasks(task_fn, tasks, workers):
+def _map_points(tasks, workers):
     if workers and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task_fn, tasks))
-    return [task_fn(t) for t in tasks]
+            return list(pool.map(_point_task, tasks))
+    return [_point_task(t) for t in tasks]
 
 
 def mono_report(model, dataset, delta_set, alpha, seed):
@@ -352,10 +377,10 @@ def run_experiment(config, dataset, model):
         modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
     tasks = [
-        (model, dataset, delta_sets[m.cov_mode], m, config.alpha, config.seed)
+        (model, dataset, [(merging.merge(m, delta_sets[m.cov_mode]), m, config.alpha)], config.seed)
         for m in config.merges
     ]
-    reports = _map_tasks(_merge_task, tasks, effective_workers(config))
+    reports = [rep for reps in _map_points(tasks, effective_workers(config)) for rep in reps]
     if config.include_mono:
         reports.append(
             mono_report(model, dataset, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
@@ -389,24 +414,6 @@ def _argmax_point(grid, values):
     return grid[0]
 
 
-def _alpha_point_task(args):
-    model, dataset, merged_by_method, merge_cfgs, alpha, seed = args
-    return [
-        _report_for_merged(model, dataset, merged_by_method[m.method], m, alpha, seed)
-        for m in merge_cfgs
-    ]
-
-
-def _rank_point_task(args):
-    model, dataset, delta_sets, merge_cfgs, rank, alpha, seed = args
-    reports = []
-    for m in merge_cfgs:
-        cfg_r = MergeConfig(m.method, alpha=m.alpha, rank_ratio=rank)
-        merged = merging.merge(cfg_r, delta_sets[m.cov_mode])
-        reports.append(_report_for_merged(model, dataset, merged, cfg_r, alpha, seed))
-    return reports
-
-
 def sweep(config, dataset, model, axis):
     """Sweep the scale or rank axis over the configured merge methods.
 
@@ -429,17 +436,21 @@ def sweep(config, dataset, model, axis):
     modes = [m.cov_mode for m in merge_cfgs]
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
     if axis == "alpha":
-        merged_by_method = {m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs}
-        tasks = [
-            (model, dataset, merged_by_method, merge_cfgs, alpha, config.seed) for alpha in grid
-        ]
-        per_point = _map_tasks(_alpha_point_task, tasks, workers)
+        merged = {m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs}
+        points = [[(merged[m.method], m, alpha) for m in merge_cfgs] for alpha in grid]
     else:
-        tasks = [
-            (model, dataset, delta_sets, merge_cfgs, rank, config.alpha, config.seed)
-            for rank in grid
-        ]
-        per_point = _map_tasks(_rank_point_task, tasks, workers)
+        factors = {mode: merging.delta_factors(delta_sets[mode]) for mode in set(modes)}
+        points = []
+        for rank in grid:
+            cfgs = [MergeConfig(m.method, alpha=m.alpha, rank_ratio=rank) for m in merge_cfgs]
+            points.append(
+                [
+                    (merging.merge(c, delta_sets[c.cov_mode], factors[c.cov_mode]), c, config.alpha)
+                    for c in cfgs
+                ]
+            )
+    tasks = [(model, dataset, point, config.seed) for point in points]
+    per_point = _map_points(tasks, workers)
 
     results = []
     for idx, m in enumerate(merge_cfgs):

@@ -110,6 +110,22 @@ def _svd(matrix):
         return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 
 
+def _retained_rank(shape, rank_ratio):
+    """``k = floor(rank_ratio * d)`` capped at ``min(d, h)``; k < 1 raises."""
+    d, h = shape
+    if not 0 < rank_ratio <= 1:
+        raise RankRatioError(f"rank_ratio must lie in (0, 1], got {rank_ratio}")
+    k = int(np.floor(rank_ratio * d))
+    if k < 1:
+        raise RankRatioError(f"rank_ratio {rank_ratio} with d={d} floors to rank 0")
+    return min(k, d, h)
+
+
+def _truncate(factors, k):
+    u, s, vt = factors
+    return u[:, :k], s[:k], vt[:k, :]
+
+
 def truncate_svd(matrix, rank_ratio):
     """Best rank-k approximation factors of one delta.
 
@@ -125,15 +141,20 @@ def truncate_svd(matrix, rank_ratio):
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ShapeError("truncate_svd needs a matrix")
-    d, h = matrix.shape
-    if not 0 < rank_ratio <= 1:
-        raise RankRatioError(f"rank_ratio must lie in (0, 1], got {rank_ratio}")
-    k = int(np.floor(rank_ratio * d))
-    if k < 1:
-        raise RankRatioError(f"rank_ratio {rank_ratio} with d={d} floors to rank 0")
-    k = min(k, d, h)
-    u, s, vt = _svd(matrix)
-    return u[:, :k], s[:k], vt[:k, :]
+    k = _retained_rank(matrix.shape, rank_ratio)
+    return _truncate(_svd(matrix), k)
+
+
+def delta_factors(delta_set):
+    """Thin SVD of every delta, ``{layer: (u, s, vt) per language}``.
+
+    :func:`merge` slices these at any rank ratio, so a tsvm rank sweep
+    factors each delta once instead of once per grid point.
+    """
+    return {
+        layer: tuple(_svd(m) for m in delta_set.layer_deltas(layer))
+        for layer in delta_set.layers
+    }
 
 
 def _orthogonal_polar_factor(matrix):
@@ -142,21 +163,21 @@ def _orthogonal_polar_factor(matrix):
     return u @ vt
 
 
-def merge_tsvm(deltas, rank_ratio, layer=-1, language_ids=()):
+def merge_tsvm(deltas, rank_ratio, layer=-1, language_ids=(), factors=None):
     """Truncate, concatenate across languages, re-orthogonalize, reconstruct.
 
     Left factors concatenate column-wise and right factors row-wise, with the
     retained singular values forming a block diagonal; both stacked factors
     are replaced by their orthogonal polar factor before reconstruction.  An
     over-complete concatenation (m * k exceeding min(d, h)) is allowed.
+    ``factors``, the thin SVDs of ``deltas`` in order, are sliced when given
+    instead of factoring each delta again.
     """
     mats = _stack(deltas)
-    lefts, sigmas, rights = [], [], []
-    for m in mats:
-        u, s, vt = truncate_svd(m, rank_ratio)
-        lefts.append(u)
-        sigmas.append(s)
-        rights.append(vt)
+    k = _retained_rank(mats[0].shape, rank_ratio)
+    if factors is None:
+        factors = [_svd(m) for m in mats]
+    lefts, sigmas, rights = zip(*(_truncate(f, k) for f in factors))
     left_cat = np.hstack(lefts)
     sigma_cat = np.concatenate(sigmas)
     right_cat = np.vstack(rights)
@@ -172,12 +193,13 @@ def merge_tsvm(deltas, rank_ratio, layer=-1, language_ids=()):
     )
 
 
-def merge(config, delta_set):
+def merge(config, delta_set, factors=None):
     """Merge a delta set layer by layer according to ``config``.
 
     The delta set's covariance mode must match the method suffix: the plain
     rules take per-language-covariance deltas, the ``*_cov`` rules take
-    shared-covariance deltas.
+    shared-covariance deltas.  The tsvm rules slice ``factors`` (from
+    :func:`delta_factors` on the same delta set) when given.
 
     Returns
     -------
@@ -197,7 +219,13 @@ def merge(config, delta_set):
         elif config.base_rule == "mean":
             out = merge_mean(mats, layer=layer, language_ids=langs)
         else:
-            out = merge_tsvm(mats, config.rank_ratio, layer=layer, language_ids=langs)
+            out = merge_tsvm(
+                mats,
+                config.rank_ratio,
+                layer=layer,
+                language_ids=langs,
+                factors=None if factors is None else factors[layer],
+            )
         merged[layer] = MergedDelta(
             layer=layer,
             matrix=out.matrix,

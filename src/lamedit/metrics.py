@@ -96,21 +96,38 @@ def accuracy(model, inputs, expected):
     return float(np.mean(predictions == expected))
 
 
+def _probe_families(dataset, language_id):
+    """``(inputs, expected)`` of one language's probe families, in MetricsRow order."""
+    return (
+        (dataset.request_inputs(language_id), dataset.new_tokens),
+        (dataset.rephrase_inputs(language_id), dataset.new_tokens),
+        (dataset.unrelated_inputs(language_id), dataset.unrelated_expected(language_id)),
+        (dataset.hop_inputs(language_id), dataset.new_tokens),
+    )
+
+
+def _evaluate_languages(model, dataset, language_ids):
+    """Rows for ``language_ids`` from one prediction over all of their probes.
+
+    Predictions are per column, so one forward over the concatenated probe
+    families gives the same hits as one forward per family.
+    """
+    families = [f for i in language_ids for f in _probe_families(dataset, i)]
+    predictions = model_core.predict_batch(model, np.hstack([inputs for inputs, _ in families]))
+    hits = predictions == np.concatenate([expected for _, expected in families])
+    bounds = np.cumsum([len(expected) for _, expected in families])[:-1]
+    scores = [float(np.mean(segment)) for segment in np.split(hits, bounds)]
+    return tuple(MetricsRow(*scores[4 * k : 4 * k + 4]) for k in range(len(language_ids)))
+
+
 def evaluate(model, dataset, language_id):
     """All four accuracies for one language."""
-    return MetricsRow(
-        efficacy=accuracy(model, dataset.request_inputs(language_id), dataset.new_tokens),
-        generalization=accuracy(model, dataset.rephrase_inputs(language_id), dataset.new_tokens),
-        specificity=accuracy(
-            model, dataset.unrelated_inputs(language_id), dataset.unrelated_expected(language_id)
-        ),
-        portability=accuracy(model, dataset.hop_inputs(language_id), dataset.new_tokens),
-    )
+    return _evaluate_languages(model, dataset, (language_id,))[0]
 
 
 def evaluate_all(model, dataset):
     """Rows for every language, ascending language order."""
-    return tuple(evaluate(model, dataset, i) for i in range(dataset.m_languages))
+    return _evaluate_languages(model, dataset, range(dataset.m_languages))
 
 
 def run_mono(model, dataset, delta_set, language_id, alpha=1.0):

@@ -183,9 +183,10 @@ def _normalize(model, states):
     """Apply the model's normalization column-wise to ``states`` (d, n)."""
     if model.norm == "identity":
         return states
-    mean = states.mean(axis=0, keepdims=True)
-    var = states.var(axis=0, keepdims=True)
-    return (states - mean) / np.sqrt(var + LN_EPS)
+    # The variance from the centred states, as ``states.var`` computes it.
+    centred = states - states.mean(axis=0, keepdims=True)
+    var = np.square(centred).sum(axis=0, keepdims=True) / states.shape[0]
+    return centred / np.sqrt(var + LN_EPS)
 
 
 def _activate(model, pre):
@@ -202,6 +203,14 @@ def _layer_keys(model, layer_index, states):
     return _activate(model, layer.w_in @ normed)
 
 
+def _check_inputs(model, inputs):
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[0] != model.d:
+        raise ShapeError(f"inputs must be (d, n) with d={model.d}, got {inputs.shape}")
+    _check_finite("inputs", inputs)
+    return inputs
+
+
 def forward_batch(model, inputs):
     """Run the stack on a batch of column vectors.
 
@@ -214,10 +223,7 @@ def forward_batch(model, inputs):
     hidden : ndarray (L+1, d, n)
     keys : ndarray (L, h, n)
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[0] != model.d:
-        raise ShapeError(f"inputs must be (d, n) with d={model.d}, got {inputs.shape}")
-    _check_finite("inputs", inputs)
+    inputs = _check_inputs(model, inputs)
     n = inputs.shape[1]
     hidden = np.empty((model.n_layers + 1, model.d, n))
     keys = np.empty((model.n_layers, model.h, n))
@@ -248,10 +254,16 @@ def compute_key(model, layer, h_prev):
 
 
 def predict_batch(model, inputs):
-    """Predicted token per input column; ties resolve to the lowest index."""
-    hidden, _ = forward_batch(model, inputs)
-    scores = model.codebook.T @ hidden[-1]
-    return np.argmax(scores, axis=0)
+    """Predicted token per input column; ties resolve to the lowest index.
+
+    Runs the stack keeping only the running state (no per-layer trace), and
+    scores it as an (n, vocab) matrix so the argmax runs along contiguous rows.
+    The predictions equal those read from :func:`forward_batch`'s final state.
+    """
+    state = _check_inputs(model, inputs)
+    for l in range(1, model.n_layers + 1):
+        state = state + model.layer(l).w_out @ _layer_keys(model, l, state)
+    return np.argmax(state.T @ model.codebook, axis=1)
 
 
 def predict(model, x):

@@ -15,6 +15,7 @@ streams from (seed, attempt).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,8 +80,8 @@ class GenConfig:
             raise ConfigError("m_languages must be >= 1")
         if not 0 <= self.overlap <= 1:
             raise ConfigError(f"overlap must lie in [0, 1], got {self.overlap}")
-        if self.rephrase_noise < 0:
-            raise ConfigError("rephrase_noise must be >= 0")
+        if not (math.isfinite(self.rephrase_noise) and self.rephrase_noise >= 0):
+            raise ConfigError(f"rephrase_noise must be finite and >= 0, got {self.rephrase_noise!r}")
         if self.n_preserved < 1:
             raise ConfigError("n_preserved must be >= 1")
         if self.d < 2 or self.h < self.d:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lamedit import cli, covariance, experiment, solvers
+from lamedit import cli, container, covariance, experiment, merging, solvers
 from lamedit import model as model_mod
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import ConfigError
@@ -73,7 +73,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", "abc"), ("workers", "x"), ("include_mono", "false"), ("alpha", float("nan"))],
+        [
+            ("seed", "abc"),
+            ("workers", "x"),
+            ("include_mono", "false"),
+            ("alpha", float("nan")),
+            ("alpha", float("inf")),
+        ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, field, value):
         doc = dict(TINY_CONFIG, **{field: value})
@@ -113,6 +119,29 @@ class TestConfig:
             experiment.config_from_dict(dict(TINY_CONFIG, **{field: grid}))
         config_path = write_config(tmp_path, dict(TINY_CONFIG, **{field: grid}))
         assert cli.main(["generate", config_path, "--out", str(tmp_path / "b")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("solver", "lam_memit", float("nan")),
+            ("solver", "lam_alphaedit", float("nan")),
+            ("solver", "rel_tol", float("nan")),
+            ("solver", "cond_limit", float("nan")),
+            ("solver", "cond_limit", float("inf")),
+            ("solver", "lam_memit", float("inf")),
+            ("dataset", "rephrase_noise", float("nan")),
+            ("dataset", "rephrase_noise", float("inf")),
+        ],
+    )
+    def test_non_finite_setting_exit_2(self, tiny_setup, tmp_path, capsys, section, field, value):
+        _, bench_dir, _ = tiny_setup
+        doc = dict(TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{field: value})})
+        with pytest.raises(ConfigError, match=field):
+            experiment.config_from_dict(doc)
+        config_path = write_config(tmp_path, doc)
+        code = cli.main(["run", config_path, "--dataset", bench_dir, "--out", str(tmp_path / "o")])
+        assert code == 2
         assert "config error" in capsys.readouterr().err
 
     def test_config_roundtrip(self):
@@ -258,6 +287,48 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "truncated" in err
 
+    @pytest.mark.parametrize(
+        "file_name, array, meta_key",
+        [
+            (experiment.MODEL_FILE, "w_in_01", None),
+            (experiment.MODEL_FILE, None, "edit_layers"),
+            (experiment.MODEL_FILE, None, "n_layers"),
+            (experiment.DATASET_FILE, "hop_transform", None),
+            (experiment.DATASET_FILE, None, "config"),
+        ],
+    )
+    def test_incomplete_container_exit_2(self, tiny_setup, tmp_path, capsys, file_name, array, meta_key):
+        config_path, bench_dir, _ = tiny_setup
+        broken = tmp_path / "bench"
+        shutil.copytree(bench_dir, broken)
+        path = str(broken / file_name)
+        arrays, meta = container.load_arrays(path)
+        arrays.pop(array, None)
+        meta.pop(meta_key, None)
+        container.save_arrays(path, arrays, meta=meta)
+        code = cli.main(["run", config_path, "--dataset", str(broken), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config error" in err
+        assert repr(array or meta_key) in err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "rank"]])
+    @pytest.mark.parametrize(
+        "change, named",
+        [({"seed": 7}, "seed=7"), ({"dataset": dict(TINY_CONFIG["dataset"], h=24)}, "dataset.h=24")],
+    )
+    def test_config_must_match_benchmark_dataset(self, tmp_path, capsys, command, change, named):
+        # A seed-5 benchmark run under a seed-7 config would record seed 7.
+        bench_config = write_config(tmp_path, dict(TINY_CONFIG, seed=5), name="seed5.json")
+        bench = str(tmp_path / "bench5")
+        assert cli.main(["generate", bench_config, "--out", bench]) == 0
+        other = write_config(tmp_path, {**TINY_CONFIG, "seed": 5, **change}, name="other.json")
+        out = tmp_path / "o"
+        code = cli.main([command[0], other, "--dataset", bench, "--out", str(out), *command[1:]])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_3(self, tiny_setup, tmp_path, capsys):
         _, bench_dir, _ = tiny_setup
         doc = dict(TINY_CONFIG)
@@ -340,6 +411,34 @@ class TestSweepCommand:
             merges = tuple(experiment.MergeConfig(m.method, rank_ratio=rank) for m in tsvm_merges)
             fresh = experiment.run_experiment(replace(config, merges=merges), dataset, model)
             assert point_reports[i * n : (i + 1) * n] == fresh
+
+    def test_rank_sweep_factors_each_delta_once(self, tiny_setup, monkeypatch):
+        config_path, bench_dir, _ = tiny_setup
+        config = experiment.load_config(config_path)
+        dataset, model, _ = experiment.load_benchmark(bench_dir, config)
+        modes = sorted({m.cov_mode for m in config.merges if m.base_rule == "tsvm"})
+        delta_sets = experiment.compute_delta_sets(model, dataset, config.solver, modes)
+        factored = []
+        original = merging._svd
+
+        def counting_svd(matrix):
+            factored.append(np.array(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(merging, "_svd", counting_svd)
+        experiment.sweep(config, dataset, model, "rank")
+        # Per-delta SVDs, told apart from the polar-factor SVDs by their input.
+        per_delta = Counter(
+            (mode, key)
+            for matrix in factored
+            for mode in modes
+            for key, dm in delta_sets[mode].entries.items()
+            if np.array_equal(matrix, dm.delta)
+        )
+        expected = {(mode, key) for mode in modes for key in delta_sets[mode].entries}
+        assert set(per_delta) == expected
+        assert all(count == 1 for count in per_delta.values())
+        assert len(expected) == len(modes) * len(model.edit_layers) * dataset.m_languages
 
     def test_rank_sweep_covers_tsvm_family_only(self, tiny_setup, tmp_path):
         config_path, bench_dir, _ = tiny_setup

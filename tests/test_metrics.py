@@ -102,6 +102,26 @@ class TestEvaluate:
             reports.append(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert reports[0] == reports[1]
 
+    def test_evaluate_all_equals_per_family_accuracy(self, small_bench, per_language_deltas):
+        # One prediction over every probe family and language must score like
+        # one accuracy call per (language, family).
+        dataset, model = small_bench
+        edited = apply_update(model, merge(MergeConfig("mean"), per_language_deltas), 1.0)
+        for scored in (model, edited):
+            reference = tuple(
+                MetricsRow(
+                    efficacy=accuracy(scored, dataset.request_inputs(i), dataset.new_tokens),
+                    generalization=accuracy(scored, dataset.rephrase_inputs(i), dataset.new_tokens),
+                    specificity=accuracy(
+                        scored, dataset.unrelated_inputs(i), dataset.unrelated_expected(i)
+                    ),
+                    portability=accuracy(scored, dataset.hop_inputs(i), dataset.new_tokens),
+                )
+                for i in range(dataset.m_languages)
+            )
+            assert evaluate_all(scored, dataset) == reference
+            assert tuple(evaluate(scored, dataset, i) for i in range(dataset.m_languages)) == reference
+
     def test_report_row_count_enforced(self, small_bench):
         dataset, model = small_bench
         rows = evaluate_all(model, dataset)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamedit.errors import InvalidRequestError, ShapeError
 from lamedit.model import (
+    ACTIVATIONS,
     LN_EPS,
+    NORMS,
     LamLayer,
     HiddenTrace,
     ToyModel,
@@ -15,6 +19,7 @@ from lamedit.model import (
     keys_and_targets,
     predict,
     predict_batch,
+    _normalize,
 )
 
 
@@ -107,6 +112,15 @@ class TestForward:
             assert np.max(np.abs(acc - trace.final)) <= 1e-10
 
 
+    def test_normalize_bit_identical_to_numpy_var(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng)
+        states = rng.standard_normal((8, 257)) * 3.0 + 1.5
+        mean = states.mean(axis=0, keepdims=True)
+        reference = (states - mean) / np.sqrt(states.var(axis=0, keepdims=True) + LN_EPS)
+        assert np.array_equal(_normalize(model, states), reference)
+
+
 class TestComputeKey:
     def test_consistency_with_trace(self):
         rng = np.random.default_rng(2)
@@ -185,6 +199,29 @@ class TestPredict:
         batch = predict_batch(model, inputs)
         singles = [predict(model, inputs[:, i]) for i in range(6)]
         assert list(batch) == singles
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        norm=st.sampled_from(NORMS),
+        activation=st.sampled_from(ACTIVATIONS),
+    )
+    def test_final_state_forward_equals_traced_forward(self, seed, n, norm, activation):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, vocab=23, norm=norm, activation=activation)
+        inputs = rng.standard_normal((8, n))
+        hidden, _ = forward_batch(model, inputs)
+        expected = np.argmax(model.codebook.T @ hidden[-1], axis=0)
+        assert np.array_equal(predict_batch(model, inputs), expected)
+
+    def test_batch_checks_inputs(self):
+        model = zero_model()
+        with pytest.raises(ShapeError):
+            predict_batch(model, np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            predict_batch(model, np.full((4, 2), np.nan))
 
 
 class TestComputeTargetValues:
