@@ -19,7 +19,6 @@ from .errors import (
 )
 from .merging import (
     MergeConfig,
-    MergedDelta,
     apply_update,
     merge,
     merge_mean,

@@ -69,10 +69,7 @@ def _apply_run_overrides(config, args):
         ]
     if args.rank_ratio is not None:
         merges = [
-            experiment.MergeConfig(m.method, alpha=m.alpha, rank_ratio=args.rank_ratio)
-            if m.base_rule == "tsvm"
-            else m
-            for m in merges
+            replace(m, rank_ratio=args.rank_ratio) if m.base_rule == "tsvm" else m for m in merges
         ]
     config = replace(config, merges=tuple(merges))
     if args.alpha is not None:

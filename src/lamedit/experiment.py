@@ -6,11 +6,11 @@ scales, applies, and scores each configured merge method plus the mono
 baseline, which reads each language's own deltas from the per-language delta
 set.  Sweeps compute the delta sets once and build every grid point's merge
 up front: the scale axis reuses one merge per method, the rank axis slices
-one SVD per delta at each rank ratio.  Grid-point tasks only apply and score.
+one SVD per delta at each rank ratio.  Each grid point is then applied and
+scored in grid order, serially.
 
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
-floats via ``repr``.  Grid points may be evaluated by a process pool; results
-are assembled in grid order so parallel and serial runs agree.
+floats via ``repr``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import container, merging, metrics, solvers, synthdata
 from .covariance import PER_LANGUAGE
@@ -88,7 +87,6 @@ class ExperimentConfig:
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     rank_grid: tuple[float, ...] = DEFAULT_RANK_GRID
     include_mono: bool = True
-    workers: int = 0
 
     def __post_init__(self):
         if not self.merges:
@@ -106,23 +104,19 @@ class ExperimentConfig:
             raise ConfigError("rank_grid values must lie in (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.include_mono, bool):
             raise ConfigError(f"include_mono must be true or false, got {self.include_mono!r}")
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0")
         if self.dataset.seed != self.seed:
             object.__setattr__(self, "dataset", replace(self.dataset, seed=self.seed))
 
 
 def default_merges(rank_ratio=DEFAULT_TSVM_RANK):
     return tuple(
-        MergeConfig(method, alpha=1.0, rank_ratio=rank_ratio if "tsvm" in method else 1.0)
+        MergeConfig(method, rank_ratio=rank_ratio if "tsvm" in method else 1.0)
         for method in merging.MERGE_METHODS
     )
-
-
-# GenConfig fields that hold integers; edit_layers holds a list of them.
-_DATASET_INTEGER_FIELDS = ("n_facts", "m_languages", "d", "h", "n_layers", "n_preserved", "vocab_size")
 
 
 def _integer(name, value):
@@ -136,52 +130,71 @@ def _integer(name, value):
     return int(value)
 
 
+def _number(name, value):
+    """A JSON number as ``float``; booleans, strings and overflowing integers raise ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
+def _array(name, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
+# Parsers of the config dataclasses' field annotations; other fields pass
+# through to their dataclass's own validation.
+_PARSERS = {
+    "int": _integer,
+    "float": _number,
+    "tuple[int, ...]": lambda name, v: tuple(_integer(name, x) for x in _array(name, v)),
+    "tuple[float, ...]": lambda name, v: tuple(_number(name, x) for x in _array(name, v)),
+}
+
+
+def _section(name, doc, cls, **parsed):
+    """``cls`` from one JSON object of the config, with ``parsed`` fields given.
+
+    Unknown keys are named, and numbers are typed by the field annotation.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    kwargs = dict(doc, **parsed)
+    for f in fields(cls):
+        if f.name in doc and f.name not in parsed and f.type in _PARSERS:
+            label = f.name if name == "config" else f"{name}.{f.name}"
+            kwargs[f.name] = _PARSERS[f.type](label, doc[f.name])
+    return cls(**kwargs)
+
+
 def config_from_dict(doc):
-    """Build an ExperimentConfig from a parsed JSON document."""
+    """Build an ExperimentConfig from a parsed JSON document; malformed ones raise ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {version}")
-    known = {
-        "schema_version",
-        "seed",
-        "dataset",
-        "solver",
-        "merges",
-        "alpha",
-        "alpha_grid",
-        "rank_grid",
-        "include_mono",
-        "workers",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    doc = dict(doc)
     try:
+        version = doc.pop("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported config schema_version {version!r}")
         seed = _integer("seed", doc.get("seed", 0))
-        dataset_doc = dict(doc.get("dataset", {}))
-        dataset_doc.pop("seed", None)
-        for name in _DATASET_INTEGER_FIELDS:
-            if name in dataset_doc:
-                dataset_doc[name] = _integer(f"dataset.{name}", dataset_doc[name])
-        if "edit_layers" in dataset_doc:
-            dataset_doc["edit_layers"] = tuple(
-                _integer("dataset.edit_layers", l) for l in dataset_doc["edit_layers"]
-            )
-        dataset = synthdata.GenConfig(seed=seed, **dataset_doc)
-        solver = SolverSettings(**doc.get("solver", {}))
-        merges = tuple(MergeConfig(**m) for m in doc.get("merges", [])) or default_merges()
-        return ExperimentConfig(
+        return _section(
+            "config",
+            doc,
+            ExperimentConfig,
             seed=seed,
-            dataset=dataset,
-            solver=solver,
-            merges=merges,
-            alpha=float(doc.get("alpha", 1.0)),
-            alpha_grid=tuple(float(a) for a in doc.get("alpha_grid", DEFAULT_ALPHA_GRID)),
-            rank_grid=tuple(float(r) for r in doc.get("rank_grid", DEFAULT_RANK_GRID)),
-            include_mono=doc.get("include_mono", True),
-            workers=_integer("workers", doc.get("workers", 0)),
+            # The dataset seed is always the top-level one.
+            dataset=_section("dataset", doc.get("dataset", {}), synthdata.GenConfig, seed=seed),
+            solver=_section("solver", doc.get("solver", {}), SolverSettings),
+            merges=tuple(
+                _section("merge", m, MergeConfig) for m in _array("merges", doc.get("merges", []))
+            ),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
@@ -199,39 +212,10 @@ def load_config(path):
 
 
 def config_to_dict(config):
-    from dataclasses import asdict
-
-    dataset = asdict(config.dataset)
-    dataset["edit_layers"] = list(dataset["edit_layers"])
-    dataset.pop("seed")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": config.seed,
-        "dataset": dataset,
-        "solver": asdict(config.solver),
-        "merges": [
-            {"method": m.method, "alpha": m.alpha, "rank_ratio": m.rank_ratio}
-            for m in config.merges
-        ],
-        "alpha": config.alpha,
-        "alpha_grid": list(config.alpha_grid),
-        "rank_grid": list(config.rank_grid),
-        "include_mono": config.include_mono,
-        "workers": config.workers,
-    }
-
-
-def effective_workers(config):
-    env = os.environ.get("LAMEDIT_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"LAMEDIT_WORKERS must be an integer, got {env!r}") from exc
-        if value < 0:
-            raise ConfigError("LAMEDIT_WORKERS must be >= 0")
-        return value
-    return config.workers
+    """The config as a JSON document that :func:`config_from_dict` reads back."""
+    doc = asdict(config)
+    doc["dataset"].pop("seed")
+    return {"schema_version": SCHEMA_VERSION, **doc}
 
 
 # --- benchmark directory ---
@@ -270,7 +254,11 @@ def check_benchmark_dataset(config, manifest):
     another seed or shape would record settings its numbers did not come from.
     The error names the first differing field.
     """
-    built = config_from_dict(manifest.get("config")).dataset
+    recorded = manifest.get("config")
+    if not isinstance(recorded, dict):
+        raise ConfigError("benchmark manifest records no config")
+    # Only these shaped the benchmark; other keys may be ones a later schema retired.
+    built = config_from_dict({k: recorded[k] for k in ("seed", "dataset") if k in recorded}).dataset
     for f in fields(built):
         ours, theirs = getattr(config.dataset, f.name), getattr(built, f.name)
         if ours != theirs:
@@ -330,28 +318,17 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
     return out
 
 
-def _point_task(args):
-    """Apply and score each ``(merged, merge_cfg, alpha)`` of one grid point."""
-    model, dataset, points, seed = args
-    return [
-        metrics.MetricsReport(
-            method=merge_cfg.method,
-            cov_mode=merge_cfg.cov_mode,
-            alpha=float(alpha),
-            rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
-            seed=seed,
-            languages=dataset.languages,
-            rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), dataset),
-        )
-        for merged, merge_cfg, alpha in points
-    ]
-
-
-def _map_points(tasks, workers):
-    if workers and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_point_task, tasks))
-    return [_point_task(t) for t in tasks]
+def merge_report(model, dataset, merged, merge_cfg, alpha, seed):
+    """Apply one merge (``{layer: matrix}`` from ``merge_cfg``) at ``alpha`` and score it."""
+    return metrics.MetricsReport(
+        method=merge_cfg.method,
+        cov_mode=merge_cfg.cov_mode,
+        alpha=float(alpha),
+        rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
+        seed=seed,
+        languages=dataset.languages,
+        rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), dataset),
+    )
 
 
 def mono_report(model, dataset, delta_set, alpha, seed):
@@ -376,11 +353,12 @@ def run_experiment(config, dataset, model):
     if config.include_mono:
         modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-    tasks = [
-        (model, dataset, [(merging.merge(m, delta_sets[m.cov_mode]), m, config.alpha)], config.seed)
+    reports = [
+        merge_report(
+            model, dataset, merging.merge(m, delta_sets[m.cov_mode]), m, config.alpha, config.seed
+        )
         for m in config.merges
     ]
-    reports = [rep for reps in _map_points(tasks, effective_workers(config)) for rep in reps]
     if config.include_mono:
         reports.append(
             mono_report(model, dataset, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
@@ -432,7 +410,6 @@ def sweep(config, dataset, model, axis):
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
 
-    workers = effective_workers(config)
     modes = [m.cov_mode for m in merge_cfgs]
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
     if axis == "alpha":
@@ -440,17 +417,15 @@ def sweep(config, dataset, model, axis):
         points = [[(merged[m.method], m, alpha) for m in merge_cfgs] for alpha in grid]
     else:
         factors = {mode: merging.delta_factors(delta_sets[mode]) for mode in set(modes)}
-        points = []
-        for rank in grid:
-            cfgs = [MergeConfig(m.method, alpha=m.alpha, rank_ratio=rank) for m in merge_cfgs]
-            points.append(
-                [
-                    (merging.merge(c, delta_sets[c.cov_mode], factors[c.cov_mode]), c, config.alpha)
-                    for c in cfgs
-                ]
-            )
-    tasks = [(model, dataset, point, config.seed) for point in points]
-    per_point = _map_points(tasks, workers)
+        rank_cfgs = [[replace(m, rank_ratio=rank) for m in merge_cfgs] for rank in grid]
+        points = [
+            [(merging.merge(c, delta_sets[c.cov_mode], factors[c.cov_mode]), c, config.alpha) for c in cfgs]
+            for cfgs in rank_cfgs
+        ]
+    per_point = [
+        [merge_report(model, dataset, *merged_point, config.seed) for merged_point in point]
+        for point in points
+    ]
 
     results = []
     for idx, m in enumerate(merge_cfgs):

@@ -22,17 +22,14 @@ MERGE_METHODS = ("sum", "mean", "tsvm", "sum_cov", "mean_cov", "tsvm_cov")
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Merge rule selection plus its scale and compression hyperparameters."""
+    """Merge rule selection plus tsvm's rank ratio; the weight scale is the run's."""
 
     method: str
-    alpha: float = 1.0
     rank_ratio: float = 1.0
 
     def __post_init__(self):
         if self.method not in MERGE_METHODS:
             raise ConfigError(f"unknown merge method {self.method!r}; expected one of {MERGE_METHODS}")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if not 0 < self.rank_ratio <= 1:
             raise ConfigError(f"rank_ratio must lie in (0, 1], got {self.rank_ratio}")
 
@@ -43,23 +40,6 @@ class MergeConfig:
     @property
     def base_rule(self):
         return self.method.removesuffix("_cov")
-
-
-@dataclass(frozen=True)
-class MergedDelta:
-    """One layer's merged perturbation plus provenance."""
-
-    layer: int
-    matrix: np.ndarray  # (d, h)
-    method: str
-    rank_ratio: float
-    language_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ShapeError("merged delta must be a matrix")
-        object.__setattr__(self, "matrix", matrix)
 
 
 def _stack(deltas):
@@ -73,28 +53,19 @@ def _stack(deltas):
     return mats
 
 
-def merge_sum(deltas, layer=-1, language_ids=()):
-    """Elementwise sum in the given (ascending language) order."""
+def merge_sum(deltas):
+    """Elementwise sum in the given (ascending language) order, a (d, h) matrix."""
     mats = _stack(deltas)
     total = np.zeros_like(mats[0])
     for m in mats:
         total = total + m
-    return MergedDelta(
-        layer=layer, matrix=total, method="sum", rank_ratio=1.0, language_ids=tuple(language_ids)
-    )
+    return total
 
 
-def merge_mean(deltas, layer=-1, language_ids=()):
+def merge_mean(deltas):
     """Elementwise sum scaled by 1/m."""
     mats = _stack(deltas)
-    merged = merge_sum(mats, layer=layer, language_ids=language_ids)
-    return MergedDelta(
-        layer=layer,
-        matrix=merged.matrix / len(mats),
-        method="mean",
-        rank_ratio=1.0,
-        language_ids=merged.language_ids,
-    )
+    return merge_sum(mats) / len(mats)
 
 
 def _svd(matrix):
@@ -111,11 +82,14 @@ def _svd(matrix):
 
 
 def _retained_rank(shape, rank_ratio):
-    """``k = floor(rank_ratio * d)`` capped at ``min(d, h)``; k < 1 raises."""
+    """``k = floor(rank_ratio * d)`` capped at ``min(d, h)``; k < 1 raises.
+
+    The product is rounded to 9 decimals first: ``(1 / 49) * 49 < 1``.
+    """
     d, h = shape
     if not 0 < rank_ratio <= 1:
         raise RankRatioError(f"rank_ratio must lie in (0, 1], got {rank_ratio}")
-    k = int(np.floor(rank_ratio * d))
+    k = int(np.floor(round(rank_ratio * d, 9)))
     if k < 1:
         raise RankRatioError(f"rank_ratio {rank_ratio} with d={d} floors to rank 0")
     return min(k, d, h)
@@ -163,7 +137,7 @@ def _orthogonal_polar_factor(matrix):
     return u @ vt
 
 
-def merge_tsvm(deltas, rank_ratio, layer=-1, language_ids=(), factors=None):
+def merge_tsvm(deltas, rank_ratio, factors=None):
     """Truncate, concatenate across languages, re-orthogonalize, reconstruct.
 
     Left factors concatenate column-wise and right factors row-wise, with the
@@ -183,14 +157,7 @@ def merge_tsvm(deltas, rank_ratio, layer=-1, language_ids=(), factors=None):
     right_cat = np.vstack(rights)
     left_merged = _orthogonal_polar_factor(left_cat)
     right_merged = _orthogonal_polar_factor(right_cat)
-    merged = (left_merged * sigma_cat) @ right_merged
-    return MergedDelta(
-        layer=layer,
-        matrix=merged,
-        method="tsvm",
-        rank_ratio=float(rank_ratio),
-        language_ids=tuple(language_ids),
-    )
+    return (left_merged * sigma_cat) @ right_merged
 
 
 def merge(config, delta_set, factors=None):
@@ -203,7 +170,7 @@ def merge(config, delta_set, factors=None):
 
     Returns
     -------
-    dict mapping 1-based layer -> MergedDelta
+    dict mapping 1-based layer -> merged (d, h) matrix
     """
     if delta_set.cov_mode != config.cov_mode:
         raise ConfigError(
@@ -213,45 +180,33 @@ def merge(config, delta_set, factors=None):
     merged = {}
     for layer in delta_set.layers:
         mats = delta_set.layer_deltas(layer)
-        langs = delta_set.language_ids
         if config.base_rule == "sum":
-            out = merge_sum(mats, layer=layer, language_ids=langs)
+            merged[layer] = merge_sum(mats)
         elif config.base_rule == "mean":
-            out = merge_mean(mats, layer=layer, language_ids=langs)
+            merged[layer] = merge_mean(mats)
         else:
-            out = merge_tsvm(
-                mats,
-                config.rank_ratio,
-                layer=layer,
-                language_ids=langs,
-                factors=None if factors is None else factors[layer],
-            )
-        merged[layer] = MergedDelta(
-            layer=layer,
-            matrix=out.matrix,
-            method=config.method,
-            rank_ratio=out.rank_ratio,
-            language_ids=out.language_ids,
-        )
+            layer_factors = None if factors is None else factors[layer]
+            merged[layer] = merge_tsvm(mats, config.rank_ratio, factors=layer_factors)
     return merged
 
 
 def apply_update(model, merged, alpha):
-    """New model with ``w_out += alpha * merged`` on each merged layer.
+    """New model with ``w_out += alpha * merged[layer]`` on each merged layer.
 
-    ``alpha`` may be zero (the model comes back unchanged); negative scales
-    are rejected.  Every merged layer must be one of the model's edit layers
-    with a matching shape.
+    ``merged`` maps 1-based layer to a (d, h) matrix, as :func:`merge`
+    returns.  ``alpha`` may be zero (the model comes back unchanged);
+    negative scales are rejected.  Every merged layer must be one of the
+    model's edit layers with a matching shape.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
     out = model
     for layer in sorted(merged):
-        md = merged[layer]
+        matrix = merged[layer]
         if layer not in model.edit_layers:
             raise ShapeError(f"layer {layer} is not an edit layer {model.edit_layers}")
         w_out = out.layer(layer).w_out
-        if md.matrix.shape != w_out.shape:
-            raise ShapeError(f"merged delta shape {md.matrix.shape} != w_out shape {w_out.shape}")
-        out = out.with_w_out(layer, w_out + alpha * md.matrix)
+        if matrix.shape != w_out.shape:
+            raise ShapeError(f"merged delta shape {matrix.shape} != w_out shape {w_out.shape}")
+        out = out.with_w_out(layer, w_out + alpha * matrix)
     return out

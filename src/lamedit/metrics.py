@@ -138,15 +138,6 @@ def run_mono(model, dataset, delta_set, language_id, alpha=1.0):
     on its own requests, so they equal a single-language solve.  They are
     scaled by ``alpha``, applied, and scored.
     """
-    own = {
-        layer: merging.MergedDelta(
-            layer=layer,
-            matrix=delta_set.delta(layer, language_id).delta,
-            method="sum",
-            rank_ratio=1.0,
-            language_ids=(language_id,),
-        )
-        for layer in delta_set.layers
-    }
+    own = {layer: delta_set.delta(layer, language_id).delta for layer in delta_set.layers}
     edited = merging.apply_update(model, own, alpha)
     return evaluate(edited, dataset, language_id)

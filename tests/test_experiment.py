@@ -1,11 +1,14 @@
 import json
 import os
+import re
 import shutil
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamedit import cli, container, covariance, experiment, merging, solvers
 from lamedit import model as model_mod
@@ -31,6 +34,50 @@ TINY_CONFIG = {
     "alpha": 1.0,
     "rank_grid": [0.25, 0.5, 0.75, 1.0],
 }
+
+
+# Config documents for fuzzing: near-valid objects, nested ones too, with a
+# few keys replaced by any JSON value, dropped or added.  JSON integers may
+# exceed the float range.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**1100), 2**1100) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutated(base, nested=None):
+    """``base`` with up to two keys replaced, and sometimes one dropped or one added."""
+    nested = nested or {}
+    keys = sorted(base)
+    changed = st.lists(st.sampled_from(keys), max_size=2, unique=True).flatmap(
+        lambda chosen: st.fixed_dictionaries({k: nested.get(k, JSON_VALUES) for k in chosen})
+    )
+    dropped = st.one_of(st.just(()), st.just(()), st.lists(st.sampled_from(keys), max_size=1))
+    added = st.one_of(st.just({}), st.just({}), st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=1))
+    return st.builds(
+        lambda changed, dropped, added: {
+            **{k: v for k, v in base.items() if k not in dropped},
+            **changed,
+            **added,
+        },
+        changed,
+        dropped,
+        added,
+    )
+
+
+_SOLVER = dict(TINY_CONFIG["solver"], lam_alphaedit=0.1, rel_tol=1e-6, cond_limit=1e12)
+CONFIG_DOCUMENTS = _mutated(
+    {**TINY_CONFIG, "solver": _SOLVER, "merges": [{"method": "sum"}], "include_mono": True},
+    nested={
+        "dataset": _mutated(TINY_CONFIG["dataset"]) | JSON_VALUES,
+        "solver": _mutated(_SOLVER) | JSON_VALUES,
+        "merges": st.lists(_mutated({"method": "tsvm", "rank_ratio": 0.5}) | JSON_VALUES, max_size=3)
+        | JSON_VALUES,
+        "rank_grid": st.lists(JSON_VALUES, max_size=3) | JSON_VALUES,
+    },
+)
 
 
 def write_config(tmp_path, doc=None, name="config.json"):
@@ -69,13 +116,12 @@ class TestConfig:
 
     def test_missing_required_subfield_rejected(self):
         with pytest.raises(ConfigError):
-            experiment.config_from_dict({"merges": [{"alpha": 1.0}]})  # no method
+            experiment.config_from_dict({"merges": [{"rank_ratio": 0.5}]})  # no method
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("seed", "abc"),
-            ("workers", "x"),
             ("include_mono", "false"),
             ("alpha", float("nan")),
             ("alpha", float("inf")),
@@ -89,7 +135,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", 5.9), ("seed", True), ("workers", 2.5), ("workers", False)],
+        [("seed", 5.9), ("seed", True)],
     )
     def test_non_integral_integer_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -102,9 +148,50 @@ class TestConfig:
             experiment.config_from_dict(doc)
 
     def test_integral_float_accepted(self):
-        cfg = experiment.config_from_dict(dict(TINY_CONFIG, seed=9.0, workers=2.0))
-        assert (cfg.seed, cfg.workers) == (9, 2)
-        assert isinstance(cfg.seed, int) and isinstance(cfg.workers, int)
+        cfg = experiment.config_from_dict(dict(TINY_CONFIG, seed=9.0))
+        assert cfg.seed == 9 and isinstance(cfg.seed, int)
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"workers": 2}, "unknown config fields: ['workers']"),
+            ({"merges": [{"method": "sum", "alpha": 2.0}]}, "unknown merge fields: ['alpha']"),
+            ({"merges": [{"method": "sum", "alpha": 0.0}]}, "unknown merge fields: ['alpha']"),
+            ({"solver": {"method": "memit", "lam": 1.0}}, "unknown solver fields: ['lam']"),
+            ({"dataset": dict(TINY_CONFIG["dataset"], width=4)}, "unknown dataset fields: ['width']"),
+        ],
+        ids=["workers", "merge-alpha", "merge-alpha-zero", "solver", "dataset"],
+    )
+    def test_unknown_field_exit_2(self, tmp_path, capsys, change, named):
+        doc = {**TINY_CONFIG, **change}
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            experiment.config_from_dict(doc)
+        config_path = write_config(tmp_path, doc)
+        assert cli.main(["generate", config_path, "--out", str(tmp_path / "b")]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"alpha": "1.5"}, "alpha must be a number"),
+            ({"alpha": 10**400}, "alpha is too large"),
+            ({"alpha_grid": "0.5,1.0"}, "alpha_grid must be a JSON array"),
+            ({"merges": {"method": "sum"}}, "merges must be a JSON array"),
+            ({"merges": ["sum"]}, "merge must be a JSON object"),
+            ({"solver": {"lam_memit": 10**400}}, "solver.lam_memit is too large"),
+            ({"solver": {"lam_memit": True}}, "solver.lam_memit must be a number"),
+            ({"dataset": dict(TINY_CONFIG["dataset"], overlap="0.5")}, "dataset.overlap must be a number"),
+            ({"schema_version": [1]}, "unsupported config schema_version [1]"),
+            ({"seed": -1}, "seed must be >= 0"),
+        ],
+        ids=[
+            "alpha-string", "alpha-huge", "grid-string", "merges-object", "merge-string",
+            "lam-huge", "lam-bool", "overlap-string", "version-list", "seed-negative",
+        ],
+    )
+    def test_malformed_value_rejected(self, change, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            experiment.config_from_dict({**TINY_CONFIG, **change})
 
     @pytest.mark.parametrize(
         "field, grid",
@@ -153,15 +240,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             experiment.load_config(str(tmp_path / "absent.json"))
 
-    def test_workers_env_override(self, monkeypatch):
-        cfg = experiment.config_from_dict({"workers": 2})
-        monkeypatch.setenv("LAMEDIT_WORKERS", "5")
-        assert experiment.effective_workers(cfg) == 5
-        monkeypatch.setenv("LAMEDIT_WORKERS", "bogus")
-        with pytest.raises(ConfigError):
-            experiment.effective_workers(cfg)
-        monkeypatch.delenv("LAMEDIT_WORKERS")
-        assert experiment.effective_workers(cfg) == 2
+    @settings(max_examples=500, deadline=None)
+    @given(doc=st.one_of(CONFIG_DOCUMENTS, JSON_VALUES))
+    def test_fuzzed_document_parses_or_raises_config_error(self, doc):
+        try:
+            cfg = experiment.config_from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, experiment.ExperimentConfig)
+        assert experiment.config_from_dict(experiment.config_to_dict(cfg)) == cfg
 
 
 class TestComputeDeltaSets:
@@ -254,20 +341,25 @@ class TestRunCommand:
             header = fh.readline().strip()
         assert header == ",".join(experiment.CSV_COLUMNS)
 
-    def test_parallel_equals_serial(self, tiny_setup, monkeypatch):
-        config_path, bench_dir, tmp = tiny_setup
-        out_par = str(tmp / "run_par")
-        monkeypatch.setenv("LAMEDIT_WORKERS", "2")
-        assert cli.main(["run", config_path, "--dataset", bench_dir, "--out", out_par]) == 0
-        monkeypatch.delenv("LAMEDIT_WORKERS")
-        with open(os.path.join(str(tmp / "run1"), "metrics.json")) as fh:
-            serial = json.load(fh)
-        with open(os.path.join(out_par, "metrics.json")) as fh:
-            parallel = json.load(fh)
-        for rep_s, rep_p in zip(serial["reports"], parallel["reports"]):
-            for lang, row in rep_s["per_language"].items():
-                for key, value in row.items():
-                    assert abs(value - rep_p["per_language"][lang][key]) <= 1e-10
+    @pytest.mark.parametrize("d, code", [(TINY_CONFIG["dataset"]["d"], 0), (10, 2)])
+    def test_manifest_with_retired_fields(self, tiny_setup, tmp_path, capsys, d, code):
+        # Older benchmarks record `workers` and each merge's `alpha` in their
+        # manifest; only its seed and dataset section are checked.
+        config_path, bench_dir, _ = tiny_setup
+        bench = tmp_path / "bench"
+        shutil.copytree(bench_dir, bench)
+        manifest_path = bench / experiment.MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["workers"] = 0
+        for merge in manifest["config"]["merges"]:
+            merge["alpha"] = 1.0
+        manifest["config"]["dataset"]["d"] = d
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert cli.main(["run", config_path, "--dataset", str(bench), "--out", str(out)]) == code
+        if code:
+            assert f"dataset.d={TINY_CONFIG['dataset']['d']}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_dataset_exit_2(self, tiny_setup, tmp_path):
         config_path, _, _ = tiny_setup

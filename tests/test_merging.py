@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import ConfigError, RankRatioError, ShapeError
 from lamedit.merging import (
     MergeConfig,
+    _retained_rank,
     apply_update,
     merge,
     merge_mean,
@@ -60,12 +63,12 @@ class TestSumAndMean:
     def test_sum_single_is_identity(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((4, 6))
-        assert np.array_equal(merge_sum([m]).matrix, m)
+        assert np.array_equal(merge_sum([m]), m)
 
     def test_sum_cancellation(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((4, 6))
-        assert np.array_equal(merge_sum([m, -m]).matrix, np.zeros((4, 6)))
+        assert np.array_equal(merge_sum([m, -m]), np.zeros((4, 6)))
 
     def test_sum_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -73,19 +76,19 @@ class TestSumAndMean:
         expected = np.zeros((4, 6))
         for m in mats:
             expected += m
-        assert np.linalg.norm(merge_sum(mats).matrix - expected) <= 1e-12
+        assert np.linalg.norm(merge_sum(mats) - expected) <= 1e-12
 
     def test_mean_is_sum_over_m(self):
         rng = np.random.default_rng(3)
         mats = [rng.standard_normal((4, 6)) for _ in range(5)]
-        total = merge_sum(mats).matrix
-        mean = merge_mean(mats).matrix
+        total = merge_sum(mats)
+        mean = merge_mean(mats)
         assert np.array_equal(mean, total / 5)
 
     def test_mean_of_copies_is_identity(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((4, 6))
-        assert np.allclose(merge_mean([m, m, m]).matrix, m, rtol=1e-15, atol=0)
+        assert np.allclose(merge_mean([m, m, m]), m, rtol=1e-15, atol=0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -95,10 +98,10 @@ class TestSumAndMean:
         rng = np.random.default_rng(5)
         mats = [rng.standard_normal((4, 6)) for _ in range(4)]
         perm = [2, 0, 3, 1]
-        a = merge_sum(mats).matrix
-        b = merge_sum([mats[i] for i in perm]).matrix
+        a = merge_sum(mats)
+        b = merge_sum([mats[i] for i in perm])
         assert np.linalg.norm(a - b) <= 1e-10
-        assert np.linalg.norm(merge_mean(mats).matrix - merge_mean([mats[i] for i in perm]).matrix) <= 1e-10
+        assert np.linalg.norm(merge_mean(mats) - merge_mean([mats[i] for i in perm])) <= 1e-10
 
 
 class TestTruncateSvd:
@@ -148,7 +151,7 @@ class TestTsvm:
         for shape in ((6, 6), (6, 10)):
             m = rng.standard_normal(shape)
             merged = merge_tsvm([m], 1.0)
-            assert np.linalg.norm(merged.matrix - m) <= 1e-6 * np.linalg.norm(m)
+            assert np.linalg.norm(merged - m) <= 1e-6 * np.linalg.norm(m)
 
     def test_zero_second_task_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -156,14 +159,14 @@ class TestTsvm:
         mats = [a, np.zeros((8, 8))]
         merged = merge_tsvm(mats, 0.25)
         expected = reference_tsvm(mats, 0.25)
-        assert np.linalg.norm(merged.matrix - expected) <= 1e-8 * max(np.linalg.norm(expected), 1e-12)
+        assert np.linalg.norm(merged - expected) <= 1e-8 * max(np.linalg.norm(expected), 1e-12)
 
     def test_matches_scripted_reference(self):
         rng = np.random.default_rng(12)
         mats = [rng.standard_normal((8, 8)) for _ in range(2)]
         merged = merge_tsvm(mats, 0.5)
         expected = reference_tsvm(mats, 0.5)
-        assert np.linalg.norm(merged.matrix - expected) <= 1e-8 * np.linalg.norm(expected)
+        assert np.linalg.norm(merged - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_factor_orthonormality_when_not_overcomplete(self):
         # m * k <= min(d, h) keeps the stacked factors slim enough for true
@@ -190,8 +193,8 @@ class TestTsvm:
     def test_permutation_sensitivity_measured(self):
         rng = np.random.default_rng(14)
         mats = [rng.standard_normal((6, 8)) for _ in range(3)]
-        base = merge_tsvm(mats, 0.5).matrix
-        permuted = merge_tsvm([mats[2], mats[0], mats[1]], 0.5).matrix
+        base = merge_tsvm(mats, 0.5)
+        permuted = merge_tsvm([mats[2], mats[0], mats[1]], 0.5)
         sensitivity = np.linalg.norm(base - permuted) / np.linalg.norm(base)
         assert np.isfinite(sensitivity)
         print(f"tsvm language-order sensitivity (relative frobenius): {sensitivity:.3e}")
@@ -212,11 +215,55 @@ class TestTsvm:
         gu, gs, gvt = gesvd(mats[0])
         assert np.array_equal(u, gu[:, :4]) and np.array_equal(s, gs[:4])
         assert np.array_equal(vt, gvt[:4, :])
-        assert np.array_equal(merge_tsvm(mats, 0.5).matrix, expected_merge)
+        assert np.array_equal(merge_tsvm(mats, 0.5), expected_merge)
         # criterion 3's tsvm identity: one full-rank delta at ratio 1 is kept.
-        identity = merge_tsvm([single], 1.0).matrix
+        identity = merge_tsvm([single], 1.0)
         assert np.linalg.norm(identity - single) <= 1e-6 * np.linalg.norm(single)
         assert len(failures) == 1 + 5 + 3  # truncate_svd, two tsvm merges' SVDs
+
+
+class TestMergeIdentities:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        d=st.integers(1, 24),
+        h=st.integers(1, 24),
+    )
+    def test_mean_is_sum_over_m(self, seed, m, d, h):
+        rng = np.random.default_rng(seed)
+        mats = [rng.standard_normal((d, h)) for _ in range(m)]
+        assert np.array_equal(merge_mean(mats), merge_sum(mats) / m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        r=st.integers(1, 6),
+        d_extra=st.integers(0, 40),
+        h_extra=st.integers(0, 40),
+    )
+    def test_tsvm_is_sum_for_orthogonal_deltas(self, seed, m, r, d_extra, h_extra):
+        # Mutually orthogonal column spaces and row spaces, each delta of rank
+        # r, kept whole at rank ratio r/d: the stacked factors are already
+        # orthonormal, so re-orthogonalising them changes nothing.
+        d, h = m * r + d_extra, m * r + h_extra
+        rng = np.random.default_rng(seed)
+        left, _ = np.linalg.qr(rng.standard_normal((d, m * r)))
+        right, _ = np.linalg.qr(rng.standard_normal((h, m * r)))
+        mats = [
+            (left[:, i * r : (i + 1) * r] * rng.uniform(0.5, 2.0, r)) @ right[:, i * r : (i + 1) * r].T
+            for i in range(m)
+        ]
+        expected = merge_sum(mats)
+        err = np.linalg.norm(merge_tsvm(mats, r / d) - expected) / np.linalg.norm(expected)
+        assert err <= 1e-10
+
+    def test_ratio_r_over_d_retains_r(self):
+        # (r / d) * d rounds just below r for these pairs; floor alone gave r - 1.
+        for r, d in ((1, 49), (15, 22), (29, 100)):
+            assert r / d * d < r
+            assert _retained_rank((d, d), r / d) == r
 
 
 class TestMergeDispatch:
@@ -234,30 +281,28 @@ class TestMergeDispatch:
         m = rng.standard_normal((4, 6))
         plain = merge(MergeConfig("sum"), delta_set_from([m], cov_mode=PER_LANGUAGE))
         shared = merge(MergeConfig("sum_cov"), delta_set_from([m], cov_mode=SHARED))
-        assert np.array_equal(plain[2].matrix, m)
-        assert np.array_equal(shared[2].matrix, m)
+        assert np.array_equal(plain[2], m)
+        assert np.array_equal(shared[2], m)
 
     def test_mean_cov_is_sum_cov_over_m(self):
         rng = np.random.default_rng(17)
         mats = [rng.standard_normal((4, 6)) for _ in range(3)]
         ds = delta_set_from(mats, cov_mode=SHARED)
-        total = merge(MergeConfig("sum_cov"), ds)[2].matrix
-        mean = merge(MergeConfig("mean_cov"), ds)[2].matrix
+        total = merge(MergeConfig("sum_cov"), ds)[2]
+        mean = merge(MergeConfig("mean_cov"), ds)[2]
         assert np.array_equal(mean, total / 3)
 
     def test_full_pipeline_against_scripted_oracle(self):
         rng = np.random.default_rng(18)
         mats = [rng.standard_normal((6, 9)) for _ in range(2)]
         ds = delta_set_from(mats, cov_mode=PER_LANGUAGE)
-        out = merge(MergeConfig("tsvm", rank_ratio=0.5), ds)[2].matrix
+        out = merge(MergeConfig("tsvm", rank_ratio=0.5), ds)[2]
         expected = reference_tsvm(mats, 0.5)
         assert np.linalg.norm(out - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MergeConfig("subtract")
-        with pytest.raises(ConfigError):
-            MergeConfig("sum", alpha=0.0)
         with pytest.raises(ConfigError):
             MergeConfig("tsvm", rank_ratio=0.0)
         with pytest.raises(ConfigError):

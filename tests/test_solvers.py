@@ -283,10 +283,7 @@ class TestEditModel:
         all_languages = edit_model(model, dataset.all_language_requests(), preserved, **kwargs)
         for lang in range(dataset.m_languages):
             single = edit_model(model, [dataset.language_requests(lang)], preserved, **kwargs)
-            merged = {
-                layer: merge_sum(single.layer_deltas(layer), layer=layer)
-                for layer in single.layers
-            }
+            merged = {layer: merge_sum(single.layer_deltas(layer)) for layer in single.layers}
             edited = apply_update(model, merged, 1.0)
             row_pipeline = evaluate(edited, dataset, lang)
             assert run_mono(model, dataset, all_languages, lang, alpha=1.0) == row_pipeline
