@@ -6,7 +6,15 @@ and scores the result on efficacy / generalization / specificity /
 portability, with a CLI for experiments and sweeps.
 """
 
-from .covariance import CovStats, KeyBatch, cov_per_language, cov_shared, const_stats, request_keys
+from .covariance import (
+    CovStats,
+    KeyBatch,
+    const_stats,
+    cov_per_language,
+    cov_shared,
+    preserved_keys,
+    request_keys,
+)
 from .errors import (
     ConfigError,
     ContainerError,
@@ -26,12 +34,23 @@ from .merging import (
     merge_tsvm,
     truncate_svd,
 )
-from .metrics import MetricsReport, MetricsRow, accuracy, evaluate, evaluate_all, run_mono
+from .metrics import (
+    MetricsReport,
+    MetricsRow,
+    ProbeBatch,
+    accuracy,
+    evaluate,
+    evaluate_all,
+    probe_batch,
+    run_mono,
+)
 from .model import (
     HiddenTrace,
     LamLayer,
+    Prefix,
     ToyModel,
     compute_key,
+    compute_prefix,
     compute_target_values,
     forward,
     forward_batch,
@@ -44,9 +63,11 @@ from .solvers import (
     DeltaSet,
     LanguageRequests,
     NullProjector,
+    RequestPrefix,
     edit_model,
     nullspace_projector,
     preserved_terms,
+    request_prefix,
     solve_alphaedit,
     solve_memit,
 )

@@ -29,14 +29,17 @@ MAGIC = b"LAMCONT1"
 FORMAT_VERSION = 1
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _canonical(array: np.ndarray) -> np.ndarray:
     arr = np.asarray(array)
     if arr.dtype.kind == "f":
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        arr = np.asarray(arr, dtype="<f8")
     elif arr.dtype.kind in "iub":
-        arr = np.ascontiguousarray(arr, dtype="<i8")
+        if arr.dtype.kind == "u" and arr.size and arr.max() > _INT64_MAX:
+            raise ShapeError(f"unsigned values above {_INT64_MAX} do not fit the container's int64")
+        arr = np.asarray(arr, dtype="<i8")
     else:
         raise ShapeError(f"unsupported dtype for container: {arr.dtype}")
     return arr

@@ -107,22 +107,23 @@ def cov_shared(key_batches):
     return CovStats(cov=0.5 * (total + total.T), sample_count=count, mode=SHARED)
 
 
-def const_stats(model, preserved_inputs, layer, preserved_ids=None, request_ids=None):
-    """Preserved-knowledge keys and covariance at a 1-based layer.
+def preserved_keys(model, preserved_inputs, preserved_ids=None, request_ids=None):
+    """Preserved-knowledge keys of every layer, from one forward pass.
 
     Parameters
     ----------
     preserved_inputs : ndarray (d, p)
-        May be empty (p == 0); the result is then explicit zero statistics,
-        valid only for solvers that do not weight the preserved term.
+        May be empty (p == 0); the keys are then empty too, and their
+        statistics are explicit zeros, valid only for solvers that do not
+        weight the preserved term.
     preserved_ids, request_ids : optional int sequences
         When both are given, any overlap raises, enforcing that preservation
         statistics never include facts under edit.
 
     Returns
     -------
-    stats : CovStats
-    keys : ndarray (h, p)
+    keys : ndarray (L, h, p)
+        ``keys[layer - 1]`` holds the keys of 1-based ``layer``.
     """
     if preserved_ids is not None and request_ids is not None:
         overlap = set(int(i) for i in preserved_ids) & set(int(i) for i in request_ids)
@@ -132,8 +133,24 @@ def const_stats(model, preserved_inputs, layer, preserved_ids=None, request_ids=
     if preserved_inputs.ndim != 2 or preserved_inputs.shape[0] != model.d:
         raise ShapeError(f"preserved inputs must be (d, p) with d={model.d}")
     if preserved_inputs.shape[1] == 0:
-        keys = np.zeros((model.h, 0))
-        return CovStats(cov=np.zeros((model.h, model.h)), sample_count=0, mode=SHARED), keys
-    _, all_keys = model_core.forward_batch(model, preserved_inputs)
-    keys = all_keys[layer - 1]
-    return CovStats(cov=_second_moment(keys), sample_count=keys.shape[1], mode=SHARED), keys
+        return np.zeros((model.n_layers, model.h, 0))
+    return model_core.forward_batch(model, preserved_inputs)[1]
+
+
+def preserved_stats(keys):
+    """Second moment of one layer's preserved keys (h, p)."""
+    return CovStats(cov=_second_moment(keys), sample_count=keys.shape[1], mode=SHARED)
+
+
+def const_stats(model, preserved_inputs, layer, preserved_ids=None, request_ids=None):
+    """Preserved-knowledge keys and covariance at a 1-based layer.
+
+    The one-layer view of :func:`preserved_keys`, whose parameters it takes.
+
+    Returns
+    -------
+    stats : CovStats
+    keys : ndarray (h, p)
+    """
+    keys = preserved_keys(model, preserved_inputs, preserved_ids, request_ids)[layer - 1]
+    return preserved_stats(keys), keys

@@ -7,7 +7,8 @@ baseline, which reads each language's own deltas from the per-language delta
 set.  Sweeps compute the delta sets once and build every grid point's merge
 up front: the scale axis reuses one merge per method, the rank axis slices
 one SVD per delta at each rank ratio.  Each grid point is then applied and
-scored in grid order, serially.
+scored in grid order, serially, from one probe batch built on the unedited
+model (:func:`lamedit.metrics.probe_batch`).
 
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
 floats via ``repr``.
@@ -278,10 +279,15 @@ def load_benchmark(bench_dir, config=None):
             manifest = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"no benchmark at {bench_dir} (missing {MANIFEST_FILE}): {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"benchmark manifest {manifest_path} is not valid JSON: {exc}") from exc
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not (isinstance(files, dict) and all(isinstance(files.get(k), str) for k in ("dataset", "model"))):
+        raise ConfigError(f"benchmark manifest {manifest_path} names no dataset and model files")
     if config is not None:
         check_benchmark_dataset(config, manifest)
-    dataset = container.load_dataset(os.path.join(bench_dir, manifest["files"]["dataset"]))
-    model = container.load_model(os.path.join(bench_dir, manifest["files"]["model"]))
+    dataset = container.load_dataset(os.path.join(bench_dir, files["dataset"]))
+    model = container.load_model(os.path.join(bench_dir, files["model"]))
     return dataset, model, manifest
 
 
@@ -291,8 +297,9 @@ def load_benchmark(bench_dir, config=None):
 def compute_delta_sets(model, dataset, solver, cov_modes):
     """Per-language delta sets for each requested covariance mode.
 
-    The preserved statistics (and alphaedit's null-space projectors) are
-    computed once per edit layer and shared by every mode.
+    The preserved statistics (and alphaedit's null-space projectors), and
+    each language's request prefix and first-layer targets, are computed once
+    on the unedited model and shared by every mode.
     """
     preserved_inputs = dataset.preserved_inputs_all()
     preserved = solvers.preserved_terms(
@@ -303,11 +310,12 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
         preserved_ids=dataset.preserved_fact_ids(),
         request_ids=dataset.request_fact_ids(),
     )
+    requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
     out = {}
     for mode in sorted(set(cov_modes)):
         out[mode] = solvers.edit_model(
             model,
-            dataset.all_language_requests(),
+            requests,
             preserved_inputs,
             method=solver.method,
             cov_mode=mode,
@@ -319,7 +327,10 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
 
 
 def merge_report(model, dataset, merged, merge_cfg, alpha, seed):
-    """Apply one merge (``{layer: matrix}`` from ``merge_cfg``) at ``alpha`` and score it."""
+    """Apply one merge (``{layer: matrix}`` from ``merge_cfg``) at ``alpha`` and score it.
+
+    ``dataset`` may be its :class:`~lamedit.metrics.ProbeBatch` on ``model``.
+    """
     return metrics.MetricsReport(
         method=merge_cfg.method,
         cov_mode=merge_cfg.cov_mode,
@@ -332,7 +343,11 @@ def merge_report(model, dataset, merged, merge_cfg, alpha, seed):
 
 
 def mono_report(model, dataset, delta_set, alpha, seed):
-    """Mono baseline: each language edited with only its own per-language deltas."""
+    """Mono baseline: each language edited with only its own per-language deltas.
+
+    ``dataset`` may be its :class:`~lamedit.metrics.ProbeBatch` on ``model``;
+    each row then scores its language's columns of the batch.
+    """
     rows = tuple(
         metrics.run_mono(model, dataset, delta_set, i, alpha) for i in range(dataset.m_languages)
     )
@@ -353,15 +368,16 @@ def run_experiment(config, dataset, model):
     if config.include_mono:
         modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
+    probes = metrics.probe_batch(model, dataset)
     reports = [
         merge_report(
-            model, dataset, merging.merge(m, delta_sets[m.cov_mode]), m, config.alpha, config.seed
+            model, probes, merging.merge(m, delta_sets[m.cov_mode]), m, config.alpha, config.seed
         )
         for m in config.merges
     ]
     if config.include_mono:
         reports.append(
-            mono_report(model, dataset, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
+            mono_report(model, probes, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
         )
     return reports
 
@@ -422,8 +438,9 @@ def sweep(config, dataset, model, axis):
             [(merging.merge(c, delta_sets[c.cov_mode], factors[c.cov_mode]), c, config.alpha) for c in cfgs]
             for cfgs in rank_cfgs
         ]
+    probes = metrics.probe_batch(model, dataset)
     per_point = [
-        [merge_report(model, dataset, *merged_point, config.seed) for merged_point in point]
+        [merge_report(model, probes, *merged_point, config.seed) for merged_point in point]
         for point in points
     ]
 
@@ -570,9 +587,14 @@ def build_comparison(run_dirs, allow_mixed=False):
         path = os.path.join(run_dir, "metrics.json")
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                docs.append((run_dir, json.load(fh)))
+                doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read run output {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"run output {path} is not valid JSON: {exc}") from exc
+        if not (isinstance(doc, dict) and isinstance(doc.get("reports"), list)):
+            raise ConfigError(f"run output {path} holds no reports list")
+        docs.append((run_dir, doc))
     seeds = {rep["seed"] for _, doc in docs for rep in doc["reports"]}
     if len(seeds) > 1 and not allow_mixed:
         raise ConfigError(f"run dirs mix dataset seeds {sorted(seeds)}; pass --allow-mixed to combine")

@@ -5,6 +5,10 @@ prediction either hits the expected token or it does not.  Efficacy scores
 the edited requests against their new tokens, generalization the rephrases,
 specificity the unrelated preserved facts against their original tokens, and
 portability the one-hop probes against the new tokens.
+
+A :class:`ProbeBatch` concatenates the probes once and caches their prefix on
+the unedited model, so callers that score many edited models (runs, sweeps,
+mono) pass it in place of the dataset.
 """
 
 from __future__ import annotations
@@ -106,28 +110,99 @@ def _probe_families(dataset, language_id):
     )
 
 
-def _evaluate_languages(model, dataset, language_ids):
-    """Rows for ``language_ids`` from one prediction over all of their probes.
+@dataclass(frozen=True)
+class ProbeBatch:
+    """Some languages' probes, concatenated, with their prefix on the unedited model.
 
-    Predictions are per column, so one forward over the concatenated probe
-    families gives the same hits as one forward per family.
+    Columns run language by language, each language's four families in
+    MetricsRow order; ``stops`` holds the cumulative family ends.  Every model
+    edited from ``prefix.base`` is scored by one prediction that starts from
+    the cached prefix (``state + w_out_edited @ key`` at the first edit
+    layer), which gives the bits of a full forward pass.  Predictions are per
+    column, so this scores each (language, family) like its own
+    :func:`accuracy` call.
     """
+
+    dataset: object  # MultilingualDataset
+    language_ids: tuple[int, ...]
+    prefix: model_core.Prefix
+    expected: np.ndarray  # (N,)
+    stops: np.ndarray  # (4 * len(language_ids),)
+
+    @property
+    def n_facts(self):
+        return self.dataset.n_facts
+
+    @property
+    def m_languages(self):
+        return len(self.language_ids)
+
+    @property
+    def languages(self):
+        return tuple(self.dataset.languages[i] for i in self.language_ids)
+
+    def language(self, language_id):
+        """The batch of one of its languages, sharing this prefix's columns."""
+        k = self.language_ids.index(language_id)
+        start = self.stops[4 * k - 1] if k else 0
+        stop = self.stops[4 * k + 3]
+        return ProbeBatch(
+            dataset=self.dataset,
+            language_ids=(language_id,),
+            prefix=self.prefix.columns(start, stop),
+            expected=self.expected[start:stop],
+            stops=self.stops[4 * k : 4 * k + 4] - start,
+        )
+
+    def rows(self, model):
+        """One MetricsRow per language of the batch for ``model``.
+
+        ``model`` must share the prefix's unedited layers
+        (:meth:`~lamedit.model.Prefix.check`), or :class:`ShapeError` is raised.
+        """
+        hits = model_core.predict_batch(model, self.prefix) == self.expected
+        scores = [float(np.mean(segment)) for segment in np.split(hits, self.stops[:-1])]
+        return tuple(MetricsRow(*scores[4 * k : 4 * k + 4]) for k in range(self.m_languages))
+
+
+def probe_batch(model, dataset, language_ids=None):
+    """The :class:`ProbeBatch` of ``language_ids`` (default: all) on ``model``."""
+    if language_ids is None:
+        language_ids = range(dataset.m_languages)
+    language_ids = tuple(language_ids)
     families = [f for i in language_ids for f in _probe_families(dataset, i)]
-    predictions = model_core.predict_batch(model, np.hstack([inputs for inputs, _ in families]))
-    hits = predictions == np.concatenate([expected for _, expected in families])
-    bounds = np.cumsum([len(expected) for _, expected in families])[:-1]
-    scores = [float(np.mean(segment)) for segment in np.split(hits, bounds)]
-    return tuple(MetricsRow(*scores[4 * k : 4 * k + 4]) for k in range(len(language_ids)))
+    return ProbeBatch(
+        dataset=dataset,
+        language_ids=language_ids,
+        prefix=model_core.compute_prefix(model, np.hstack([inputs for inputs, _ in families])),
+        expected=np.concatenate([expected for _, expected in families]),
+        stops=np.cumsum([len(expected) for _, expected in families]),
+    )
 
 
 def evaluate(model, dataset, language_id):
-    """All four accuracies for one language."""
-    return _evaluate_languages(model, dataset, (language_id,))[0]
+    """All four accuracies for one language.
+
+    ``dataset`` may be a :class:`ProbeBatch` holding the language, built on
+    the unedited model ``model`` was edited from; scoring then starts from
+    its cached prefix.
+    """
+    if isinstance(dataset, ProbeBatch):
+        return dataset.language(language_id).rows(model)[0]
+    return probe_batch(model, dataset, (language_id,)).rows(model)[0]
 
 
 def evaluate_all(model, dataset):
-    """Rows for every language, ascending language order."""
-    return _evaluate_languages(model, dataset, range(dataset.m_languages))
+    """Rows for every language, ascending language order.
+
+    ``dataset`` may be its :class:`ProbeBatch` (from :func:`probe_batch` on
+    the unedited model ``model`` was edited from), built once for callers
+    that score many edited models; scoring then starts from its cached
+    prefix.
+    """
+    if isinstance(dataset, ProbeBatch):
+        return dataset.rows(model)
+    return probe_batch(model, dataset).rows(model)
 
 
 def run_mono(model, dataset, delta_set, language_id, alpha=1.0):
@@ -136,7 +211,8 @@ def run_mono(model, dataset, delta_set, language_id, alpha=1.0):
     This is exactly the m=1 merge pipeline.  ``delta_set`` must hold deltas
     solved with per-language covariance: each language's entries depend only
     on its own requests, so they equal a single-language solve.  They are
-    scaled by ``alpha``, applied, and scored.
+    scaled by ``alpha``, applied, and scored.  ``dataset`` may be a
+    :class:`ProbeBatch` on ``model``, as for :func:`evaluate`.
     """
     own = {layer: delta_set.delta(layer, language_id).delta for layer in delta_set.layers}
     edited = merging.apply_update(model, own, alpha)

@@ -9,6 +9,11 @@ against the final hidden state.
 
 Layers are addressed 1-based throughout the public API, so ``hidden[0]`` is
 the input and ``key(l)`` pairs with the transition ``hidden[l-1] -> hidden[l]``.
+
+Edits change only the edit layers' ``w_out``.  A batch's :class:`Prefix` (the
+state entering the first edit layer, and that layer's keys) is therefore the
+same on the unedited model and on every model edited from it, so prediction
+and target computation can start from a prefix computed once.
 """
 
 from __future__ import annotations
@@ -211,6 +216,83 @@ def _check_inputs(model, inputs):
     return inputs
 
 
+@dataclass(frozen=True)
+class Prefix:
+    """A batch's unedited part on ``base``: the state entering the first edit
+    layer, and that layer's keys, one column per input.
+
+    Every model edited from ``base`` shares the layers below the first edit
+    layer and that layer's ``w_in`` and norm, so it maps the batch to this same
+    state and these same keys.  Running such a model on from here gives the
+    bits of its full forward pass.
+    """
+
+    base: ToyModel
+    state: np.ndarray  # (d, n)
+    key: np.ndarray  # (h, n)
+
+    @property
+    def layer(self):
+        """The 1-based layer the prefix enters: the base's first edit layer."""
+        return self.base.edit_layers[0]
+
+    @property
+    def n(self):
+        return self.state.shape[1]
+
+    def columns(self, start, stop):
+        """The prefix of the batch's columns ``start:stop``."""
+        return replace(self, state=self.state[:, start:stop], key=self.key[:, start:stop])
+
+    def check(self, model):
+        """Raise :class:`ShapeError` unless ``model`` shares the prefix's layers.
+
+        The layers below :attr:`layer`, and that layer's ``w_in`` and norm
+        parameters, must be the base's own arrays (compared by identity, which
+        :meth:`ToyModel.with_w_out` preserves), under the same edit layers,
+        norm and activation.
+        """
+        base, first = self.base, self.layer
+        shared = (
+            model.edit_layers == base.edit_layers
+            and model.norm == base.norm
+            and model.activation == base.activation
+            and all(a is b for a, b in zip(model.layers[: first - 1], base.layers[: first - 1]))
+            and all(
+                getattr(model.layer(first), name) is getattr(base.layer(first), name)
+                for name in ("w_in", "norm_scale", "norm_bias")
+            )
+        )
+        if not shared:
+            raise ShapeError(
+                f"model does not share the prefix's unedited layers 1..{first - 1} "
+                f"and layer {first}'s w_in and norm"
+            )
+
+
+def compute_prefix(model, inputs):
+    """The :class:`Prefix` of ``inputs`` (d, n) on ``model``."""
+    first = model.edit_layers[0]
+    state = _check_inputs(model, inputs)
+    for l in range(1, first):
+        state = state + model.layer(l).w_out @ _layer_keys(model, l, state)
+    return Prefix(base=model, state=state, key=_layer_keys(model, first, state))
+
+
+def _run_prefix(model, prefix, key_layer):
+    """``model``'s final state on the prefix's batch, and its keys at ``key_layer``."""
+    prefix.check(model)
+    first = prefix.layer
+    keys = prefix.key
+    state = prefix.state + model.layer(first).w_out @ prefix.key
+    for l in range(first + 1, model.n_layers + 1):
+        layer_keys = _layer_keys(model, l, state)
+        if l == key_layer:
+            keys = layer_keys
+        state = state + model.layer(l).w_out @ layer_keys
+    return state, keys
+
+
 def forward_batch(model, inputs):
     """Run the stack on a batch of column vectors.
 
@@ -256,13 +338,14 @@ def compute_key(model, layer, h_prev):
 def predict_batch(model, inputs):
     """Predicted token per input column; ties resolve to the lowest index.
 
-    Runs the stack keeping only the running state (no per-layer trace), and
-    scores it as an (n, vocab) matrix so the argmax runs along contiguous rows.
+    ``inputs`` is a (d, n) batch, or its :class:`Prefix` on the unedited model
+    ``model`` was edited from, which the run then starts from.  The stack runs
+    keeping only the running state (no per-layer trace), and the state is
+    scored as an (n, vocab) matrix so the argmax runs along contiguous rows.
     The predictions equal those read from :func:`forward_batch`'s final state.
     """
-    state = _check_inputs(model, inputs)
-    for l in range(1, model.n_layers + 1):
-        state = state + model.layer(l).w_out @ _layer_keys(model, l, state)
+    prefix = inputs if isinstance(inputs, Prefix) else compute_prefix(model, inputs)
+    state, _ = _run_prefix(model, prefix, None)
     return np.argmax(state.T @ model.codebook, axis=1)
 
 
@@ -295,7 +378,9 @@ def keys_and_targets(model, inputs, new_tokens, layer):
 
     Parameters
     ----------
-    inputs : ndarray (d, n)
+    inputs : ndarray (d, n), or their :class:`Prefix`
+        A prefix computed on the unedited model ``model`` was edited from is
+        where the forward pass starts.
     new_tokens : int array (n,)
     layer : int
         1-based index; must be one of the model's edit layers.
@@ -316,13 +401,16 @@ def keys_and_targets(model, inputs, new_tokens, layer):
             f"token ids must be in 0..{model.vocab_size - 1}, got range "
             f"[{new_tokens.min()}, {new_tokens.max()}]"
         )
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape != (model.d, new_tokens.size):
-        raise ShapeError(f"inputs must be (d, n) = ({model.d}, {new_tokens.size}), got {inputs.shape}")
+    if not isinstance(inputs, Prefix):
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim != 2 or inputs.shape != (model.d, new_tokens.size):
+            raise ShapeError(f"inputs must be (d, n) = ({model.d}, {new_tokens.size}), got {inputs.shape}")
+        inputs = compute_prefix(model, inputs)
+    elif inputs.n != new_tokens.size:
+        raise ShapeError(f"prefix has {inputs.n} columns for {new_tokens.size} new tokens")
 
-    hidden, keys = forward_batch(model, inputs)
-    layer_keys = keys[layer - 1]
+    final, layer_keys = _run_prefix(model, inputs, layer)
     current = model.layer(layer).w_out @ layer_keys
-    residual = model.codebook[:, new_tokens] - hidden[-1]
+    residual = model.codebook[:, new_tokens] - final
     remaining = sum(1 for l in model.edit_layers if l >= layer)
     return layer_keys, current + residual / remaining

@@ -13,12 +13,20 @@ request keys onto target values while limiting damage to preserved keys:
 order for every language, recomputing keys and targets on per-language
 working copies, and returns all per-(layer, language) perturbations relative
 to the original weights.  The input model is never mutated.
+
+The work every working copy shares with the unedited model is done once: the
+preserved keys of every layer come from one forward pass, each language's
+requests from their :class:`RequestPrefix`, and in the shared covariance mode
+each layer's system (the same matrix for every language) is factored and
+condition-checked once, then applied to each language's right-hand side.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -125,6 +133,70 @@ def _check_condition(rcond, cond_limit, system_name):
         )
 
 
+class _System(NamedTuple):
+    """One solve's system, factored and condition-checked.
+
+    ``solve`` applies the inverse system to an (h, d) right-hand side; the
+    right-hand side carries ``projector`` (alphaedit) or nothing (memit).
+    """
+
+    solve: Callable
+    projector: np.ndarray | None
+
+    def delta(self, w_out, keys, targets):
+        """The layer perturbation (d, h) mapping ``keys`` onto ``targets``."""
+        residual = targets - w_out @ keys
+        if self.projector is None:
+            rhs = keys @ residual.T  # (h, d)
+        else:
+            rhs = self.projector @ keys @ residual.T
+        return self.solve(rhs).T
+
+
+def _memit_system(cov_preserved, cov_request, lam, cond_limit):
+    """Cholesky factor of ``lam * cov_preserved + cov_request``."""
+    system = lam * cov_preserved + cov_request
+    system = 0.5 * (system + system.T)
+    try:
+        factor = scipy.linalg.cho_factor(system)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
+    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], np.linalg.norm(system, 1))
+    _check_condition(rcond, cond_limit, "normal-equation system")
+    return _System(functools.partial(scipy.linalg.cho_solve, factor), None)
+
+
+def _alphaedit_system(projector, cov_request, lam, cond_limit):
+    """LU factor of the transposed projected system ``(lam * I + cov_request @ P).T``."""
+    proj = projector.projector
+    system_t = (lam * np.eye(proj.shape[0]) + cov_request @ proj).T
+    try:
+        with warnings.catch_warnings():
+            # An exactly singular factor shows up below as a zero rcond.
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            factor = scipy.linalg.lu_factor(system_t)
+    except ValueError as exc:
+        raise IllConditionedError(f"projected system cannot be factored: {exc}") from exc
+    rcond, _ = scipy.linalg.lapack.dgecon(factor[0], np.linalg.norm(system_t, 1))
+    _check_condition(rcond, cond_limit, "projected system")
+    return _System(functools.partial(scipy.linalg.lu_solve, factor), proj)
+
+
+def _check_solve_shapes(w_out, keys, targets, lam):
+    """``w_out``, ``keys`` and ``targets`` as float arrays of one solve's shapes."""
+    w_out = np.asarray(w_out, dtype=float)
+    keys = np.asarray(keys, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    d, h = w_out.shape
+    if keys.shape[0] != h or targets.shape != (d, keys.shape[1]):
+        raise ShapeError(
+            f"inconsistent shapes: w_out {w_out.shape}, keys {keys.shape}, targets {targets.shape}"
+        )
+    if lam < 0:
+        raise ShapeError("lam must be nonnegative")
+    return w_out, keys, targets
+
+
 def solve_memit(w_out, keys, targets, cov_preserved, cov_request, lam, cond_limit=DEFAULT_COND_LIMIT):
     """Ridge-style closed-form edit of one layer.
 
@@ -150,34 +222,19 @@ def solve_memit(w_out, keys, targets, cov_preserved, cov_request, lam, cond_limi
     -------
     DeltaMatrix with layer/language unset (-1); drivers stamp them.
     """
-    w_out = np.asarray(w_out, dtype=float)
-    keys = np.asarray(keys, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    d, h = w_out.shape
-    if keys.shape[0] != h or targets.shape != (d, keys.shape[1]):
-        raise ShapeError(
-            f"inconsistent shapes: w_out {w_out.shape}, keys {keys.shape}, targets {targets.shape}"
-        )
-    if lam < 0:
-        raise ShapeError("lam must be nonnegative")
+    w_out, keys, targets = _check_solve_shapes(w_out, keys, targets, lam)
+    h = w_out.shape[1]
     cov_preserved = np.asarray(cov_preserved, dtype=float)
     cov_request = np.asarray(cov_request, dtype=float)
     if cov_preserved.shape != (h, h) or cov_request.shape != (h, h):
         raise ShapeError("covariance matrices must be (h, h)")
-
-    residual = targets - w_out @ keys
-    system = lam * cov_preserved + cov_request
-    system = 0.5 * (system + system.T)
-    try:
-        factor = scipy.linalg.cho_factor(system)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
-    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], np.linalg.norm(system, 1))
-    _check_condition(rcond, cond_limit, "normal-equation system")
-    rhs = keys @ residual.T  # (h, d)
-    solved = scipy.linalg.cho_solve(factor, rhs)
+    system = _memit_system(cov_preserved, cov_request, lam, cond_limit)
     return DeltaMatrix(
-        layer=-1, language_id=-1, delta=solved.T, method=METHOD_MEMIT, cov_mode=PER_LANGUAGE
+        layer=-1,
+        language_id=-1,
+        delta=system.delta(w_out, keys, targets),
+        method=METHOD_MEMIT,
+        cov_mode=PER_LANGUAGE,
     )
 
 
@@ -219,38 +276,20 @@ def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limi
     factored once by LU; LAPACK's ``dgecon`` estimates its 1-norm condition
     number from that factor, checked against ``cond_limit``.
     """
-    w_out = np.asarray(w_out, dtype=float)
-    keys = np.asarray(keys, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    d, h = w_out.shape
-    if keys.shape[0] != h or targets.shape != (d, keys.shape[1]):
-        raise ShapeError(
-            f"inconsistent shapes: w_out {w_out.shape}, keys {keys.shape}, targets {targets.shape}"
-        )
-    if lam < 0:
-        raise ShapeError("lam must be nonnegative")
-    proj = projector.projector
-    if proj.shape != (h, h):
-        raise ShapeError(f"projector must be (h, h) = ({h}, {h}), got {proj.shape}")
+    w_out, keys, targets = _check_solve_shapes(w_out, keys, targets, lam)
+    h = w_out.shape[1]
+    if projector.projector.shape != (h, h):
+        raise ShapeError(f"projector must be (h, h) = ({h}, {h}), got {projector.projector.shape}")
     cov_request = np.asarray(cov_request, dtype=float)
     if cov_request.shape != (h, h):
         raise ShapeError("cov_request must be (h, h)")
-
-    residual = targets - w_out @ keys
-    system_t = (lam * np.eye(h) + cov_request @ proj).T
-    try:
-        with warnings.catch_warnings():
-            # An exactly singular factor shows up below as a zero rcond.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factor = scipy.linalg.lu_factor(system_t)
-    except ValueError as exc:
-        raise IllConditionedError(f"projected system cannot be factored: {exc}") from exc
-    rcond, _ = scipy.linalg.lapack.dgecon(factor[0], np.linalg.norm(system_t, 1))
-    _check_condition(rcond, cond_limit, "projected system")
-    rhs = proj @ keys @ residual.T  # (h, d)
-    solved = scipy.linalg.lu_solve(factor, rhs)
+    system = _alphaedit_system(projector, cov_request, lam, cond_limit)
     return DeltaMatrix(
-        layer=-1, language_id=-1, delta=solved.T, method=METHOD_ALPHAEDIT, cov_mode=PER_LANGUAGE
+        layer=-1,
+        language_id=-1,
+        delta=system.delta(w_out, keys, targets),
+        method=METHOD_ALPHAEDIT,
+        cov_mode=PER_LANGUAGE,
     )
 
 
@@ -264,10 +303,11 @@ def preserved_terms(
 ):
     """Per edit layer, the preserved-knowledge term the solver consumes.
 
-    The statistics come from the unedited model, once per edit layer, so
-    every covariance mode can share them.  memit takes the preserved second
-    moment normalized per sample (``edit_model`` rescales it to the request
-    batch size); alphaedit takes the null-space projector of the raw moment.
+    The statistics come from the unedited model, from one forward pass of the
+    preserved inputs, so every covariance mode can share them.  memit takes
+    the preserved second moment normalized per sample (``edit_model``
+    rescales it to the request batch size); alphaedit takes the null-space
+    projector of the raw moment.
 
     Returns
     -------
@@ -276,16 +316,51 @@ def preserved_terms(
     """
     if method not in METHODS:
         raise ShapeError(f"unknown method {method!r}")
+    keys = cov_mod.preserved_keys(model, preserved_inputs, preserved_ids, request_ids)
     terms = {}
     for layer in model.edit_layers:
-        stats, _ = cov_mod.const_stats(
-            model, preserved_inputs, layer, preserved_ids=preserved_ids, request_ids=request_ids
-        )
+        stats = cov_mod.preserved_stats(keys[layer - 1])
         if method == METHOD_MEMIT:
             terms[layer] = stats.cov / max(stats.sample_count, 1)
         else:
             terms[layer] = nullspace_projector(stats.cov, rel_tol=rel_tol)
     return terms
+
+
+@dataclass(frozen=True)
+class RequestPrefix:
+    """One language's requests prepared on the unedited model ``prefix.base``.
+
+    Holds the requests' :class:`~lamedit.model.Prefix` and their targets at
+    the first edit layer.  Every working copy in :func:`edit_model` starts
+    from the prefix, and at the first edit layer each copy is still the base,
+    so the keys there are ``prefix.key`` and the targets these.
+    """
+
+    requests: LanguageRequests
+    prefix: model_core.Prefix
+    targets: np.ndarray  # (d, n) at the base's first edit layer
+
+    @property
+    def language_id(self):
+        return self.requests.language_id
+
+
+def request_prefix(model, requests):
+    """The :class:`RequestPrefix` of one language's requests on ``model``."""
+    prefix = model_core.compute_prefix(model, requests.inputs)
+    _, targets = model_core.keys_and_targets(model, prefix, requests.new_tokens, prefix.layer)
+    return RequestPrefix(requests=requests, prefix=prefix, targets=targets)
+
+
+def _layer_system(method, preserved_term, cov_request, request_count, lam, cond_limit):
+    """The factored system of one solve at one layer."""
+    if method == METHOD_MEMIT:
+        # The per-sample preserved moment rescaled to the request batch size,
+        # so lam weighs preservation against requests independently of how
+        # many keys went into either statistic.
+        return _memit_system(preserved_term * request_count, cov_request, lam, cond_limit)
+    return _alphaedit_system(preserved_term, cov_request, lam, cond_limit)
 
 
 def edit_model(
@@ -308,12 +383,19 @@ def edit_model(
     lower-layer edits, which is what makes the resulting per-language deltas
     independently mergeable.  Preserved statistics are computed once per
     layer on the unedited model.  Each (language, layer) step takes its keys
-    and targets from one forward pass of that language's working copy.
+    and targets from one forward pass of that language's working copy, run
+    on from the requests' prefix.  In the shared covariance mode every
+    language's system at a layer is the same matrix, so it is factored and
+    condition-checked once per layer; in the per-language mode once per
+    (layer, language).
 
     Parameters
     ----------
-    requests : sequence of LanguageRequests
-        One entry per language; language ids must be unique.
+    requests : sequence of LanguageRequests or RequestPrefix
+        One entry per language; language ids must be unique.  A
+        :class:`RequestPrefix` (from :func:`request_prefix` on this model)
+        saves recomputing the requests' prefix and first-layer targets, for
+        callers that edit the same model more than once.
     preserved_inputs : ndarray (d, p)
         Inputs whose predictions the edit should leave alone, pooled over
         languages.  May be empty only for the alphaedit method.
@@ -346,6 +428,11 @@ def edit_model(
     language_ids = tuple(req.language_id for req in requests)
     if len(set(language_ids)) != len(language_ids):
         raise ShapeError(f"duplicate language ids in requests: {language_ids}")
+    prepared = [
+        req if isinstance(req, RequestPrefix) else request_prefix(model, req) for req in requests
+    ]
+    if any(prep.prefix.base is not model for prep in prepared):
+        raise ShapeError("a RequestPrefix was computed on another model")
     if lam is None:
         lam = DEFAULT_LAM_MEMIT if method == METHOD_MEMIT else DEFAULT_LAM_ALPHAEDIT
     if preserved is None:
@@ -354,39 +441,42 @@ def edit_model(
         )
 
     entries = {}
-    working = {req.language_id: model for req in requests}
+    working = {lang: model for lang in language_ids}
     for layer in model.edit_layers:
         key_batches = []
         targets = []
-        for req in requests:
-            keys, target = model_core.keys_and_targets(
-                working[req.language_id], req.inputs, req.new_tokens, layer
-            )
-            key_batches.append(cov_mod.KeyBatch(language_id=req.language_id, layer=layer, keys=keys))
-            targets.append(target)
-        shared = cov_mod.cov_shared(key_batches).cov if cov_mode == SHARED else None
-        # memit: the per-sample preserved moment rescaled to the request batch
-        # size, so lam weighs preservation against requests independently of
-        # how many keys went into either statistic.
-        request_count = sum(kb.n for kb in key_batches) if cov_mode == SHARED else None
-
-        for req, kb, target in zip(requests, key_batches, targets):
-            lang = req.language_id
-            current = working[lang]
-            cov_request = shared if shared is not None else cov_mod.cov_per_language(kb).cov
-            w_out = current.layer(layer).w_out
-            if method == METHOD_MEMIT:
-                preserved_term = preserved[layer] * (request_count if request_count is not None else kb.n)
-                dm = solve_memit(
-                    w_out, kb.keys, target, preserved_term, cov_request, lam, cond_limit=cond_limit
-                )
+        for prep in prepared:
+            if layer == prep.prefix.layer:
+                keys, target = prep.prefix.key, prep.targets
             else:
-                dm = solve_alphaedit(
-                    w_out, kb.keys, target, preserved[layer], cov_request, lam, cond_limit=cond_limit
+                keys, target = model_core.keys_and_targets(
+                    working[prep.language_id], prep.prefix, prep.requests.new_tokens, layer
                 )
-            dm = replace(dm, layer=layer, language_id=lang, method=method, cov_mode=cov_mode)
-            entries[(layer, lang)] = dm
-            working[lang] = current.with_w_out(layer, w_out + dm.delta)
+            key_batches.append(cov_mod.KeyBatch(language_id=prep.language_id, layer=layer, keys=keys))
+            targets.append(target)
+        shared = None
+        if cov_mode == SHARED:
+            shared = _layer_system(
+                method,
+                preserved[layer],
+                cov_mod.cov_shared(key_batches).cov,
+                sum(kb.n for kb in key_batches),
+                lam,
+                cond_limit,
+            )
+
+        for kb, target in zip(key_batches, targets):
+            lang = kb.language_id
+            system = shared
+            if system is None:
+                cov_request = cov_mod.cov_per_language(kb).cov
+                system = _layer_system(method, preserved[layer], cov_request, kb.n, lam, cond_limit)
+            w_out = working[lang].layer(layer).w_out
+            delta = system.delta(w_out, kb.keys, target)
+            entries[(layer, lang)] = DeltaMatrix(
+                layer=layer, language_id=lang, delta=delta, method=method, cov_mode=cov_mode
+            )
+            working[lang] = working[lang].with_w_out(layer, w_out + entries[(layer, lang)].delta)
 
     return DeltaSet(
         method=method,

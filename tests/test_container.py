@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lamedit import container
 from lamedit.errors import ContainerError, ShapeError
@@ -114,3 +117,49 @@ class TestDatasetIO:
         assert np.array_equal(loaded.old_tokens, ds.old_tokens)
         assert np.array_equal(loaded.unrelated_index, ds.unrelated_index)
 
+
+
+# Every dtype the container accepts: floats are stored as <f8, signed and
+# unsigned integers and booleans as <i8, in either byte order.
+ACCEPTED_DTYPES = [
+    np.dtype(code).newbyteorder(order)
+    for code in ("f2", "f4", "f8", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "?")
+    for order in ("<", ">")
+]
+
+
+@st.composite
+def named_arrays(draw):
+    names = draw(st.lists(st.text("abcxyz_", min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    return {
+        name: draw(
+            hnp.arrays(
+                draw(st.sampled_from(ACCEPTED_DTYPES)),
+                hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+            )
+        )
+        for name in names
+    }
+
+
+class TestArrayRoundTrip:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=named_arrays(), note=st.integers(-(2**53), 2**53))
+    def test_random_shapes_and_dtypes_round_trip_byte_for_byte(self, tmp_path, arrays, note):
+        path, again = tmp_path / "a.lam", tmp_path / "b.lam"
+        if any(a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max for a in arrays.values()):
+            # Unsigned values past int64 would wrap; the container refuses them.
+            with pytest.raises(ShapeError, match="do not fit"):
+                container.save_arrays(path, arrays)
+            return
+        container.save_arrays(path, arrays, meta={"note": note})
+        loaded, meta = container.load_arrays(path)
+        assert meta == {"note": note}
+        assert sorted(loaded) == sorted(arrays)
+        for name, arr in arrays.items():
+            stored = "<f8" if arr.dtype.kind == "f" else "<i8"
+            assert loaded[name].dtype == np.dtype(stored)
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == np.asarray(arr, dtype=stored).tobytes()
+        container.save_arrays(again, loaded, meta=meta)
+        assert again.read_bytes() == path.read_bytes()

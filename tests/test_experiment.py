@@ -284,16 +284,24 @@ class TestComputeDeltaSets:
             monkeypatch.setattr(module, name, wrapper)
 
         count(covariance, "const_stats")
+        count(covariance, "preserved_keys")
         count(solvers, "nullspace_projector")
         count(model_mod, "forward_batch")
+        count(model_mod, "compute_prefix")
+        count(model_mod, "keys_and_targets")
         delta_sets = experiment.compute_delta_sets(model, dataset, solver, modes)
 
         n_layers, m = len(model.edit_layers), dataset.m_languages
-        assert calls["const_stats"] == n_layers
+        # One preserved forward gives every edit layer's keys.
+        assert calls["preserved_keys"] == 1
+        assert calls["const_stats"] == 0
         assert calls["nullspace_projector"] == (n_layers if method == "alphaedit" else 0)
-        # One preserved forward per edit layer, then one forward per
-        # (mode, language, layer) step serving both keys and targets.
-        assert calls["forward_batch"] == n_layers + len(modes) * m * n_layers
+        assert calls["forward_batch"] == 1
+        # One request prefix and one first-layer target computation per
+        # language, shared by both modes; then one forward from the prefix
+        # per (mode, language, later layer) step serving both keys and targets.
+        assert calls["compute_prefix"] == m
+        assert calls["keys_and_targets"] == m + len(modes) * m * (n_layers - 1)
         for mode in modes:
             for key, dm in fresh[mode].entries.items():
                 assert np.array_equal(delta_sets[mode].entries[key].delta, dm.delta)
@@ -360,6 +368,26 @@ class TestRunCommand:
         if code:
             assert f"dataset.d={TINY_CONFIG['dataset']['d']}" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("{not json", "is not valid JSON"),
+            ('{"config": {"seed": 9, "dataset": {}}}', "names no dataset and model files"),
+            ("[1, 2]", "names no dataset and model files"),
+        ],
+        ids=["not-json", "no-files", "json-array"],
+    )
+    def test_malformed_manifest_exit_2(self, tiny_setup, tmp_path, capsys, text, named):
+        config_path, bench_dir, _ = tiny_setup
+        bench = tmp_path / "bench"
+        shutil.copytree(bench_dir, bench)
+        (bench / experiment.MANIFEST_FILE).write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["run", config_path, "--dataset", str(bench), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and experiment.MANIFEST_FILE in err
+        assert not out.exists()
 
     def test_missing_dataset_exit_2(self, tiny_setup, tmp_path):
         config_path, _, _ = tiny_setup
@@ -588,6 +616,19 @@ class TestReportCommand:
         mono = next(rep for rep in run_doc["reports"] if rep["method"] == "mono")
         mono_line = next(l for l in lines if l.startswith("mono,"))
         assert repr(mono["mean"]["averaged"]) == mono_line.split(",")[-1]
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("{not json", "is not valid JSON"), ("{}", "holds no reports list")],
+        ids=["not-json", "no-reports"],
+    )
+    def test_malformed_metrics_json_exit_2(self, tmp_path, capsys, text, named):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.json").write_text(text)
+        assert cli.main(["report", str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "metrics.json" in err
 
     def test_rows_sorted_by_method_name(self, tiny_setup, tmp_path):
         _, _, tmp = tiny_setup

@@ -3,12 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamedit.errors import ShapeError
 from lamedit.merging import MergeConfig, apply_update, merge
-from lamedit.metrics import MetricsReport, MetricsRow, accuracy, evaluate, evaluate_all, run_mono
-from lamedit.model import predict_batch
-from lamedit.solvers import edit_model
+from lamedit.metrics import (
+    MetricsReport,
+    MetricsRow,
+    accuracy,
+    evaluate,
+    evaluate_all,
+    probe_batch,
+    run_mono,
+)
+from lamedit.model import ACTIVATIONS, NORMS, predict_batch
+from lamedit.solvers import DeltaMatrix, DeltaSet, edit_model
 from lamedit.synthdata import fit_initial_model, generate_dataset
 
 from test_model import random_model
@@ -158,3 +168,99 @@ class TestRunMono:
             for i in range(dataset.m_languages)
         ]))
         assert mono_eff >= sum_eff
+
+
+def per_family_rows(model, dataset):
+    """Each (language, family) scored by its own plain accuracy call."""
+    return tuple(
+        MetricsRow(
+            efficacy=accuracy(model, dataset.request_inputs(i), dataset.new_tokens),
+            generalization=accuracy(model, dataset.rephrase_inputs(i), dataset.new_tokens),
+            specificity=accuracy(model, dataset.unrelated_inputs(i), dataset.unrelated_expected(i)),
+            portability=accuracy(model, dataset.hop_inputs(i), dataset.new_tokens),
+        )
+        for i in range(dataset.m_languages)
+    )
+
+
+@pytest.fixture(scope="module")
+def probe_dataset():
+    return generate_dataset(tiny_cfg(n_layers=4))
+
+
+class TestProbeBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        norm=st.sampled_from(NORMS),
+        activation=st.sampled_from(ACTIVATIONS),
+        edit_layers=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True).map(sorted),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        scale=st.floats(0.01, 2.0),
+    )
+    def test_prefix_scores_equal_plain_forward(
+        self, probe_dataset, seed, norm, activation, edit_layers, alpha, scale
+    ):
+        dataset = probe_dataset
+        rng = np.random.default_rng(seed)
+        model = random_model(
+            rng, d=8, h=16, n_layers=4, vocab=48, edit_layers=tuple(edit_layers),
+            norm=norm, activation=activation,
+        )
+        deltas = {
+            (layer, lang): DeltaMatrix(layer, lang, rng.standard_normal((8, 16)) * scale, "memit", "per_language")
+            for layer in edit_layers
+            for lang in range(dataset.m_languages)
+        }
+        delta_set = DeltaSet("memit", "per_language", tuple(edit_layers), tuple(range(dataset.m_languages)), deltas)
+        probes = probe_batch(model, dataset)
+        edited = apply_update(model, merge(MergeConfig("sum"), delta_set), alpha)
+
+        columns = np.hstack([f(i) for i in range(dataset.m_languages) for f in (
+            dataset.request_inputs, dataset.rephrase_inputs, dataset.unrelated_inputs, dataset.hop_inputs
+        )])
+        assert np.array_equal(predict_batch(edited, probes.prefix), predict_batch(edited, columns))
+        assert evaluate_all(edited, probes) == per_family_rows(edited, dataset)
+        for i in range(dataset.m_languages):
+            own = {layer: delta_set.delta(layer, i).delta for layer in edit_layers}
+            mono_edited = apply_update(model, own, alpha)
+            assert run_mono(model, probes, delta_set, i, alpha) == evaluate(mono_edited, dataset, i)
+            assert evaluate(mono_edited, probes, i) == per_family_rows(mono_edited, dataset)[i]
+
+    def test_probe_batch_matches_dataset_shape(self, small_bench):
+        dataset, model = small_bench
+        probes = probe_batch(model, dataset)
+        assert probes.prefix.n == 4 * dataset.n_facts * dataset.m_languages
+        assert (probes.n_facts, probes.m_languages) == (dataset.n_facts, dataset.m_languages)
+        assert probes.languages == dataset.languages
+        one = probes.language(1)
+        assert one.languages == (dataset.languages[1],)
+        assert one.prefix.n == 4 * dataset.n_facts
+
+    @pytest.mark.parametrize("changed", ["layer_1_w_in", "layer_1_w_out", "first_edit_w_in", "first_edit_norm"])
+    def test_model_not_sharing_the_prefix_rejected(self, small_bench, changed):
+        dataset, model = small_bench
+        probes = probe_batch(model, dataset)
+        layers = list(model.layers)
+        first = model.edit_layers[0] - 1
+        # Equal values in a new array: the prefix cannot tell them from an edit.
+        if changed == "layer_1_w_in":
+            layers[0] = replace(layers[0], w_in=layers[0].w_in.copy())
+        elif changed == "layer_1_w_out":
+            layers[0] = replace(layers[0], w_out=layers[0].w_out + 1e-3)
+        elif changed == "first_edit_w_in":
+            layers[first] = replace(layers[first], w_in=layers[first].w_in * 1.01)
+        else:
+            layers[first] = replace(layers[first], norm_scale=layers[first].norm_scale.copy())
+        other = replace(model, layers=tuple(layers))
+        with pytest.raises(ShapeError, match="does not share"):
+            evaluate_all(other, probes)
+        with pytest.raises(ShapeError, match="does not share"):
+            evaluate(other, probes, 0)
+
+    def test_edited_w_out_of_first_edit_layer_accepted(self, small_bench):
+        dataset, model = small_bench
+        probes = probe_batch(model, dataset)
+        first = model.edit_layers[0]
+        edited = model.with_w_out(first, model.layer(first).w_out * 1.1)
+        assert evaluate_all(edited, probes) == evaluate_all(edited, dataset)

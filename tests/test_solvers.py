@@ -8,10 +8,15 @@ from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import IllConditionedError, ShapeError
 from lamedit.merging import merge_sum, apply_update
 from lamedit.metrics import evaluate, run_mono
+from lamedit.model import keys_and_targets
 from lamedit.solvers import (
+    DEFAULT_LAM_ALPHAEDIT,
+    DEFAULT_LAM_MEMIT,
     LanguageRequests,
     edit_model,
     nullspace_projector,
+    preserved_terms,
+    request_prefix,
     solve_alphaedit,
     solve_memit,
 )
@@ -227,6 +232,34 @@ class TestSolveAlphaedit:
             assert np.linalg.norm(dm.delta @ k_const) <= bound
             assert np.linalg.norm(dm.delta) > 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(2, 40),
+        n=st.integers(1, 30),
+        p_extra=st.integers(-40, 20),
+        rel_tol=st.floats(1e-12, 0.5),
+        lam=st.floats(1e-2, 1e2),
+    )
+    def test_preserved_keys_annihilated_at_any_rel_tol(self, seed, h, n, p_extra, rel_tol, lam):
+        # The delta carries a trailing projector factor, so it annihilates the
+        # preserved keys' part outside the projector's null space to rounding.
+        # What it leaves is bounded by the preserved energy the projector
+        # counts as null: ||P K_p||_F^2 = sum of the null eigenvalues, each at
+        # most rel_tol times the largest.
+        rng = np.random.default_rng(seed)
+        d, p = int(rng.integers(1, h + 1)), max(1, h + p_extra)
+        w, keys, targets, k_const = random_instance(rng, d=d, h=h, n=n, p=p)
+        cov = k_const @ k_const.T
+        proj = nullspace_projector(cov, rel_tol=rel_tol)
+        delta = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, lam).delta
+        scale = np.linalg.norm(delta) * np.linalg.norm(k_const)
+        outside = k_const - proj.projector @ k_const
+        assert np.linalg.norm(delta @ outside) <= 1e-10 * scale
+        null_energy = proj.null_dim * rel_tol * np.linalg.eigvalsh(cov)[-1]
+        leak = np.linalg.norm(delta @ k_const)
+        assert leak <= np.linalg.norm(delta, 2) * np.sqrt(null_energy) * (1 + 1e-6) + 1e-10 * scale
+
     def test_zero_error_term_gives_zero_delta(self):
         rng = np.random.default_rng(9)
         w, keys, _, k_const = random_instance(rng, p=12)
@@ -354,3 +387,66 @@ class TestEditModel:
             delta = delta_set.delta(layer, 0).delta
             bound = 1e-8 * np.linalg.norm(delta) * np.linalg.norm(k_const)
             assert np.linalg.norm(delta @ k_const) <= max(bound, 1e-15)
+
+
+class TestLayerFactorisation:
+    @pytest.mark.parametrize("method, factor", [("memit", "cho_factor"), ("alphaedit", "lu_factor")])
+    @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+    def test_one_factor_per_layer_shared_per_language_otherwise(
+        self, small_bench, monkeypatch, method, factor, cov_mode
+    ):
+        dataset, model = small_bench
+        calls = []
+        original = getattr(scipy.linalg, factor)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, factor, counted)
+        edit_model(
+            model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
+            method=method, cov_mode=cov_mode, rel_tol=0.02,
+        )
+        per_layer = 1 if cov_mode == SHARED else dataset.m_languages
+        assert len(calls) == len(model.edit_layers) * per_layer
+
+    @pytest.mark.parametrize("method", ["memit", "alphaedit"])
+    def test_shared_factor_gives_each_languages_own_solve(self, small_bench, method):
+        # At the first edit layer every working copy is the base, so each
+        # language's delta must be the bits of its own solve of the shared system.
+        dataset, model = small_bench
+        requests = dataset.all_language_requests()
+        preserved = preserved_terms(model, dataset.preserved_inputs_all(), method, rel_tol=0.02)
+        delta_set = edit_model(
+            model, requests, None, method=method, cov_mode=SHARED, preserved=preserved
+        )
+        first = model.edit_layers[0]
+        batches = [keys_and_targets(model, r.inputs, r.new_tokens, first) for r in requests]
+        shared = sum(keys @ keys.T for keys, _ in batches)
+        shared = 0.5 * (shared + shared.T)
+        w_out = model.layer(first).w_out
+        for req, (keys, targets) in zip(requests, batches):
+            if method == "memit":
+                count = sum(r.inputs.shape[1] for r in requests)
+                own = solve_memit(w_out, keys, targets, preserved[first] * count, shared, DEFAULT_LAM_MEMIT)
+            else:
+                own = solve_alphaedit(w_out, keys, targets, preserved[first], shared, DEFAULT_LAM_ALPHAEDIT)
+            assert np.array_equal(delta_set.delta(first, req.language_id).delta, own.delta)
+
+    def test_request_prefix_of_another_model_rejected(self, small_bench):
+        dataset, model = small_bench
+        other = model.with_w_out(model.edit_layers[-1], model.layer(model.edit_layers[-1]).w_out * 1.5)
+        prepared = [request_prefix(other, r) for r in dataset.all_language_requests()]
+        with pytest.raises(ShapeError, match="another model"):
+            edit_model(model, prepared, dataset.preserved_inputs_all())
+
+    def test_request_prefixes_give_the_same_deltas(self, small_bench):
+        dataset, model = small_bench
+        requests = dataset.all_language_requests()
+        prepared = [request_prefix(model, r) for r in reversed(requests)]
+        for mode in (PER_LANGUAGE, SHARED):
+            plain = edit_model(model, requests, dataset.preserved_inputs_all(), cov_mode=mode)
+            reused = edit_model(model, prepared, dataset.preserved_inputs_all(), cov_mode=mode)
+            for key, dm in plain.entries.items():
+                assert np.array_equal(reused.entries[key].delta, dm.delta)
