@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 from . import container, merging, metrics, solvers, synthdata
 from .covariance import PER_LANGUAGE
@@ -573,6 +574,74 @@ def write_sweep_outputs(out_dir, config, axis, results, point_reports):
 # --- comparison reports across runs ---
 
 
+class _ReportRow(NamedTuple):
+    """The fields of one ``metrics.json`` report that a comparison reads."""
+
+    method: str
+    seed: int
+    languages: tuple[str, ...]
+    alpha: float
+    rank_ratio: float | None
+    values: list  # averaged accuracy per language, then the cross-language mean
+
+
+def _is_text(value):
+    """Whether ``value`` is a string the UTF-8 report files can hold.
+
+    JSON escapes can spell lone surrogates, which no UTF-8 file can.
+    """
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _report_row(path, index, rep):
+    """Report ``index`` of run output ``path`` as a :class:`_ReportRow`.
+
+    A missing or ill-typed field raises :class:`ConfigError` naming the file,
+    the report and the field.
+    """
+    where = f"run output {path} report {index}"
+    if not isinstance(rep, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {rep!r}")
+    required = ("method", "seed", "languages", "alpha", "per_language", "mean")
+    missing = [name for name in required if name not in rep]
+    if missing:
+        raise ConfigError(f"{where} lacks fields {missing}")
+    if not _is_text(rep["method"]):
+        raise ConfigError(f"{where} method must be a string, got {rep['method']!r}")
+    languages = rep["languages"]
+    if not (isinstance(languages, list) and all(_is_text(lang) for lang in languages)):
+        raise ConfigError(f"{where} languages must be a list of strings, got {languages!r}")
+    if not isinstance(rep["per_language"], dict):
+        raise ConfigError(f"{where} per_language must be a JSON object")
+
+    def averaged(name, row):
+        if not (isinstance(row, dict) and "averaged" in row):
+            raise ConfigError(f"{where} {name} holds no averaged accuracy")
+        return _number(f"{where} {name}.averaged", row["averaged"])
+
+    values = []
+    for lang in languages:
+        if lang not in rep["per_language"]:
+            raise ConfigError(f"{where} per_language lacks language {lang!r}")
+        values.append(averaged(f"per_language.{lang}", rep["per_language"][lang]))
+    values.append(averaged("mean", rep["mean"]))
+    rank_ratio = rep.get("rank_ratio")
+    return _ReportRow(
+        method=rep["method"],
+        seed=_integer(f"{where} seed", rep["seed"]),
+        languages=tuple(languages),
+        alpha=_number(f"{where} alpha", rep["alpha"]),
+        rank_ratio=None if rank_ratio is None else _number(f"{where} rank_ratio", rank_ratio),
+        values=values,
+    )
+
+
 def build_comparison(run_dirs, allow_mixed=False):
     """Method-by-language grid of averaged accuracy from run directories.
 
@@ -580,7 +649,9 @@ def build_comparison(run_dirs, allow_mixed=False):
     when mixed seeds are allowed.  Reports that share a key must be the same
     result (same solver settings and values, as from re-running one config);
     any other collision raises :class:`ConfigError` naming both run
-    directories, so no row is dropped silently.
+    directories, so no row is dropped silently.  So does a ``metrics.json``
+    that is not a run's output: not JSON, no reports list, or a report with a
+    missing or ill-typed field.
     """
     docs = []
     for run_dir in run_dirs:
@@ -594,37 +665,38 @@ def build_comparison(run_dirs, allow_mixed=False):
             raise ConfigError(f"run output {path} is not valid JSON: {exc}") from exc
         if not (isinstance(doc, dict) and isinstance(doc.get("reports"), list)):
             raise ConfigError(f"run output {path} holds no reports list")
-        docs.append((run_dir, doc))
-    seeds = {rep["seed"] for _, doc in docs for rep in doc["reports"]}
+        config = doc.get("config", {})
+        if not isinstance(config, dict):
+            raise ConfigError(f"run output {path} config must be a JSON object")
+        reports = [_report_row(path, index, rep) for index, rep in enumerate(doc["reports"])]
+        docs.append((run_dir, config.get("solver"), reports))
+    seeds = {rep.seed for _, _, reports in docs for rep in reports}
+    if not seeds:
+        raise ConfigError(f"run outputs in {list(run_dirs)} hold no reports")
     if len(seeds) > 1 and not allow_mixed:
         raise ConfigError(f"run dirs mix dataset seeds {sorted(seeds)}; pass --allow-mixed to combine")
     rows = {}
     sources = {}
     languages = None
-    for run_dir, doc in docs:
-        solver = doc.get("config", {}).get("solver")
-        for rep in doc["reports"]:
-            langs = tuple(rep["languages"])
+    for run_dir, solver, reports in docs:
+        for rep in reports:
             if languages is None:
-                languages = langs
-            elif languages != langs:
-                raise ConfigError(f"language sets differ across runs: {languages} vs {langs}")
-            key = rep["method"]
-            if rep["method"] != MONO_METHOD and rep.get("rank_ratio") is not None:
-                key = f"{rep['method']}(r={rep['rank_ratio']:g})"
-            if float(rep["alpha"]) != 1.0:
-                key = f"{key}@a={rep['alpha']:g}"
+                languages = rep.languages
+            elif languages != rep.languages:
+                raise ConfigError(f"language sets differ across runs: {languages} vs {rep.languages}")
+            key = rep.method
+            if rep.method != MONO_METHOD and rep.rank_ratio is not None:
+                key = f"{rep.method}(r={rep.rank_ratio:g})"
+            if rep.alpha != 1.0:
+                key = f"{key}@a={rep.alpha:g}"
             if len(seeds) > 1:
-                key = f"{key}@seed={rep['seed']}"
-            values = [rep["per_language"][lang]["averaged"] for lang in languages] + [
-                rep["mean"]["averaged"]
-            ]
-            if key in rows and (sources[key][1], rows[key]) != (solver, values):
+                key = f"{key}@seed={rep.seed}"
+            if key in rows and (sources[key][1], rows[key]) != (solver, rep.values):
                 raise ConfigError(
                     f"runs {sources[key][0]} and {run_dir} give different results for "
                     f"report row {key!r}; report them separately"
                 )
-            rows[key] = values
+            rows[key] = rep.values
             sources[key] = (run_dir, solver)
     return languages, dict(sorted(rows.items()))
 

@@ -19,6 +19,14 @@ preserved keys of every layer come from one forward pass, each language's
 requests from their :class:`RequestPrefix`, and in the shared covariance mode
 each layer's system (the same matrix for every language) is factored and
 condition-checked once, then applied to each language's right-hand side.
+
+``edit_model`` builds memit systems in numpy alone: a Cholesky check, one
+explicit inverse per system and its exact 1-norm condition number.  numpy
+and scipy bundle separate OpenBLAS builds whose thread pools stall each other
+when calls alternate, and a memit run otherwise alternates every solve with
+numpy forwards and merges.  ``solve_memit`` keeps scipy's Cholesky solve,
+whose bits fix the fitted backbone, and alphaedit keeps scipy's LU solve,
+whose bits the rank-deficient tsvm merges of its deltas are sensitive to.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ METHODS = (METHOD_MEMIT, METHOD_ALPHAEDIT)
 DEFAULT_LAM_MEMIT = 2.75
 DEFAULT_LAM_ALPHAEDIT = 0.1
 DEFAULT_REL_TOL = 1e-6
-# Ceiling on LAPACK's 1-norm condition estimate of a solve's system
-# (dpocon for memit, dgecon for alphaedit).
+# Ceiling on the 1-norm condition number of a solve's system: exact for
+# edit_model's memit systems, LAPACK's estimate otherwise (dpocon for
+# solve_memit, dgecon for alphaedit).
 DEFAULT_COND_LIMIT = 1e12
 
 
@@ -123,14 +132,18 @@ class DeltaSet:
         return [self.entries[(layer, lang)].delta for lang in self.language_ids]
 
 
-def _check_condition(rcond, cond_limit, system_name):
-    """Raise unless LAPACK's reciprocal 1-norm condition estimate is within the limit."""
-    cond = 1.0 / rcond if rcond > 0 else float("inf")
+def _check_condition(cond, cond_limit, system_name):
+    """Raise unless a system's 1-norm condition number is within the limit."""
     if not cond <= cond_limit:
         raise IllConditionedError(
             f"{system_name} condition estimate {cond:.3e} exceeds limit {cond_limit:.1e}",
             condition_estimate=cond,
         )
+
+
+def _cond_from_rcond(rcond):
+    """Condition number from LAPACK's reciprocal estimate; a zero estimate is infinite."""
+    return 1.0 / rcond if rcond > 0 else float("inf")
 
 
 class _System(NamedTuple):
@@ -162,8 +175,28 @@ def _memit_system(cov_preserved, cov_request, lam, cond_limit):
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
     rcond, _ = scipy.linalg.lapack.dpocon(factor[0], np.linalg.norm(system, 1))
-    _check_condition(rcond, cond_limit, "normal-equation system")
+    _check_condition(_cond_from_rcond(rcond), cond_limit, "normal-equation system")
     return _System(functools.partial(scipy.linalg.cho_solve, factor), None)
+
+
+def _memit_inverse_system(cov_preserved, cov_request, lam, cond_limit):
+    """Explicit inverse of ``lam * cov_preserved + cov_request``, in numpy's LAPACK.
+
+    The system is the one :func:`_memit_system` factors, checked positive
+    definite by a Cholesky factorisation and inverted once, so each
+    right-hand side costs one matmul.  Its condition is the exact 1-norm
+    condition number ``||S||_1 ||S^-1||_1``, never below ``dpocon``'s estimate.
+    """
+    system = lam * cov_preserved + cov_request
+    system = 0.5 * (system + system.T)
+    try:
+        np.linalg.cholesky(system)
+        inverse = np.linalg.inv(system)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
+    cond = np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1)
+    _check_condition(cond, cond_limit, "normal-equation system")
+    return _System(functools.partial(np.matmul, inverse), None)
 
 
 def _alphaedit_system(projector, cov_request, lam, cond_limit):
@@ -178,7 +211,7 @@ def _alphaedit_system(projector, cov_request, lam, cond_limit):
     except ValueError as exc:
         raise IllConditionedError(f"projected system cannot be factored: {exc}") from exc
     rcond, _ = scipy.linalg.lapack.dgecon(factor[0], np.linalg.norm(system_t, 1))
-    _check_condition(rcond, cond_limit, "projected system")
+    _check_condition(_cond_from_rcond(rcond), cond_limit, "projected system")
     return _System(functools.partial(scipy.linalg.lu_solve, factor), proj)
 
 
@@ -359,7 +392,7 @@ def _layer_system(method, preserved_term, cov_request, request_count, lam, cond_
         # The per-sample preserved moment rescaled to the request batch size,
         # so lam weighs preservation against requests independently of how
         # many keys went into either statistic.
-        return _memit_system(preserved_term * request_count, cov_request, lam, cond_limit)
+        return _memit_inverse_system(preserved_term * request_count, cov_request, lam, cond_limit)
     return _alphaedit_system(preserved_term, cov_request, lam, cond_limit)
 
 
@@ -387,7 +420,8 @@ def edit_model(
     on from the requests' prefix.  In the shared covariance mode every
     language's system at a layer is the same matrix, so it is factored and
     condition-checked once per layer; in the per-language mode once per
-    (layer, language).
+    (layer, language).  memit systems are inverted in numpy (see the module
+    docstring), alphaedit systems LU-factored in scipy.
 
     Parameters
     ----------

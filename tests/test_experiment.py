@@ -2,11 +2,13 @@ import json
 import os
 import re
 import shutil
+import tempfile
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +79,34 @@ CONFIG_DOCUMENTS = _mutated(
         | JSON_VALUES,
         "rank_grid": st.lists(JSON_VALUES, max_size=3) | JSON_VALUES,
     },
+)
+
+REPORT_ROW = {
+    "efficacy": 0.0, "generalization": 0.0, "specificity": 1.0, "portability": 0.0, "averaged": 0.25,
+}
+REPORT = {
+    "method": "sum", "cov_mode": "per_language", "alpha": 1.0, "rank_ratio": None, "seed": 5,
+    "languages": ["en", "zh"], "per_language": {"en": REPORT_ROW, "zh": REPORT_ROW}, "mean": REPORT_ROW,
+}
+# metrics.json documents for fuzzing ``lamedit report``: reports with fields
+# replaced, dropped or added at every level, and documents of any shape.
+_REPORTS = st.lists(
+    _mutated(
+        REPORT,
+        nested={
+            "languages": st.lists(st.sampled_from(["en", "zh", "\ud800"]) | JSON_VALUES, max_size=3)
+            | JSON_VALUES,
+            "per_language": _mutated(REPORT["per_language"], nested={"zh": _mutated(REPORT_ROW)})
+            | JSON_VALUES,
+            "mean": _mutated(REPORT_ROW) | JSON_VALUES,
+        },
+    )
+    | JSON_VALUES,
+    max_size=3,
+)
+METRICS_DOCUMENTS = st.one_of(
+    _mutated({"reports": [REPORT], "config": {"solver": {"method": "memit"}}}, nested={"reports": _REPORTS}),
+    JSON_VALUES,
 )
 
 
@@ -305,6 +335,46 @@ class TestComputeDeltaSets:
         for mode in modes:
             for key, dm in fresh[mode].entries.items():
                 assert np.array_equal(delta_sets[mode].entries[key].delta, dm.delta)
+
+
+class ScipyCalled(Exception):
+    pass
+
+
+def _refuse_scipy_linalg(monkeypatch):
+    """Make every scipy.linalg routine the solvers and merges could reach raise."""
+
+    def refuse(*args, **kwargs):
+        raise ScipyCalled
+
+    for name in ("cho_factor", "cho_solve", "lu_factor", "lu_solve", "svd"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    for name in ("dpocon", "dgecon"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, refuse)
+
+
+class TestMemitStaysInNumpy:
+    # numpy and scipy bundle separate OpenBLAS builds whose thread pools stall
+    # each other when calls alternate, so a memit op keeps to numpy's.
+    def test_memit_run_and_sweeps_call_no_scipy_linalg(self, tiny_setup, monkeypatch):
+        config_path, bench_dir, _ = tiny_setup
+        config = experiment.load_config(config_path)
+        dataset, model, _ = experiment.load_benchmark(bench_dir, config)
+        _refuse_scipy_linalg(monkeypatch)
+        # Delta sets in both cov modes, all six merges, evaluation and mono.
+        assert len(experiment.run_experiment(config, dataset, model)) == len(config.merges) + 1
+        for axis in ("alpha", "rank"):
+            experiment.sweep(config, dataset, model, axis)
+
+    def test_alphaedit_still_solves_in_scipy(self, small_bench, monkeypatch):
+        # The guard bites: alphaedit's LU path goes through the refused routines.
+        dataset, model = small_bench
+        _refuse_scipy_linalg(monkeypatch)
+        with pytest.raises(ScipyCalled):
+            solvers.edit_model(
+                model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
+                method="alphaedit", rel_tol=0.02,
+            )
 
 
 class TestGenerateCommand:
@@ -707,3 +777,52 @@ class TestReportCommand:
         rows = {"a": [0.2, 0.5], "b": [0.4, 0.3]}
         text = experiment.comparison_markdown_text(("en",), rows)
         assert "**0.4000**" in text and "**0.5000**" in text
+
+    @pytest.mark.parametrize(
+        "reports, named",
+        [
+            ([{}], "report 0 lacks fields ['method', 'seed', 'languages', 'alpha', 'per_language', 'mean']"),
+            ([1], "report 0 must be a JSON object, got 1"),
+            (
+                [REPORT, dict(REPORT, per_language={"en": REPORT_ROW})],
+                "report 1 per_language lacks language 'zh'",
+            ),
+            ([dict(REPORT, seed="5")], "report 0 seed must be an integer"),
+            ([dict(REPORT, method="\ud800")], "report 0 method must be a string"),
+            ([dict(REPORT, mean={"averaged": [0.25]})], "report 0 mean.averaged must be a number"),
+            ([], "hold no reports"),
+        ],
+        ids=[
+            "empty-report", "not-an-object", "missing-language", "seed-string", "lone-surrogate",
+            "mean-list", "no-reports",
+        ],
+    )
+    def test_malformed_report_exit_2(self, tmp_path, capsys, reports, named):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.json").write_text(json.dumps({"reports": reports}))
+        assert cli.main(["report", str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and str(run_dir) in err
+
+
+class TestCliFuzz:
+    # Malformed inputs must end in a documented exit code, never a traceback.
+    @settings(max_examples=40, deadline=None)
+    @given(doc=METRICS_DOCUMENTS)
+    def test_report_on_fuzzed_metrics_json(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "metrics.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert cli.main(["report", tmp, "--out", os.path.join(tmp, "rep")]) in (0, 2, 3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(doc=CONFIG_DOCUMENTS)
+    def test_run_on_fuzzed_config(self, tiny_setup, doc):
+        _, bench_dir, _ = tiny_setup
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = os.path.join(tmp, "config.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            code = cli.main(["run", config_path, "--dataset", bench_dir, "--out", os.path.join(tmp, "run")])
+            assert code in (0, 2, 3)

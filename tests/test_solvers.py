@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,9 +12,11 @@ from lamedit.merging import merge_sum, apply_update
 from lamedit.metrics import evaluate, run_mono
 from lamedit.model import keys_and_targets
 from lamedit.solvers import (
+    DEFAULT_COND_LIMIT,
     DEFAULT_LAM_ALPHAEDIT,
     DEFAULT_LAM_MEMIT,
     LanguageRequests,
+    _memit_inverse_system,
     edit_model,
     nullspace_projector,
     preserved_terms,
@@ -300,6 +304,71 @@ class TestEditModel:
         for (layer, lang), dm in delta_set.entries.items():
             assert np.allclose(dm.delta, 0.0, atol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(2, 16),
+        d_frac=st.floats(0.0, 1.0),
+        n_layers=st.integers(2, 4),
+        m=st.integers(1, 3),
+        n=st.integers(1, 6),
+        lam=st.floats(0.1, 30.0),
+        cov_mode=st.sampled_from([PER_LANGUAGE, SHARED]),
+    )
+    def test_memit_deltas_match_solve_memit(self, seed, h, d_frac, n_layers, m, n, lam, cov_mode):
+        # edit_model inverts each memit system in numpy; every delta must be
+        # solve_memit's Cholesky solve of the same system on that language's
+        # working copy.  Preserved terms of the form I + B B^T / h keep each
+        # system's condition number in the hundreds.
+        rng = np.random.default_rng(seed)
+        d = 2 + int(d_frac * (h - 2))
+        edit_layers = tuple(range(2, n_layers + 1))
+        model = random_model(rng, d=d, h=h, n_layers=n_layers, vocab=12, edit_layers=edit_layers)
+        requests = [
+            LanguageRequests(lang, rng.standard_normal((d, n)), rng.integers(0, 12, n)) for lang in range(m)
+        ]
+        preserved = {}
+        for layer in edit_layers:
+            b = rng.standard_normal((h, h))
+            preserved[layer] = np.eye(h) + b @ b.T / h
+        delta_set = edit_model(model, requests, None, cov_mode=cov_mode, lam=lam, preserved=preserved)
+        working = {req.language_id: model for req in requests}
+        for layer in edit_layers:
+            batches = {
+                req.language_id: keys_and_targets(working[req.language_id], req.inputs, req.new_tokens, layer)
+                for req in requests
+            }
+            shared = sum(keys @ keys.T for keys, _ in batches.values())
+            for lang, (keys, targets) in batches.items():
+                cov_request, count = (shared, m * n) if cov_mode == SHARED else (keys @ keys.T, n)
+                w_out = working[lang].layer(layer).w_out
+                expected = solve_memit(
+                    w_out, keys, targets, preserved[layer] * count, 0.5 * (cov_request + cov_request.T), lam
+                ).delta
+                got = delta_set.delta(layer, lang).delta
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+                working[lang] = working[lang].with_w_out(layer, w_out + got)
+
+    @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+    def test_memit_cond_limit_raises(self, small_bench, cov_mode):
+        dataset, model = small_bench
+        with pytest.raises(IllConditionedError) as err:
+            edit_model(
+                model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
+                cov_mode=cov_mode, cond_limit=1.0,
+            )
+        assert err.value.condition_estimate > 1.0
+
+    @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+    def test_memit_indefinite_system_raises(self, small_bench, cov_mode):
+        # A negative definite preserved term outweighs the request moment.
+        dataset, model = small_bench
+        negative = {layer: -np.eye(model.h) for layer in model.edit_layers}
+        with pytest.raises(IllConditionedError, match="not positive definite"):
+            edit_model(
+                model, dataset.all_language_requests(), None, cov_mode=cov_mode, preserved=negative
+            )
+
     def test_mono_equals_m1_merge_pipeline(self, small_bench):
         # Mono reads each language's deltas out of the all-language
         # per-language delta set; that must equal a fresh single-language
@@ -390,26 +459,32 @@ class TestEditModel:
 
 
 class TestLayerFactorisation:
-    @pytest.mark.parametrize("method, factor", [("memit", "cho_factor"), ("alphaedit", "lu_factor")])
+    @pytest.mark.parametrize(
+        "method, library, routines",
+        [("memit", np.linalg, ("cholesky", "inv")), ("alphaedit", scipy.linalg, ("lu_factor",))],
+        ids=["memit-cholesky", "alphaedit-lu_factor"],
+    )
     @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
     def test_one_factor_per_layer_shared_per_language_otherwise(
-        self, small_bench, monkeypatch, method, factor, cov_mode
+        self, small_bench, monkeypatch, method, library, routines, cov_mode
     ):
+        # memit checks and inverts each system in numpy; alphaedit LU-factors it in scipy.
         dataset, model = small_bench
-        calls = []
-        original = getattr(scipy.linalg, factor)
+        calls = Counter()
+        for name in routines:
+            original = getattr(library, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, factor, counted)
+            monkeypatch.setattr(library, name, counted)
         edit_model(
             model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
             method=method, cov_mode=cov_mode, rel_tol=0.02,
         )
         per_layer = 1 if cov_mode == SHARED else dataset.m_languages
-        assert len(calls) == len(model.edit_layers) * per_layer
+        assert calls == {name: len(model.edit_layers) * per_layer for name in routines}
 
     @pytest.mark.parametrize("method", ["memit", "alphaedit"])
     def test_shared_factor_gives_each_languages_own_solve(self, small_bench, method):
@@ -428,11 +503,17 @@ class TestLayerFactorisation:
         w_out = model.layer(first).w_out
         for req, (keys, targets) in zip(requests, batches):
             if method == "memit":
+                # The editor's own per-language memit builder, given the shared system.
                 count = sum(r.inputs.shape[1] for r in requests)
-                own = solve_memit(w_out, keys, targets, preserved[first] * count, shared, DEFAULT_LAM_MEMIT)
+                system = _memit_inverse_system(
+                    preserved[first] * count, shared, DEFAULT_LAM_MEMIT, DEFAULT_COND_LIMIT
+                )
+                own = system.delta(w_out, keys, targets)
             else:
-                own = solve_alphaedit(w_out, keys, targets, preserved[first], shared, DEFAULT_LAM_ALPHAEDIT)
-            assert np.array_equal(delta_set.delta(first, req.language_id).delta, own.delta)
+                own = solve_alphaedit(
+                    w_out, keys, targets, preserved[first], shared, DEFAULT_LAM_ALPHAEDIT
+                ).delta
+            assert np.array_equal(delta_set.delta(first, req.language_id).delta, own)
 
     def test_request_prefix_of_another_model_rejected(self, small_bench):
         dataset, model = small_bench
