@@ -78,28 +78,51 @@ def save_arrays(path, arrays, meta=None):
             fh.write(raw)
 
 
+def _well_formed(entry):
+    """Whether a header's array entry has every field, of the right type."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("dtype"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(n) is int and n >= 0 for n in entry["shape"])
+        and all(type(entry.get(k)) is int for k in ("offset", "nbytes"))
+    )
+
+
 def load_arrays(path):
     """Read a container written by :func:`save_arrays`.
 
     Returns ``(arrays, meta)`` with arrays keyed by name.  A file that is not
     a well-formed container, a truncated one included, raises
-    :class:`ContainerError` before any array is read.
+    :class:`ContainerError` before any array is read, and so does a path that
+    cannot be read (missing, a directory, no permission).
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ContainerError(f"{path}: not a matrix container (bad magic {magic!r})")
-        raw_len = fh.read(8)
-        header_bytes = fh.read(struct.unpack("<Q", raw_len)[0]) if len(raw_len) == 8 else b""
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ContainerError(f"{path}: truncated or unreadable container header") from exc
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ContainerError(f"{path}: unsupported container version {header.get('format_version')}")
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ContainerError(f"{path}: cannot read container: {exc.strerror or exc}") from exc
+    if raw[:8] != MAGIC:
+        raise ContainerError(f"{path}: not a matrix container (bad magic {raw[:8]!r})")
+    header_len = struct.unpack("<Q", raw[8:16])[0] if len(raw) >= 16 else 0
+    try:
+        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerError(f"{path}: truncated or unreadable container header") from exc
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: container header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ContainerError(f"{path}: unsupported container version {header.get('format_version')}")
+    entries = header.get("arrays")
+    if not isinstance(entries, list) or not all(_well_formed(entry) for entry in entries):
+        raise ContainerError(f"{path}: malformed array list in container header")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path}: container meta is not a JSON object")
+    data = memoryview(raw)[16 + header_len :]
     arrays = {}
-    for entry in header["arrays"]:
+    for entry in entries:
         name = entry["name"]
         dtype = _DTYPES.get(entry["dtype"])
         if dtype is None:
@@ -117,7 +140,7 @@ def load_arrays(path):
             )
         arr = np.frombuffer(data[start : start + nbytes], dtype=dtype)
         arrays[name] = arr.reshape(entry["shape"]).copy()
-    return arrays, header.get("meta", {})
+    return arrays, meta
 
 
 @contextlib.contextmanager

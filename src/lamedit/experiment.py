@@ -225,7 +225,7 @@ def config_to_dict(config):
 
 def write_benchmark(config, out_dir, force=False):
     """Generate the dataset, fit the backbone, and write both to ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     if os.path.exists(manifest_path) and not force:
         raise ConfigError(f"{out_dir} already holds a benchmark; pass --force to overwrite")
@@ -272,7 +272,9 @@ def load_benchmark(bench_dir, config=None):
     """Dataset, model and manifest of a benchmark directory.
 
     With ``config``, its dataset section must match the benchmark's
-    (:func:`check_benchmark_dataset`).
+    (:func:`check_benchmark_dataset`).  The model must have the dataset
+    config's shape; unreadable files and a misfit model raise
+    :class:`~lamedit.errors.ContainerError` or :class:`ConfigError`.
     """
     manifest_path = os.path.join(bench_dir, MANIFEST_FILE)
     try:
@@ -288,8 +290,28 @@ def load_benchmark(bench_dir, config=None):
     if config is not None:
         check_benchmark_dataset(config, manifest)
     dataset = container.load_dataset(os.path.join(bench_dir, files["dataset"]))
-    model = container.load_model(os.path.join(bench_dir, files["model"]))
+    model_path = os.path.join(bench_dir, files["model"])
+    model = container.load_model(model_path)
+    _check_model_fits_dataset(model, dataset.config, model_path)
     return dataset, model, manifest
+
+
+def _check_model_fits_dataset(model, gen_config, model_path):
+    """Raise ConfigError unless the model has the dataset config's shape.
+
+    A backbone fitted for another benchmark would otherwise fail deep in the
+    pipeline, or edit layers the dataset does not name.
+    """
+    shapes = (
+        ("d", model.d, gen_config.d),
+        ("h", model.h, gen_config.h),
+        ("n_layers", model.n_layers, gen_config.n_layers),
+        ("edit_layers", tuple(model.edit_layers), tuple(gen_config.edit_layers)),
+        ("vocab_size", model.vocab_size, gen_config.vocab_size),
+    )
+    for name, ours, theirs in shapes:
+        if ours != theirs:
+            raise ConfigError(f"{model_path}: model has {name}={ours!r}, the benchmark's dataset {theirs!r}")
 
 
 # --- pipeline ---
@@ -470,9 +492,20 @@ def _fmt_float(value):
     return repr(float(value))
 
 
+def _make_out_dir(out_dir):
+    """Create an output directory; a path that cannot be one raises ConfigError."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
+
+
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path, doc):
@@ -504,7 +537,7 @@ def metrics_csv_text(reports):
 
 
 def write_run_outputs(out_dir, config, reports, manifest):
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     _write_text(os.path.join(out_dir, "metrics.csv"), metrics_csv_text(reports))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -542,7 +575,7 @@ def sweep_csv_text(results, point_reports):
 
 
 def write_sweep_outputs(out_dir, config, axis, results, point_reports):
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     base = f"sweep_{axis}"
     _write_text(os.path.join(out_dir, base + ".csv"), sweep_csv_text(results, point_reports))
     doc = {
@@ -724,6 +757,6 @@ def comparison_markdown_text(languages, rows):
 
 
 def write_comparison(out_dir, languages, rows):
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     _write_text(os.path.join(out_dir, "report.csv"), comparison_csv_text(languages, rows))
     _write_text(os.path.join(out_dir, "report.md"), comparison_markdown_text(languages, rows))

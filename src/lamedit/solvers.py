@@ -20,13 +20,24 @@ requests from their :class:`RequestPrefix`, and in the shared covariance mode
 each layer's system (the same matrix for every language) is factored and
 condition-checked once, then applied to each language's right-hand side.
 
-``edit_model`` builds memit systems in numpy alone: a Cholesky check, one
-explicit inverse per system and its exact 1-norm condition number.  numpy
-and scipy bundle separate OpenBLAS builds whose thread pools stall each other
-when calls alternate, and a memit run otherwise alternates every solve with
-numpy forwards and merges.  ``solve_memit`` keeps scipy's Cholesky solve,
-whose bits fix the fitted backbone, and alphaedit keeps scipy's LU solve,
-whose bits the rank-deficient tsvm merges of its deltas are sensitive to.
+numpy and scipy bundle separate OpenBLAS builds whose thread pools stall each
+other when calls alternate, so ``edit_model`` runs each edit layer in three
+phases, with one switch into the solving library and one back:
+
+1. numpy forms every distinct system at the layer with its 1-norm, and each
+   language's right-hand side;
+2. the method's library factors, condition-checks and solves them all back
+   to back;
+3. numpy stamps the :class:`DeltaMatrix` entries and updates the working
+   copies.
+
+memit systems stay in numpy throughout: a Cholesky check, one explicit
+inverse per system, its exact 1-norm condition number and a matmul per
+right-hand side.  alphaedit systems go through scipy's LU factor, ``dgecon``
+and LU solve, whose bits the rank-deficient tsvm merges of its deltas are
+sensitive to.  ``solve_memit`` keeps scipy's Cholesky solve, whose bits fix
+the fitted backbone.  Both ``solve_*`` functions build their system and
+right-hand side with the same helpers as ``edit_model``.
 """
 
 from __future__ import annotations
@@ -34,7 +45,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -146,63 +156,57 @@ def _cond_from_rcond(rcond):
     return 1.0 / rcond if rcond > 0 else float("inf")
 
 
-class _System(NamedTuple):
-    """One solve's system, factored and condition-checked.
-
-    ``solve`` applies the inverse system to an (h, d) right-hand side; the
-    right-hand side carries ``projector`` (alphaedit) or nothing (memit).
-    """
-
-    solve: Callable
-    projector: np.ndarray | None
-
-    def delta(self, w_out, keys, targets):
-        """The layer perturbation (d, h) mapping ``keys`` onto ``targets``."""
-        residual = targets - w_out @ keys
-        if self.projector is None:
-            rhs = keys @ residual.T  # (h, d)
-        else:
-            rhs = self.projector @ keys @ residual.T
-        return self.solve(rhs).T
+def _rhs(projector, w_out, keys, targets):
+    """One solve's (h, d) right-hand side; alphaedit's carries ``projector``, memit's none."""
+    residual = targets - w_out @ keys
+    if projector is None:
+        return keys @ residual.T
+    return projector @ keys @ residual.T
 
 
-def _memit_system(cov_preserved, cov_request, lam, cond_limit):
-    """Cholesky factor of ``lam * cov_preserved + cov_request``."""
+def _memit_matrix(cov_preserved, cov_request, lam):
+    """The symmetrised system ``lam * cov_preserved + cov_request`` and its 1-norm."""
     system = lam * cov_preserved + cov_request
     system = 0.5 * (system + system.T)
+    return system, np.linalg.norm(system, 1)
+
+
+def _memit_cholesky(system, norm, cond_limit):
+    """Solver of a memit system through scipy's Cholesky factor, checked by ``dpocon``."""
     try:
         factor = scipy.linalg.cho_factor(system)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
-    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], np.linalg.norm(system, 1))
+    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], norm)
     _check_condition(_cond_from_rcond(rcond), cond_limit, "normal-equation system")
-    return _System(functools.partial(scipy.linalg.cho_solve, factor), None)
+    return functools.partial(scipy.linalg.cho_solve, factor)
 
 
-def _memit_inverse_system(cov_preserved, cov_request, lam, cond_limit):
-    """Explicit inverse of ``lam * cov_preserved + cov_request``, in numpy's LAPACK.
+def _memit_inverse(system, norm, cond_limit):
+    """Solver of a memit system through its explicit inverse, in numpy's LAPACK.
 
-    The system is the one :func:`_memit_system` factors, checked positive
-    definite by a Cholesky factorisation and inverted once, so each
-    right-hand side costs one matmul.  Its condition is the exact 1-norm
-    condition number ``||S||_1 ||S^-1||_1``, never below ``dpocon``'s estimate.
+    A Cholesky factorisation checks the system positive definite and the
+    inverse is formed once, so each right-hand side costs one matmul.  Its
+    condition is the exact 1-norm condition number ``||S||_1 ||S^-1||_1``,
+    never below ``dpocon``'s estimate.
     """
-    system = lam * cov_preserved + cov_request
-    system = 0.5 * (system + system.T)
     try:
         np.linalg.cholesky(system)
         inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
-    cond = np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1)
-    _check_condition(cond, cond_limit, "normal-equation system")
-    return _System(functools.partial(np.matmul, inverse), None)
+    _check_condition(norm * np.linalg.norm(inverse, 1), cond_limit, "normal-equation system")
+    return functools.partial(np.matmul, inverse)
 
 
-def _alphaedit_system(projector, cov_request, lam, cond_limit):
-    """LU factor of the transposed projected system ``(lam * I + cov_request @ P).T``."""
-    proj = projector.projector
-    system_t = (lam * np.eye(proj.shape[0]) + cov_request @ proj).T
+def _alphaedit_matrix(projector, cov_request, lam):
+    """The transposed projected system ``(lam * I + cov_request @ P).T`` and its 1-norm."""
+    system_t = (lam * np.eye(projector.shape[0]) + cov_request @ projector).T
+    return system_t, np.linalg.norm(system_t, 1)
+
+
+def _alphaedit_lu(system_t, norm, cond_limit):
+    """Solver of a projected system through scipy's LU factor, checked by ``dgecon``."""
     try:
         with warnings.catch_warnings():
             # An exactly singular factor shows up below as a zero rcond.
@@ -210,9 +214,9 @@ def _alphaedit_system(projector, cov_request, lam, cond_limit):
             factor = scipy.linalg.lu_factor(system_t)
     except ValueError as exc:
         raise IllConditionedError(f"projected system cannot be factored: {exc}") from exc
-    rcond, _ = scipy.linalg.lapack.dgecon(factor[0], np.linalg.norm(system_t, 1))
+    rcond, _ = scipy.linalg.lapack.dgecon(factor[0], norm)
     _check_condition(_cond_from_rcond(rcond), cond_limit, "projected system")
-    return _System(functools.partial(scipy.linalg.lu_solve, factor), proj)
+    return functools.partial(scipy.linalg.lu_solve, factor)
 
 
 def _check_solve_shapes(w_out, keys, targets, lam):
@@ -261,11 +265,11 @@ def solve_memit(w_out, keys, targets, cov_preserved, cov_request, lam, cond_limi
     cov_request = np.asarray(cov_request, dtype=float)
     if cov_preserved.shape != (h, h) or cov_request.shape != (h, h):
         raise ShapeError("covariance matrices must be (h, h)")
-    system = _memit_system(cov_preserved, cov_request, lam, cond_limit)
+    solve = _memit_cholesky(*_memit_matrix(cov_preserved, cov_request, lam), cond_limit)
     return DeltaMatrix(
         layer=-1,
         language_id=-1,
-        delta=system.delta(w_out, keys, targets),
+        delta=solve(_rhs(None, w_out, keys, targets)).T,
         method=METHOD_MEMIT,
         cov_mode=PER_LANGUAGE,
     )
@@ -316,11 +320,12 @@ def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limi
     cov_request = np.asarray(cov_request, dtype=float)
     if cov_request.shape != (h, h):
         raise ShapeError("cov_request must be (h, h)")
-    system = _alphaedit_system(projector, cov_request, lam, cond_limit)
+    proj = projector.projector
+    solve = _alphaedit_lu(*_alphaedit_matrix(proj, cov_request, lam), cond_limit)
     return DeltaMatrix(
         layer=-1,
         language_id=-1,
-        delta=system.delta(w_out, keys, targets),
+        delta=solve(_rhs(proj, w_out, keys, targets)).T,
         method=METHOD_ALPHAEDIT,
         cov_mode=PER_LANGUAGE,
     )
@@ -386,14 +391,14 @@ def request_prefix(model, requests):
     return RequestPrefix(requests=requests, prefix=prefix, targets=targets)
 
 
-def _layer_system(method, preserved_term, cov_request, request_count, lam, cond_limit):
-    """The factored system of one solve at one layer."""
+def _layer_matrix(method, preserved_term, cov_request, request_count, lam):
+    """The system of one solve at one layer and its 1-norm, before factoring."""
     if method == METHOD_MEMIT:
         # The per-sample preserved moment rescaled to the request batch size,
         # so lam weighs preservation against requests independently of how
         # many keys went into either statistic.
-        return _memit_inverse_system(preserved_term * request_count, cov_request, lam, cond_limit)
-    return _alphaedit_system(preserved_term, cov_request, lam, cond_limit)
+        return _memit_matrix(preserved_term * request_count, cov_request, lam)
+    return _alphaedit_matrix(preserved_term.projector, cov_request, lam)
 
 
 def edit_model(
@@ -420,8 +425,10 @@ def edit_model(
     on from the requests' prefix.  In the shared covariance mode every
     language's system at a layer is the same matrix, so it is factored and
     condition-checked once per layer; in the per-language mode once per
-    (layer, language).  memit systems are inverted in numpy (see the module
-    docstring), alphaedit systems LU-factored in scipy.
+    (layer, language).  Each layer runs in three phases (see the module
+    docstring): numpy forms the systems and right-hand sides, the method's
+    library factors, checks and solves them back to back, and numpy stamps
+    the deltas and updates the working copies.
 
     Parameters
     ----------
@@ -474,43 +481,49 @@ def edit_model(
             model, preserved_inputs, method, rel_tol, preserved_ids=preserved_ids, request_ids=request_ids
         )
 
+    factor = _memit_inverse if method == METHOD_MEMIT else _alphaedit_lu
     entries = {}
     working = {lang: model for lang in language_ids}
     for layer in model.edit_layers:
+        term = preserved[layer]
+        projector = term.projector if method == METHOD_ALPHAEDIT else None
+        # Phase 1, numpy: each language's keys and right-hand side, then every
+        # distinct system at this layer with its 1-norm and the indices of the
+        # right-hand sides it solves.
         key_batches = []
-        targets = []
+        rhs = []
         for prep in prepared:
+            copy = working[prep.language_id]
             if layer == prep.prefix.layer:
-                keys, target = prep.prefix.key, prep.targets
+                keys, targets = prep.prefix.key, prep.targets
             else:
-                keys, target = model_core.keys_and_targets(
-                    working[prep.language_id], prep.prefix, prep.requests.new_tokens, layer
-                )
-            key_batches.append(cov_mod.KeyBatch(language_id=prep.language_id, layer=layer, keys=keys))
-            targets.append(target)
-        shared = None
+                keys, targets = model_core.keys_and_targets(copy, prep.prefix, prep.requests.new_tokens, layer)
+            kb = cov_mod.KeyBatch(language_id=prep.language_id, layer=layer, keys=keys)
+            key_batches.append(kb)
+            rhs.append(_rhs(projector, copy.layer(layer).w_out, kb.keys, targets))
         if cov_mode == SHARED:
-            shared = _layer_system(
-                method,
-                preserved[layer],
-                cov_mod.cov_shared(key_batches).cov,
-                sum(kb.n for kb in key_batches),
-                lam,
-                cond_limit,
-            )
-
-        for kb, target in zip(key_batches, targets):
+            count = sum(kb.n for kb in key_batches)
+            shared = cov_mod.cov_shared(key_batches).cov
+            systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
+        else:
+            systems = [
+                (*_layer_matrix(method, term, cov_mod.cov_per_language(kb).cov, kb.n, lam), [i])
+                for i, kb in enumerate(key_batches)
+            ]
+        # Phase 2, the method's library: factor and check each system and
+        # solve its right-hand sides, all back to back, one factor at a time.
+        deltas = [None] * len(rhs)
+        for matrix, norm, users in systems:
+            solve = factor(matrix, norm, cond_limit)
+            for i in users:
+                deltas[i] = solve(rhs[i]).T
+        # Phase 3, numpy: stamp the entries and move each working copy on.
+        for kb, delta in zip(key_batches, deltas):
             lang = kb.language_id
-            system = shared
-            if system is None:
-                cov_request = cov_mod.cov_per_language(kb).cov
-                system = _layer_system(method, preserved[layer], cov_request, kb.n, lam, cond_limit)
+            entry = DeltaMatrix(layer=layer, language_id=lang, delta=delta, method=method, cov_mode=cov_mode)
+            entries[(layer, lang)] = entry
             w_out = working[lang].layer(layer).w_out
-            delta = system.delta(w_out, kb.keys, target)
-            entries[(layer, lang)] = DeltaMatrix(
-                layer=layer, language_id=lang, delta=delta, method=method, cov_mode=cov_mode
-            )
-            working[lang] = working[lang].with_w_out(layer, w_out + entries[(layer, lang)].delta)
+            working[lang] = working[lang].with_w_out(layer, w_out + entry.delta)
 
     return DeltaSet(
         method=method,

@@ -322,6 +322,9 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
     equations against the old-token targets; sweeps repeat until recall
     clears the floor.  Raises :class:`FitError` with per-pass diagnostics if
     the floor is never reached.
+
+    Returns ``(model, (request_recall, preserved_recall))``: the recall is
+    that of the last pass, computed once on the returned model.
     """
     rng = np.random.default_rng([cfg.seed, STREAM_MODEL])
     layers = []
@@ -339,6 +342,7 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
     inputs, tokens = _all_fact_inputs(dataset)
     identity = np.eye(cfg.h)
     history = []
+    recall = None
     for pass_idx in range(max_passes):
         for layer in cfg.edit_layers:
             keys, targets = model_core.keys_and_targets(model, inputs, tokens, layer)
@@ -349,17 +353,19 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
                 model.layer(layer).w_out, kb.keys, targets, identity, cov_request, ridge
             )
             model = model.with_w_out(layer, model.layer(layer).w_out + dm.delta)
-        req_recall, pres_recall = _recall_stats(model, dataset)
-        history.append({"pass": pass_idx + 1, "request_recall": req_recall, "preserved_recall": pres_recall})
-        if min(req_recall, pres_recall) >= FIT_STOP_AT:
+        recall = _recall_stats(model, dataset)
+        history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
+        if min(recall) >= FIT_STOP_AT:
             break
-    req_recall, pres_recall = _recall_stats(model, dataset)
-    if min(req_recall, pres_recall) < floor:
+    if recall is None:
+        recall = _recall_stats(model, dataset)
+    req_recall, pres_recall = recall
+    if min(recall) < floor:
         raise FitError(
-            f"fit recall {min(req_recall, pres_recall):.4f} below floor {floor}",
+            f"fit recall {min(recall):.4f} below floor {floor}",
             diagnostics={"history": history, "request_recall": req_recall, "preserved_recall": pres_recall},
         )
-    return model
+    return model, recall
 
 
 def build_benchmark(cfg, retries=3, floor=FIT_FLOOR):
@@ -375,11 +381,10 @@ def build_benchmark(cfg, retries=3, floor=FIT_FLOOR):
         attempt_cfg = cfg if attempt == 0 else replace(cfg, seed=_derived_seed(cfg.seed, attempt))
         dataset = generate_dataset(attempt_cfg)
         try:
-            model = fit_initial_model(attempt_cfg, dataset, floor=floor)
+            model, (req_recall, pres_recall) = fit_initial_model(attempt_cfg, dataset, floor=floor)
         except FitError as exc:
             failures.append({"attempt": attempt, "diagnostics": exc.diagnostics})
             continue
-        req_recall, pres_recall = _recall_stats(model, dataset)
         info = {
             "attempt": attempt,
             "seed": attempt_cfg.seed,

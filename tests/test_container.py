@@ -62,6 +62,46 @@ class TestArrays:
         with pytest.raises(ContainerError):
             container.load_arrays(path)
 
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, make):
+        path = tmp_path / "model.lam"
+        if make == "directory":
+            path.mkdir()
+        with pytest.raises(ContainerError, match="cannot read container") as err:
+            container.load_model(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ([1], "not a JSON object"),
+            ({"format_version": 1}, "malformed array list"),
+            ({"format_version": 1, "arrays": [1]}, "malformed array list"),
+            ({"format_version": 1, "arrays": [{"name": "a"}]}, "malformed array list"),
+            (
+                {
+                    "format_version": 1,
+                    "arrays": [{"name": "a", "dtype": "<f8", "shape": "x", "offset": 0, "nbytes": 8}],
+                },
+                "malformed array list",
+            ),
+            ({"format_version": 1, "arrays": [], "meta": []}, "meta is not a JSON object"),
+        ],
+        ids=["list", "no-arrays", "int-entry", "no-dtype", "string-shape", "list-meta"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, named):
+        path = tmp_path / "x.lam"
+        raw = json.dumps(header).encode()
+        path.write_bytes(container.MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(8))
+        with pytest.raises(ContainerError, match=named):
+            container.load_arrays(path)
+
+    def test_header_length_past_the_file_rejected(self, tmp_path):
+        path = tmp_path / "x.lam"
+        path.write_bytes(container.MAGIC + struct.pack("<Q", 2**64 - 1) + b'{"format_version": 1')
+        with pytest.raises(ContainerError, match="truncated"):
+            container.load_arrays(path)
+
     def test_nbytes_must_match_shape(self, tmp_path):
         # An entry whose byte count disagrees with its shape is refused even
         # when the bytes are present.

@@ -125,6 +125,32 @@ def tiny_setup(tmp_path_factory):
     return config_path, bench_dir, tmp
 
 
+@pytest.fixture(scope="module")
+def other_shape_bench(tmp_path_factory):
+    """A benchmark whose dataset and model have d=10 where the tiny one has d=8."""
+    tmp = tmp_path_factory.mktemp("other")
+    doc = dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], d=10))
+    bench_dir = str(tmp / "bench")
+    assert cli.main(["generate", write_config(tmp, doc), "--out", bench_dir]) == 0
+    return bench_dir
+
+
+COMMANDS = [["run"], ["sweep", "--axis", "alpha"], ["sweep", "--axis", "rank"]]
+
+
+def _damaged_copy(bench_dir, dest, files=None):
+    """A copy of a benchmark directory, its manifest naming ``files`` where given."""
+    shutil.copytree(bench_dir, dest)
+    if files:
+        manifest_path = os.path.join(dest, experiment.MANIFEST_FILE)
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["files"].update(files)
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+    return str(dest)
+
+
 class TestConfig:
     def test_defaults_fill_in(self):
         cfg = experiment.config_from_dict({"seed": 3})
@@ -477,6 +503,54 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "truncated" in err
 
+    @pytest.mark.parametrize("command", COMMANDS[:2], ids=["run", "sweep"])
+    @pytest.mark.parametrize("role", ["dataset", "model"])
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_unreadable_lam_path_exit_2(self, tiny_setup, tmp_path, capsys, command, role, make):
+        config_path, bench_dir, _ = tiny_setup
+        bench = _damaged_copy(bench_dir, tmp_path / "bench", {role: "elsewhere"})
+        if make == "directory":
+            os.mkdir(os.path.join(bench, "elsewhere"))
+        out = tmp_path / "o"
+        code = cli.main([command[0], config_path, "--dataset", bench, "--out", str(out), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and os.path.join(bench, "elsewhere") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS[:2], ids=["run", "sweep"])
+    def test_model_of_another_shape_exit_2(self, tiny_setup, other_shape_bench, tmp_path, capsys, command):
+        # A d=10 backbone in a d=8 benchmark must be refused at load, naming the model file.
+        config_path, bench_dir, _ = tiny_setup
+        bench = _damaged_copy(bench_dir, tmp_path / "bench")
+        model_path = os.path.join(bench, experiment.MODEL_FILE)
+        shutil.copyfile(os.path.join(other_shape_bench, experiment.MODEL_FILE), model_path)
+        out = tmp_path / "o"
+        code = cli.main([command[0], config_path, "--dataset", bench, "--out", str(out), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and model_path in err and "d=10" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "{config}"], ["run", "{config}", "--dataset", "{bench}"], COMMANDS[1]],
+        ids=["generate", "run", "sweep"],
+    )
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_path_that_cannot_be_a_directory_exit_2(self, tiny_setup, tmp_path, capsys, argv, under):
+        config_path, bench_dir, _ = tiny_setup
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = str(blocker / "sub") if under else str(blocker)
+        if argv[0] == "sweep":
+            argv = ["sweep", "{config}", "--dataset", "{bench}", *argv[1:]]
+        argv = [a.format(config=config_path, bench=bench_dir) for a in argv]
+        assert cli.main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and out in err
+        assert blocker.read_text() == "not a directory"
+
     @pytest.mark.parametrize(
         "file_name, array, meta_key",
         [
@@ -825,4 +899,60 @@ class TestCliFuzz:
             with open(config_path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             code = cli.main(["run", config_path, "--dataset", bench_dir, "--out", os.path.join(tmp, "run")])
+            assert code in (0, 2, 3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(doc=CONFIG_DOCUMENTS, axis=st.sampled_from(["alpha", "rank"]))
+    def test_sweep_on_fuzzed_config(self, tiny_setup, doc, axis):
+        _, bench_dir, _ = tiny_setup
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = os.path.join(tmp, "config.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out = os.path.join(tmp, "sweep")
+            code = cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", out, "--axis", axis])
+            assert code in (0, 2, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        command=st.sampled_from(COMMANDS),
+        damage=st.sampled_from(["name", "swap", "truncate", "other-shape"]),
+        role=st.sampled_from(["dataset", "model"]),
+        name=st.sampled_from(
+            ["absent.lam", "subdir", "", experiment.DATASET_FILE, experiment.MODEL_FILE, experiment.MANIFEST_FILE]
+        ),
+        keep=st.floats(0.0, 1.0),
+        out=st.sampled_from(["fresh", "file", "under-file"]),
+    )
+    def test_commands_on_damaged_benchmark(
+        self, tiny_setup, other_shape_bench, command, damage, role, name, keep, out
+    ):
+        # Manifest entries naming missing files, directories or the wrong
+        # file; the two .lam files swapped; one truncated; one taken from a
+        # benchmark of another shape; an output path that cannot be a directory.
+        config_path, bench_dir, _ = tiny_setup
+        with tempfile.TemporaryDirectory() as tmp:
+            bench = _damaged_copy(bench_dir, os.path.join(tmp, "bench"), {role: name} if damage == "name" else None)
+            os.mkdir(os.path.join(bench, "subdir"))
+            files = {"dataset": experiment.DATASET_FILE, "model": experiment.MODEL_FILE}
+            target = os.path.join(bench, files[role])
+            if damage == "swap":
+                a, b = (os.path.join(bench, f) for f in files.values())
+                os.rename(a, a + ".tmp")
+                os.rename(b, a)
+                os.rename(a + ".tmp", b)
+            elif damage == "truncate":
+                with open(target, "rb") as fh:
+                    raw = fh.read()
+                with open(target, "wb") as fh:
+                    fh.write(raw[: int(len(raw) * keep)])
+            elif damage == "other-shape":
+                shutil.copyfile(os.path.join(other_shape_bench, files[role]), target)
+            out_path = os.path.join(tmp, "out")
+            if out != "fresh":
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write("taken")
+                if out == "under-file":
+                    out_path = os.path.join(out_path, "sub")
+            code = cli.main([command[0], config_path, "--dataset", bench, "--out", out_path, *command[1:]])
             assert code in (0, 2, 3)

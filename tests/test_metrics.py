@@ -71,7 +71,7 @@ class TestEvaluate:
     def test_zero_noise_generalization_equals_efficacy(self):
         cfg = tiny_cfg(rephrase_noise=0.0)
         ds = generate_dataset(cfg)
-        model = fit_initial_model(cfg, ds)
+        model, _ = fit_initial_model(cfg, ds)
         delta_set = edit_model(
             model, ds.all_language_requests(), ds.preserved_inputs_all(),
             method="memit", cov_mode="shared", lam=2.75,
@@ -87,7 +87,7 @@ class TestEvaluate:
         cfg = tiny_cfg()
         ds = generate_dataset(cfg)
         swapped = replace(ds, old_tokens=ds.new_tokens.copy(), new_tokens=ds.old_tokens.copy())
-        refit = fit_initial_model(cfg, swapped)
+        refit, _ = fit_initial_model(cfg, swapped)
         eff = float(np.mean([evaluate(refit, ds, i).efficacy for i in range(ds.m_languages)]))
         assert eff >= 0.95
 

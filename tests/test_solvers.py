@@ -6,6 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lamedit import covariance as cov_mod
+from lamedit import model as model_mod
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import IllConditionedError, ShapeError
 from lamedit.merging import merge_sum, apply_update
@@ -16,7 +18,9 @@ from lamedit.solvers import (
     DEFAULT_LAM_ALPHAEDIT,
     DEFAULT_LAM_MEMIT,
     LanguageRequests,
-    _memit_inverse_system,
+    _memit_inverse,
+    _memit_matrix,
+    _rhs,
     edit_model,
     nullspace_projector,
     preserved_terms,
@@ -349,6 +353,53 @@ class TestEditModel:
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
                 working[lang] = working[lang].with_w_out(layer, w_out + got)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(2, 16),
+        d_frac=st.floats(0.0, 1.0),
+        null_frac=st.floats(0.0, 1.0),
+        n_layers=st.integers(2, 4),
+        m=st.integers(1, 3),
+        n=st.integers(1, 6),
+        lam=st.floats(0.05, 10.0),
+        cov_mode=st.sampled_from([PER_LANGUAGE, SHARED]),
+    )
+    def test_alphaedit_deltas_are_solve_alphaedit_bits(
+        self, seed, h, d_frac, null_frac, n_layers, m, n, lam, cov_mode
+    ):
+        # edit_model forms, factors and solves a layer's alphaedit systems in
+        # separate phases; every delta must still be the bits of
+        # solve_alphaedit on that language's working copy.
+        rng = np.random.default_rng(seed)
+        d = 2 + int(d_frac * (h - 2))
+        edit_layers = tuple(range(2, n_layers + 1))
+        model = random_model(rng, d=d, h=h, n_layers=n_layers, vocab=12, edit_layers=edit_layers)
+        requests = [
+            LanguageRequests(lang, rng.standard_normal((d, n)), rng.integers(0, 12, n)) for lang in range(m)
+        ]
+        preserved = {}
+        for layer in edit_layers:
+            kept = rng.standard_normal((h, int(null_frac * h)))
+            preserved[layer] = nullspace_projector(kept @ kept.T, rel_tol=1e-8)
+        delta_set = edit_model(
+            model, requests, None, method="alphaedit", cov_mode=cov_mode, lam=lam, preserved=preserved
+        )
+        working = {req.language_id: model for req in requests}
+        for layer in edit_layers:
+            batches = {}
+            for req in requests:
+                keys, targets = keys_and_targets(working[req.language_id], req.inputs, req.new_tokens, layer)
+                batches[req.language_id] = (cov_mod.KeyBatch(req.language_id, layer, keys), targets)
+            shared = cov_mod.cov_shared([kb for kb, _ in batches.values()]).cov
+            for lang, (kb, targets) in batches.items():
+                cov_request = shared if cov_mode == SHARED else cov_mod.cov_per_language(kb).cov
+                w_out = working[lang].layer(layer).w_out
+                expected = solve_alphaedit(w_out, kb.keys, targets, preserved[layer], cov_request, lam).delta
+                got = delta_set.delta(layer, lang).delta
+                assert np.array_equal(got, expected)
+                working[lang] = working[lang].with_w_out(layer, w_out + got)
+
     @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
     def test_memit_cond_limit_raises(self, small_bench, cov_mode):
         dataset, model = small_bench
@@ -486,6 +537,51 @@ class TestLayerFactorisation:
         per_layer = 1 if cov_mode == SHARED else dataset.m_languages
         assert calls == {name: len(model.edit_layers) * per_layer for name in routines}
 
+    @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+    def test_alphaedit_scipy_calls_run_once_per_layer(self, small_bench, monkeypatch, cov_mode):
+        # numpy and scipy bundle separate OpenBLAS builds whose thread pools
+        # stall each other when calls alternate, so each edit layer's LU
+        # factors, condition estimates and solves run back to back, between
+        # the numpy steps that collect keys and moments and update the
+        # working copies.
+        dataset, model = small_bench
+        calls = []
+
+        def record(owner, name, library):
+            original = getattr(owner, name)
+
+            def recorded(*args, **kwargs):
+                calls.append((library, name))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        for name in ("lu_factor", "lu_solve"):
+            record(scipy.linalg, name, "scipy")
+        record(scipy.linalg.lapack, "dgecon", "scipy")
+        for name in ("cov_per_language", "cov_shared"):
+            record(cov_mod, name, "numpy")
+        record(model_mod, "keys_and_targets", "numpy")
+        record(type(model), "with_w_out", "numpy")
+        edit_model(
+            model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
+            method="alphaedit", cov_mode=cov_mode, rel_tol=0.02,
+        )
+        runs = []
+        previous = None
+        for library, name in calls:
+            if library == "scipy":
+                if previous != "scipy":
+                    runs.append([])
+                runs[-1].append(name)
+            previous = library
+        m = dataset.m_languages
+        if cov_mode == SHARED:
+            layer_run = ["lu_factor", "dgecon"] + ["lu_solve"] * m
+        else:
+            layer_run = ["lu_factor", "dgecon", "lu_solve"] * m
+        assert runs == [layer_run] * len(model.edit_layers)
+
     @pytest.mark.parametrize("method", ["memit", "alphaedit"])
     def test_shared_factor_gives_each_languages_own_solve(self, small_bench, method):
         # At the first edit layer every working copy is the base, so each
@@ -505,10 +601,9 @@ class TestLayerFactorisation:
             if method == "memit":
                 # The editor's own per-language memit builder, given the shared system.
                 count = sum(r.inputs.shape[1] for r in requests)
-                system = _memit_inverse_system(
-                    preserved[first] * count, shared, DEFAULT_LAM_MEMIT, DEFAULT_COND_LIMIT
-                )
-                own = system.delta(w_out, keys, targets)
+                system = _memit_matrix(preserved[first] * count, shared, DEFAULT_LAM_MEMIT)
+                solve = _memit_inverse(*system, DEFAULT_COND_LIMIT)
+                own = solve(_rhs(None, w_out, keys, targets)).T
             else:
                 own = solve_alphaedit(
                     w_out, keys, targets, preserved[first], shared, DEFAULT_LAM_ALPHAEDIT

@@ -119,7 +119,7 @@ class TestFit:
     def test_single_fact_single_language_recall(self):
         cfg = tiny_cfg(n_facts=1, m_languages=1, n_preserved=4, vocab_size=8)
         ds = generate_dataset(cfg)
-        model = fit_initial_model(cfg, ds)
+        model, _ = fit_initial_model(cfg, ds)
         x = ds.request_inputs(0)[:, 0]
         assert predict(model, x) == int(ds.old_tokens[0])
 
@@ -160,6 +160,37 @@ class TestFit:
         container.save_model(b, model2)
         assert a.read_bytes() == b.read_bytes()
         assert info1["attempt"] == info2["attempt"]
+
+    def test_recall_computed_once_per_pass(self, monkeypatch):
+        # The last pass's recall is the fit's and the benchmark's; nothing
+        # recomputes it on the same model.
+        from lamedit import synthdata
+
+        calls = {"recall": 0, "solve": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(synthdata, "_recall_stats", counted("recall", synthdata._recall_stats))
+        monkeypatch.setattr(synthdata, "solve_memit", counted("solve", synthdata.solve_memit))
+        cfg = tiny_cfg()
+        dataset, model, info = build_benchmark(cfg)
+        assert info["attempt"] == 0
+        assert calls["recall"] * len(cfg.edit_layers) == calls["solve"] > 0
+        monkeypatch.undo()
+        assert (info["request_recall"], info["preserved_recall"]) == synthdata._recall_stats(model, dataset)
+
+    def test_no_pass_reports_the_seed_models_recall(self):
+        from lamedit.synthdata import _recall_stats
+
+        cfg = tiny_cfg()
+        ds = generate_dataset(cfg)
+        model, recall = fit_initial_model(cfg, ds, floor=0.0, max_passes=0)
+        assert recall == _recall_stats(model, ds)
 
     def test_fit_error_carries_diagnostics(self):
         cfg = tiny_cfg()
