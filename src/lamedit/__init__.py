@@ -7,8 +7,6 @@ portability, with a CLI for experiments and sweeps.
 """
 
 from .covariance import (
-    CovStats,
-    KeyBatch,
     const_stats,
     cov_per_language,
     cov_shared,
@@ -45,21 +43,15 @@ from .metrics import (
     run_mono,
 )
 from .model import (
-    HiddenTrace,
     LamLayer,
     Prefix,
     ToyModel,
-    compute_key,
     compute_prefix,
-    compute_target_values,
-    forward,
     forward_batch,
     keys_and_targets,
-    predict,
     predict_batch,
 )
 from .solvers import (
-    DeltaMatrix,
     DeltaSet,
     LanguageRequests,
     NullProjector,

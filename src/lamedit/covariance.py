@@ -1,14 +1,12 @@
 """Request-key matrices and second-moment statistics for editing solvers.
 
 Covariance here always means the uncentered second moment ``K @ K.T`` of a
-key batch.  Request statistics can be gathered per language or summed across
-all languages (the shared mode); preserved-knowledge statistics come from an
-explicit sample of facts that must be disjoint from the edit requests.
+key batch (h, n).  Request statistics can be gathered per language or summed
+across all languages (the shared mode); preserved-knowledge statistics come
+from an explicit sample of facts that must be disjoint from the edit requests.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,91 +18,36 @@ SHARED = "shared"
 COV_MODES = (PER_LANGUAGE, SHARED)
 
 
-@dataclass(frozen=True)
-class KeyBatch:
-    """Keys of one language's request batch at one layer, one column each."""
-
-    language_id: int
-    layer: int
-    keys: np.ndarray  # (h, n)
-
-    def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=float)
-        if keys.ndim != 2 or keys.shape[1] < 1:
-            raise ShapeError(f"keys must be (h, n) with n >= 1, got {keys.shape}")
-        if not np.all(np.isfinite(keys)):
-            raise ShapeError("keys contain non-finite entries")
-        object.__setattr__(self, "keys", keys)
-
-    @property
-    def n(self):
-        return self.keys.shape[1]
-
-
-@dataclass(frozen=True)
-class CovStats:
-    """Symmetric PSD second-moment matrix plus its provenance."""
-
-    cov: np.ndarray  # (h, h)
-    sample_count: int
-    mode: str
-
-    def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ShapeError(f"covariance must be square, got {cov.shape}")
-        scale = np.linalg.norm(cov)
-        if scale > 0 and np.linalg.norm(cov - cov.T) > 1e-9 * scale:
-            raise ShapeError("covariance is not symmetric")
-        if self.mode not in COV_MODES:
-            raise ShapeError(f"unknown covariance mode {self.mode!r}")
-        object.__setattr__(self, "cov", cov)
-
-
-def _second_moment(keys):
-    cov = keys @ keys.T
-    return 0.5 * (cov + cov.T)
-
-
-def request_keys(model, language_id, inputs, layer):
-    """Key batch for one language's request inputs at a 1-based layer."""
+def request_keys(model, inputs, layer):
+    """Keys (h, n) of a request batch's inputs (d, n) at a 1-based layer."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] < 1:
         raise ShapeError("request batch must be a nonempty (d, n) matrix")
     _, keys = model_core.forward_batch(model, inputs)
-    return KeyBatch(language_id=int(language_id), layer=int(layer), keys=keys[layer - 1])
+    return keys[layer - 1]
 
 
-def cov_per_language(key_batch):
-    """Second moment of a single language's keys."""
-    return CovStats(
-        cov=_second_moment(key_batch.keys),
-        sample_count=key_batch.n,
-        mode=PER_LANGUAGE,
-    )
+def cov_per_language(keys):
+    """Symmetrised second moment (h, h) of one key batch (h, n)."""
+    cov = keys @ keys.T
+    return 0.5 * (cov + cov.T)
 
 
-def cov_shared(key_batches):
-    """Second moment summed over languages, in ascending language order.
+def cov_shared(keys):
+    """Second moment summed over several languages' key batches.
 
-    All batches must share the layer and key dimension.  The fixed summation
-    order makes the result bit-reproducible regardless of caller ordering.
+    The batches are summed in the order given, onto zeros, and the sum is
+    symmetrised once more; callers fix the order (ascending language id) so
+    the result is bit-reproducible.
     """
-    batches = sorted(key_batches, key=lambda kb: kb.language_id)
-    if not batches:
+    keys = list(keys)
+    if not keys:
         raise ShapeError("cov_shared needs at least one key batch")
-    layer = batches[0].layer
-    h = batches[0].keys.shape[0]
+    h = keys[0].shape[0]
     total = np.zeros((h, h))
-    count = 0
-    for kb in batches:
-        if kb.layer != layer:
-            raise ShapeError(f"mixed layers in cov_shared: {kb.layer} vs {layer}")
-        if kb.keys.shape[0] != h:
-            raise ShapeError("mixed key dimensions in cov_shared")
-        total += _second_moment(kb.keys)
-        count += kb.n
-    return CovStats(cov=0.5 * (total + total.T), sample_count=count, mode=SHARED)
+    for batch in keys:
+        total += cov_per_language(batch)
+    return 0.5 * (total + total.T)
 
 
 def preserved_keys(model, preserved_inputs, preserved_ids=None, request_ids=None):
@@ -137,20 +80,15 @@ def preserved_keys(model, preserved_inputs, preserved_ids=None, request_ids=None
     return model_core.forward_batch(model, preserved_inputs)[1]
 
 
-def preserved_stats(keys):
-    """Second moment of one layer's preserved keys (h, p)."""
-    return CovStats(cov=_second_moment(keys), sample_count=keys.shape[1], mode=SHARED)
-
-
 def const_stats(model, preserved_inputs, layer, preserved_ids=None, request_ids=None):
-    """Preserved-knowledge keys and covariance at a 1-based layer.
+    """Preserved-knowledge covariance and keys at a 1-based layer.
 
     The one-layer view of :func:`preserved_keys`, whose parameters it takes.
 
     Returns
     -------
-    stats : CovStats
+    cov : ndarray (h, h)
     keys : ndarray (h, p)
     """
     keys = preserved_keys(model, preserved_inputs, preserved_ids, request_ids)[layer - 1]
-    return preserved_stats(keys), keys
+    return cov_per_language(keys), keys

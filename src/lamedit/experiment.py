@@ -225,7 +225,7 @@ def config_to_dict(config):
 
 def write_benchmark(config, out_dir, force=False):
     """Generate the dataset, fit the backbone, and write both to ``out_dir``."""
-    _make_out_dir(out_dir)
+    make_out_dir(out_dir)
     manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     if os.path.exists(manifest_path) and not force:
         raise ConfigError(f"{out_dir} already holds a benchmark; pass --force to overwrite")
@@ -448,6 +448,11 @@ def sweep(config, dataset, model, axis):
             raise ConfigError("rank sweep needs at least one tsvm-family merge method")
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
+    names = [m.method for m in merge_cfgs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # Sweep outputs are keyed by method name, so a repeat would misalign them.
+        raise ConfigError(f"{axis} sweep lists merge method {', '.join(repeated)} more than once")
 
     modes = [m.cov_mode for m in merge_cfgs]
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
@@ -492,7 +497,7 @@ def _fmt_float(value):
     return repr(float(value))
 
 
-def _make_out_dir(out_dir):
+def make_out_dir(out_dir):
     """Create an output directory; a path that cannot be one raises ConfigError."""
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -537,7 +542,7 @@ def metrics_csv_text(reports):
 
 
 def write_run_outputs(out_dir, config, reports, manifest):
-    _make_out_dir(out_dir)
+    make_out_dir(out_dir)
     _write_text(os.path.join(out_dir, "metrics.csv"), metrics_csv_text(reports))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -575,7 +580,7 @@ def sweep_csv_text(results, point_reports):
 
 
 def write_sweep_outputs(out_dir, config, axis, results, point_reports):
-    _make_out_dir(out_dir)
+    make_out_dir(out_dir)
     base = f"sweep_{axis}"
     _write_text(os.path.join(out_dir, base + ".csv"), sweep_csv_text(results, point_reports))
     doc = {
@@ -757,6 +762,6 @@ def comparison_markdown_text(languages, rows):
 
 
 def write_comparison(out_dir, languages, rows):
-    _make_out_dir(out_dir)
+    make_out_dir(out_dir)
     _write_text(os.path.join(out_dir, "report.csv"), comparison_csv_text(languages, rows))
     _write_text(os.path.join(out_dir, "report.md"), comparison_markdown_text(languages, rows))

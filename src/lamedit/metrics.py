@@ -214,6 +214,6 @@ def run_mono(model, dataset, delta_set, language_id, alpha=1.0):
     scaled by ``alpha``, applied, and scored.  ``dataset`` may be a
     :class:`ProbeBatch` on ``model``, as for :func:`evaluate`.
     """
-    own = {layer: delta_set.delta(layer, language_id).delta for layer in delta_set.layers}
+    own = {layer: delta_set.delta(layer, language_id) for layer in delta_set.layers}
     edited = merging.apply_update(model, own, alpha)
     return evaluate(edited, dataset, language_id)

@@ -7,8 +7,9 @@ attention path; the residual update is exactly ``h += w_out @ key``.  A
 prediction is the index of the codebook column with the largest inner product
 against the final hidden state.
 
-Layers are addressed 1-based throughout the public API, so ``hidden[0]`` is
-the input and ``key(l)`` pairs with the transition ``hidden[l-1] -> hidden[l]``.
+Layers are addressed 1-based throughout the public API, so in
+:func:`forward_batch`'s trace ``hidden[0]`` is the input and ``keys[l - 1]``
+pairs with the transition ``hidden[l-1] -> hidden[l]``.
 
 Edits change only the edit layers' ``w_out``.  A batch's :class:`Prefix` (the
 state entering the first edit layer, and that layer's keys) is therefore the
@@ -158,32 +159,6 @@ class ToyModel:
         return replace(self, layers=tuple(layers))
 
 
-@dataclass(frozen=True)
-class HiddenTrace:
-    """Forward-pass record: hidden states h^0..h^L and keys k^1..k^L."""
-
-    hidden: np.ndarray  # (L+1, d)
-    keys: np.ndarray  # (L, h)
-
-    def __post_init__(self):
-        hidden = np.asarray(self.hidden, dtype=float)
-        keys = np.asarray(self.keys, dtype=float)
-        if hidden.ndim != 2 or keys.ndim != 2 or hidden.shape[0] != keys.shape[0] + 1:
-            raise ShapeError("trace needs L+1 hidden states and L keys")
-        object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "keys", keys)
-
-    @property
-    def final(self):
-        return self.hidden[-1]
-
-    def key(self, layer):
-        """Key at 1-based ``layer``."""
-        if not 1 <= layer <= self.keys.shape[0]:
-            raise IndexError(f"layer {layer} outside 1..{self.keys.shape[0]}")
-        return self.keys[layer - 1]
-
-
 def _normalize(model, states):
     """Apply the model's normalization column-wise to ``states`` (d, n)."""
     if model.norm == "identity":
@@ -316,25 +291,6 @@ def forward_batch(model, inputs):
     return hidden, keys
 
 
-def forward(model, x):
-    """Forward pass on a single input vector, returning a :class:`HiddenTrace`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ShapeError(f"input must have shape ({model.d},), got {x.shape}")
-    hidden, keys = forward_batch(model, x[:, None])
-    return HiddenTrace(hidden=hidden[:, :, 0], keys=keys[:, :, 0])
-
-
-def compute_key(model, layer, h_prev):
-    """Key of 1-based ``layer`` given the previous hidden state."""
-    if not 1 <= layer <= model.n_layers:
-        raise IndexError(f"layer {layer} outside 1..{model.n_layers}")
-    h_prev = np.asarray(h_prev, dtype=float)
-    if h_prev.shape != (model.d,):
-        raise ShapeError(f"hidden state must have shape ({model.d},), got {h_prev.shape}")
-    return _layer_keys(model, layer, h_prev[:, None])[:, 0]
-
-
 def predict_batch(model, inputs):
     """Predicted token per input column; ties resolve to the lowest index.
 
@@ -347,22 +303,6 @@ def predict_batch(model, inputs):
     prefix = inputs if isinstance(inputs, Prefix) else compute_prefix(model, inputs)
     state, _ = _run_prefix(model, prefix, None)
     return np.argmax(state.T @ model.codebook, axis=1)
-
-
-def predict(model, x):
-    """Predicted token for one input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ShapeError(f"input must have shape ({model.d},), got {x.shape}")
-    return int(predict_batch(model, x[:, None])[0])
-
-
-def compute_target_values(model, inputs, new_tokens, layer):
-    """Per-request target value columns for editing one layer.
-
-    The targets of :func:`keys_and_targets`, without the keys.
-    """
-    return keys_and_targets(model, inputs, new_tokens, layer)[1]
 
 
 def keys_and_targets(model, inputs, new_tokens, layer):

@@ -28,8 +28,8 @@ phases, with one switch into the solving library and one back:
    language's right-hand side;
 2. the method's library factors, condition-checks and solves them all back
    to back;
-3. numpy stamps the :class:`DeltaMatrix` entries and updates the working
-   copies.
+3. numpy stores each (d, h) delta array under its (layer, language) and
+   updates the working copies.
 
 memit systems stay in numpy throughout: a Cholesky check, one explicit
 inverse per system, its exact 1-norm condition number and a matmul per
@@ -65,25 +65,6 @@ DEFAULT_REL_TOL = 1e-6
 # edit_model's memit systems, LAPACK's estimate otherwise (dpocon for
 # solve_memit, dgecon for alphaedit).
 DEFAULT_COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class DeltaMatrix:
-    """One layer's weight perturbation for one language."""
-
-    layer: int
-    language_id: int
-    delta: np.ndarray  # (d, h)
-    method: str
-    cov_mode: str
-
-    def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
-        if delta.ndim != 2:
-            raise ShapeError("delta must be a matrix")
-        if not np.all(np.isfinite(delta)):
-            raise ShapeError("delta contains non-finite entries")
-        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)
@@ -132,14 +113,14 @@ class DeltaSet:
     cov_mode: str
     layers: tuple[int, ...]
     language_ids: tuple[int, ...]
-    entries: dict
+    entries: dict  # (layer, language_id) -> ndarray (d, h)
 
     def delta(self, layer, language_id):
         return self.entries[(layer, language_id)]
 
     def layer_deltas(self, layer):
         """Delta matrices of one layer in ascending language order."""
-        return [self.entries[(layer, lang)].delta for lang in self.language_ids]
+        return [self.entries[(layer, lang)] for lang in self.language_ids]
 
 
 def _check_condition(cond, cond_limit, system_name):
@@ -257,7 +238,7 @@ def solve_memit(w_out, keys, targets, cov_preserved, cov_request, lam, cond_limi
 
     Returns
     -------
-    DeltaMatrix with layer/language unset (-1); drivers stamp them.
+    delta : ndarray (d, h)
     """
     w_out, keys, targets = _check_solve_shapes(w_out, keys, targets, lam)
     h = w_out.shape[1]
@@ -266,13 +247,7 @@ def solve_memit(w_out, keys, targets, cov_preserved, cov_request, lam, cond_limi
     if cov_preserved.shape != (h, h) or cov_request.shape != (h, h):
         raise ShapeError("covariance matrices must be (h, h)")
     solve = _memit_cholesky(*_memit_matrix(cov_preserved, cov_request, lam), cond_limit)
-    return DeltaMatrix(
-        layer=-1,
-        language_id=-1,
-        delta=solve(_rhs(None, w_out, keys, targets)).T,
-        method=METHOD_MEMIT,
-        cov_mode=PER_LANGUAGE,
-    )
+    return solve(_rhs(None, w_out, keys, targets)).T
 
 
 def nullspace_projector(cov_preserved, rel_tol=DEFAULT_REL_TOL):
@@ -322,13 +297,7 @@ def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limi
         raise ShapeError("cov_request must be (h, h)")
     proj = projector.projector
     solve = _alphaedit_lu(*_alphaedit_matrix(proj, cov_request, lam), cond_limit)
-    return DeltaMatrix(
-        layer=-1,
-        language_id=-1,
-        delta=solve(_rhs(proj, w_out, keys, targets)).T,
-        method=METHOD_ALPHAEDIT,
-        cov_mode=PER_LANGUAGE,
-    )
+    return solve(_rhs(proj, w_out, keys, targets)).T
 
 
 def preserved_terms(
@@ -357,11 +326,11 @@ def preserved_terms(
     keys = cov_mod.preserved_keys(model, preserved_inputs, preserved_ids, request_ids)
     terms = {}
     for layer in model.edit_layers:
-        stats = cov_mod.preserved_stats(keys[layer - 1])
+        cov = cov_mod.cov_per_language(keys[layer - 1])
         if method == METHOD_MEMIT:
-            terms[layer] = stats.cov / max(stats.sample_count, 1)
+            terms[layer] = cov / max(keys.shape[2], 1)
         else:
-            terms[layer] = nullspace_projector(stats.cov, rel_tol=rel_tol)
+            terms[layer] = nullspace_projector(cov, rel_tol=rel_tol)
     return terms
 
 
@@ -427,7 +396,7 @@ def edit_model(
     condition-checked once per layer; in the per-language mode once per
     (layer, language).  Each layer runs in three phases (see the module
     docstring): numpy forms the systems and right-hand sides, the method's
-    library factors, checks and solves them back to back, and numpy stamps
+    library factors, checks and solves them back to back, and numpy stores
     the deltas and updates the working copies.
 
     Parameters
@@ -490,7 +459,7 @@ def edit_model(
         # Phase 1, numpy: each language's keys and right-hand side, then every
         # distinct system at this layer with its 1-norm and the indices of the
         # right-hand sides it solves.
-        key_batches = []
+        layer_keys = []
         rhs = []
         for prep in prepared:
             copy = working[prep.language_id]
@@ -498,17 +467,16 @@ def edit_model(
                 keys, targets = prep.prefix.key, prep.targets
             else:
                 keys, targets = model_core.keys_and_targets(copy, prep.prefix, prep.requests.new_tokens, layer)
-            kb = cov_mod.KeyBatch(language_id=prep.language_id, layer=layer, keys=keys)
-            key_batches.append(kb)
-            rhs.append(_rhs(projector, copy.layer(layer).w_out, kb.keys, targets))
+            layer_keys.append(keys)
+            rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
         if cov_mode == SHARED:
-            count = sum(kb.n for kb in key_batches)
-            shared = cov_mod.cov_shared(key_batches).cov
+            count = sum(keys.shape[1] for keys in layer_keys)
+            shared = cov_mod.cov_shared(layer_keys)
             systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
         else:
             systems = [
-                (*_layer_matrix(method, term, cov_mod.cov_per_language(kb).cov, kb.n, lam), [i])
-                for i, kb in enumerate(key_batches)
+                (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
+                for i, keys in enumerate(layer_keys)
             ]
         # Phase 2, the method's library: factor and check each system and
         # solve its right-hand sides, all back to back, one factor at a time.
@@ -517,13 +485,11 @@ def edit_model(
             solve = factor(matrix, norm, cond_limit)
             for i in users:
                 deltas[i] = solve(rhs[i]).T
-        # Phase 3, numpy: stamp the entries and move each working copy on.
-        for kb, delta in zip(key_batches, deltas):
-            lang = kb.language_id
-            entry = DeltaMatrix(layer=layer, language_id=lang, delta=delta, method=method, cov_mode=cov_mode)
-            entries[(layer, lang)] = entry
+        # Phase 3, numpy: store the deltas and move each working copy on.
+        for lang, delta in zip(language_ids, deltas):
+            entries[(layer, lang)] = delta
             w_out = working[lang].layer(layer).w_out
-            working[lang] = working[lang].with_w_out(layer, w_out + entry.delta)
+            working[lang] = working[lang].with_w_out(layer, w_out + delta)
 
     return DeltaSet(
         method=method,

@@ -346,13 +346,10 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
     for pass_idx in range(max_passes):
         for layer in cfg.edit_layers:
             keys, targets = model_core.keys_and_targets(model, inputs, tokens, layer)
-            kb = cov_mod.KeyBatch(language_id=0, layer=layer, keys=keys)
-            cov_request = cov_mod.cov_per_language(kb).cov
+            cov_request = cov_mod.cov_per_language(keys)
             ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
-            dm = solve_memit(
-                model.layer(layer).w_out, kb.keys, targets, identity, cov_request, ridge
-            )
-            model = model.with_w_out(layer, model.layer(layer).w_out + dm.delta)
+            delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)
+            model = model.with_w_out(layer, model.layer(layer).w_out + delta)
         recall = _recall_stats(model, dataset)
         history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
         if min(recall) >= FIT_STOP_AT:

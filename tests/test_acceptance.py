@@ -49,9 +49,9 @@ def test_criterion_1_memit_optimality(acceptance_log):
     for trial in range(20):
         w, keys, targets, k_const = random_instance(rng, d=16, h=32, n=8, p=64)
         lam = 1.0
-        dm = solve_memit(w, keys, targets, k_const @ k_const.T, keys @ keys.T, lam)
+        delta = solve_memit(w, keys, targets, k_const @ k_const.T, keys @ keys.T, lam)
         oracle = descend_edit_objective(w, keys, targets, k_const, lam)
-        j_solver = edit_objective(w, dm.delta, keys, targets, k_const, lam)
+        j_solver = edit_objective(w, delta, keys, targets, k_const, lam)
         j_oracle = edit_objective(w, oracle, keys, targets, k_const, lam)
         worst = max(worst, (j_solver - j_oracle) / j_oracle)
     elapsed = time.perf_counter() - start
@@ -68,10 +68,10 @@ def test_criterion_2_alphaedit_preservation(acceptance_log):
     for trial in range(20):
         w, keys, targets, k_const = random_instance(rng, d=16, h=32, n=8, p=12)
         projector = nullspace_projector(k_const @ k_const.T)
-        dm = solve_alphaedit(w, keys, targets, projector, keys @ keys.T, 0.1)
-        denom = np.linalg.norm(dm.delta) * np.linalg.norm(k_const)
+        delta = solve_alphaedit(w, keys, targets, projector, keys @ keys.T, 0.1)
+        denom = np.linalg.norm(delta) * np.linalg.norm(k_const)
         assert denom > 0
-        worst = max(worst, np.linalg.norm(dm.delta @ k_const) / denom)
+        worst = max(worst, np.linalg.norm(delta @ k_const) / denom)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 60
     acceptance_log(2, ok, f"preserved keys annihilated to {worst:.2e} relative on 20 instances ({elapsed:.1f}s)")

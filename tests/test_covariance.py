@@ -3,17 +3,13 @@ import pytest
 
 from lamedit import container
 from lamedit.covariance import (
-    CovStats,
-    KeyBatch,
-    PER_LANGUAGE,
-    SHARED,
     const_stats,
     cov_per_language,
     cov_shared,
     request_keys,
 )
 from lamedit.errors import ShapeError
-from lamedit.model import compute_key, forward
+from lamedit.model import forward_batch
 
 from test_model import random_model
 
@@ -27,21 +23,21 @@ def outer_product_oracle(keys):
 
 
 class TestRequestKeys:
-    def test_single_request_equals_compute_key(self):
+    def test_single_request_equals_forward_key(self):
         rng = np.random.default_rng(0)
         model = random_model(rng)
         x = rng.standard_normal(8)
-        kb = request_keys(model, 0, x[:, None], 2)
-        expected = compute_key(model, 2, forward(model, x).hidden[1])
-        assert kb.keys.shape == (12, 1)
-        assert np.array_equal(kb.keys[:, 0], expected)
+        keys = request_keys(model, x[:, None], 2)
+        _, expected = forward_batch(model, x[:, None])
+        assert keys.shape == (12, 1)
+        assert np.array_equal(keys, expected[1])
 
     def test_duplicate_requests_duplicate_columns(self):
         rng = np.random.default_rng(1)
         model = random_model(rng)
         x = rng.standard_normal(8)
-        kb = request_keys(model, 0, np.column_stack([x, x]), 2)
-        assert np.array_equal(kb.keys[:, 0], kb.keys[:, 1])
+        keys = request_keys(model, np.column_stack([x, x]), 2)
+        assert np.array_equal(keys[:, 0], keys[:, 1])
 
     def test_batch_matches_looped_singles(self):
         # gemm vs gemv BLAS paths round differently, so compare to a tight
@@ -49,121 +45,87 @@ class TestRequestKeys:
         rng = np.random.default_rng(2)
         model = random_model(rng)
         inputs = rng.standard_normal((8, 5))
-        kb = request_keys(model, 0, inputs, 3)
+        keys = request_keys(model, inputs, 3)
         for i in range(5):
-            single = request_keys(model, 0, inputs[:, i : i + 1], 3)
-            assert np.allclose(kb.keys[:, i], single.keys[:, 0], rtol=1e-12, atol=1e-13)
+            single = request_keys(model, inputs[:, i : i + 1], 3)
+            assert np.allclose(keys[:, i], single[:, 0], rtol=1e-12, atol=1e-13)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(3)
         model = random_model(rng)
         with pytest.raises(ShapeError):
-            request_keys(model, 0, np.zeros((8, 0)), 2)
+            request_keys(model, np.zeros((8, 0)), 2)
 
 
 class TestCovPerLanguage:
     def test_unit_column(self):
         e1 = np.zeros((4, 1))
         e1[0, 0] = 1.0
-        stats = cov_per_language(KeyBatch(language_id=0, layer=1, keys=e1))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.array_equal(stats.cov, expected)
-        assert stats.mode == PER_LANGUAGE
+        assert np.array_equal(cov_per_language(e1), expected)
 
     def test_orthonormal_columns_spectrum(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-        stats = cov_per_language(KeyBatch(language_id=0, layer=1, keys=q))
-        eigvals = np.sort(np.linalg.eigvalsh(stats.cov))
+        eigvals = np.sort(np.linalg.eigvalsh(cov_per_language(q)))
         assert np.allclose(eigvals, [0, 0, 0, 1, 1, 1], atol=1e-10)
 
     def test_matches_outer_product_oracle(self):
         rng = np.random.default_rng(5)
         keys = rng.standard_normal((6, 9))
-        stats = cov_per_language(KeyBatch(language_id=0, layer=1, keys=keys))
-        assert np.linalg.norm(stats.cov - outer_product_oracle(keys)) <= 1e-10
+        assert np.linalg.norm(cov_per_language(keys) - outer_product_oracle(keys)) <= 1e-10
 
 
 class TestCovShared:
-    def _kb(self, lang, keys, layer=2):
-        return KeyBatch(language_id=lang, layer=layer, keys=keys)
-
     def test_single_language_degenerates(self):
         rng = np.random.default_rng(6)
         keys = rng.standard_normal((5, 4))
-        shared = cov_shared([self._kb(0, keys)])
-        per = cov_per_language(self._kb(0, keys))
-        assert np.array_equal(shared.cov, per.cov)
-        assert shared.mode == SHARED
+        assert np.array_equal(cov_shared([keys]), cov_per_language(keys))
 
     def test_two_identical_batches_double(self):
         rng = np.random.default_rng(7)
         keys = rng.standard_normal((5, 4))
-        shared = cov_shared([self._kb(0, keys), self._kb(1, keys)])
-        single = cov_per_language(self._kb(0, keys))
-        assert np.allclose(shared.cov, 2 * single.cov, atol=1e-12)
+        assert np.allclose(cov_shared([keys, keys]), 2 * cov_per_language(keys), atol=1e-12)
 
     def test_matches_concatenation_oracle(self):
         rng = np.random.default_rng(8)
-        batches = [self._kb(i, rng.standard_normal((5, 3 + i))) for i in range(3)]
-        shared = cov_shared(batches)
-        concat = np.hstack([kb.keys for kb in batches])
-        assert np.linalg.norm(shared.cov - concat @ concat.T) <= 1e-10
-        assert shared.sample_count == concat.shape[1]
-
-    def test_order_independent_result(self):
-        rng = np.random.default_rng(9)
-        batches = [self._kb(i, rng.standard_normal((5, 4))) for i in range(3)]
-        a = cov_shared(batches)
-        b = cov_shared(list(reversed(batches)))
-        assert np.array_equal(a.cov, b.cov)
-
-    def test_mixed_layers_rejected(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ShapeError):
-            cov_shared(
-                [
-                    self._kb(0, rng.standard_normal((5, 2)), layer=1),
-                    self._kb(1, rng.standard_normal((5, 2)), layer=2),
-                ]
-            )
+        batches = [rng.standard_normal((5, 3 + i)) for i in range(3)]
+        concat = np.hstack(batches)
+        assert np.linalg.norm(cov_shared(batches) - concat @ concat.T) <= 1e-10
 
     def test_partition_equals_whole(self):
         rng = np.random.default_rng(11)
         keys = rng.standard_normal((6, 12))
-        whole = cov_per_language(self._kb(0, keys))
-        parts = [self._kb(i, keys[:, 4 * i : 4 * (i + 1)]) for i in range(3)]
-        combined = cov_shared(parts)
-        assert np.linalg.norm(combined.cov - whole.cov) <= 1e-10
+        parts = [keys[:, 4 * i : 4 * (i + 1)] for i in range(3)]
+        assert np.linalg.norm(cov_shared(parts) - cov_per_language(keys)) <= 1e-10
 
 
 class TestConstStats:
     def test_empty_preserved_gives_zero_stats(self):
         rng = np.random.default_rng(12)
         model = random_model(rng)
-        stats, keys = const_stats(model, np.zeros((8, 0)), 2)
-        assert stats.sample_count == 0
-        assert np.array_equal(stats.cov, np.zeros((12, 12)))
+        cov, keys = const_stats(model, np.zeros((8, 0)), 2)
+        assert np.array_equal(cov, np.zeros((12, 12)))
         assert keys.shape == (12, 0)
 
     def test_rank_bound(self):
         rng = np.random.default_rng(13)
         model = random_model(rng)
         inputs = rng.standard_normal((8, 3))
-        stats, _ = const_stats(model, inputs, 2)
-        assert np.linalg.matrix_rank(stats.cov) <= 3
+        cov, _ = const_stats(model, inputs, 2)
+        assert np.linalg.matrix_rank(cov) <= 3
 
     def test_roundtrip_through_container(self, tmp_path):
         rng = np.random.default_rng(14)
         model = random_model(rng)
         inputs = rng.standard_normal((8, 5))
-        stats, keys = const_stats(model, inputs, 2)
+        cov, keys = const_stats(model, inputs, 2)
         path = tmp_path / "keys.lam"
         container.save_arrays(path, {"k_const": keys})
         loaded, _ = container.load_arrays(path)
         recomputed = loaded["k_const"] @ loaded["k_const"].T
-        assert np.linalg.norm(recomputed - stats.cov) <= 1e-12
+        assert np.linalg.norm(recomputed - cov) <= 1e-12
 
     def test_overlapping_fact_ids_rejected(self):
         rng = np.random.default_rng(15)
@@ -171,8 +133,8 @@ class TestConstStats:
         inputs = rng.standard_normal((8, 2))
         with pytest.raises(ShapeError):
             const_stats(model, inputs, 2, preserved_ids=(3, 4), request_ids=(4, 5))
-        stats, _ = const_stats(model, inputs, 2, preserved_ids=(3, 4), request_ids=(5, 6))
-        assert stats.sample_count == 2
+        _, keys = const_stats(model, inputs, 2, preserved_ids=(3, 4), request_ids=(5, 6))
+        assert keys.shape == (12, 2)
 
 
 class TestCovStatsInvariants:
@@ -180,13 +142,8 @@ class TestCovStatsInvariants:
         rng = np.random.default_rng(16)
         for trial in range(10):
             keys = rng.standard_normal((7, rng.integers(1, 12)))
-            stats = cov_per_language(KeyBatch(language_id=0, layer=1, keys=keys))
-            scale = np.linalg.norm(stats.cov)
+            cov = cov_per_language(keys)
+            scale = np.linalg.norm(cov)
             for _ in range(5):
                 x = rng.standard_normal(7)
-                assert x @ stats.cov @ x >= -1e-8 * scale * (x @ x)
-
-    def test_asymmetric_matrix_rejected(self):
-        bad = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ShapeError):
-            CovStats(cov=bad, sample_count=1, mode=PER_LANGUAGE)
+                assert x @ cov @ x >= -1e-8 * scale * (x @ x)

@@ -70,15 +70,58 @@ def _mutated(base, nested=None):
 
 
 _SOLVER = dict(TINY_CONFIG["solver"], lam_alphaedit=0.1, rel_tol=1e-6, cond_limit=1e12)
+_NESTED = {
+    "solver": _mutated(_SOLVER) | JSON_VALUES,
+    "merges": st.lists(_mutated({"method": "tsvm", "rank_ratio": 0.5}) | JSON_VALUES, max_size=3)
+    | JSON_VALUES,
+    "rank_grid": st.lists(JSON_VALUES, max_size=3) | JSON_VALUES,
+}
 CONFIG_DOCUMENTS = _mutated(
     {**TINY_CONFIG, "solver": _SOLVER, "merges": [{"method": "sum"}], "include_mono": True},
-    nested={
-        "dataset": _mutated(TINY_CONFIG["dataset"]) | JSON_VALUES,
-        "solver": _mutated(_SOLVER) | JSON_VALUES,
-        "merges": st.lists(_mutated({"method": "tsvm", "rank_ratio": 0.5}) | JSON_VALUES, max_size=3)
-        | JSON_VALUES,
-        "rank_grid": st.lists(JSON_VALUES, max_size=3) | JSON_VALUES,
-    },
+    nested={"dataset": _mutated(TINY_CONFIG["dataset"]) | JSON_VALUES, **_NESTED},
+)
+
+# Config documents for fuzzing ``lamedit generate``, which builds and fits a
+# whole benchmark.  To keep each example fast, the fields that size it are
+# always present and bounded: d <= 8, h <= 16, n_facts <= 6, m_languages <= 3,
+# n_layers <= 4, n_preserved <= 12 and vocab_size <= 64.  They are drawn
+# valid, and at times one of them is replaced by a bounded wrong value.  The
+# other fields are fuzzed as in CONFIG_DOCUMENTS, or at times left as they
+# are, so that a fair share of the examples generates a benchmark.
+GENERATE_SIZES = {
+    "d": (st.integers(2, 8), 8),
+    "h": (st.integers(8, 16), 16),
+    "n_facts": (st.integers(1, 6), 6),
+    "m_languages": (st.integers(1, 3), 3),
+    "n_layers": (st.integers(3, 4), 4),
+    "n_preserved": (st.integers(1, 12), 12),
+    "vocab_size": (st.integers(13, 64), 64),
+}
+_WRONG_SIZE = st.sampled_from(sorted(GENERATE_SIZES)).flatmap(
+    lambda name: st.fixed_dictionaries(
+        {
+            name: st.integers(-1, GENERATE_SIZES[name][1])
+            | st.floats(-1.0, GENERATE_SIZES[name][1])
+            | st.none()
+            | st.booleans()
+            | st.text(max_size=3)
+        }
+    )
+)
+_GENERATE_REST = {k: v for k, v in TINY_CONFIG["dataset"].items() if k not in GENERATE_SIZES}
+_GENERATE_DATASETS = st.builds(
+    lambda rest, sized, wrong: {**rest, **sized, **wrong},
+    st.just(_GENERATE_REST) | _mutated(_GENERATE_REST),
+    st.fixed_dictionaries({name: valid for name, (valid, _) in GENERATE_SIZES.items()}),
+    st.just({}) | _WRONG_SIZE,
+)
+_GENERATE_TOP = {k: v for k, v in TINY_CONFIG.items() if k != "dataset"} | {
+    "solver": _SOLVER, "merges": [{"method": "sum"}], "include_mono": True,
+}
+GENERATE_DOCUMENTS = st.builds(
+    lambda doc, dataset: {**doc, "dataset": dataset},
+    st.just(_GENERATE_TOP) | _mutated(_GENERATE_TOP, nested=_NESTED),
+    _GENERATE_DATASETS,
 )
 
 REPORT_ROW = {
@@ -359,8 +402,8 @@ class TestComputeDeltaSets:
         assert calls["compute_prefix"] == m
         assert calls["keys_and_targets"] == m + len(modes) * m * (n_layers - 1)
         for mode in modes:
-            for key, dm in fresh[mode].entries.items():
-                assert np.array_equal(delta_sets[mode].entries[key].delta, dm.delta)
+            for key, delta in fresh[mode].entries.items():
+                assert np.array_equal(delta_sets[mode].entries[key], delta)
 
 
 class ScipyCalled(Exception):
@@ -538,8 +581,16 @@ class TestRunCommand:
         ids=["generate", "run", "sweep"],
     )
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-    def test_out_path_that_cannot_be_a_directory_exit_2(self, tiny_setup, tmp_path, capsys, argv, under):
+    def test_out_path_that_cannot_be_a_directory_exit_2(
+        self, tiny_setup, tmp_path, capsys, monkeypatch, argv, under
+    ):
+        # run and sweep refuse the output path before any edit is computed.
         config_path, bench_dir, _ = tiny_setup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("edits computed before --out was checked")
+
+        monkeypatch.setattr(experiment, "compute_delta_sets", refuse)
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory")
         out = str(blocker / "sub") if under else str(blocker)
@@ -696,8 +747,8 @@ class TestSweepCommand:
             (mode, key)
             for matrix in factored
             for mode in modes
-            for key, dm in delta_sets[mode].entries.items()
-            if np.array_equal(matrix, dm.delta)
+            for key, delta in delta_sets[mode].entries.items()
+            if np.array_equal(matrix, delta)
         )
         expected = {(mode, key) for mode in modes for key in delta_sets[mode].entries}
         assert set(per_delta) == expected
@@ -729,6 +780,26 @@ class TestSweepCommand:
         for res in sweep_doc["results"]:
             assert res["grid"] == [1.0]
             assert abs(res["values"][0] - run_avg[res["method"]]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "axis, merges, named",
+        [
+            ("alpha", [{"method": "sum"}, {"method": "sum"}, {"method": "tsvm"}], "sum"),
+            ("rank", [{"method": "tsvm"}, {"method": "sum"}, {"method": "tsvm", "rank_ratio": 0.25}], "tsvm"),
+        ],
+        ids=["alpha", "rank"],
+    )
+    def test_repeated_merge_method_exit_2(self, tiny_setup, tmp_path, capsys, axis, merges, named):
+        # Sweep rows are keyed by method name, so a swept method listed twice
+        # is refused instead of writing one curve's values under the other's.
+        _, bench_dir, _ = tiny_setup
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, merges=merges))
+        out = tmp_path / "sw"
+        code = cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", str(out), "--axis", axis])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"merge method {named} more than once" in err
+        assert not (out / f"sweep_{axis}.csv").exists()
 
     def test_argmax_tie_breaks_to_smallest(self):
         res = experiment.SweepResult(
@@ -911,6 +982,17 @@ class TestCliFuzz:
                 json.dump(doc, fh)
             out = os.path.join(tmp, "sweep")
             code = cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", out, "--axis", axis])
+            assert code in (0, 2, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=GENERATE_DOCUMENTS)
+    def test_generate_on_fuzzed_config(self, doc):
+        # Sizes bounded as GENERATE_DOCUMENTS states, so each example stays fast.
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = os.path.join(tmp, "config.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            code = cli.main(["generate", config_path, "--out", os.path.join(tmp, "bench")])
             assert code in (0, 2, 3)
 
     @settings(max_examples=30, deadline=None)

@@ -16,7 +16,7 @@ from lamedit.merging import (
     merge_tsvm,
     truncate_svd,
 )
-from lamedit.solvers import DeltaMatrix, DeltaSet
+from lamedit.solvers import DeltaSet
 
 from test_model import random_model
 
@@ -44,18 +44,12 @@ def reference_tsvm(mats, ratio, svd=np.linalg.svd):
 
 
 def delta_set_from(mats, cov_mode=PER_LANGUAGE, layer=2, method="memit"):
-    entries = {
-        (layer, lang): DeltaMatrix(
-            layer=layer, language_id=lang, delta=m, method=method, cov_mode=cov_mode
-        )
-        for lang, m in enumerate(mats)
-    }
     return DeltaSet(
         method=method,
         cov_mode=cov_mode,
         layers=(layer,),
         language_ids=tuple(range(len(mats))),
-        entries=entries,
+        entries={(layer, lang): m for lang, m in enumerate(mats)},
     )
 
 

@@ -18,7 +18,7 @@ from lamedit.metrics import (
     run_mono,
 )
 from lamedit.model import ACTIVATIONS, NORMS, predict_batch
-from lamedit.solvers import DeltaMatrix, DeltaSet, edit_model
+from lamedit.solvers import DeltaSet, edit_model
 from lamedit.synthdata import fit_initial_model, generate_dataset
 
 from test_model import random_model
@@ -208,7 +208,7 @@ class TestProbeBatch:
             norm=norm, activation=activation,
         )
         deltas = {
-            (layer, lang): DeltaMatrix(layer, lang, rng.standard_normal((8, 16)) * scale, "memit", "per_language")
+            (layer, lang): rng.standard_normal((8, 16)) * scale
             for layer in edit_layers
             for lang in range(dataset.m_languages)
         }
@@ -222,7 +222,7 @@ class TestProbeBatch:
         assert np.array_equal(predict_batch(edited, probes.prefix), predict_batch(edited, columns))
         assert evaluate_all(edited, probes) == per_family_rows(edited, dataset)
         for i in range(dataset.m_languages):
-            own = {layer: delta_set.delta(layer, i).delta for layer in edit_layers}
+            own = {layer: delta_set.delta(layer, i) for layer in edit_layers}
             mono_edited = apply_update(model, own, alpha)
             assert run_mono(model, probes, delta_set, i, alpha) == evaluate(mono_edited, dataset, i)
             assert evaluate(mono_edited, probes, i) == per_family_rows(mono_edited, dataset)[i]

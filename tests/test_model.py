@@ -9,15 +9,11 @@ from lamedit.model import (
     LN_EPS,
     NORMS,
     LamLayer,
-    HiddenTrace,
     ToyModel,
-    compute_key,
-    compute_target_values,
+    compute_prefix,
     default_layer,
-    forward,
     forward_batch,
     keys_and_targets,
-    predict,
     predict_batch,
     _normalize,
 )
@@ -62,13 +58,29 @@ def zero_model(d=4, h=6, n_layers=2, vocab=5):
     return ToyModel(layers=layers, codebook=codebook, edit_layers=(1,))
 
 
+def forward_one(model, x):
+    """``forward_batch`` on the one-column batch of ``x``: hidden (L+1, d) and keys (L, h)."""
+    hidden, keys = forward_batch(model, np.asarray(x, dtype=float)[:, None])
+    return hidden[:, :, 0], keys[:, :, 0]
+
+
+def predict_one(model, x):
+    """``predict_batch`` on the one-column batch of ``x``."""
+    return int(predict_batch(model, np.asarray(x, dtype=float)[:, None])[0])
+
+
+def targets_one(model, x, token, layer):
+    """The targets of ``keys_and_targets`` on the one-column batch of ``x``, as a vector."""
+    return keys_and_targets(model, np.asarray(x, dtype=float)[:, None], np.array([token]), layer)[1][:, 0]
+
+
 class TestForward:
     def test_zero_weights_identity_residual(self):
         model = zero_model()
         x = np.array([0.3, -1.2, 0.7, 2.0])
-        trace = forward(model, x)
-        assert np.array_equal(trace.final, x)
-        assert np.array_equal(trace.keys, np.zeros((2, 6)))
+        hidden, keys = forward_one(model, x)
+        assert np.array_equal(hidden[-1], x)
+        assert np.array_equal(keys, np.zeros((2, 6)))
 
     def test_hand_example_identity_activation_and_norm(self):
         layer = default_layer(np.eye(2), np.eye(2))
@@ -77,26 +89,28 @@ class TestForward:
             layers=(layer,), codebook=codebook, edit_layers=(1,),
             activation="identity", norm="identity",
         )
-        trace = forward(model, np.array([1.0, 0.0]))
-        assert np.allclose(trace.key(1), [1.0, 0.0])
-        assert np.allclose(trace.hidden[1], [2.0, 0.0])
+        hidden, keys = forward_one(model, np.array([1.0, 0.0]))
+        assert np.allclose(keys[0], [1.0, 0.0])
+        assert np.allclose(hidden[1], [2.0, 0.0])
 
     def test_matches_oracle_reimplementation(self):
         rng = np.random.default_rng(0)
         for trial in range(5):
             model = random_model(rng)
             x = rng.standard_normal(8)
-            trace = forward(model, x)
+            got_hidden, got_keys = forward_one(model, x)
             hidden, keys = oracle_forward(model, x)
             scale = np.linalg.norm(hidden[-1])
-            assert np.linalg.norm(trace.final - hidden[-1]) <= 1e-6 * scale
-            assert np.allclose(trace.hidden, hidden, atol=1e-12)
-            assert np.allclose(trace.keys, keys, atol=1e-12)
+            assert np.linalg.norm(got_hidden[-1] - hidden[-1]) <= 1e-6 * scale
+            assert np.allclose(got_hidden, hidden, atol=1e-12)
+            assert np.allclose(got_keys, keys, atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         model = zero_model()
         with pytest.raises(ShapeError):
-            forward(model, np.zeros(5))
+            forward_batch(model, np.zeros(4))
+        with pytest.raises(ShapeError):
+            forward_batch(model, np.zeros((5, 1)))
         with pytest.raises(ShapeError):
             forward_batch(model, np.zeros((5, 3)))
 
@@ -105,11 +119,11 @@ class TestForward:
         for trial in range(5):
             model = random_model(rng)
             x = rng.standard_normal(8)
-            trace = forward(model, x)
+            hidden, keys = forward_one(model, x)
             acc = x.copy()
             for l in range(1, model.n_layers + 1):
-                acc = acc + model.layer(l).w_out @ trace.key(l)
-            assert np.max(np.abs(acc - trace.final)) <= 1e-10
+                acc = acc + model.layer(l).w_out @ keys[l - 1]
+            assert np.max(np.abs(acc - hidden[-1])) <= 1e-10
 
 
     def test_normalize_bit_identical_to_numpy_var(self):
@@ -123,13 +137,19 @@ class TestForward:
 
 class TestComputeKey:
     def test_consistency_with_trace(self):
+        # The keys the edit path reads (the prefix's at the first edit layer,
+        # keys_and_targets' at every edit layer) are the trace's, bit for bit.
         rng = np.random.default_rng(2)
         model = random_model(rng)
         x = rng.standard_normal(8)
-        trace = forward(model, x)
-        for l in range(1, model.n_layers + 1):
-            key = compute_key(model, l, trace.hidden[l - 1])
-            assert np.array_equal(key, trace.key(l))
+        hidden, keys = forward_one(model, x)
+        prefix = compute_prefix(model, x[:, None])
+        first = model.edit_layers[0]
+        assert np.array_equal(prefix.state[:, 0], hidden[first - 1])
+        assert np.array_equal(prefix.key[:, 0], keys[first - 1])
+        for l in model.edit_layers:
+            key, _ = keys_and_targets(model, prefix, np.array([0]), l)
+            assert np.array_equal(key[:, 0], keys[l - 1])
 
     def test_relu_gate(self):
         w_in = np.array([[1.0, -1.0], [0.0, 1.0]])
@@ -137,7 +157,8 @@ class TestComputeKey:
         model = ToyModel(
             layers=(layer,), codebook=np.eye(2), edit_layers=(1,), norm="identity",
         )
-        key = compute_key(model, 1, np.array([0.3, 0.5]))
+        _, keys = forward_one(model, np.array([0.3, 0.5]))
+        key = keys[0]
         assert key[0] == 0.0  # max(0, 0.3 - 0.5)
         assert key[1] == 0.5
 
@@ -146,38 +167,38 @@ class TestComputeKey:
         model = random_model(rng)
         h_prev = rng.standard_normal(8)
         _, keys = oracle_forward(model, h_prev)
-        key = compute_key(model, 1, h_prev)
+        key = forward_one(model, h_prev)[1][0]
         assert np.linalg.norm(key - keys[0]) <= 1e-6 * max(np.linalg.norm(keys[0]), 1e-12)
 
     def test_index_out_of_range(self):
         model = zero_model()
         with pytest.raises(IndexError):
-            compute_key(model, 3, np.zeros(4))
+            model.layer(3)
         with pytest.raises(IndexError):
-            compute_key(model, 0, np.zeros(4))
+            model.layer(0)
 
 
 class TestPredict:
     def test_exact_codebook_column(self):
         model = zero_model()
-        assert predict(model, model.codebook[:, 3].copy()) == 3
+        assert predict_one(model, model.codebook[:, 3]) == 3
 
     def test_orthogonal_to_all_but_first(self):
         model = zero_model()
-        assert predict(model, model.codebook[:, 0].copy()) == 0
+        assert predict_one(model, model.codebook[:, 0]) == 0
 
     def test_matches_bruteforce_argmax(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, vocab=17)
         for trial in range(10):
             x = rng.standard_normal(8)
-            trace = forward(model, x)
-            scores = [float(model.codebook[:, j] @ trace.final) for j in range(17)]
+            final = forward_one(model, x)[0][-1]
+            scores = [float(model.codebook[:, j] @ final) for j in range(17)]
             best, best_j = -np.inf, 0
             for j, s in enumerate(scores):
                 if s > best:
                     best, best_j = s, j
-            assert predict(model, x) == best_j
+            assert predict_one(model, x) == best_j
 
     def test_tie_breaks_to_lowest_index(self):
         d, vocab = 4, 5
@@ -185,19 +206,19 @@ class TestPredict:
         codebook[0, :] = 1.0  # all columns identical
         layers = (default_layer(np.zeros((6, d)), np.zeros((d, 6))),)
         model = ToyModel(layers=layers, codebook=codebook, edit_layers=(1,))
-        assert predict(model, np.array([1.0, 0, 0, 0])) == 0
+        assert predict_one(model, np.array([1.0, 0, 0, 0])) == 0
 
     def test_invariant_to_positive_rescaling(self):
         model = zero_model()
         x = np.array([0.4, -0.2, 0.9, 0.1])
-        assert predict(model, x) == predict(model, 3.7 * x)
+        assert predict_one(model, x) == predict_one(model, 3.7 * x)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
         model = random_model(rng)
         inputs = rng.standard_normal((8, 6))
         batch = predict_batch(model, inputs)
-        singles = [predict(model, inputs[:, i]) for i in range(6)]
+        singles = [predict_one(model, inputs[:, i]) for i in range(6)]
         assert list(batch) == singles
 
 
@@ -231,7 +252,7 @@ class TestComputeTargetValues:
         inputs = rng.standard_normal((8, 3))
         tokens = np.array([1, 4, 2])
         hidden, keys = forward_batch(model, inputs)
-        targets = compute_target_values(model, inputs, tokens, 2)
+        _, targets = keys_and_targets(model, inputs, tokens, 2)
         current = model.layer(2).w_out @ keys[1]
         residual = model.codebook[:, tokens] - hidden[-1]
         assert np.allclose(targets, current + residual, atol=1e-12)
@@ -240,9 +261,9 @@ class TestComputeTargetValues:
         model = zero_model()
         token = 2
         x = model.codebook[:, token].copy()  # h_final == codebook column exactly
-        targets = compute_target_values(model, x[:, None], np.array([token]), 1)
-        current = model.layer(1).w_out @ forward(model, x).key(1)
-        assert np.array_equal(targets[:, 0], current)
+        targets = targets_one(model, x, token, 1)
+        current = model.layer(1).w_out @ forward_one(model, x)[1][0]
+        assert np.array_equal(targets, current)
 
     def test_two_layer_split_shares(self):
         rng = np.random.default_rng(7)
@@ -251,10 +272,10 @@ class TestComputeTargetValues:
         tokens = np.array([0, 3])
         hidden, keys = forward_batch(model, inputs)
         residual = model.codebook[:, tokens] - hidden[-1]
-        t2 = compute_target_values(model, inputs, tokens, 2)
+        _, t2 = keys_and_targets(model, inputs, tokens, 2)
         current2 = model.layer(2).w_out @ keys[1]
         assert np.allclose(t2 - current2, residual / 2, atol=1e-12)
-        t3 = compute_target_values(model, inputs, tokens, 3)
+        _, t3 = keys_and_targets(model, inputs, tokens, 3)
         current3 = model.layer(3).w_out @ keys[2]
         assert np.allclose(t3 - current3, residual, atol=1e-12)
 
@@ -269,19 +290,18 @@ class TestComputeTargetValues:
         token = np.array([5])
         current = model
         for layer in current.edit_layers:
-            targets = compute_target_values(current, x[:, None], token, layer)
-            key = compute_key(current, layer, forward(current, x).hidden[layer - 1])[:, None]
-            dm = solve_memit(
+            key, targets = keys_and_targets(current, x[:, None], token, layer)
+            delta = solve_memit(
                 current.layer(layer).w_out, key, targets,
                 np.eye(10), key @ key.T, 1e-9,
             )
-            current = current.with_w_out(layer, current.layer(layer).w_out + dm.delta)
-        final = forward(current, x).final
+            current = current.with_w_out(layer, current.layer(layer).w_out + delta)
+        final = forward_one(current, x)[0][-1]
         assert np.linalg.norm(final - current.codebook[:, 5]) <= 1e-5
 
     def test_keys_and_targets_from_one_forward(self):
-        # The keys are the layer's forward keys and the targets equal
-        # compute_target_values, bit for bit.
+        # The keys are the layer's forward keys, and the targets of each
+        # column equal those of its one-column batch.
         rng = np.random.default_rng(9)
         model = random_model(rng, n_layers=4, edit_layers=(2, 3))
         inputs = rng.standard_normal((8, 5))
@@ -290,17 +310,19 @@ class TestComputeTargetValues:
         for layer in model.edit_layers:
             layer_keys, targets = keys_and_targets(model, inputs, tokens, layer)
             assert np.array_equal(layer_keys, keys[layer - 1])
-            assert np.array_equal(targets, compute_target_values(model, inputs, tokens, layer))
+            for i in range(inputs.shape[1]):
+                single = targets_one(model, inputs[:, i], tokens[i], layer)
+                assert np.allclose(targets[:, i], single, rtol=1e-12, atol=1e-13)
 
     def test_unknown_token_rejected(self):
         model = zero_model()
         with pytest.raises(InvalidRequestError):
-            compute_target_values(model, np.zeros((4, 1)), np.array([99]), 1)
+            keys_and_targets(model, np.zeros((4, 1)), np.array([99]), 1)
 
     def test_non_edit_layer_rejected(self):
         model = zero_model()
         with pytest.raises(ShapeError):
-            compute_target_values(model, np.zeros((4, 1)), np.array([0]), 2)
+            keys_and_targets(model, np.zeros((4, 1)), np.array([0]), 2)
 
 
 class TestValidation:
@@ -325,5 +347,9 @@ class TestValidation:
             ToyModel(layers=(layer,), codebook=good_cb, edit_layers=(2,))
 
     def test_trace_length_rule(self):
-        with pytest.raises(ShapeError):
-            HiddenTrace(hidden=np.zeros((3, 4)), keys=np.zeros((3, 6)))
+        # A trace holds L+1 hidden states (the input first) and L keys.
+        rng = np.random.default_rng(10)
+        model = random_model(rng)
+        hidden, keys = forward_batch(model, rng.standard_normal((8, 2)))
+        assert hidden.shape == (model.n_layers + 1, 8, 2)
+        assert keys.shape == (model.n_layers, 12, 2)

@@ -72,24 +72,24 @@ class TestSolveMemit:
         rng = np.random.default_rng(0)
         w, keys, _, k_const = random_instance(rng)
         targets = w @ keys
-        dm = solve_memit(w, keys, targets, k_const @ k_const.T, keys @ keys.T, 1.0)
-        assert np.allclose(dm.delta, 0.0, atol=1e-10)
+        delta = solve_memit(w, keys, targets, k_const @ k_const.T, keys @ keys.T, 1.0)
+        assert np.allclose(delta, 0.0, atol=1e-10)
 
     def test_hand_worked_two_by_two(self):
         w = np.eye(2)
         key = np.array([[1.0], [0.0]])
         target = np.array([[0.0], [1.0]])
-        dm = solve_memit(w, key, target, np.eye(2), key @ key.T, 1.0)
-        assert np.allclose(dm.delta, [[-0.5, 0.0], [0.5, 0.0]], atol=1e-12)
+        delta = solve_memit(w, key, target, np.eye(2), key @ key.T, 1.0)
+        assert np.allclose(delta, [[-0.5, 0.0], [0.5, 0.0]], atol=1e-12)
 
     def test_objective_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(1)
         for trial in range(3):
             w, keys, targets, k_const = random_instance(rng)
             lam = 1.0
-            dm = solve_memit(w, keys, targets, k_const @ k_const.T, keys @ keys.T, lam)
+            delta = solve_memit(w, keys, targets, k_const @ k_const.T, keys @ keys.T, lam)
             oracle = descend_edit_objective(w, keys, targets, k_const, lam)
-            j_solver = edit_objective(w, dm.delta, keys, targets, k_const, lam)
+            j_solver = edit_objective(w, delta, keys, targets, k_const, lam)
             j_oracle = edit_objective(w, oracle, keys, targets, k_const, lam)
             assert j_solver <= j_oracle * (1 + 1e-6)
             assert j_oracle <= j_solver * (1 + 1e-4)
@@ -101,8 +101,8 @@ class TestSolveMemit:
         cov_r = keys @ keys.T
         base = solve_memit(w, keys, targets, cov_c, cov_r, 1.0)
         doubled = solve_memit(w, keys, 2 * targets - w @ keys, cov_c, cov_r, 1.0)
-        scale = np.linalg.norm(doubled.delta)
-        assert np.linalg.norm(doubled.delta - 2 * base.delta) <= 1e-10 * max(scale, 1e-12)
+        scale = np.linalg.norm(doubled)
+        assert np.linalg.norm(doubled - 2 * base) <= 1e-10 * max(scale, 1e-12)
 
     def test_singular_system_raises(self):
         rng = np.random.default_rng(3)
@@ -143,11 +143,11 @@ class TestFactoredSolves:
             w, keys, targets, k_const = random_instance(rng, d=d, h=h, n=n, p=p)
             lam = float(rng.uniform(0.01, 5.0))
             cov_c, cov_r = k_const @ k_const.T + 1e-3 * np.eye(h), keys @ keys.T
-            dm = solve_memit(w, keys, targets, cov_c, cov_r, lam)
+            delta = solve_memit(w, keys, targets, cov_c, cov_r, lam)
             system = lam * cov_c + cov_r
             system = 0.5 * (system + system.T)
             rhs = keys @ (targets - w @ keys).T
-            assert np.array_equal(dm.delta, scipy.linalg.solve(system, rhs, assume_a="pos").T)
+            assert np.array_equal(delta, scipy.linalg.solve(system, rhs, assume_a="pos").T)
 
     def test_alphaedit_equals_general_solve(self):
         # One LU factor of the transposed system gives the bits of scipy's general solve.
@@ -159,10 +159,10 @@ class TestFactoredSolves:
             keys, proj = projected_instance(rng, h, n, p)
             targets = rng.standard_normal((d, n))
             lam = float(rng.uniform(0.01, 5.0))
-            dm = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, lam)
+            delta = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, lam)
             system = lam * np.eye(h) + keys @ keys.T @ proj.projector
             rhs = proj.projector @ keys @ (targets - w @ keys).T
-            assert np.array_equal(dm.delta, scipy.linalg.solve(system.T, rhs).T)
+            assert np.array_equal(delta, scipy.linalg.solve(system.T, rhs).T)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -179,7 +179,7 @@ class TestFactoredSolves:
         d = int(rng.integers(2, h + 1))
         w, keys, targets, k_const = random_instance(rng, d=d, h=h, n=n, p=h + 4)
         cov_c, cov_r = k_const @ k_const.T, keys @ keys.T
-        delta = solve_memit(w, keys, targets, cov_c, cov_r, lam).delta
+        delta = solve_memit(w, keys, targets, cov_c, cov_r, lam)
         system = lam * cov_c + cov_r
         rk = (targets - w @ keys) @ keys.T
         gradient = delta @ system - rk
@@ -227,18 +227,18 @@ class TestSolveAlphaedit:
         proj = nullspace_projector(np.zeros((32, 32)))
         via_alpha = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, lam)
         via_memit = solve_memit(w, keys, targets, np.eye(32), keys @ keys.T, lam)
-        scale = max(np.linalg.norm(via_memit.delta), 1e-12)
-        assert np.linalg.norm(via_alpha.delta - via_memit.delta) <= 1e-9 * scale
+        scale = max(np.linalg.norm(via_memit), 1e-12)
+        assert np.linalg.norm(via_alpha - via_memit) <= 1e-9 * scale
 
     def test_preserved_keys_annihilated(self):
         rng = np.random.default_rng(8)
         for trial in range(5):
             w, keys, targets, k_const = random_instance(rng, p=12)
             proj = nullspace_projector(k_const @ k_const.T)
-            dm = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, 0.1)
-            bound = 1e-8 * np.linalg.norm(dm.delta) * np.linalg.norm(k_const)
-            assert np.linalg.norm(dm.delta @ k_const) <= bound
-            assert np.linalg.norm(dm.delta) > 0
+            delta = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, 0.1)
+            bound = 1e-8 * np.linalg.norm(delta) * np.linalg.norm(k_const)
+            assert np.linalg.norm(delta @ k_const) <= bound
+            assert np.linalg.norm(delta) > 0
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -260,7 +260,7 @@ class TestSolveAlphaedit:
         w, keys, targets, k_const = random_instance(rng, d=d, h=h, n=n, p=p)
         cov = k_const @ k_const.T
         proj = nullspace_projector(cov, rel_tol=rel_tol)
-        delta = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, lam).delta
+        delta = solve_alphaedit(w, keys, targets, proj, keys @ keys.T, lam)
         scale = np.linalg.norm(delta) * np.linalg.norm(k_const)
         outside = k_const - proj.projector @ k_const
         assert np.linalg.norm(delta @ outside) <= 1e-10 * scale
@@ -272,8 +272,8 @@ class TestSolveAlphaedit:
         rng = np.random.default_rng(9)
         w, keys, _, k_const = random_instance(rng, p=12)
         proj = nullspace_projector(k_const @ k_const.T)
-        dm = solve_alphaedit(w, keys, w @ keys, proj, keys @ keys.T, 0.1)
-        assert np.allclose(dm.delta, 0.0, atol=1e-10)
+        delta = solve_alphaedit(w, keys, w @ keys, proj, keys @ keys.T, 0.1)
+        assert np.allclose(delta, 0.0, atol=1e-10)
 
     def test_cond_limit_enforced(self):
         rng = np.random.default_rng(15)
@@ -305,8 +305,8 @@ class TestEditModel:
         model = zero_model()
         req = _zero_weight_requests(model, [1, 2])
         delta_set = edit_model(model, [req], np.zeros((4, 0)), method="alphaedit", lam=0.1)
-        for (layer, lang), dm in delta_set.entries.items():
-            assert np.allclose(dm.delta, 0.0, atol=1e-12)
+        for (layer, lang), delta in delta_set.entries.items():
+            assert np.allclose(delta, 0.0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -348,8 +348,8 @@ class TestEditModel:
                 w_out = working[lang].layer(layer).w_out
                 expected = solve_memit(
                     w_out, keys, targets, preserved[layer] * count, 0.5 * (cov_request + cov_request.T), lam
-                ).delta
-                got = delta_set.delta(layer, lang).delta
+                )
+                got = delta_set.delta(layer, lang)
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
                 working[lang] = working[lang].with_w_out(layer, w_out + got)
 
@@ -387,16 +387,16 @@ class TestEditModel:
         )
         working = {req.language_id: model for req in requests}
         for layer in edit_layers:
-            batches = {}
-            for req in requests:
-                keys, targets = keys_and_targets(working[req.language_id], req.inputs, req.new_tokens, layer)
-                batches[req.language_id] = (cov_mod.KeyBatch(req.language_id, layer, keys), targets)
-            shared = cov_mod.cov_shared([kb for kb, _ in batches.values()]).cov
-            for lang, (kb, targets) in batches.items():
-                cov_request = shared if cov_mode == SHARED else cov_mod.cov_per_language(kb).cov
+            batches = {
+                req.language_id: keys_and_targets(working[req.language_id], req.inputs, req.new_tokens, layer)
+                for req in requests
+            }
+            shared = cov_mod.cov_shared([keys for keys, _ in batches.values()])
+            for lang, (keys, targets) in batches.items():
+                cov_request = shared if cov_mode == SHARED else cov_mod.cov_per_language(keys)
                 w_out = working[lang].layer(layer).w_out
-                expected = solve_alphaedit(w_out, kb.keys, targets, preserved[layer], cov_request, lam).delta
-                got = delta_set.delta(layer, lang).delta
+                expected = solve_alphaedit(w_out, keys, targets, preserved[layer], cov_request, lam)
+                got = delta_set.delta(layer, lang)
                 assert np.array_equal(got, expected)
                 working[lang] = working[lang].with_w_out(layer, w_out + got)
 
@@ -453,20 +453,17 @@ class TestEditModel:
         preserved = rng.standard_normal((6, 8))
         lam = 1.5
         delta_set = edit_model(model, reqs, preserved, method="memit", lam=lam)
-        from lamedit import covariance as cov_mod
-        from lamedit.model import compute_target_values
-
-        stats, k_const = cov_mod.const_stats(model, preserved, 2)
+        _, k_const = cov_mod.const_stats(model, preserved, 2)
         for req in reqs:
-            kb = cov_mod.request_keys(model, req.language_id, req.inputs, 2)
-            targets = compute_target_values(model, req.inputs, req.new_tokens, 2)
-            scaled_const = k_const * np.sqrt(kb.n / stats.sample_count)
+            keys = cov_mod.request_keys(model, req.inputs, 2)
+            _, targets = keys_and_targets(model, req.inputs, req.new_tokens, 2)
+            scaled_const = k_const * np.sqrt(keys.shape[1] / k_const.shape[1])
             oracle = descend_edit_objective(
-                model.layer(2).w_out, kb.keys, targets, scaled_const, lam
+                model.layer(2).w_out, keys, targets, scaled_const, lam
             )
-            delta = delta_set.delta(2, req.language_id).delta
-            j_solver = edit_objective(model.layer(2).w_out, delta, kb.keys, targets, scaled_const, lam)
-            j_oracle = edit_objective(model.layer(2).w_out, oracle, kb.keys, targets, scaled_const, lam)
+            delta = delta_set.delta(2, req.language_id)
+            j_solver = edit_objective(model.layer(2).w_out, delta, keys, targets, scaled_const, lam)
+            j_oracle = edit_objective(model.layer(2).w_out, oracle, keys, targets, scaled_const, lam)
             assert j_solver <= j_oracle * (1 + 1e-6)
 
     def test_deltas_relative_to_original_weights(self, small_bench):
@@ -481,10 +478,9 @@ class TestEditModel:
         )
         assert delta_set.layers == model.edit_layers
         assert delta_set.language_ids == tuple(range(dataset.m_languages))
-        for (layer, lang), dm in delta_set.entries.items():
-            assert dm.delta.shape == model.layer(layer).w_out.shape
-            assert dm.method == "memit"
-            assert dm.cov_mode == SHARED
+        assert (delta_set.method, delta_set.cov_mode) == ("memit", SHARED)
+        for (layer, lang), delta in delta_set.entries.items():
+            assert delta.shape == model.layer(layer).w_out.shape
 
     def test_duplicate_language_ids_rejected(self, small_bench):
         dataset, model = small_bench
@@ -500,11 +496,9 @@ class TestEditModel:
         reqs = [LanguageRequests(0, rng.standard_normal((6, 3)), np.array([0, 1, 2]))]
         preserved = rng.standard_normal((6, 4))
         delta_set = edit_model(model, reqs, preserved, method="alphaedit", lam=0.1)
-        from lamedit import covariance as cov_mod
-
         for layer in delta_set.layers:
             _, k_const = cov_mod.const_stats(model, preserved, layer)
-            delta = delta_set.delta(layer, 0).delta
+            delta = delta_set.delta(layer, 0)
             bound = 1e-8 * np.linalg.norm(delta) * np.linalg.norm(k_const)
             assert np.linalg.norm(delta @ k_const) <= max(bound, 1e-15)
 
@@ -607,8 +601,8 @@ class TestLayerFactorisation:
             else:
                 own = solve_alphaedit(
                     w_out, keys, targets, preserved[first], shared, DEFAULT_LAM_ALPHAEDIT
-                ).delta
-            assert np.array_equal(delta_set.delta(first, req.language_id).delta, own)
+                )
+            assert np.array_equal(delta_set.delta(first, req.language_id), own)
 
     def test_request_prefix_of_another_model_rejected(self, small_bench):
         dataset, model = small_bench
@@ -624,5 +618,5 @@ class TestLayerFactorisation:
         for mode in (PER_LANGUAGE, SHARED):
             plain = edit_model(model, requests, dataset.preserved_inputs_all(), cov_mode=mode)
             reused = edit_model(model, prepared, dataset.preserved_inputs_all(), cov_mode=mode)
-            for key, dm in plain.entries.items():
-                assert np.array_equal(reused.entries[key].delta, dm.delta)
+            for key, delta in plain.entries.items():
+                assert np.array_equal(reused.entries[key], delta)

@@ -4,7 +4,7 @@ import pytest
 import lamedit as lm
 from lamedit import container
 from lamedit.errors import ConfigError
-from lamedit.model import forward_batch, predict
+from lamedit.model import forward_batch, predict_batch
 from lamedit.synthdata import (
     GenConfig,
     build_benchmark,
@@ -120,8 +120,8 @@ class TestFit:
         cfg = tiny_cfg(n_facts=1, m_languages=1, n_preserved=4, vocab_size=8)
         ds = generate_dataset(cfg)
         model, _ = fit_initial_model(cfg, ds)
-        x = ds.request_inputs(0)[:, 0]
-        assert predict(model, x) == int(ds.old_tokens[0])
+        x = ds.request_inputs(0)[:, :1]
+        assert predict_batch(model, x)[0] == int(ds.old_tokens[0])
 
     def test_fit_floor_on_small_config(self, small_cfg, small_bench):
         from lamedit.synthdata import _recall_stats
