@@ -37,7 +37,6 @@ from .metrics import (
     MetricsRow,
     ProbeBatch,
     accuracy,
-    evaluate,
     evaluate_all,
     probe_batch,
     run_mono,

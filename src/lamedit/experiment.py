@@ -93,6 +93,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.merges:
             object.__setattr__(self, "merges", default_merges())
+        _refuse_repeated_methods("merges", (m.method for m in self.merges))
         for grid, name in ((self.alpha_grid, "alpha_grid"), (self.rank_grid, "rank_grid")):
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
@@ -112,6 +113,18 @@ class ExperimentConfig:
             raise ConfigError(f"include_mono must be true or false, got {self.include_mono!r}")
         if self.dataset.seed != self.seed:
             object.__setattr__(self, "dataset", replace(self.dataset, seed=self.seed))
+
+
+def _refuse_repeated_methods(where, methods):
+    """Raise ConfigError naming each method listed more than once.
+
+    Run reports, sweep rows and comparison rows are keyed by method name, so
+    a repeat would write one result twice or misalign another's.
+    """
+    methods = list(methods)
+    repeated = sorted({name for name in methods if methods.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"{where} lists merge method {', '.join(repeated)} more than once")
 
 
 def default_merges(rank_ratio=DEFAULT_TSVM_RANK):
@@ -324,35 +337,33 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
     each language's request prefix and first-layer targets, are computed once
     on the unedited model and shared by every mode.
     """
-    preserved_inputs = dataset.preserved_inputs_all()
     preserved = solvers.preserved_terms(
         model,
-        preserved_inputs,
+        dataset.preserved_inputs_all(),
         solver.method,
         solver.rel_tol,
         preserved_ids=dataset.preserved_fact_ids(),
         request_ids=dataset.request_fact_ids(),
     )
     requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
-    out = {}
-    for mode in sorted(set(cov_modes)):
-        out[mode] = solvers.edit_model(
+    return {
+        mode: solvers.edit_model(
             model,
             requests,
-            preserved_inputs,
+            preserved,
+            solver.lam,
             method=solver.method,
             cov_mode=mode,
-            lam=solver.lam,
             cond_limit=solver.cond_limit,
-            preserved=preserved,
         )
-    return out
+        for mode in sorted(set(cov_modes))
+    }
 
 
-def merge_report(model, dataset, merged, merge_cfg, alpha, seed):
+def merge_report(model, probes, merged, merge_cfg, alpha, seed):
     """Apply one merge (``{layer: matrix}`` from ``merge_cfg``) at ``alpha`` and score it.
 
-    ``dataset`` may be its :class:`~lamedit.metrics.ProbeBatch` on ``model``.
+    ``probes`` is the dataset's :class:`~lamedit.metrics.ProbeBatch` on ``model``.
     """
     return metrics.MetricsReport(
         method=merge_cfg.method,
@@ -360,27 +371,25 @@ def merge_report(model, dataset, merged, merge_cfg, alpha, seed):
         alpha=float(alpha),
         rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
         seed=seed,
-        languages=dataset.languages,
-        rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), dataset),
+        languages=probes.languages,
+        rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), probes),
     )
 
 
-def mono_report(model, dataset, delta_set, alpha, seed):
+def mono_report(model, probes, delta_set, alpha, seed):
     """Mono baseline: each language edited with only its own per-language deltas.
 
-    ``dataset`` may be its :class:`~lamedit.metrics.ProbeBatch` on ``model``;
-    each row then scores its language's columns of the batch.
+    ``probes`` is the dataset's :class:`~lamedit.metrics.ProbeBatch` on
+    ``model``; each row scores its language's columns of the batch.
     """
-    rows = tuple(
-        metrics.run_mono(model, dataset, delta_set, i, alpha) for i in range(dataset.m_languages)
-    )
+    rows = tuple(metrics.run_mono(model, probes, delta_set, i, alpha) for i in probes.language_ids)
     return metrics.MetricsReport(
         method=MONO_METHOD,
         cov_mode=PER_LANGUAGE,
         alpha=float(alpha),
         rank_ratio=None,
         seed=seed,
-        languages=dataset.languages,
+        languages=probes.languages,
         rows=rows,
     )
 
@@ -448,12 +457,6 @@ def sweep(config, dataset, model, axis):
             raise ConfigError("rank sweep needs at least one tsvm-family merge method")
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
-    names = [m.method for m in merge_cfgs]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        # Sweep outputs are keyed by method name, so a repeat would misalign them.
-        raise ConfigError(f"{axis} sweep lists merge method {', '.join(repeated)} more than once")
-
     modes = [m.cov_mode for m in merge_cfgs]
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
     if axis == "alpha":
@@ -707,6 +710,7 @@ def build_comparison(run_dirs, allow_mixed=False):
         if not isinstance(config, dict):
             raise ConfigError(f"run output {path} config must be a JSON object")
         reports = [_report_row(path, index, rep) for index, rep in enumerate(doc["reports"])]
+        _refuse_repeated_methods(f"run output {path}", (rep.method for rep in reports))
         docs.append((run_dir, config.get("solver"), reports))
     seeds = {rep.seed for _, _, reports in docs for rep in reports}
     if not seeds:

@@ -6,9 +6,10 @@ the edited requests against their new tokens, generalization the rephrases,
 specificity the unrelated preserved facts against their original tokens, and
 portability the one-hop probes against the new tokens.
 
-A :class:`ProbeBatch` concatenates the probes once and caches their prefix on
-the unedited model, so callers that score many edited models (runs, sweeps,
-mono) pass it in place of the dataset.
+Scoring reads a :class:`ProbeBatch`: the probes, concatenated once, with
+their prefix cached on the unedited model (:func:`probe_batch`).  Every
+model edited from it (runs, sweeps, mono) is scored from that prefix;
+:func:`accuracy` scores one probe family from raw inputs.
 """
 
 from __future__ import annotations
@@ -180,40 +181,24 @@ def probe_batch(model, dataset, language_ids=None):
     )
 
 
-def evaluate(model, dataset, language_id):
-    """All four accuracies for one language.
+def evaluate_all(model, probes):
+    """Rows for every language of ``probes``, in its language order.
 
-    ``dataset`` may be a :class:`ProbeBatch` holding the language, built on
-    the unedited model ``model`` was edited from; scoring then starts from
-    its cached prefix.
+    ``probes`` is a :class:`ProbeBatch` from :func:`probe_batch` on the
+    unedited model ``model`` was edited from.
     """
-    if isinstance(dataset, ProbeBatch):
-        return dataset.language(language_id).rows(model)[0]
-    return probe_batch(model, dataset, (language_id,)).rows(model)[0]
+    return probes.rows(model)
 
 
-def evaluate_all(model, dataset):
-    """Rows for every language, ascending language order.
-
-    ``dataset`` may be its :class:`ProbeBatch` (from :func:`probe_batch` on
-    the unedited model ``model`` was edited from), built once for callers
-    that score many edited models; scoring then starts from its cached
-    prefix.
-    """
-    if isinstance(dataset, ProbeBatch):
-        return dataset.rows(model)
-    return probe_batch(model, dataset).rows(model)
-
-
-def run_mono(model, dataset, delta_set, language_id, alpha=1.0):
+def run_mono(model, probes, delta_set, language_id, alpha=1.0):
     """Edit with a single language's own deltas and evaluate in that language.
 
     This is exactly the m=1 merge pipeline.  ``delta_set`` must hold deltas
     solved with per-language covariance: each language's entries depend only
     on its own requests, so they equal a single-language solve.  They are
-    scaled by ``alpha``, applied, and scored.  ``dataset`` may be a
-    :class:`ProbeBatch` on ``model``, as for :func:`evaluate`.
+    scaled by ``alpha``, applied, and scored on the language's columns of
+    ``probes``, a :class:`ProbeBatch` on ``model``.
     """
     own = {layer: delta_set.delta(layer, language_id) for layer in delta_set.layers}
     edited = merging.apply_update(model, own, alpha)
-    return evaluate(edited, dataset, language_id)
+    return probes.language(language_id).rows(edited)[0]

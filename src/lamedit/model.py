@@ -13,8 +13,10 @@ pairs with the transition ``hidden[l-1] -> hidden[l]``.
 
 Edits change only the edit layers' ``w_out``.  A batch's :class:`Prefix` (the
 state entering the first edit layer, and that layer's keys) is therefore the
-same on the unedited model and on every model edited from it, so prediction
-and target computation can start from a prefix computed once.
+same on the unedited model and on every model edited from it.  Target
+computation (:func:`keys_and_targets`) always runs on from a prefix computed
+once on the unedited model, and prediction does when given one;
+:func:`forward_batch` is the full pass with its per-layer trace.
 """
 
 from __future__ import annotations
@@ -245,12 +247,25 @@ class Prefix:
             )
 
 
+def _walk(model, state, layers, key_layer=None):
+    """Run ``layers`` (1-based, ascending) on ``state`` (d, n), keeping only the running state.
+
+    Returns the state after the last of them and the keys at ``key_layer``
+    (``None`` unless it is one of ``layers``).
+    """
+    keys = None
+    for l in layers:
+        layer_keys = _layer_keys(model, l, state)
+        if l == key_layer:
+            keys = layer_keys
+        state = state + model.layer(l).w_out @ layer_keys
+    return state, keys
+
+
 def compute_prefix(model, inputs):
     """The :class:`Prefix` of ``inputs`` (d, n) on ``model``."""
     first = model.edit_layers[0]
-    state = _check_inputs(model, inputs)
-    for l in range(1, first):
-        state = state + model.layer(l).w_out @ _layer_keys(model, l, state)
+    state, _ = _walk(model, _check_inputs(model, inputs), range(1, first))
     return Prefix(base=model, state=state, key=_layer_keys(model, first, state))
 
 
@@ -258,14 +273,9 @@ def _run_prefix(model, prefix, key_layer):
     """``model``'s final state on the prefix's batch, and its keys at ``key_layer``."""
     prefix.check(model)
     first = prefix.layer
-    keys = prefix.key
     state = prefix.state + model.layer(first).w_out @ prefix.key
-    for l in range(first + 1, model.n_layers + 1):
-        layer_keys = _layer_keys(model, l, state)
-        if l == key_layer:
-            keys = layer_keys
-        state = state + model.layer(l).w_out @ layer_keys
-    return state, keys
+    state, keys = _walk(model, state, range(first + 1, model.n_layers + 1), key_layer)
+    return state, prefix.key if key_layer == first else keys
 
 
 def forward_batch(model, inputs):
@@ -305,7 +315,7 @@ def predict_batch(model, inputs):
     return np.argmax(state.T @ model.codebook, axis=1)
 
 
-def keys_and_targets(model, inputs, new_tokens, layer):
+def keys_and_targets(model, prefix, new_tokens, layer):
     """Keys and per-request target values at one edit layer, from one forward pass.
 
     For each request the desired final-state residual is
@@ -318,9 +328,9 @@ def keys_and_targets(model, inputs, new_tokens, layer):
 
     Parameters
     ----------
-    inputs : ndarray (d, n), or their :class:`Prefix`
-        A prefix computed on the unedited model ``model`` was edited from is
-        where the forward pass starts.
+    prefix : :class:`Prefix`
+        The requests' prefix on the unedited model ``model`` was edited from
+        (:func:`compute_prefix`); the forward pass starts there.
     new_tokens : int array (n,)
     layer : int
         1-based index; must be one of the model's edit layers.
@@ -328,7 +338,7 @@ def keys_and_targets(model, inputs, new_tokens, layer):
     Returns
     -------
     keys : ndarray (h, n)
-        The layer's keys for ``inputs``.
+        The layer's keys for the prefix's batch.
     targets : ndarray (d, n)
     """
     if layer not in model.edit_layers:
@@ -341,15 +351,10 @@ def keys_and_targets(model, inputs, new_tokens, layer):
             f"token ids must be in 0..{model.vocab_size - 1}, got range "
             f"[{new_tokens.min()}, {new_tokens.max()}]"
         )
-    if not isinstance(inputs, Prefix):
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape != (model.d, new_tokens.size):
-            raise ShapeError(f"inputs must be (d, n) = ({model.d}, {new_tokens.size}), got {inputs.shape}")
-        inputs = compute_prefix(model, inputs)
-    elif inputs.n != new_tokens.size:
-        raise ShapeError(f"prefix has {inputs.n} columns for {new_tokens.size} new tokens")
+    if prefix.n != new_tokens.size:
+        raise ShapeError(f"prefix has {prefix.n} columns for {new_tokens.size} new tokens")
 
-    final, layer_keys = _run_prefix(model, inputs, layer)
+    final, layer_keys = _run_prefix(model, prefix, layer)
     current = model.layer(layer).w_out @ layer_keys
     residual = model.codebook[:, new_tokens] - final
     remaining = sum(1 for l in model.edit_layers if l >= layer)

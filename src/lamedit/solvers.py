@@ -14,11 +14,13 @@ order for every language, recomputing keys and targets on per-language
 working copies, and returns all per-(layer, language) perturbations relative
 to the original weights.  The input model is never mutated.
 
-The work every working copy shares with the unedited model is done once: the
-preserved keys of every layer come from one forward pass, each language's
-requests from their :class:`RequestPrefix`, and in the shared covariance mode
-each layer's system (the same matrix for every language) is factored and
-condition-checked once, then applied to each language's right-hand side.
+Everything ``edit_model`` shares with the unedited model comes in prepared
+on it, once per run: the preserved term of every layer from
+:func:`preserved_terms` (one forward pass of the preserved sample), and each
+language's requests as a :class:`RequestPrefix` from :func:`request_prefix`.
+In the shared covariance mode each layer's system (the same matrix for every
+language) is factored and condition-checked once, then applied to each
+language's right-hand side.
 
 numpy and scipy bundle separate OpenBLAS builds whose thread pools stall each
 other when calls alternate, so ``edit_model`` runs each edit layer in three
@@ -109,7 +111,6 @@ class LanguageRequests:
 class DeltaSet:
     """All per-(layer, language) perturbations from one editing run."""
 
-    method: str
     cov_mode: str
     layers: tuple[int, ...]
     language_ids: tuple[int, ...]
@@ -373,25 +374,20 @@ def _layer_matrix(method, preserved_term, cov_request, request_count, lam):
 def edit_model(
     model,
     requests,
-    preserved_inputs,
+    preserved,
+    lam,
     method=METHOD_MEMIT,
     cov_mode=PER_LANGUAGE,
-    lam=None,
-    rel_tol=DEFAULT_REL_TOL,
     cond_limit=DEFAULT_COND_LIMIT,
-    preserved_ids=None,
-    request_ids=None,
-    preserved=None,
 ):
     """One-step batch edit over all edit layers and languages.
 
     Per-language perturbations are computed against the original weights:
     each language gets its own working copy that accumulates only its own
     lower-layer edits, which is what makes the resulting per-language deltas
-    independently mergeable.  Preserved statistics are computed once per
-    layer on the unedited model.  Each (language, layer) step takes its keys
-    and targets from one forward pass of that language's working copy, run
-    on from the requests' prefix.  In the shared covariance mode every
+    independently mergeable.  Each (language, layer) step takes its keys and
+    targets from one forward pass of that language's working copy, run on
+    from the requests' prefix.  In the shared covariance mode every
     language's system at a layer is the same matrix, so it is factored and
     condition-checked once per layer; in the per-language mode once per
     (layer, language).  Each layer runs in three phases (see the module
@@ -401,27 +397,18 @@ def edit_model(
 
     Parameters
     ----------
-    requests : sequence of LanguageRequests or RequestPrefix
-        One entry per language; language ids must be unique.  A
-        :class:`RequestPrefix` (from :func:`request_prefix` on this model)
-        saves recomputing the requests' prefix and first-layer targets, for
-        callers that edit the same model more than once.
-    preserved_inputs : ndarray (d, p)
-        Inputs whose predictions the edit should leave alone, pooled over
-        languages.  May be empty only for the alphaedit method.
+    requests : sequence of RequestPrefix
+        One per language, from :func:`request_prefix` on ``model``; language
+        ids must be unique.
+    preserved : dict
+        :func:`preserved_terms` of ``model`` for ``method``.
+    lam : float
+        For memit the preserved moment is normalized per sample and rescaled
+        to the request batch size before weighting, so lam expresses the
+        preservation-to-request ratio regardless of either sample count.
     cov_mode : "per_language" | "shared"
         Whether each language's request covariance is its own or the sum
         across all languages.
-    lam : float, optional
-        Defaults to 2.75 (memit) or 0.1 (alphaedit).  For memit the preserved
-        moment is normalized per sample and rescaled to the request batch
-        size before weighting, so lam expresses the preservation-to-request
-        ratio regardless of either sample count.
-    preserved : dict, optional
-        :func:`preserved_terms` of this model, method and preserved inputs,
-        for callers that edit the same model more than once; computed here
-        when omitted.  When given, ``preserved_inputs``, ``rel_tol``,
-        ``preserved_ids`` and ``request_ids`` are not read.
 
     Returns
     -------
@@ -431,24 +418,14 @@ def edit_model(
         raise ShapeError(f"unknown method {method!r}")
     if cov_mode not in cov_mod.COV_MODES:
         raise ShapeError(f"unknown covariance mode {cov_mode!r}")
-    requests = list(requests)
-    if not requests:
+    prepared = sorted(requests, key=lambda prep: prep.language_id)
+    if not prepared:
         raise ShapeError("edit_model needs at least one language batch")
-    requests.sort(key=lambda req: req.language_id)
-    language_ids = tuple(req.language_id for req in requests)
+    language_ids = tuple(prep.language_id for prep in prepared)
     if len(set(language_ids)) != len(language_ids):
         raise ShapeError(f"duplicate language ids in requests: {language_ids}")
-    prepared = [
-        req if isinstance(req, RequestPrefix) else request_prefix(model, req) for req in requests
-    ]
     if any(prep.prefix.base is not model for prep in prepared):
         raise ShapeError("a RequestPrefix was computed on another model")
-    if lam is None:
-        lam = DEFAULT_LAM_MEMIT if method == METHOD_MEMIT else DEFAULT_LAM_ALPHAEDIT
-    if preserved is None:
-        preserved = preserved_terms(
-            model, preserved_inputs, method, rel_tol, preserved_ids=preserved_ids, request_ids=request_ids
-        )
 
     factor = _memit_inverse if method == METHOD_MEMIT else _alphaedit_lu
     entries = {}
@@ -492,7 +469,6 @@ def edit_model(
             working[lang] = working[lang].with_w_out(layer, w_out + delta)
 
     return DeltaSet(
-        method=method,
         cov_mode=cov_mode,
         layers=tuple(model.edit_layers),
         language_ids=language_ids,

@@ -340,12 +340,14 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
     model = replace(seed_model, codebook=_init_codebook(seed_model, dataset, rng))
 
     inputs, tokens = _all_fact_inputs(dataset)
+    # The fit rewrites only edit layers' w_out, so the inputs' prefix holds for every pass.
+    prefix = model_core.compute_prefix(model, inputs)
     identity = np.eye(cfg.h)
     history = []
     recall = None
     for pass_idx in range(max_passes):
         for layer in cfg.edit_layers:
-            keys, targets = model_core.keys_and_targets(model, inputs, tokens, layer)
+            keys, targets = model_core.keys_and_targets(model, prefix, tokens, layer)
             cov_request = cov_mod.cov_per_language(keys)
             ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
             delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)

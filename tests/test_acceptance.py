@@ -22,22 +22,28 @@ pytestmark = pytest.mark.acceptance
 
 
 @pytest.fixture(scope="module")
-def pinned_reports(pinned_config, pinned_bench, pinned_delta_sets):
+def pinned_probes(pinned_bench):
+    dataset, model = pinned_bench
+    return metrics.probe_batch(model, dataset)
+
+
+@pytest.fixture(scope="module")
+def pinned_reports(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes):
     dataset, model = pinned_bench
     reports = {}
     for mc in pinned_config.merges:
         merged = merge(mc, pinned_delta_sets[mc.cov_mode])
         edited = apply_update(model, merged, pinned_config.alpha)
-        rows = metrics.evaluate_all(edited, dataset)
+        rows = metrics.evaluate_all(edited, pinned_probes)
         reports[mc.method] = float(np.mean([r.averaged for r in rows]))
     return reports
 
 
 @pytest.fixture(scope="module")
-def pinned_mono(pinned_config, pinned_bench, pinned_delta_sets):
+def pinned_mono(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes):
     dataset, model = pinned_bench
     report = experiment.mono_report(
-        model, dataset, pinned_delta_sets["per_language"], pinned_config.alpha, pinned_config.seed
+        model, pinned_probes, pinned_delta_sets["per_language"], pinned_config.alpha, pinned_config.seed
     )
     return float(report.mean_row().averaged)
 
@@ -205,12 +211,10 @@ def test_criterion_9_determinism(acceptance_log, pinned_config, pinned_benchmark
     assert byte_identical
 
 
-def test_criterion_10_pre_edit_sanity(acceptance_log, pinned_bench):
+def test_criterion_10_pre_edit_sanity(acceptance_log, pinned_bench, pinned_probes):
     dataset, model = pinned_bench
     req_recall, _ = _recall_stats(model, dataset)
-    specificity = float(np.mean([
-        metrics.evaluate(model, dataset, i).specificity for i in range(dataset.m_languages)
-    ]))
+    specificity = float(np.mean([row.specificity for row in metrics.evaluate_all(model, pinned_probes)]))
     ok = req_recall >= 0.95 and specificity >= 0.95
     acceptance_log(
         10, ok,

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -16,6 +18,8 @@ from lamedit import cli, container, covariance, experiment, merging, solvers
 from lamedit import model as model_mod
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import ConfigError
+
+from test_solvers import edit_requests
 
 TINY_CONFIG = {
     "schema_version": 1,
@@ -356,17 +360,17 @@ class TestComputeDeltaSets:
         dataset, model = small_bench
         solver = experiment.SolverSettings(method=method, rel_tol=0.02)
         modes = (PER_LANGUAGE, SHARED)
-        # Reference: one edit_model call per mode, each computing its own
+        # Reference: one edit per mode, each preparing its own requests and
         # preserved terms.
         fresh = {
-            mode: solvers.edit_model(
+            mode: edit_requests(
                 model,
                 dataset.all_language_requests(),
                 dataset.preserved_inputs_all(),
+                solver.lam,
                 method=method,
-                cov_mode=mode,
-                lam=solver.lam,
                 rel_tol=solver.rel_tol,
+                cov_mode=mode,
             )
             for mode in modes
         }
@@ -440,9 +444,9 @@ class TestMemitStaysInNumpy:
         dataset, model = small_bench
         _refuse_scipy_linalg(monkeypatch)
         with pytest.raises(ScipyCalled):
-            solvers.edit_model(
+            edit_requests(
                 model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
-                method="alphaedit", rel_tol=0.02,
+                solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", rel_tol=0.02,
             )
 
 
@@ -470,6 +474,38 @@ class TestGenerateCommand:
         doc["dataset"] = dict(TINY_CONFIG["dataset"], vocab_size=4)
         bad2 = write_config(tmp_path, doc, name="bad2.json")
         assert cli.main(["generate", bad2, "--out", str(tmp_path / "y")]) == 2
+
+
+class TestBlasThreadCount:
+    def test_tiny_generate_and_run_bytes_do_not_depend_on_thread_count(self, tmp_path):
+        # At h <= 64 every BLAS kernel the pipeline calls gives the same bits
+        # on one thread as on two; at h=256 several do not (see README,
+        # Determinism).  Each thread count runs in its own process, because
+        # OpenBLAS reads its thread count once, at load.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
+        config_path = write_config(tmp_path)
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            bench, run = tmp_path / f"bench{threads}", tmp_path / f"run{threads}"
+            for argv in (
+                ["generate", config_path, "--out", str(bench)],
+                ["run", config_path, "--dataset", str(bench), "--out", str(run)],
+            ):
+                done = subprocess.run(
+                    [sys.executable, "-m", "lamedit.cli", *argv], env=env, capture_output=True, text=True
+                )
+                assert done.returncode == 0, done.stderr
+            outputs[threads] = {
+                name: (directory / name).read_bytes()
+                for directory, names in (
+                    (bench, ("dataset.lam", "model.lam", "manifest.json")),
+                    (run, ("metrics.csv", "metrics.json")),
+                )
+                for name in names
+            }
+        assert outputs["1"] == outputs["2"]
 
 
 class TestRunCommand:
@@ -782,24 +818,41 @@ class TestSweepCommand:
             assert abs(res["values"][0] - run_avg[res["method"]]) <= 1e-12
 
     @pytest.mark.parametrize(
-        "axis, merges, named",
+        "command, merges, named",
         [
-            ("alpha", [{"method": "sum"}, {"method": "sum"}, {"method": "tsvm"}], "sum"),
-            ("rank", [{"method": "tsvm"}, {"method": "sum"}, {"method": "tsvm", "rank_ratio": 0.25}], "tsvm"),
+            (["sweep", "--axis", "alpha"], [{"method": "sum"}, {"method": "sum"}, {"method": "tsvm"}], "sum"),
+            (
+                ["sweep", "--axis", "rank"],
+                [{"method": "tsvm"}, {"method": "sum"}, {"method": "tsvm", "rank_ratio": 0.25}],
+                "tsvm",
+            ),
+            (["run"], [{"method": "sum"}, {"method": "sum"}, {"method": "tsvm"}], "sum"),
+            (["report"], None, "sum"),
         ],
-        ids=["alpha", "rank"],
+        ids=["alpha", "rank", "run", "report"],
     )
-    def test_repeated_merge_method_exit_2(self, tiny_setup, tmp_path, capsys, axis, merges, named):
-        # Sweep rows are keyed by method name, so a swept method listed twice
-        # is refused instead of writing one curve's values under the other's.
-        _, bench_dir, _ = tiny_setup
-        config_path = write_config(tmp_path, dict(TINY_CONFIG, merges=merges))
-        out = tmp_path / "sw"
-        code = cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", str(out), "--axis", axis])
-        assert code == 2
+    def test_repeated_merge_method_exit_2(self, tiny_setup, tmp_path, capsys, command, merges, named):
+        # Run reports, sweep rows and comparison rows are keyed by method name,
+        # so a method listed twice is refused at config load, and in a run
+        # output that `report` reads, instead of writing one result twice or
+        # one curve's values under the other's.
+        config_path, bench_dir, _ = tiny_setup
+        out = tmp_path / "out"
+        if command == ["report"]:
+            run_dir = tmp_path / "run"
+            assert cli.main(["run", config_path, "--dataset", bench_dir, "--out", str(run_dir)]) == 0
+            capsys.readouterr()
+            doc = json.loads((run_dir / "metrics.json").read_text())
+            doc["reports"] += [rep for rep in doc["reports"] if rep["method"] == named]
+            (run_dir / "metrics.json").write_text(json.dumps(doc))
+            argv = ["report", str(run_dir), "--out", str(out)]
+        else:
+            config_path = write_config(tmp_path, dict(TINY_CONFIG, merges=merges))
+            argv = [command[0], config_path, "--dataset", bench_dir, "--out", str(out), *command[1:]]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"merge method {named} more than once" in err
-        assert not (out / f"sweep_{axis}.csv").exists()
+        assert not out.exists()
 
     def test_argmax_tie_breaks_to_smallest(self):
         res = experiment.SweepResult(

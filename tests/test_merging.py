@@ -43,9 +43,8 @@ def reference_tsvm(mats, ratio, svd=np.linalg.svd):
     return ((pu @ qu) * sigma_cat) @ (pv @ qv)
 
 
-def delta_set_from(mats, cov_mode=PER_LANGUAGE, layer=2, method="memit"):
+def delta_set_from(mats, cov_mode=PER_LANGUAGE, layer=2):
     return DeltaSet(
-        method=method,
         cov_mode=cov_mode,
         layers=(layer,),
         language_ids=tuple(range(len(mats))),

@@ -12,16 +12,16 @@ from lamedit.metrics import (
     MetricsReport,
     MetricsRow,
     accuracy,
-    evaluate,
     evaluate_all,
     probe_batch,
     run_mono,
 )
 from lamedit.model import ACTIVATIONS, NORMS, predict_batch
-from lamedit.solvers import DeltaSet, edit_model
+from lamedit.solvers import DeltaSet
 from lamedit.synthdata import fit_initial_model, generate_dataset
 
 from test_model import random_model
+from test_solvers import edit_requests
 from test_synthdata import tiny_cfg
 
 
@@ -63,7 +63,7 @@ class TestAccuracy:
 class TestEvaluate:
     def test_unedited_model_efficacy_near_zero_specificity_high(self, small_bench):
         dataset, model = small_bench
-        rows = evaluate_all(model, dataset)
+        rows = evaluate_all(model, probe_batch(model, dataset))
         for row in rows:
             assert row.efficacy <= 0.05
             assert row.specificity >= 0.95
@@ -72,13 +72,11 @@ class TestEvaluate:
         cfg = tiny_cfg(rephrase_noise=0.0)
         ds = generate_dataset(cfg)
         model, _ = fit_initial_model(cfg, ds)
-        delta_set = edit_model(
-            model, ds.all_language_requests(), ds.preserved_inputs_all(),
-            method="memit", cov_mode="shared", lam=2.75,
+        delta_set = edit_requests(
+            model, ds.all_language_requests(), ds.preserved_inputs_all(), 2.75, cov_mode="shared"
         )
         edited = apply_update(model, merge(MergeConfig("sum_cov"), delta_set), 1.0)
-        for i in range(ds.m_languages):
-            row = evaluate(edited, ds, i)
+        for row in evaluate_all(edited, probe_batch(model, ds)):
             assert row.generalization == row.efficacy
 
     def test_refit_on_new_tokens_reaches_high_efficacy(self):
@@ -88,7 +86,7 @@ class TestEvaluate:
         ds = generate_dataset(cfg)
         swapped = replace(ds, old_tokens=ds.new_tokens.copy(), new_tokens=ds.old_tokens.copy())
         refit, _ = fit_initial_model(cfg, swapped)
-        eff = float(np.mean([evaluate(refit, ds, i).efficacy for i in range(ds.m_languages)]))
+        eff = float(np.mean([row.efficacy for row in evaluate_all(refit, probe_batch(refit, ds))]))
         assert eff >= 0.95
 
     def test_averaged_recomputes_bit_exactly(self):
@@ -104,7 +102,7 @@ class TestEvaluate:
         dataset, model = small_bench
         reports = []
         for _ in range(2):
-            rows = evaluate_all(model, dataset)
+            rows = evaluate_all(model, probe_batch(model, dataset))
             rep = MetricsReport(
                 method="sum", cov_mode="per_language", alpha=1.0, rank_ratio=None,
                 seed=dataset.config.seed, languages=dataset.languages, rows=rows,
@@ -116,6 +114,7 @@ class TestEvaluate:
         # One prediction over every probe family and language must score like
         # one accuracy call per (language, family).
         dataset, model = small_bench
+        probes = probe_batch(model, dataset)
         edited = apply_update(model, merge(MergeConfig("mean"), per_language_deltas), 1.0)
         for scored in (model, edited):
             reference = tuple(
@@ -129,12 +128,12 @@ class TestEvaluate:
                 )
                 for i in range(dataset.m_languages)
             )
-            assert evaluate_all(scored, dataset) == reference
-            assert tuple(evaluate(scored, dataset, i) for i in range(dataset.m_languages)) == reference
+            assert evaluate_all(scored, probes) == reference
+            assert tuple(probes.language(i).rows(scored)[0] for i in range(dataset.m_languages)) == reference
 
     def test_report_row_count_enforced(self, small_bench):
         dataset, model = small_bench
-        rows = evaluate_all(model, dataset)
+        rows = evaluate_all(model, probe_batch(model, dataset))
         with pytest.raises(ShapeError):
             MetricsReport(
                 method="sum", cov_mode="per_language", alpha=1.0, rank_ratio=None,
@@ -145,26 +144,24 @@ class TestEvaluate:
 @pytest.fixture(scope="module")
 def per_language_deltas(small_bench):
     dataset, model = small_bench
-    return edit_model(
-        model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
-        method="memit", cov_mode="per_language", lam=2.75,
-    )
+    return edit_requests(model, dataset.all_language_requests(), dataset.preserved_inputs_all(), 2.75)
 
 
 class TestRunMono:
     def test_zero_alpha_equals_unedited_baseline(self, small_bench, per_language_deltas):
         dataset, model = small_bench
+        probes = probe_batch(model, dataset)
+        base = evaluate_all(model, probes)
         for lang in range(dataset.m_languages):
-            base = evaluate(model, dataset, lang)
-            mono = run_mono(model, dataset, per_language_deltas, lang, alpha=0.0)
-            assert mono == base
+            assert run_mono(model, probes, per_language_deltas, lang, alpha=0.0) == base[lang]
 
     def test_mono_efficacy_dominates_multilingual_sum(self, small_bench, per_language_deltas):
         dataset, model = small_bench
+        probes = probe_batch(model, dataset)
         edited = apply_update(model, merge(MergeConfig("sum"), per_language_deltas), 1.0)
-        sum_eff = float(np.mean([evaluate(edited, dataset, i).efficacy for i in range(dataset.m_languages)]))
+        sum_eff = float(np.mean([row.efficacy for row in evaluate_all(edited, probes)]))
         mono_eff = float(np.mean([
-            run_mono(model, dataset, per_language_deltas, i).efficacy
+            run_mono(model, probes, per_language_deltas, i).efficacy
             for i in range(dataset.m_languages)
         ]))
         assert mono_eff >= sum_eff
@@ -212,7 +209,7 @@ class TestProbeBatch:
             for layer in edit_layers
             for lang in range(dataset.m_languages)
         }
-        delta_set = DeltaSet("memit", "per_language", tuple(edit_layers), tuple(range(dataset.m_languages)), deltas)
+        delta_set = DeltaSet("per_language", tuple(edit_layers), tuple(range(dataset.m_languages)), deltas)
         probes = probe_batch(model, dataset)
         edited = apply_update(model, merge(MergeConfig("sum"), delta_set), alpha)
 
@@ -224,8 +221,7 @@ class TestProbeBatch:
         for i in range(dataset.m_languages):
             own = {layer: delta_set.delta(layer, i) for layer in edit_layers}
             mono_edited = apply_update(model, own, alpha)
-            assert run_mono(model, probes, delta_set, i, alpha) == evaluate(mono_edited, dataset, i)
-            assert evaluate(mono_edited, probes, i) == per_family_rows(mono_edited, dataset)[i]
+            assert run_mono(model, probes, delta_set, i, alpha) == per_family_rows(mono_edited, dataset)[i]
 
     def test_probe_batch_matches_dataset_shape(self, small_bench):
         dataset, model = small_bench
@@ -256,11 +252,11 @@ class TestProbeBatch:
         with pytest.raises(ShapeError, match="does not share"):
             evaluate_all(other, probes)
         with pytest.raises(ShapeError, match="does not share"):
-            evaluate(other, probes, 0)
+            probes.language(0).rows(other)
 
     def test_edited_w_out_of_first_edit_layer_accepted(self, small_bench):
         dataset, model = small_bench
         probes = probe_batch(model, dataset)
         first = model.edit_layers[0]
         edited = model.with_w_out(first, model.layer(first).w_out * 1.1)
-        assert evaluate_all(edited, probes) == evaluate_all(edited, dataset)
+        assert evaluate_all(edited, probes) == per_family_rows(edited, dataset)

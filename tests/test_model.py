@@ -16,6 +16,7 @@ from lamedit.model import (
     keys_and_targets,
     predict_batch,
     _normalize,
+    _run_prefix,
 )
 
 
@@ -71,7 +72,8 @@ def predict_one(model, x):
 
 def targets_one(model, x, token, layer):
     """The targets of ``keys_and_targets`` on the one-column batch of ``x``, as a vector."""
-    return keys_and_targets(model, np.asarray(x, dtype=float)[:, None], np.array([token]), layer)[1][:, 0]
+    prefix = compute_prefix(model, np.asarray(x, dtype=float)[:, None])
+    return keys_and_targets(model, prefix, np.array([token]), layer)[1][:, 0]
 
 
 class TestForward:
@@ -252,7 +254,7 @@ class TestComputeTargetValues:
         inputs = rng.standard_normal((8, 3))
         tokens = np.array([1, 4, 2])
         hidden, keys = forward_batch(model, inputs)
-        _, targets = keys_and_targets(model, inputs, tokens, 2)
+        _, targets = keys_and_targets(model, compute_prefix(model, inputs), tokens, 2)
         current = model.layer(2).w_out @ keys[1]
         residual = model.codebook[:, tokens] - hidden[-1]
         assert np.allclose(targets, current + residual, atol=1e-12)
@@ -272,10 +274,11 @@ class TestComputeTargetValues:
         tokens = np.array([0, 3])
         hidden, keys = forward_batch(model, inputs)
         residual = model.codebook[:, tokens] - hidden[-1]
-        _, t2 = keys_and_targets(model, inputs, tokens, 2)
+        prefix = compute_prefix(model, inputs)
+        _, t2 = keys_and_targets(model, prefix, tokens, 2)
         current2 = model.layer(2).w_out @ keys[1]
         assert np.allclose(t2 - current2, residual / 2, atol=1e-12)
-        _, t3 = keys_and_targets(model, inputs, tokens, 3)
+        _, t3 = keys_and_targets(model, prefix, tokens, 3)
         current3 = model.layer(3).w_out @ keys[2]
         assert np.allclose(t3 - current3, residual, atol=1e-12)
 
@@ -288,9 +291,10 @@ class TestComputeTargetValues:
         model = random_model(rng, d=6, h=10, n_layers=3, vocab=8, edit_layers=(2, 3))
         x = rng.standard_normal(6)
         token = np.array([5])
+        prefix = compute_prefix(model, x[:, None])
         current = model
         for layer in current.edit_layers:
-            key, targets = keys_and_targets(current, x[:, None], token, layer)
+            key, targets = keys_and_targets(current, prefix, token, layer)
             delta = solve_memit(
                 current.layer(layer).w_out, key, targets,
                 np.eye(10), key @ key.T, 1e-9,
@@ -307,22 +311,61 @@ class TestComputeTargetValues:
         inputs = rng.standard_normal((8, 5))
         tokens = np.array([0, 3, 1, 1, 6])
         _, keys = forward_batch(model, inputs)
+        prefix = compute_prefix(model, inputs)
         for layer in model.edit_layers:
-            layer_keys, targets = keys_and_targets(model, inputs, tokens, layer)
+            layer_keys, targets = keys_and_targets(model, prefix, tokens, layer)
             assert np.array_equal(layer_keys, keys[layer - 1])
             for i in range(inputs.shape[1]):
                 single = targets_one(model, inputs[:, i], tokens[i], layer)
                 assert np.allclose(targets[:, i], single, rtol=1e-12, atol=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        n_layers=st.integers(1, 5),
+        norm=st.sampled_from(NORMS),
+        activation=st.sampled_from(ACTIVATIONS),
+        data=st.data(),
+    )
+    def test_prefix_run_equals_full_forward(self, seed, n, n_layers, norm, activation, data):
+        # The edit path never runs a full forward: it runs on from a prefix
+        # computed once on the unedited model.  On that model and on any model
+        # edited from it, each edit layer's keys and the final state must be
+        # forward_batch's bits.
+        edit_layers = tuple(
+            sorted(data.draw(st.sets(st.integers(1, n_layers), min_size=1), label="edit_layers"))
+        )
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_layers=n_layers, edit_layers=edit_layers, norm=norm, activation=activation)
+        inputs = rng.standard_normal((8, n)) * 2.0
+        tokens = rng.integers(0, model.vocab_size, size=n)
+        prefix = compute_prefix(model, inputs)
+        edited = model
+        for l in edit_layers:
+            edited = edited.with_w_out(l, edited.layer(l).w_out + 0.1 * rng.standard_normal((8, 12)))
+        for current in (model, edited):
+            hidden, keys = forward_batch(current, inputs)
+            for l in edit_layers:
+                final, run_keys = _run_prefix(current, prefix, l)
+                assert np.array_equal(final, hidden[-1])
+                assert np.array_equal(run_keys, keys[l - 1])
+                assert np.array_equal(keys_and_targets(current, prefix, tokens, l)[0], keys[l - 1])
+
+    def test_prefix_column_count_must_match_tokens(self):
+        model = zero_model()
+        with pytest.raises(ShapeError):
+            keys_and_targets(model, compute_prefix(model, np.zeros((4, 2))), np.array([0]), 1)
+
     def test_unknown_token_rejected(self):
         model = zero_model()
         with pytest.raises(InvalidRequestError):
-            keys_and_targets(model, np.zeros((4, 1)), np.array([99]), 1)
+            keys_and_targets(model, compute_prefix(model, np.zeros((4, 1))), np.array([99]), 1)
 
     def test_non_edit_layer_rejected(self):
         model = zero_model()
         with pytest.raises(ShapeError):
-            keys_and_targets(model, np.zeros((4, 1)), np.array([0]), 2)
+            keys_and_targets(model, compute_prefix(model, np.zeros((4, 1))), np.array([0]), 2)
 
 
 class TestValidation:

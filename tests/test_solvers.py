@@ -10,13 +10,15 @@ from lamedit import covariance as cov_mod
 from lamedit import model as model_mod
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import IllConditionedError, ShapeError
+from lamedit.experiment import SolverSettings
 from lamedit.merging import merge_sum, apply_update
-from lamedit.metrics import evaluate, run_mono
-from lamedit.model import keys_and_targets
+from lamedit.metrics import evaluate_all, probe_batch, run_mono
+from lamedit.model import compute_prefix, keys_and_targets
 from lamedit.solvers import (
     DEFAULT_COND_LIMIT,
     DEFAULT_LAM_ALPHAEDIT,
     DEFAULT_LAM_MEMIT,
+    DEFAULT_REL_TOL,
     LanguageRequests,
     _memit_inverse,
     _memit_matrix,
@@ -30,6 +32,17 @@ from lamedit.solvers import (
 )
 
 from test_model import random_model
+
+
+def prepare(model, requests):
+    """Each language's :class:`RequestPrefix` on ``model``."""
+    return [request_prefix(model, req) for req in requests]
+
+
+def edit_requests(model, requests, preserved_inputs, lam, method="memit", rel_tol=DEFAULT_REL_TOL, **kwargs):
+    """``edit_model`` on raw requests and preserved inputs, both prepared on ``model`` first."""
+    preserved = preserved_terms(model, preserved_inputs, method, rel_tol)
+    return edit_model(model, prepare(model, requests), preserved, lam, method=method, **kwargs)
 
 
 def edit_objective(w, delta, keys, targets, k_const, lam):
@@ -304,7 +317,7 @@ class TestEditModel:
 
         model = zero_model()
         req = _zero_weight_requests(model, [1, 2])
-        delta_set = edit_model(model, [req], np.zeros((4, 0)), method="alphaedit", lam=0.1)
+        delta_set = edit_requests(model, [req], np.zeros((4, 0)), 0.1, method="alphaedit")
         for (layer, lang), delta in delta_set.entries.items():
             assert np.allclose(delta, 0.0, atol=1e-12)
 
@@ -335,11 +348,14 @@ class TestEditModel:
         for layer in edit_layers:
             b = rng.standard_normal((h, h))
             preserved[layer] = np.eye(h) + b @ b.T / h
-        delta_set = edit_model(model, requests, None, cov_mode=cov_mode, lam=lam, preserved=preserved)
+        delta_set = edit_model(model, prepare(model, requests), preserved, lam, cov_mode=cov_mode)
         working = {req.language_id: model for req in requests}
+        prefixes = {req.language_id: compute_prefix(model, req.inputs) for req in requests}
         for layer in edit_layers:
             batches = {
-                req.language_id: keys_and_targets(working[req.language_id], req.inputs, req.new_tokens, layer)
+                req.language_id: keys_and_targets(
+                    working[req.language_id], prefixes[req.language_id], req.new_tokens, layer
+                )
                 for req in requests
             }
             shared = sum(keys @ keys.T for keys, _ in batches.values())
@@ -383,12 +399,15 @@ class TestEditModel:
             kept = rng.standard_normal((h, int(null_frac * h)))
             preserved[layer] = nullspace_projector(kept @ kept.T, rel_tol=1e-8)
         delta_set = edit_model(
-            model, requests, None, method="alphaedit", cov_mode=cov_mode, lam=lam, preserved=preserved
+            model, prepare(model, requests), preserved, lam, method="alphaedit", cov_mode=cov_mode
         )
         working = {req.language_id: model for req in requests}
+        prefixes = {req.language_id: compute_prefix(model, req.inputs) for req in requests}
         for layer in edit_layers:
             batches = {
-                req.language_id: keys_and_targets(working[req.language_id], req.inputs, req.new_tokens, layer)
+                req.language_id: keys_and_targets(
+                    working[req.language_id], prefixes[req.language_id], req.new_tokens, layer
+                )
                 for req in requests
             }
             shared = cov_mod.cov_shared([keys for keys, _ in batches.values()])
@@ -404,8 +423,8 @@ class TestEditModel:
     def test_memit_cond_limit_raises(self, small_bench, cov_mode):
         dataset, model = small_bench
         with pytest.raises(IllConditionedError) as err:
-            edit_model(
-                model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
+            edit_requests(
+                model, dataset.all_language_requests(), dataset.preserved_inputs_all(), DEFAULT_LAM_MEMIT,
                 cov_mode=cov_mode, cond_limit=1.0,
             )
         assert err.value.condition_estimate > 1.0
@@ -417,7 +436,8 @@ class TestEditModel:
         negative = {layer: -np.eye(model.h) for layer in model.edit_layers}
         with pytest.raises(IllConditionedError, match="not positive definite"):
             edit_model(
-                model, dataset.all_language_requests(), None, cov_mode=cov_mode, preserved=negative
+                model, prepare(model, dataset.all_language_requests()), negative, DEFAULT_LAM_MEMIT,
+                cov_mode=cov_mode,
             )
 
     def test_mono_equals_m1_merge_pipeline(self, small_bench):
@@ -425,21 +445,20 @@ class TestEditModel:
         # per-language delta set; that must equal a fresh single-language
         # edit pushed through the m=1 sum merge.
         dataset, model = small_bench
-        kwargs = dict(
-            method="memit",
-            cov_mode=PER_LANGUAGE,
-            lam=2.75,
+        preserved = preserved_terms(
+            model,
+            dataset.preserved_inputs_all(),
             preserved_ids=dataset.preserved_fact_ids(),
             request_ids=dataset.request_fact_ids(),
         )
-        preserved = dataset.preserved_inputs_all()
-        all_languages = edit_model(model, dataset.all_language_requests(), preserved, **kwargs)
+        probes = probe_batch(model, dataset)
+        all_languages = edit_model(model, prepare(model, dataset.all_language_requests()), preserved, 2.75)
         for lang in range(dataset.m_languages):
-            single = edit_model(model, [dataset.language_requests(lang)], preserved, **kwargs)
+            single = edit_model(model, prepare(model, [dataset.language_requests(lang)]), preserved, 2.75)
             merged = {layer: merge_sum(single.layer_deltas(layer)) for layer in single.layers}
             edited = apply_update(model, merged, 1.0)
-            row_pipeline = evaluate(edited, dataset, lang)
-            assert run_mono(model, dataset, all_languages, lang, alpha=1.0) == row_pipeline
+            row_pipeline = evaluate_all(edited, probes)[lang]
+            assert run_mono(model, probes, all_languages, lang, alpha=1.0) == row_pipeline
 
     def test_per_language_deltas_solve_own_objective(self):
         # Two languages with disjoint keys: each language's delta must reach
@@ -452,11 +471,11 @@ class TestEditModel:
         ]
         preserved = rng.standard_normal((6, 8))
         lam = 1.5
-        delta_set = edit_model(model, reqs, preserved, method="memit", lam=lam)
+        delta_set = edit_requests(model, reqs, preserved, lam)
         _, k_const = cov_mod.const_stats(model, preserved, 2)
         for req in reqs:
             keys = cov_mod.request_keys(model, req.inputs, 2)
-            _, targets = keys_and_targets(model, req.inputs, req.new_tokens, 2)
+            _, targets = keys_and_targets(model, compute_prefix(model, req.inputs), req.new_tokens, 2)
             scaled_const = k_const * np.sqrt(keys.shape[1] / k_const.shape[1])
             oracle = descend_edit_objective(
                 model.layer(2).w_out, keys, targets, scaled_const, lam
@@ -468,17 +487,12 @@ class TestEditModel:
 
     def test_deltas_relative_to_original_weights(self, small_bench):
         dataset, model = small_bench
-        delta_set = edit_model(
-            model,
-            dataset.all_language_requests(),
-            dataset.preserved_inputs_all(),
-            method="memit",
-            cov_mode=SHARED,
-            lam=2.75,
+        delta_set = edit_requests(
+            model, dataset.all_language_requests(), dataset.preserved_inputs_all(), 2.75, cov_mode=SHARED
         )
         assert delta_set.layers == model.edit_layers
         assert delta_set.language_ids == tuple(range(dataset.m_languages))
-        assert (delta_set.method, delta_set.cov_mode) == ("memit", SHARED)
+        assert delta_set.cov_mode == SHARED
         for (layer, lang), delta in delta_set.entries.items():
             assert delta.shape == model.layer(layer).w_out.shape
 
@@ -486,7 +500,7 @@ class TestEditModel:
         dataset, model = small_bench
         req = dataset.language_requests(0)
         with pytest.raises(ShapeError):
-            edit_model(model, [req, req], dataset.preserved_inputs_all())
+            edit_requests(model, [req, req], dataset.preserved_inputs_all(), DEFAULT_LAM_MEMIT)
 
     def test_alphaedit_preservation_on_model_keys(self):
         # With a deliberately small preserved sample the null space is real;
@@ -495,7 +509,7 @@ class TestEditModel:
         model = random_model(rng, d=6, h=16, n_layers=3, vocab=12, edit_layers=(2, 3))
         reqs = [LanguageRequests(0, rng.standard_normal((6, 3)), np.array([0, 1, 2]))]
         preserved = rng.standard_normal((6, 4))
-        delta_set = edit_model(model, reqs, preserved, method="alphaedit", lam=0.1)
+        delta_set = edit_requests(model, reqs, preserved, 0.1, method="alphaedit")
         for layer in delta_set.layers:
             _, k_const = cov_mod.const_stats(model, preserved, layer)
             delta = delta_set.delta(layer, 0)
@@ -515,6 +529,8 @@ class TestLayerFactorisation:
     ):
         # memit checks and inverts each system in numpy; alphaedit LU-factors it in scipy.
         dataset, model = small_bench
+        requests = prepare(model, dataset.all_language_requests())
+        preserved = preserved_terms(model, dataset.preserved_inputs_all(), method, rel_tol=0.02)
         calls = Counter()
         for name in routines:
             original = getattr(library, name)
@@ -524,10 +540,7 @@ class TestLayerFactorisation:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(library, name, counted)
-        edit_model(
-            model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
-            method=method, cov_mode=cov_mode, rel_tol=0.02,
-        )
+        edit_model(model, requests, preserved, SolverSettings(method=method).lam, method=method, cov_mode=cov_mode)
         per_layer = 1 if cov_mode == SHARED else dataset.m_languages
         assert calls == {name: len(model.edit_layers) * per_layer for name in routines}
 
@@ -539,6 +552,8 @@ class TestLayerFactorisation:
         # the numpy steps that collect keys and moments and update the
         # working copies.
         dataset, model = small_bench
+        requests = prepare(model, dataset.all_language_requests())
+        preserved = preserved_terms(model, dataset.preserved_inputs_all(), "alphaedit", rel_tol=0.02)
         calls = []
 
         def record(owner, name, library):
@@ -557,10 +572,7 @@ class TestLayerFactorisation:
             record(cov_mod, name, "numpy")
         record(model_mod, "keys_and_targets", "numpy")
         record(type(model), "with_w_out", "numpy")
-        edit_model(
-            model, dataset.all_language_requests(), dataset.preserved_inputs_all(),
-            method="alphaedit", cov_mode=cov_mode, rel_tol=0.02,
-        )
+        edit_model(model, requests, preserved, DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=cov_mode)
         runs = []
         previous = None
         for library, name in calls:
@@ -584,10 +596,10 @@ class TestLayerFactorisation:
         requests = dataset.all_language_requests()
         preserved = preserved_terms(model, dataset.preserved_inputs_all(), method, rel_tol=0.02)
         delta_set = edit_model(
-            model, requests, None, method=method, cov_mode=SHARED, preserved=preserved
+            model, prepare(model, requests), preserved, SolverSettings(method=method).lam, method=method, cov_mode=SHARED
         )
         first = model.edit_layers[0]
-        batches = [keys_and_targets(model, r.inputs, r.new_tokens, first) for r in requests]
+        batches = [keys_and_targets(model, compute_prefix(model, r.inputs), r.new_tokens, first) for r in requests]
         shared = sum(keys @ keys.T for keys, _ in batches)
         shared = 0.5 * (shared + shared.T)
         w_out = model.layer(first).w_out
@@ -608,15 +620,21 @@ class TestLayerFactorisation:
         dataset, model = small_bench
         other = model.with_w_out(model.edit_layers[-1], model.layer(model.edit_layers[-1]).w_out * 1.5)
         prepared = [request_prefix(other, r) for r in dataset.all_language_requests()]
+        preserved = preserved_terms(model, dataset.preserved_inputs_all())
         with pytest.raises(ShapeError, match="another model"):
-            edit_model(model, prepared, dataset.preserved_inputs_all())
+            edit_model(model, prepared, preserved, DEFAULT_LAM_MEMIT)
 
     def test_request_prefixes_give_the_same_deltas(self, small_bench):
+        # One run reuses each language's prefix for every covariance mode:
+        # edits must neither depend on the requests' order nor change the
+        # prefixes they read, so reused prefixes give fresh prefixes' bits.
         dataset, model = small_bench
         requests = dataset.all_language_requests()
-        prepared = [request_prefix(model, r) for r in reversed(requests)]
-        for mode in (PER_LANGUAGE, SHARED):
-            plain = edit_model(model, requests, dataset.preserved_inputs_all(), cov_mode=mode)
-            reused = edit_model(model, prepared, dataset.preserved_inputs_all(), cov_mode=mode)
-            for key, delta in plain.entries.items():
-                assert np.array_equal(reused.entries[key], delta)
+        preserved = preserved_terms(model, dataset.preserved_inputs_all())
+        reused = prepare(model, reversed(requests))
+        for mode in (PER_LANGUAGE, SHARED, PER_LANGUAGE):
+            fresh = edit_model(model, prepare(model, requests), preserved, DEFAULT_LAM_MEMIT, cov_mode=mode)
+            again = edit_model(model, reused, preserved, DEFAULT_LAM_MEMIT, cov_mode=mode)
+            assert again.entries.keys() == fresh.entries.keys()
+            for key, delta in fresh.entries.items():
+                assert np.array_equal(again.entries[key], delta)

@@ -133,8 +133,10 @@ class TestFit:
 
     def test_noop_reedit_keeps_recall(self, small_bench):
         from lamedit.merging import MergeConfig, apply_update, merge
-        from lamedit.solvers import LanguageRequests, edit_model
+        from lamedit.solvers import LanguageRequests
         from lamedit.synthdata import _recall_stats
+
+        from test_solvers import edit_requests
 
         dataset, model = small_bench
         # Edit every language toward the tokens the model already recalls.
@@ -142,9 +144,7 @@ class TestFit:
             LanguageRequests(i, dataset.request_inputs(i), dataset.old_tokens)
             for i in range(dataset.m_languages)
         ]
-        delta_set = edit_model(
-            model, reqs, dataset.preserved_inputs_all(), method="memit", cov_mode="shared", lam=2.75
-        )
+        delta_set = edit_requests(model, reqs, dataset.preserved_inputs_all(), 2.75, cov_mode="shared")
         edited = apply_update(model, merge(MergeConfig("sum_cov"), delta_set), 1.0)
         req_before, pres_before = _recall_stats(model, dataset)
         req_after, pres_after = _recall_stats(edited, dataset)
