@@ -16,6 +16,7 @@ from .covariance import (
 from .errors import (
     ConfigError,
     ContainerError,
+    EmptyNullSpaceWarning,
     FitError,
     IllConditionedError,
     InvalidRequestError,

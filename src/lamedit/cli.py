@@ -6,12 +6,22 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+import warnings
 
 import numpy as np
 
 from . import experiment
-from .errors import ConfigError, ContainerError, FitError, IllConditionedError, LameditError, RankRatioError
+from .errors import (
+    ConfigError,
+    ContainerError,
+    EmptyNullSpaceWarning,
+    FitError,
+    IllConditionedError,
+    LameditError,
+    RankRatioError,
+)
 
 
 def _build_parser():
@@ -131,6 +141,14 @@ def cmd_report(args):
     return 0
 
 
+def _show_warning(show, message, category, *args, **kwargs):
+    """Print the package's warnings as one ``warning:`` line on stderr, others through ``show``."""
+    if issubclass(category, EmptyNullSpaceWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *args, **kwargs)
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -140,17 +158,21 @@ def main(argv=None):
         "sweep": cmd_sweep,
         "report": cmd_report,
     }
-    try:
-        return handlers[args.command](args)
-    except (ConfigError, ContainerError, RankRatioError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (IllConditionedError, FitError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except LameditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # Print each of the package's warnings every time it is issued, not once per process.
+        warnings.simplefilter("always", EmptyNullSpaceWarning)
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        try:
+            return handlers[args.command](args)
+        except (ConfigError, ContainerError, RankRatioError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (IllConditionedError, FitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except LameditError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class LameditError(Exception):
@@ -49,3 +49,10 @@ class FitError(LameditError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
+
+
+class EmptyNullSpaceWarning(UserWarning):
+    """alphaedit's preserved null space is empty on some edit layers.
+
+    The projector there is zero, so every edit of those layers is exactly zero.
+    """

@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 from . import container, merging, metrics, solvers, synthdata
 from .covariance import PER_LANGUAGE
-from .errors import ConfigError
+from .errors import ConfigError, EmptyNullSpaceWarning
 from .merging import MergeConfig
 from .svgchart import line_chart
 
@@ -335,7 +336,9 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
 
     The preserved statistics (and alphaedit's null-space projectors), and
     each language's request prefix and first-layer targets, are computed once
-    on the unedited model and shared by every mode.
+    on the unedited model and shared by every mode.  An alphaedit projector
+    onto an empty null space warns (:class:`EmptyNullSpaceWarning`): its
+    layer's edits are exactly zero.
     """
     preserved = solvers.preserved_terms(
         model,
@@ -345,6 +348,14 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
         preserved_ids=dataset.preserved_fact_ids(),
         request_ids=dataset.request_fact_ids(),
     )
+    if solver.method == solvers.METHOD_ALPHAEDIT:
+        empty = [str(layer) for layer, term in preserved.items() if term.null_dim == 0]
+        if empty:
+            warnings.warn(
+                f"alphaedit's null space is empty at rel_tol {solver.rel_tol:g} on layers "
+                f"{', '.join(empty)}, so their edits are exactly zero",
+                EmptyNullSpaceWarning,
+            )
     requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
     return {
         mode: solvers.edit_model(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import blas
 from .covariance import PER_LANGUAGE, SHARED
 from .errors import ConfigError, RankRatioError, ShapeError
 
@@ -71,12 +72,14 @@ def merge_mean(deltas):
 def _svd(matrix):
     """Thin SVD by LAPACK ``gesdd``, falling back to ``gesvd`` when it fails.
 
-    ``gesdd`` fails to converge on some rank-deficient deltas (seen on
-    alphaedit edits at d=128, rank ``n_facts``) that ``gesvd`` factors to
-    machine precision.
+    ``gesdd`` runs on one OpenBLAS thread: its bits are the same at any count,
+    and at these sizes one thread is faster.  It fails to converge on some
+    rank-deficient deltas (seen on alphaedit edits at d=128, rank
+    ``n_facts``) that ``gesvd`` factors to machine precision.
     """
     try:
-        return np.linalg.svd(matrix, full_matrices=False)
+        with blas.one_thread():
+            return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
         return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 

@@ -27,9 +27,12 @@ other when calls alternate, so ``edit_model`` runs each edit layer in three
 phases, with one switch into the solving library and one back:
 
 1. numpy forms every distinct system at the layer with its 1-norm, and each
-   language's right-hand side;
+   language's right-hand side, on one OpenBLAS thread
+   (:func:`lamedit.blas.one_thread`): forwards, matmuls and norms, whose bits
+   do not depend on the thread count;
 2. the method's library factors, condition-checks and solves them all back
-   to back;
+   to back, at the default thread count, since at h=256 those factors' bits
+   depend on it;
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
 
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import blas
 from . import covariance as cov_mod
 from . import model as model_core
 from .covariance import PER_LANGUAGE, SHARED
@@ -391,9 +395,10 @@ def edit_model(
     language's system at a layer is the same matrix, so it is factored and
     condition-checked once per layer; in the per-language mode once per
     (layer, language).  Each layer runs in three phases (see the module
-    docstring): numpy forms the systems and right-hand sides, the method's
-    library factors, checks and solves them back to back, and numpy stores
-    the deltas and updates the working copies.
+    docstring): numpy forms the systems and right-hand sides on one OpenBLAS
+    thread, the method's library factors, checks and solves them back to back
+    at the default thread count, and numpy stores the deltas and updates the
+    working copies.
 
     Parameters
     ----------
@@ -433,28 +438,31 @@ def edit_model(
     for layer in model.edit_layers:
         term = preserved[layer]
         projector = term.projector if method == METHOD_ALPHAEDIT else None
-        # Phase 1, numpy: each language's keys and right-hand side, then every
-        # distinct system at this layer with its 1-norm and the indices of the
-        # right-hand sides it solves.
-        layer_keys = []
-        rhs = []
-        for prep in prepared:
-            copy = working[prep.language_id]
-            if layer == prep.prefix.layer:
-                keys, targets = prep.prefix.key, prep.targets
+        # Phase 1, numpy on one thread: each language's keys and right-hand
+        # side, then every distinct system at this layer with its 1-norm and
+        # the indices of the right-hand sides it solves.
+        with blas.one_thread():
+            layer_keys = []
+            rhs = []
+            for prep in prepared:
+                copy = working[prep.language_id]
+                if layer == prep.prefix.layer:
+                    keys, targets = prep.prefix.key, prep.targets
+                else:
+                    keys, targets = model_core.keys_and_targets(
+                        copy, prep.prefix, prep.requests.new_tokens, layer
+                    )
+                layer_keys.append(keys)
+                rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
+            if cov_mode == SHARED:
+                count = sum(keys.shape[1] for keys in layer_keys)
+                shared = cov_mod.cov_shared(layer_keys)
+                systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
             else:
-                keys, targets = model_core.keys_and_targets(copy, prep.prefix, prep.requests.new_tokens, layer)
-            layer_keys.append(keys)
-            rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
-        if cov_mode == SHARED:
-            count = sum(keys.shape[1] for keys in layer_keys)
-            shared = cov_mod.cov_shared(layer_keys)
-            systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
-        else:
-            systems = [
-                (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
-                for i, keys in enumerate(layer_keys)
-            ]
+                systems = [
+                    (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
+                    for i, keys in enumerate(layer_keys)
+                ]
         # Phase 2, the method's library: factor and check each system and
         # solve its right-hand sides, all back to back, one factor at a time.
         deltas = [None] * len(rhs)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
+from . import blas
 from . import covariance as cov_mod
 from . import model as model_core
 from .errors import ConfigError, FitError
@@ -224,12 +225,15 @@ def generate_dataset(cfg):
     preserved_tokens = preserved_pool[np.arange(p) % preserved_pool.size].astype(np.int64)
 
     rng_transforms = np.random.default_rng([cfg.seed, STREAM_TRANSFORMS])
-    shared = _random_rotation(rng_transforms, d)
-    transforms = np.empty((m, d, d))
-    for i in range(m):
-        independent = _random_rotation(rng_transforms, d)
-        transforms[i] = _geodesic(shared, independent, 1.0 - cfg.overlap)
-    hop_transform = _geodesic(np.eye(d), _random_rotation(rng_transforms, d), HOP_BLEND)
+    # QR, the determinant's sign, logm (a Schur form) and expm give the same
+    # bits on one thread as on two, checked at d=32 and d=128.
+    with blas.one_thread(scipy=True):
+        shared = _random_rotation(rng_transforms, d)
+        transforms = np.empty((m, d, d))
+        for i in range(m):
+            independent = _random_rotation(rng_transforms, d)
+            transforms[i] = _geodesic(shared, independent, 1.0 - cfg.overlap)
+        hop_transform = _geodesic(np.eye(d), _random_rotation(rng_transforms, d), HOP_BLEND)
 
     rng_noise = np.random.default_rng([cfg.seed, STREAM_NOISE])
     rephrase_offsets = rng_noise.standard_normal((m, d, n)) * (cfg.rephrase_noise / np.sqrt(d))
@@ -326,38 +330,41 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
     Returns ``(model, (request_recall, preserved_recall))``: the recall is
     that of the last pass, computed once on the returned model.
     """
-    rng = np.random.default_rng([cfg.seed, STREAM_MODEL])
-    layers = []
-    for _ in range(cfg.n_layers):
-        w_in = rng.standard_normal((cfg.h, cfg.d)) / np.sqrt(cfg.d)
-        w_out = rng.standard_normal((cfg.d, cfg.h)) * (FIT_W_OUT_SCALE / np.sqrt(cfg.h))
-        layers.append(model_core.default_layer(w_in, w_out))
-    seed_model = model_core.ToyModel(
-        layers=tuple(layers),
-        codebook=_unit_columns(rng.standard_normal((cfg.d, cfg.vocab_size))),
-        edit_layers=cfg.edit_layers,
-    )
-    model = replace(seed_model, codebook=_init_codebook(seed_model, dataset, rng))
+    # numpy's library only: the fit's matmuls and QR give the same bits on one
+    # thread as on several, solve_memit's Cholesky factor in scipy does not.
+    with blas.one_thread():
+        rng = np.random.default_rng([cfg.seed, STREAM_MODEL])
+        layers = []
+        for _ in range(cfg.n_layers):
+            w_in = rng.standard_normal((cfg.h, cfg.d)) / np.sqrt(cfg.d)
+            w_out = rng.standard_normal((cfg.d, cfg.h)) * (FIT_W_OUT_SCALE / np.sqrt(cfg.h))
+            layers.append(model_core.default_layer(w_in, w_out))
+        seed_model = model_core.ToyModel(
+            layers=tuple(layers),
+            codebook=_unit_columns(rng.standard_normal((cfg.d, cfg.vocab_size))),
+            edit_layers=cfg.edit_layers,
+        )
+        model = replace(seed_model, codebook=_init_codebook(seed_model, dataset, rng))
 
-    inputs, tokens = _all_fact_inputs(dataset)
-    # The fit rewrites only edit layers' w_out, so the inputs' prefix holds for every pass.
-    prefix = model_core.compute_prefix(model, inputs)
-    identity = np.eye(cfg.h)
-    history = []
-    recall = None
-    for pass_idx in range(max_passes):
-        for layer in cfg.edit_layers:
-            keys, targets = model_core.keys_and_targets(model, prefix, tokens, layer)
-            cov_request = cov_mod.cov_per_language(keys)
-            ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
-            delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)
-            model = model.with_w_out(layer, model.layer(layer).w_out + delta)
-        recall = _recall_stats(model, dataset)
-        history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
-        if min(recall) >= FIT_STOP_AT:
-            break
-    if recall is None:
-        recall = _recall_stats(model, dataset)
+        inputs, tokens = _all_fact_inputs(dataset)
+        # The fit rewrites only edit layers' w_out, so the inputs' prefix holds for every pass.
+        prefix = model_core.compute_prefix(model, inputs)
+        identity = np.eye(cfg.h)
+        history = []
+        recall = None
+        for pass_idx in range(max_passes):
+            for layer in cfg.edit_layers:
+                keys, targets = model_core.keys_and_targets(model, prefix, tokens, layer)
+                cov_request = cov_mod.cov_per_language(keys)
+                ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
+                delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)
+                model = model.with_w_out(layer, model.layer(layer).w_out + delta)
+            recall = _recall_stats(model, dataset)
+            history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
+            if min(recall) >= FIT_STOP_AT:
+                break
+        if recall is None:
+            recall = _recall_stats(model, dataset)
     req_recall, pres_recall = recall
     if min(recall) < floor:
         raise FitError(

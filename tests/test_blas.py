@@ -1,0 +1,184 @@
+import contextlib
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from lamedit import blas, cli, merging, solvers, synthdata
+from lamedit.covariance import PER_LANGUAGE, SHARED
+
+from test_experiment import write_config
+
+PACKAGES = ("numpy", "scipy")
+# The lookup itself, kept for reading counts while a test replaces it.
+_thread_setter = blas._thread_setter
+
+
+def _count(package):
+    """The thread count of ``package``'s OpenBLAS, read by setting it and setting it back."""
+    setter = _thread_setter(package)
+    count = setter(1)
+    setter(count)
+    return count
+
+
+def _reports_openblas_with_local_threads(module):
+    """Whether ``module.show_config`` reports a scipy-openblas of at least 0.3.27."""
+    try:
+        blas_info = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    if blas_info.get("name") != "scipy-openblas":
+        return False
+    version = tuple(int(part) for part in blas_info.get("version", "0").split(".")[:3])
+    return version >= (0, 3, 27)
+
+
+def test_bundled_libraries_are_found():
+    # A lost library or symbol costs no bits, only the speed-up; this makes it show.
+    if not all(_reports_openblas_with_local_threads(module) for module in (np, scipy)):
+        pytest.skip("numpy or scipy does not bundle scipy-openblas >= 0.3.27")
+    for package in PACKAGES:
+        assert blas._thread_setter(package) is not None, package
+
+
+@pytest.fixture(params=[1, 2], ids=["caller-1", "caller-2"])
+def caller_count(request):
+    """Set both libraries to the caller's count for the test, then put them back."""
+    setters = [_thread_setter(package) for package in PACKAGES]
+    if None in setters:
+        pytest.skip("a bundled OpenBLAS without openblas_set_num_threads_local")
+    previous = [setter(request.param) for setter in setters]
+    yield request.param
+    for setter, count in zip(setters, previous):
+        setter(count)
+
+
+class TestOneThread:
+    def test_one_thread_inside_and_the_callers_count_after(self, caller_count):
+        with blas.one_thread():
+            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
+        with blas.one_thread(scipy=True):
+            assert (_count("numpy"), _count("scipy")) == (1, 1)
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    def test_restored_after_an_exception(self, caller_count):
+        with pytest.raises(ZeroDivisionError):
+            with blas.one_thread(scipy=True):
+                1 / 0
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    def test_restored_when_nested(self, caller_count):
+        with blas.one_thread():
+            with blas.one_thread(scipy=True):
+                assert (_count("numpy"), _count("scipy")) == (1, 1)
+            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    def test_missing_library_leaves_count_and_result_alone(self, caller_count, monkeypatch):
+        matrix = np.random.default_rng(0).standard_normal((24, 40))
+        expected = np.linalg.svd(matrix, full_matrices=False)
+        monkeypatch.setattr(blas, "_thread_setter", lambda package: None)
+        with blas.one_thread(scipy=True):
+            assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+            factors = merging._svd(matrix)
+        for got, want in zip(factors, expected):
+            assert np.array_equal(got, want)
+
+
+# Kernels whose bits depend on the thread count at h=256 (README, Determinism),
+# by the library whose OpenBLAS runs them.
+SENSITIVE = {
+    "numpy": ((np.linalg, ("inv", "cholesky", "eigh")),),
+    "scipy": (
+        (scipy.linalg, ("cho_factor", "cho_solve", "lu_factor", "lu_solve")),
+        (scipy.linalg.lapack, ("dgecon", "dpocon")),
+    ),
+}
+
+
+def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
+    # A scope on numpy's library alone may hold scipy's kernels (the fit's
+    # Cholesky solves), never numpy's.
+    depth = dict.fromkeys(PACKAGES, 0)
+    scopes = []
+    calls = []
+    real_one_thread = blas.one_thread
+
+    @contextlib.contextmanager
+    def tracked(scipy=False):
+        scoped = PACKAGES if scipy else ("numpy",)
+        scopes.append(scoped)
+        with real_one_thread(scipy=scipy):
+            for package in scoped:
+                depth[package] += 1
+            try:
+                yield
+            finally:
+                for package in scoped:
+                    depth[package] -= 1
+
+    monkeypatch.setattr(blas, "one_thread", tracked)
+    for package, owners in SENSITIVE.items():
+        for owner, names in owners:
+            for name in names:
+                original = getattr(owner, name)
+
+                def spy(*args, _package=package, _name=name, _original=original, **kwargs):
+                    calls.append((_name, depth[_package]))
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(owner, name, spy)
+
+    config_path = write_config(tmp_path)
+    bench = str(tmp_path / "bench")
+    for argv in (
+        ["generate", config_path, "--out", bench],
+        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "memit")],
+        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "alpha"), "--method", "alphaedit"],
+        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "rank"), "--axis", "rank"],
+    ):
+        assert cli.main(argv) == 0
+    assert set(scopes) == {PACKAGES, ("numpy",)}
+    # Every spied library was reached, so the guard watched real calls.
+    assert {name for name, _ in calls} >= {"inv", "cholesky", "eigh", "cho_factor", "lu_factor", "dgecon"}
+    assert [name for name, inside in calls if inside] == []
+
+
+def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
+    # h=256 is the shape where a thread-sensitive kernel changes bits (README,
+    # Determinism); everything else is shrunk to keep this fast.
+    cfg = synthdata.GenConfig(
+        n_facts=8, m_languages=2, d=128, h=256, n_preserved=32, vocab_size=32, seed=5
+    )
+
+    def pipeline():
+        dataset = synthdata.generate_dataset(cfg)
+        model, _ = synthdata.fit_initial_model(cfg, dataset)
+        preserved = solvers.preserved_terms(model, dataset.preserved_inputs_all(), "alphaedit")
+        requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
+        arrays = {
+            "transforms": dataset.transforms,
+            "hop_transform": dataset.hop_transform,
+            "codebook": model.codebook,
+            **{f"w_out{i}": layer.w_out for i, layer in enumerate(model.layers)},
+        }
+        for mode in (PER_LANGUAGE, SHARED):
+            delta_set = solvers.edit_model(
+                model, requests, preserved, solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=mode
+            )
+            for key, delta in delta_set.entries.items():
+                arrays[mode, "delta", key] = delta
+            for layer, svds in merging.delta_factors(delta_set).items():
+                for lang, svd in zip(delta_set.language_ids, svds):
+                    for name, array in zip("usv", svd):
+                        arrays[mode, name, layer, lang] = array
+        return arrays
+
+    scoped = pipeline()
+    assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
+    monkeypatch.setattr(blas, "one_thread", lambda **kwargs: contextlib.nullcontext())
+    unscoped = pipeline()
+    assert scoped.keys() == unscoped.keys()
+    for key, array in scoped.items():
+        assert np.array_equal(array, unscoped[key]), key

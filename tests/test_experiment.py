@@ -508,6 +508,37 @@ class TestBlasThreadCount:
         assert outputs["1"] == outputs["2"]
 
 
+class TestEmptyNullSpaceWarning:
+    # At the tiny shape the preserved keys span every direction at the default
+    # rel_tol, so alphaedit's projector is zero on both edit layers.
+    def test_run_and_sweep_name_the_empty_layers(self, tiny_setup, capsys):
+        config_path, bench_dir, tmp = tiny_setup
+        alpha_config = write_config(tmp, dict(TINY_CONFIG, solver={"method": "alphaedit"}), name="alpha.json")
+        warning = (
+            "warning: alphaedit's null space is empty at rel_tol 1e-06 on layers 2, 3, "
+            "so their edits are exactly zero\n"
+        )
+        for argv in (
+            ["run", config_path, "--dataset", bench_dir, "--out", str(tmp / "alpha-run"), "--method", "alphaedit"],
+            ["sweep", alpha_config, "--dataset", bench_dir, "--out", str(tmp / "alpha-sweep"), "--axis", "alpha"],
+        ):
+            assert cli.main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == warning
+            assert "warning" not in out
+
+    def test_no_warning_under_memit_or_with_a_null_space(self, tiny_setup, capsys):
+        config_path, bench_dir, tmp = tiny_setup
+        partial = dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02})
+        for argv in (
+            ["run", config_path, "--dataset", bench_dir, "--out", str(tmp / "memit-run")],
+            ["run", write_config(tmp, partial, name="partial.json"), "--dataset", bench_dir,
+             "--out", str(tmp / "partial-run")],
+        ):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().err == ""
+
+
 class TestRunCommand:
     def test_outputs_and_determinism(self, tiny_setup):
         config_path, bench_dir, tmp = tiny_setup
