@@ -199,21 +199,47 @@ def load_model(path):
         )
 
 
+def _dataset_shapes(cfg):
+    """Each dataset array's shape under its config ``cfg``, by name."""
+    d, n, p, m = cfg.d, cfg.n_facts, cfg.n_preserved, cfg.m_languages
+    return {
+        "fact_vectors": (d, n),
+        "preserved_vectors": (d, p),
+        "old_tokens": (n,),
+        "new_tokens": (n,),
+        "preserved_tokens": (p,),
+        "transforms": (m, d, d),
+        "hop_transform": (d, d),
+        "rephrase_offsets": (m, d, n),
+        "unrelated_index": (m, n),
+    }
+
+
+def _check_dataset(path, cfg, languages, arrays):
+    """Raise ContainerError unless the dataset's languages and arrays fit its config ``cfg``.
+
+    Tokens must be integers in ``[0, vocab_size)``, ``unrelated_index`` in
+    ``[0, n_preserved)``, and every other array finite floats.
+    """
+    if len(languages) != cfg.m_languages:
+        raise ContainerError(f"{path}: dataset names {len(languages)} languages, its config {cfg.m_languages}")
+    bounds = {"unrelated_index": cfg.n_preserved}
+    bounds.update(dict.fromkeys(("old_tokens", "new_tokens", "preserved_tokens"), cfg.vocab_size))
+    for name, shape in _dataset_shapes(cfg).items():
+        arr, bound = arrays[name], bounds.get(name)
+        if arr.shape != shape:
+            raise ContainerError(f"{path}: dataset array {name!r} has shape {arr.shape}, its config needs {shape}")
+        if bound is None and not (arr.dtype.kind == "f" and np.all(np.isfinite(arr))):
+            raise ContainerError(f"{path}: dataset array {name!r} must hold finite floats")
+        if bound is not None and not (arr.dtype.kind == "i" and np.all((arr >= 0) & (arr < bound))):
+            raise ContainerError(f"{path}: dataset array {name!r} must hold integers in [0, {bound})")
+
+
 def save_dataset(path, dataset):
     """Serialize a MultilingualDataset; the config travels in the meta block."""
     from dataclasses import asdict
 
-    arrays = {
-        "fact_vectors": dataset.fact_vectors,
-        "preserved_vectors": dataset.preserved_vectors,
-        "old_tokens": dataset.old_tokens,
-        "new_tokens": dataset.new_tokens,
-        "preserved_tokens": dataset.preserved_tokens,
-        "transforms": dataset.transforms,
-        "hop_transform": dataset.hop_transform,
-        "rephrase_offsets": dataset.rephrase_offsets,
-        "unrelated_index": dataset.unrelated_index,
-    }
+    arrays = {name: getattr(dataset, name) for name in _dataset_shapes(dataset.config)}
     config = asdict(dataset.config)
     config["edit_layers"] = list(config["edit_layers"])
     meta = {"kind": "dataset", "config": config, "languages": list(dataset.languages)}
@@ -221,6 +247,7 @@ def save_dataset(path, dataset):
 
 
 def load_dataset(path):
+    """Read a dataset; one that does not fit its own config raises ContainerError."""
     from .synthdata import GenConfig, MultilingualDataset
 
     arrays, meta = load_arrays(path)
@@ -229,17 +256,9 @@ def load_dataset(path):
     with _entries(path, "dataset"):
         config = dict(meta["config"])
         config["edit_layers"] = tuple(config["edit_layers"])
-        return MultilingualDataset(
-            config=GenConfig(**config),
-            languages=tuple(meta["languages"]),
-            fact_vectors=arrays["fact_vectors"],
-            preserved_vectors=arrays["preserved_vectors"],
-            old_tokens=arrays["old_tokens"],
-            new_tokens=arrays["new_tokens"],
-            preserved_tokens=arrays["preserved_tokens"],
-            transforms=arrays["transforms"],
-            hop_transform=arrays["hop_transform"],
-            rephrase_offsets=arrays["rephrase_offsets"],
-            unrelated_index=arrays["unrelated_index"],
-        )
-
+        cfg = GenConfig(**config)
+        languages = tuple(meta["languages"])
+        _check_dataset(path, cfg, languages, arrays)
+    return MultilingualDataset(
+        config=cfg, languages=languages, **{name: arrays[name] for name in _dataset_shapes(cfg)}
+    )

@@ -3,7 +3,7 @@
 Covariance here always means the uncentered second moment ``K @ K.T`` of a
 key batch (h, n).  Request statistics can be gathered per language or summed
 across all languages (the shared mode); preserved-knowledge statistics come
-from an explicit sample of facts that must be disjoint from the edit requests.
+from a separate sample of preserved facts, none of them under edit.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def cov_shared(keys):
     return 0.5 * (total + total.T)
 
 
-def preserved_keys(model, preserved_inputs, preserved_ids=None, request_ids=None):
+def preserved_keys(model, preserved_inputs):
     """Preserved-knowledge keys of every layer, from one forward pass.
 
     Parameters
@@ -59,19 +59,12 @@ def preserved_keys(model, preserved_inputs, preserved_ids=None, request_ids=None
         May be empty (p == 0); the keys are then empty too, and their
         statistics are explicit zeros, valid only for solvers that do not
         weight the preserved term.
-    preserved_ids, request_ids : optional int sequences
-        When both are given, any overlap raises, enforcing that preservation
-        statistics never include facts under edit.
 
     Returns
     -------
     keys : ndarray (L, h, p)
         ``keys[layer - 1]`` holds the keys of 1-based ``layer``.
     """
-    if preserved_ids is not None and request_ids is not None:
-        overlap = set(int(i) for i in preserved_ids) & set(int(i) for i in request_ids)
-        if overlap:
-            raise ShapeError(f"preserved sample overlaps edit requests on fact ids {sorted(overlap)}")
     preserved_inputs = np.asarray(preserved_inputs, dtype=float)
     if preserved_inputs.ndim != 2 or preserved_inputs.shape[0] != model.d:
         raise ShapeError(f"preserved inputs must be (d, p) with d={model.d}")
@@ -80,15 +73,15 @@ def preserved_keys(model, preserved_inputs, preserved_ids=None, request_ids=None
     return model_core.forward_batch(model, preserved_inputs)[1]
 
 
-def const_stats(model, preserved_inputs, layer, preserved_ids=None, request_ids=None):
+def const_stats(model, preserved_inputs, layer):
     """Preserved-knowledge covariance and keys at a 1-based layer.
 
-    The one-layer view of :func:`preserved_keys`, whose parameters it takes.
+    The one-layer view of :func:`preserved_keys`.
 
     Returns
     -------
     cov : ndarray (h, h)
     keys : ndarray (h, p)
     """
-    keys = preserved_keys(model, preserved_inputs, preserved_ids, request_ids)[layer - 1]
+    keys = preserved_keys(model, preserved_inputs)[layer - 1]
     return cov_per_language(keys), keys

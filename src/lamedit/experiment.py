@@ -340,14 +340,7 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
     onto an empty null space warns (:class:`EmptyNullSpaceWarning`): its
     layer's edits are exactly zero.
     """
-    preserved = solvers.preserved_terms(
-        model,
-        dataset.preserved_inputs_all(),
-        solver.method,
-        solver.rel_tol,
-        preserved_ids=dataset.preserved_fact_ids(),
-        request_ids=dataset.request_fact_ids(),
-    )
+    preserved = solvers.preserved_terms(model, dataset.preserved_inputs_all(), solver.method, solver.rel_tol)
     if solver.method == solvers.METHOD_ALPHAEDIT:
         empty = [str(layer) for layer, term in preserved.items() if term.null_dim == 0]
         if empty:

@@ -8,8 +8,9 @@ portability the one-hop probes against the new tokens.
 
 Scoring reads a :class:`ProbeBatch`: the probes, concatenated once, with
 their prefix cached on the unedited model (:func:`probe_batch`).  Every
-model edited from it (runs, sweeps, mono) is scored from that prefix;
-:func:`accuracy` scores one probe family from raw inputs.
+model edited from it (runs, sweeps, mono) is scored from that prefix.
+:func:`accuracy`, the tests' reference, scores one probe family from its own
+prefix on the model it is given.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def accuracy(model, inputs, expected):
     expected = np.asarray(expected)
     if expected.size == 0:
         raise ShapeError("accuracy needs at least one probe")
-    predictions = model_core.predict_batch(model, inputs)
+    predictions = model_core.predict_batch(model, model_core.compute_prefix(model, inputs))
     return float(np.mean(predictions == expected))
 
 
@@ -166,11 +167,9 @@ class ProbeBatch:
         return tuple(MetricsRow(*scores[4 * k : 4 * k + 4]) for k in range(self.m_languages))
 
 
-def probe_batch(model, dataset, language_ids=None):
-    """The :class:`ProbeBatch` of ``language_ids`` (default: all) on ``model``."""
-    if language_ids is None:
-        language_ids = range(dataset.m_languages)
-    language_ids = tuple(language_ids)
+def probe_batch(model, dataset):
+    """The :class:`ProbeBatch` of every language of ``dataset`` on ``model``."""
+    language_ids = tuple(range(dataset.m_languages))
     families = [f for i in language_ids for f in _probe_families(dataset, i)]
     return ProbeBatch(
         dataset=dataset,

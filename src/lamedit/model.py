@@ -14,8 +14,8 @@ pairs with the transition ``hidden[l-1] -> hidden[l]``.
 Edits change only the edit layers' ``w_out``.  A batch's :class:`Prefix` (the
 state entering the first edit layer, and that layer's keys) is therefore the
 same on the unedited model and on every model edited from it.  Target
-computation (:func:`keys_and_targets`) always runs on from a prefix computed
-once on the unedited model, and prediction does when given one;
+computation (:func:`keys_and_targets`) and prediction (:func:`predict_batch`)
+always run on from a prefix computed once on the unedited model;
 :func:`forward_batch` is the full pass with its per-layer trace.
 """
 
@@ -301,16 +301,16 @@ def forward_batch(model, inputs):
     return hidden, keys
 
 
-def predict_batch(model, inputs):
-    """Predicted token per input column; ties resolve to the lowest index.
+def predict_batch(model, prefix):
+    """Predicted token per column of ``prefix``'s batch; ties resolve to the lowest index.
 
-    ``inputs`` is a (d, n) batch, or its :class:`Prefix` on the unedited model
-    ``model`` was edited from, which the run then starts from.  The stack runs
-    keeping only the running state (no per-layer trace), and the state is
-    scored as an (n, vocab) matrix so the argmax runs along contiguous rows.
-    The predictions equal those read from :func:`forward_batch`'s final state.
+    ``prefix`` is the batch's :class:`Prefix` on the unedited model ``model``
+    was edited from (:func:`compute_prefix`), and the run starts there.  The
+    stack runs keeping only the running state (no per-layer trace), and the
+    state is scored as an (n, vocab) matrix so the argmax runs along
+    contiguous rows.  The predictions equal those read from
+    :func:`forward_batch`'s final state.
     """
-    prefix = inputs if isinstance(inputs, Prefix) else compute_prefix(model, inputs)
     state, _ = _run_prefix(model, prefix, None)
     return np.argmax(state.T @ model.codebook, axis=1)
 

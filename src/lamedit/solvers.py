@@ -78,7 +78,6 @@ class NullProjector:
     """Orthogonal projector onto the null space of a preserved second moment."""
 
     projector: np.ndarray  # (h, h)
-    rel_tol: float
     null_dim: int
 
     def __post_init__(self):
@@ -105,10 +104,6 @@ class LanguageRequests:
             raise ShapeError("request batch must be nonempty")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "new_tokens", tokens.astype(np.int64))
-
-    @property
-    def n(self):
-        return self.inputs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -270,16 +265,16 @@ def nullspace_projector(cov_preserved, rel_tol=DEFAULT_REL_TOL):
         raise ShapeError("covariance is not symmetric")
     h = cov.shape[0]
     if scale == 0.0:
-        return NullProjector(projector=np.eye(h), rel_tol=float(rel_tol), null_dim=h)
+        return NullProjector(projector=np.eye(h), null_dim=h)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
     top = eigvals[-1]
     if top <= 0:
-        return NullProjector(projector=np.eye(h), rel_tol=float(rel_tol), null_dim=h)
+        return NullProjector(projector=np.eye(h), null_dim=h)
     mask = eigvals <= rel_tol * top
     basis = eigvecs[:, mask]
     proj = basis @ basis.T
     proj = 0.5 * (proj + proj.T)
-    return NullProjector(projector=proj, rel_tol=float(rel_tol), null_dim=int(mask.sum()))
+    return NullProjector(projector=proj, null_dim=int(mask.sum()))
 
 
 def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limit=DEFAULT_COND_LIMIT):
@@ -305,14 +300,7 @@ def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limi
     return solve(_rhs(proj, w_out, keys, targets)).T
 
 
-def preserved_terms(
-    model,
-    preserved_inputs,
-    method=METHOD_MEMIT,
-    rel_tol=DEFAULT_REL_TOL,
-    preserved_ids=None,
-    request_ids=None,
-):
+def preserved_terms(model, preserved_inputs, method=METHOD_MEMIT, rel_tol=DEFAULT_REL_TOL):
     """Per edit layer, the preserved-knowledge term the solver consumes.
 
     The statistics come from the unedited model, from one forward pass of the
@@ -328,7 +316,7 @@ def preserved_terms(
     """
     if method not in METHODS:
         raise ShapeError(f"unknown method {method!r}")
-    keys = cov_mod.preserved_keys(model, preserved_inputs, preserved_ids, request_ids)
+    keys = cov_mod.preserved_keys(model, preserved_inputs)
     terms = {}
     for layer in model.edit_layers:
         cov = cov_mod.cov_per_language(keys[layer - 1])

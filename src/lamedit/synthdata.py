@@ -7,6 +7,7 @@ a noisy rephrase, an unrelated preserved fact, and a one-hop variant reached
 through a fixed rotation).  ``fit_initial_model`` then builds a backbone that
 recalls every fact's original token by repeatedly solving the edit layers'
 down-projections with the same normal-equation machinery the editors use.
+Its floor, pass limit and retry count are the module's ``FIT_*`` constants.
 
 All randomness derives from the config seed through fixed named streams, so
 generation is bit-reproducible; retries after a failed fit derive fresh
@@ -46,6 +47,8 @@ FIT_RIDGE = 1e-5
 FIT_MAX_PASSES = 16
 FIT_STOP_AT = 0.995
 FIT_FLOOR = 0.95
+# build_benchmark's further attempts, each on a dataset from a derived seed.
+FIT_RETRIES = 3
 # Background down-projections stay small so the unfitted stack is a mild
 # perturbation of the identity map; larger scales put the depth-6 stack in a
 # chaotic regime where fact clusters are no longer linearly separable.
@@ -136,12 +139,6 @@ class MultilingualDataset:
     @property
     def m_languages(self):
         return len(self.languages)
-
-    def request_fact_ids(self):
-        return tuple(range(self.n_facts))
-
-    def preserved_fact_ids(self):
-        return tuple(range(self.n_facts, self.n_facts + self.n_preserved))
 
     def request_inputs(self, language_id):
         return self.transforms[language_id] @ self.fact_vectors
@@ -258,34 +255,35 @@ def generate_dataset(cfg):
 
 def _all_fact_inputs(dataset):
     """Inputs and old tokens of every fact in every language, language-major."""
-    blocks = []
-    tokens = []
     all_vectors = np.hstack([dataset.fact_vectors, dataset.preserved_vectors])
     all_tokens = np.concatenate([dataset.old_tokens, dataset.preserved_tokens])
-    for i in range(dataset.m_languages):
-        blocks.append(dataset.transforms[i] @ all_vectors)
-        tokens.append(all_tokens)
-    return np.hstack(blocks), np.concatenate(tokens)
+    inputs = np.hstack([dataset.transforms[i] @ all_vectors for i in range(dataset.m_languages)])
+    return inputs, np.tile(all_tokens, dataset.m_languages)
 
 
-def _recall_stats(model, dataset):
-    """Old-token recall for edited and preserved facts, pooled over languages."""
+def _recall_stats(model, prefix, dataset):
+    """Old-token recall for edited and preserved facts, pooled over languages.
+
+    ``prefix`` holds :func:`_all_fact_inputs`; each language's columns are
+    scored on their own, so the score matrix stays one language wide.
+    """
+    n, width = dataset.n_facts, dataset.n_facts + dataset.n_preserved
     req_hits = 0
     pres_hits = 0
     for i in range(dataset.m_languages):
-        req_pred = model_core.predict_batch(model, dataset.request_inputs(i))
-        pres_pred = model_core.predict_batch(model, dataset.preserved_inputs(i))
-        req_hits += int(np.sum(req_pred == dataset.old_tokens))
-        pres_hits += int(np.sum(pres_pred == dataset.preserved_tokens))
+        pred = model_core.predict_batch(model, prefix.columns(i * width, (i + 1) * width))
+        req_hits += int(np.sum(pred[:n] == dataset.old_tokens))
+        pres_hits += int(np.sum(pred[n:] == dataset.preserved_tokens))
     req_total = dataset.m_languages * dataset.n_facts
     pres_total = dataset.m_languages * dataset.n_preserved
     return req_hits / req_total, pres_hits / pres_total
 
 
-def _init_codebook(model, dataset, rng):
+def _init_codebook(model, prefix, tokens, dataset, rng):
     """Unit codebook whose stored-fact columns sit at pre-fit activation centroids.
 
-    Replacement-answer columns are drawn around a shared low-dimensional
+    The centroids average ``model``'s final states on ``prefix``, which holds
+    :func:`_all_fact_inputs` with old tokens ``tokens``.  Replacement-answer columns are drawn around a shared low-dimensional
     subspace (see NEW_TOKEN_SUBSPACE_DIV); the remaining unused tokens keep
     plain random unit columns and act as distractors.
     """
@@ -300,14 +298,12 @@ def _init_codebook(model, dataset, rng):
         low + NEW_TOKEN_NOISE * rng.standard_normal((d, n))
     )
 
-    all_vectors = np.hstack([dataset.fact_vectors, dataset.preserved_vectors])
-    all_tokens = np.concatenate([dataset.old_tokens, dataset.preserved_tokens])
+    final, _ = model_core._run_prefix(model, prefix, None)
     sums = np.zeros((d, dataset.config.vocab_size))
     counts = np.zeros(dataset.config.vocab_size)
-    for i in range(dataset.m_languages):
-        hidden, _ = model_core.forward_batch(model, dataset.transforms[i] @ all_vectors)
-        np.add.at(sums.T, all_tokens, hidden[-1].T)
-        np.add.at(counts, all_tokens, 1.0)
+    # Language-major columns: the sums add in language order, as one pass per language would.
+    np.add.at(sums.T, tokens, final.T)
+    np.add.at(counts, tokens, 1.0)
     used = counts > 0
     centroids = sums[:, used] / counts[used]
     norms = np.linalg.norm(centroids, axis=0)
@@ -317,15 +313,20 @@ def _init_codebook(model, dataset, rng):
     return codebook
 
 
-def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
+def fit_initial_model(cfg, dataset):
     """Backbone whose unedited predictions recall every fact's old token.
 
     Starts from random projections and a codebook anchored at the raw
     activation centroids of each stored token, then sweeps the edit layers
     bottom-to-top, solving each layer's down-projection with the ridge normal
-    equations against the old-token targets; sweeps repeat until recall
-    clears the floor.  Raises :class:`FitError` with per-pass diagnostics if
-    the floor is never reached.
+    equations against the old-token targets; sweeps repeat, at most
+    ``FIT_MAX_PASSES``, until recall reaches ``FIT_STOP_AT``.  Raises
+    :class:`FitError` with per-pass diagnostics if the last pass's recall is
+    below ``FIT_FLOOR``.
+
+    One prefix of :func:`_all_fact_inputs` on the seed model serves the
+    codebook's anchors and every pass's keys, targets and recall: the fit
+    rewrites only edit layers' ``w_out``, so it holds for every model made.
 
     Returns ``(model, (request_recall, preserved_recall))``: the recall is
     that of the last pass, computed once on the returned model.
@@ -344,50 +345,46 @@ def fit_initial_model(cfg, dataset, floor=FIT_FLOOR, max_passes=FIT_MAX_PASSES):
             codebook=_unit_columns(rng.standard_normal((cfg.d, cfg.vocab_size))),
             edit_layers=cfg.edit_layers,
         )
-        model = replace(seed_model, codebook=_init_codebook(seed_model, dataset, rng))
-
         inputs, tokens = _all_fact_inputs(dataset)
-        # The fit rewrites only edit layers' w_out, so the inputs' prefix holds for every pass.
-        prefix = model_core.compute_prefix(model, inputs)
+        prefix = model_core.compute_prefix(seed_model, inputs)
+        model = replace(seed_model, codebook=_init_codebook(seed_model, prefix, tokens, dataset, rng))
         identity = np.eye(cfg.h)
         history = []
-        recall = None
-        for pass_idx in range(max_passes):
+        for pass_idx in range(FIT_MAX_PASSES):
             for layer in cfg.edit_layers:
                 keys, targets = model_core.keys_and_targets(model, prefix, tokens, layer)
                 cov_request = cov_mod.cov_per_language(keys)
                 ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
                 delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)
                 model = model.with_w_out(layer, model.layer(layer).w_out + delta)
-            recall = _recall_stats(model, dataset)
+            recall = _recall_stats(model, prefix, dataset)
             history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
             if min(recall) >= FIT_STOP_AT:
                 break
-        if recall is None:
-            recall = _recall_stats(model, dataset)
     req_recall, pres_recall = recall
-    if min(recall) < floor:
+    if min(recall) < FIT_FLOOR:
         raise FitError(
-            f"fit recall {min(recall):.4f} below floor {floor}",
+            f"fit recall {min(recall):.4f} below floor {FIT_FLOOR}",
             diagnostics={"history": history, "request_recall": req_recall, "preserved_recall": pres_recall},
         )
     return model, recall
 
 
-def build_benchmark(cfg, retries=3, floor=FIT_FLOOR):
+def build_benchmark(cfg):
     """Generate a dataset and fit its backbone, retrying on a failed fit.
 
+    A failed first attempt is followed by at most ``FIT_RETRIES`` more.
     Attempt ``k`` regenerates with the derived seed stream (seed, k); the
     retry path is therefore as deterministic as the first attempt.  Returns
     ``(dataset, model, info)`` where info records the attempt count and the
     achieved recall.
     """
     failures = []
-    for attempt in range(retries + 1):
+    for attempt in range(FIT_RETRIES + 1):
         attempt_cfg = cfg if attempt == 0 else replace(cfg, seed=_derived_seed(cfg.seed, attempt))
         dataset = generate_dataset(attempt_cfg)
         try:
-            model, (req_recall, pres_recall) = fit_initial_model(attempt_cfg, dataset, floor=floor)
+            model, (req_recall, pres_recall) = fit_initial_model(attempt_cfg, dataset)
         except FitError as exc:
             failures.append({"attempt": attempt, "diagnostics": exc.diagnostics})
             continue
@@ -400,7 +397,7 @@ def build_benchmark(cfg, retries=3, floor=FIT_FLOOR):
         }
         return dataset, model, info
     raise FitError(
-        f"fit failed on {retries + 1} attempts for seed {cfg.seed}",
+        f"fit failed on {FIT_RETRIES + 1} attempts for seed {cfg.seed}",
         diagnostics={"failures": failures},
     )
 

@@ -14,9 +14,9 @@ import pytest
 from lamedit import cli, experiment, metrics
 from lamedit.merging import apply_update, merge, merge_mean, merge_sum, merge_tsvm, truncate_svd
 from lamedit.solvers import nullspace_projector, solve_alphaedit, solve_memit
-from lamedit.synthdata import _recall_stats
 
 from test_solvers import descend_edit_objective, edit_objective, random_instance
+from test_synthdata import recall_of
 
 pytestmark = pytest.mark.acceptance
 
@@ -213,7 +213,7 @@ def test_criterion_9_determinism(acceptance_log, pinned_config, pinned_benchmark
 
 def test_criterion_10_pre_edit_sanity(acceptance_log, pinned_bench, pinned_probes):
     dataset, model = pinned_bench
-    req_recall, _ = _recall_stats(model, dataset)
+    req_recall, _ = recall_of(model, dataset)
     specificity = float(np.mean([row.specificity for row in metrics.evaluate_all(model, pinned_probes)]))
     ok = req_recall >= 0.95 and specificity >= 0.95
     acceptance_log(

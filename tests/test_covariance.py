@@ -127,15 +127,6 @@ class TestConstStats:
         recomputed = loaded["k_const"] @ loaded["k_const"].T
         assert np.linalg.norm(recomputed - cov) <= 1e-12
 
-    def test_overlapping_fact_ids_rejected(self):
-        rng = np.random.default_rng(15)
-        model = random_model(rng)
-        inputs = rng.standard_normal((8, 2))
-        with pytest.raises(ShapeError):
-            const_stats(model, inputs, 2, preserved_ids=(3, 4), request_ids=(4, 5))
-        _, keys = const_stats(model, inputs, 2, preserved_ids=(3, 4), request_ids=(5, 6))
-        assert keys.shape == (12, 2)
-
 
 class TestCovStatsInvariants:
     def test_psd_quadratic_form(self):

@@ -694,6 +694,43 @@ class TestRunCommand:
         assert err.count("\n") == 1 and "config error" in err
         assert repr(array or meta_key) in err
 
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda a, m: a.update(fact_vectors=a["fact_vectors"][:-1]), "'fact_vectors' has shape"),
+            (lambda a, m: a.update(transforms=a["transforms"][:-1]), "'transforms' has shape"),
+            (lambda a, m: a["unrelated_index"].__setitem__((0, 0), 16), "'unrelated_index' must hold"),
+            (lambda a, m: a.update(rephrase_offsets=a["rephrase_offsets"][:, :, :-1]), "'rephrase_offsets'"),
+            (lambda a, m: a["fact_vectors"].__setitem__((0, 0), np.nan), "'fact_vectors' must hold finite"),
+            (lambda a, m: a["preserved_tokens"].__setitem__(0, -1), "'preserved_tokens' must hold"),
+            (lambda a, m: a["new_tokens"].__setitem__(0, 48), "'new_tokens' must hold integers in [0, 48)"),
+            (lambda a, m: a.update(old_tokens=a["old_tokens"][:-1]), "'old_tokens' has shape (7,)"),
+            (lambda a, m: a.update(hop_transform=a["hop_transform"].astype(np.int64)), "'hop_transform'"),
+            (lambda a, m: m.update(languages=m["languages"][:-1]), "names 2 languages, its config 3"),
+        ],
+        ids=[
+            "fact-vectors-wrong-d", "too-few-transforms", "unrelated-index-out-of-range",
+            "rephrase-offsets-wrong-width", "nan-fact-vectors", "negative-preserved-token",
+            "token-beyond-vocab", "short-old-tokens", "integer-hop-transform", "too-few-languages",
+        ],
+    )
+    def test_dataset_arrays_misfit_their_config_exit_2(self, tiny_setup, tmp_path, capsys, damage, named):
+        # Each damaged dataset.lam is a well-formed container, refused at load.
+        config_path, bench_dir, _ = tiny_setup
+        broken = tmp_path / "bench"
+        shutil.copytree(bench_dir, broken)
+        path = str(broken / experiment.DATASET_FILE)
+        arrays, meta = container.load_arrays(path)
+        damage(arrays, meta)
+        container.save_arrays(path, arrays, meta=meta)
+        out = tmp_path / "o"
+        code = cli.main(["run", config_path, "--dataset", str(broken), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:") and "Traceback" not in err
+        assert named in err and path in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "rank"]])
     @pytest.mark.parametrize(
         "change, named",

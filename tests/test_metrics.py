@@ -16,7 +16,7 @@ from lamedit.metrics import (
     probe_batch,
     run_mono,
 )
-from lamedit.model import ACTIVATIONS, NORMS, predict_batch
+from lamedit.model import ACTIVATIONS, NORMS, compute_prefix, predict_batch
 from lamedit.solvers import DeltaSet
 from lamedit.synthdata import fit_initial_model, generate_dataset
 
@@ -30,7 +30,7 @@ class TestAccuracy:
         rng = np.random.default_rng(0)
         model = random_model(rng, vocab=16)
         inputs = rng.standard_normal((8, 10))
-        expected = predict_batch(model, inputs)
+        expected = predict_batch(model, compute_prefix(model, inputs))
         assert accuracy(model, inputs, expected) == 1.0
 
     def test_duplicated_probes_same_fraction(self):
@@ -216,7 +216,8 @@ class TestProbeBatch:
         columns = np.hstack([f(i) for i in range(dataset.m_languages) for f in (
             dataset.request_inputs, dataset.rephrase_inputs, dataset.unrelated_inputs, dataset.hop_inputs
         )])
-        assert np.array_equal(predict_batch(edited, probes.prefix), predict_batch(edited, columns))
+        plain = predict_batch(edited, compute_prefix(edited, columns))
+        assert np.array_equal(predict_batch(edited, probes.prefix), plain)
         assert evaluate_all(edited, probes) == per_family_rows(edited, dataset)
         for i in range(dataset.m_languages):
             own = {layer: delta_set.delta(layer, i) for layer in edit_layers}

@@ -67,7 +67,7 @@ def forward_one(model, x):
 
 def predict_one(model, x):
     """``predict_batch`` on the one-column batch of ``x``."""
-    return int(predict_batch(model, np.asarray(x, dtype=float)[:, None])[0])
+    return int(predict_batch(model, compute_prefix(model, np.asarray(x, dtype=float)[:, None]))[0])
 
 
 def targets_one(model, x, token, layer):
@@ -219,7 +219,7 @@ class TestPredict:
         rng = np.random.default_rng(5)
         model = random_model(rng)
         inputs = rng.standard_normal((8, 6))
-        batch = predict_batch(model, inputs)
+        batch = predict_batch(model, compute_prefix(model, inputs))
         singles = [predict_one(model, inputs[:, i]) for i in range(6)]
         assert list(batch) == singles
 
@@ -237,14 +237,15 @@ class TestPredict:
         inputs = rng.standard_normal((8, n))
         hidden, _ = forward_batch(model, inputs)
         expected = np.argmax(model.codebook.T @ hidden[-1], axis=0)
-        assert np.array_equal(predict_batch(model, inputs), expected)
+        assert np.array_equal(predict_batch(model, compute_prefix(model, inputs)), expected)
 
     def test_batch_checks_inputs(self):
+        # A batch reaches predict_batch through its prefix, which checks the inputs.
         model = zero_model()
         with pytest.raises(ShapeError):
-            predict_batch(model, np.zeros((3, 2)))
+            compute_prefix(model, np.zeros((3, 2)))
         with pytest.raises(ShapeError):
-            predict_batch(model, np.full((4, 2), np.nan))
+            compute_prefix(model, np.full((4, 2), np.nan))
 
 
 class TestComputeTargetValues:

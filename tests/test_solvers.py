@@ -445,12 +445,7 @@ class TestEditModel:
         # per-language delta set; that must equal a fresh single-language
         # edit pushed through the m=1 sum merge.
         dataset, model = small_bench
-        preserved = preserved_terms(
-            model,
-            dataset.preserved_inputs_all(),
-            preserved_ids=dataset.preserved_fact_ids(),
-            request_ids=dataset.request_fact_ids(),
-        )
+        preserved = preserved_terms(model, dataset.preserved_inputs_all())
         probes = probe_batch(model, dataset)
         all_languages = edit_model(model, prepare(model, dataset.all_language_requests()), preserved, 2.75)
         for lang in range(dataset.m_languages):

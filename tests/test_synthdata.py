@@ -1,12 +1,19 @@
+import copy
+import functools
+
 import numpy as np
 import pytest
 
 import lamedit as lm
-from lamedit import container
+from lamedit import container, synthdata
 from lamedit.errors import ConfigError
-from lamedit.model import forward_batch, predict_batch
+from lamedit.metrics import accuracy
+from lamedit.model import ACTIVATIONS, NORMS, ToyModel, compute_prefix, forward_batch, predict_batch
 from lamedit.synthdata import (
     GenConfig,
+    _all_fact_inputs,
+    _recall_stats,
+    _unit_columns,
     build_benchmark,
     fit_initial_model,
     generate_dataset,
@@ -29,6 +36,49 @@ def tiny_cfg(**kwargs):
     )
     base.update(kwargs)
     return GenConfig(**base)
+
+
+def recall_of(model, dataset):
+    """``_recall_stats`` of ``model`` on its own prefix of every fact's inputs."""
+    return _recall_stats(model, compute_prefix(model, _all_fact_inputs(dataset)[0]), dataset)
+
+
+def reference_recall(model, dataset):
+    """Old-token recall from one ``accuracy`` call per (language, family), pooled over languages."""
+    req_hits = pres_hits = 0
+    for i in range(dataset.m_languages):
+        req_hits += round(accuracy(model, dataset.request_inputs(i), dataset.old_tokens) * dataset.n_facts)
+        pres_hits += round(
+            accuracy(model, dataset.preserved_inputs(i), dataset.preserved_tokens) * dataset.n_preserved
+        )
+    m = dataset.m_languages
+    return req_hits / (m * dataset.n_facts), pres_hits / (m * dataset.n_preserved)
+
+
+def loop_codebook(model, dataset, rng):
+    """The fit's codebook anchored from one ``forward_batch`` per language, in language order."""
+    d, vocab = dataset.config.d, dataset.config.vocab_size
+    codebook = _unit_columns(rng.standard_normal((d, vocab)))
+    sub_dim = max(2, d // synthdata.NEW_TOKEN_SUBSPACE_DIV)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, sub_dim)))
+    low = basis @ rng.standard_normal((sub_dim, dataset.n_facts))
+    codebook[:, dataset.new_tokens] = _unit_columns(
+        low + synthdata.NEW_TOKEN_NOISE * rng.standard_normal((d, dataset.n_facts))
+    )
+    all_vectors = np.hstack([dataset.fact_vectors, dataset.preserved_vectors])
+    all_tokens = np.concatenate([dataset.old_tokens, dataset.preserved_tokens])
+    sums = np.zeros((d, vocab))
+    counts = np.zeros(vocab)
+    for i in range(dataset.m_languages):
+        hidden, _ = forward_batch(model, dataset.transforms[i] @ all_vectors)
+        np.add.at(sums.T, all_tokens, hidden[-1].T)
+        np.add.at(counts, all_tokens, 1.0)
+    used = counts > 0
+    centroids = sums[:, used] / counts[used]
+    norms = np.linalg.norm(centroids, axis=0)
+    ok = norms > 1e-12
+    codebook[:, np.where(used)[0][ok]] = centroids[:, ok] / norms[ok]
+    return codebook
 
 
 class TestGenerate:
@@ -89,10 +139,6 @@ class TestGenerate:
         assert c0 <= c5 <= c1
         assert c1 >= 0.999
 
-    def test_fact_id_disjointness(self):
-        ds = generate_dataset(tiny_cfg())
-        assert not set(ds.request_fact_ids()) & set(ds.preserved_fact_ids())
-
     def test_tokens_distinct_where_promised(self):
         ds = generate_dataset(tiny_cfg())
         assert len(set(ds.old_tokens)) == ds.n_facts
@@ -121,20 +167,17 @@ class TestFit:
         ds = generate_dataset(cfg)
         model, _ = fit_initial_model(cfg, ds)
         x = ds.request_inputs(0)[:, :1]
-        assert predict_batch(model, x)[0] == int(ds.old_tokens[0])
+        assert predict_batch(model, compute_prefix(model, x))[0] == int(ds.old_tokens[0])
 
     def test_fit_floor_on_small_config(self, small_cfg, small_bench):
-        from lamedit.synthdata import _recall_stats
-
         dataset, model = small_bench
-        req, pres = _recall_stats(model, dataset)
+        req, pres = recall_of(model, dataset)
         assert req >= 0.95
         assert pres >= 0.95
 
     def test_noop_reedit_keeps_recall(self, small_bench):
         from lamedit.merging import MergeConfig, apply_update, merge
         from lamedit.solvers import LanguageRequests
-        from lamedit.synthdata import _recall_stats
 
         from test_solvers import edit_requests
 
@@ -146,8 +189,8 @@ class TestFit:
         ]
         delta_set = edit_requests(model, reqs, dataset.preserved_inputs_all(), 2.75, cov_mode="shared")
         edited = apply_update(model, merge(MergeConfig("sum_cov"), delta_set), 1.0)
-        req_before, pres_before = _recall_stats(model, dataset)
-        req_after, pres_after = _recall_stats(edited, dataset)
+        req_before, pres_before = recall_of(model, dataset)
+        req_after, pres_after = recall_of(edited, dataset)
         assert req_after >= req_before - 0.05
         assert pres_after >= pres_before - 0.05
 
@@ -164,8 +207,6 @@ class TestFit:
     def test_recall_computed_once_per_pass(self, monkeypatch):
         # The last pass's recall is the fit's and the benchmark's; nothing
         # recomputes it on the same model.
-        from lamedit import synthdata
-
         calls = {"recall": 0, "solve": 0}
 
         def counted(name, original):
@@ -182,27 +223,67 @@ class TestFit:
         assert info["attempt"] == 0
         assert calls["recall"] * len(cfg.edit_layers) == calls["solve"] > 0
         monkeypatch.undo()
-        assert (info["request_recall"], info["preserved_recall"]) == synthdata._recall_stats(model, dataset)
+        assert (info["request_recall"], info["preserved_recall"]) == recall_of(model, dataset)
 
-    def test_no_pass_reports_the_seed_models_recall(self):
-        from lamedit.synthdata import _recall_stats
+    @pytest.mark.parametrize(
+        "cfg", [tiny_cfg(), tiny_cfg(seed=3, m_languages=2, overlap=0.3)], ids=["tiny", "low-overlap"]
+    )
+    def test_every_pass_recall_equals_per_language_accuracy(self, monkeypatch, cfg):
+        # Each pass scores the fit's one prefix, a language block at a time;
+        # the reference scores each language's facts from their raw inputs.
+        seen = []
 
+        def spy(model, prefix, dataset):
+            seen.append((model, _recall_stats(model, prefix, dataset)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(synthdata, "_recall_stats", spy)
+        monkeypatch.setattr(synthdata, "FIT_FLOOR", 0.0)
+        dataset = generate_dataset(cfg)
+        _, recall = fit_initial_model(cfg, dataset)
+        assert seen and recall == seen[-1][1]
+        for model, stats in seen:
+            assert stats == reference_recall(model, dataset)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_codebook_equals_per_language_forward_anchors(self, monkeypatch, norm, activation):
+        # The fit's seed model under each norm and activation; its codebook
+        # must carry the bits of one forward_batch per language.
+        seen = {}
+        original = synthdata._init_codebook
+
+        def spy(model, prefix, tokens, dataset, rng):
+            seen.update(model=model, rng=copy.deepcopy(rng))
+            seen["codebook"] = original(model, prefix, tokens, dataset, rng)
+            return seen["codebook"]
+
+        monkeypatch.setattr(synthdata, "_init_codebook", spy)
+        seed_model = functools.partial(ToyModel, norm=norm, activation=activation)
+        monkeypatch.setattr(synthdata.model_core, "ToyModel", seed_model)
+        monkeypatch.setattr(synthdata, "FIT_FLOOR", 0.0)
         cfg = tiny_cfg()
-        ds = generate_dataset(cfg)
-        model, recall = fit_initial_model(cfg, ds, floor=0.0, max_passes=0)
-        assert recall == _recall_stats(model, ds)
+        dataset = generate_dataset(cfg)
+        model, _ = fit_initial_model(cfg, dataset)
+        assert (seen["model"].norm, seen["model"].activation) == (norm, activation)
+        assert np.array_equal(model.codebook, seen["codebook"])
+        assert np.array_equal(model.codebook, loop_codebook(seen["model"], dataset, seen["rng"]))
 
-    def test_fit_error_carries_diagnostics(self):
+    def test_fit_error_carries_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(synthdata, "FIT_FLOOR", 1.01)
+        monkeypatch.setattr(synthdata, "FIT_MAX_PASSES", 1)
         cfg = tiny_cfg()
         ds = generate_dataset(cfg)
         with pytest.raises(lm.FitError) as err:
-            fit_initial_model(cfg, ds, floor=1.01, max_passes=1)
-        assert "history" in err.value.diagnostics
+            fit_initial_model(cfg, ds)
+        assert len(err.value.diagnostics["history"]) == 1
 
-    def test_build_benchmark_retries_then_raises(self):
+    def test_build_benchmark_retries_then_raises(self, monkeypatch):
         # An unreachable floor exhausts every attempt; the error reports them.
+        monkeypatch.setattr(synthdata, "FIT_FLOOR", 1.01)
+        monkeypatch.setattr(synthdata, "FIT_RETRIES", 2)
         with pytest.raises(lm.FitError) as err:
-            build_benchmark(tiny_cfg(), retries=2, floor=1.01)
+            build_benchmark(tiny_cfg())
         assert len(err.value.diagnostics["failures"]) == 3
 
     def test_language_names_follow_benchmark_codes(self):
