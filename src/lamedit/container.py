@@ -17,6 +17,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import struct
@@ -219,12 +220,15 @@ def _check_dataset(path, cfg, languages, arrays):
     """Raise ContainerError unless the dataset's languages and arrays fit its config ``cfg``.
 
     Tokens must be integers in ``[0, vocab_size)``, ``unrelated_index`` in
-    ``[0, n_preserved)``, and every other array finite floats.
+    ``[0, n_preserved)``, and every other array finite floats.  The old, new
+    and preserved tokens must be disjoint sets, as ``generate_dataset`` draws
+    them, so that a hit names one fact.
     """
     if len(languages) != cfg.m_languages:
         raise ContainerError(f"{path}: dataset names {len(languages)} languages, its config {cfg.m_languages}")
     bounds = {"unrelated_index": cfg.n_preserved}
-    bounds.update(dict.fromkeys(("old_tokens", "new_tokens", "preserved_tokens"), cfg.vocab_size))
+    tokens = ("old_tokens", "new_tokens", "preserved_tokens")
+    bounds.update(dict.fromkeys(tokens, cfg.vocab_size))
     for name, shape in _dataset_shapes(cfg).items():
         arr, bound = arrays[name], bounds.get(name)
         if arr.shape != shape:
@@ -233,6 +237,10 @@ def _check_dataset(path, cfg, languages, arrays):
             raise ContainerError(f"{path}: dataset array {name!r} must hold finite floats")
         if bound is not None and not (arr.dtype.kind == "i" and np.all((arr >= 0) & (arr < bound))):
             raise ContainerError(f"{path}: dataset array {name!r} must hold integers in [0, {bound})")
+    for first, second in itertools.combinations(tokens, 2):
+        shared = set(arrays[first].tolist()) & set(arrays[second].tolist())
+        if shared:
+            raise ContainerError(f"{path}: dataset arrays {first!r} and {second!r} share token {min(shared)}")
 
 
 def save_dataset(path, dataset):

@@ -75,13 +75,16 @@ def _svd(matrix):
     ``gesdd`` runs on one OpenBLAS thread: its bits are the same at any count,
     and at these sizes one thread is faster.  It fails to converge on some
     rank-deficient deltas (seen on alphaedit edits at d=128, rank
-    ``n_facts``) that ``gesvd`` factors to machine precision.
+    ``n_facts``) that ``gesvd`` factors to machine precision.  ``gesvd`` runs
+    in scipy at the default thread count, inside
+    :func:`lamedit.blas.handover_to_scipy`.
     """
     try:
         with blas.one_thread():
             return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
+        with blas.handover_to_scipy():
+            return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 
 
 def _retained_rank(shape, rank_ratio):

@@ -32,7 +32,13 @@ phases, with one switch into the solving library and one back:
    do not depend on the thread count;
 2. the method's library factors, condition-checks and solves them all back
    to back, at the default thread count, since at h=256 those factors' bits
-   depend on it;
+   depend on it.  alphaedit's scipy run sits inside
+   :func:`lamedit.blas.handover_to_scipy`, which stops numpy's idle workers
+   before it and scipy's after it, so neither library's spinning workers
+   take the cores from the other's first calls.  The stop leaves every
+   thread count alone and the next threaded call re-creates the workers at
+   that count, so it changes no bit; like every BLAS scope it must not run
+   while another BLAS call is in flight, and lamedit is serial;
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
 
@@ -47,6 +53,7 @@ right-hand side with the same helpers as ``edit_model``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import warnings
 from dataclasses import dataclass
@@ -385,8 +392,9 @@ def edit_model(
     (layer, language).  Each layer runs in three phases (see the module
     docstring): numpy forms the systems and right-hand sides on one OpenBLAS
     thread, the method's library factors, checks and solves them back to back
-    at the default thread count, and numpy stores the deltas and updates the
-    working copies.
+    at the default thread count (alphaedit's scipy run with the idle pools
+    stopped on either side, which changes no count and no bit), and numpy
+    stores the deltas and updates the working copies.
 
     Parameters
     ----------
@@ -420,7 +428,10 @@ def edit_model(
     if any(prep.prefix.base is not model for prep in prepared):
         raise ShapeError("a RequestPrefix was computed on another model")
 
-    factor = _memit_inverse if method == METHOD_MEMIT else _alphaedit_lu
+    if method == METHOD_MEMIT:
+        factor, handover = _memit_inverse, contextlib.nullcontext
+    else:
+        factor, handover = _alphaedit_lu, blas.handover_to_scipy
     entries = {}
     working = {lang: model for lang in language_ids}
     for layer in model.edit_layers:
@@ -453,11 +464,13 @@ def edit_model(
                 ]
         # Phase 2, the method's library: factor and check each system and
         # solve its right-hand sides, all back to back, one factor at a time.
+        # memit stays in numpy, so only scipy's run needs the handover.
         deltas = [None] * len(rhs)
-        for matrix, norm, users in systems:
-            solve = factor(matrix, norm, cond_limit)
-            for i in users:
-                deltas[i] = solve(rhs[i]).T
+        with handover():
+            for matrix, norm, users in systems:
+                solve = factor(matrix, norm, cond_limit)
+                for i in users:
+                    deltas[i] = solve(rhs[i]).T
         # Phase 3, numpy: store the deltas and move each working copy on.
         for lang, delta in zip(language_ids, deltas):
             entries[(layer, lang)] = delta

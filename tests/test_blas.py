@@ -1,4 +1,6 @@
 import contextlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import scipy.linalg
 from lamedit import blas, cli, merging, solvers, synthdata
 from lamedit.covariance import PER_LANGUAGE, SHARED
 
-from test_experiment import write_config
+from test_experiment import TINY_CONFIG, write_config
 
 PACKAGES = ("numpy", "scipy")
 # The lookup itself, kept for reading counts while a test replaces it.
@@ -40,6 +42,7 @@ def test_bundled_libraries_are_found():
         pytest.skip("numpy or scipy does not bundle scipy-openblas >= 0.3.27")
     for package in PACKAGES:
         assert blas._thread_setter(package) is not None, package
+        assert blas._pool_stopper(package) is not None, package
 
 
 @pytest.fixture(params=[1, 2], ids=["caller-1", "caller-2"])
@@ -84,6 +87,120 @@ class TestOneThread:
             factors = merging._svd(matrix)
         for got, want in zip(factors, expected):
             assert np.array_equal(got, want)
+
+
+def _os_threads():
+    """The number of OS threads in this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+
+
+class TestHandoverToScipy:
+    def test_counts_unchanged_after_a_normal_exit_and_an_exception(self, caller_count):
+        matrix = np.random.default_rng(0).standard_normal((64, 64))
+        with blas.handover_to_scipy():
+            scipy.linalg.lu_factor(matrix)
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+        with pytest.raises(ZeroDivisionError):
+            with blas.handover_to_scipy():
+                1 / 0
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    @linux_only
+    @pytest.mark.parametrize("caller_count", [2], indirect=True, ids=["caller-2"])
+    def test_idle_pools_stop_and_come_back_with_the_next_threaded_call(self, caller_count):
+        # A pool keeps the workers of the largest count it ran at, so only
+        # the direction of each change is machine-independent.  Nothing here
+        # sets a count: setting one re-creates a stopped pool.
+        matrix = np.random.default_rng(0).standard_normal((256, 256))
+        np.linalg.inv(matrix)
+        scipy.linalg.lu_factor(matrix)
+        before = _os_threads()
+        with blas.handover_to_scipy():
+            inside = _os_threads()
+        after = _os_threads()
+        scipy.linalg.lu_factor(matrix)
+        assert before > inside > after
+        assert _os_threads() == inside
+
+    def test_missing_library_does_nothing(self, caller_count, monkeypatch):
+        monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
+        before = _os_threads() if sys.platform.startswith("linux") else None
+        with blas.handover_to_scipy():
+            pass
+        if before is not None:
+            assert _os_threads() == before
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+
+def _tracking_handover(depth):
+    """A ``blas.handover_to_scipy`` that keeps in ``depth[0]`` how many scopes it is inside."""
+    real = blas.handover_to_scipy
+
+    @contextlib.contextmanager
+    def tracked():
+        with real():
+            depth[0] += 1
+            try:
+                yield
+            finally:
+                depth[0] -= 1
+
+    return tracked
+
+
+def test_every_alphaedit_scipy_call_runs_inside_the_handover(tmp_path, monkeypatch):
+    # A scipy call outside the scope would meet numpy's idle workers still
+    # spinning, or leave scipy's spinning against numpy's next call.
+    depth = [0]
+    calls = []
+    monkeypatch.setattr(blas, "handover_to_scipy", _tracking_handover(depth))
+    for owner, name in (
+        (scipy.linalg, "lu_factor"),
+        (scipy.linalg, "lu_solve"),
+        (scipy.linalg.lapack, "dgecon"),
+    ):
+        original = getattr(owner, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, depth[0]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    doc = dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02})
+    config_path = write_config(tmp_path, doc)
+    bench = str(tmp_path / "bench")
+    assert cli.main(["generate", config_path, "--out", bench]) == 0
+    for argv in (
+        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "alpha"), "--method", "alphaedit"],
+        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "rank"), "--axis", "rank"],
+    ):
+        assert cli.main(argv) == 0
+    assert {name for name, _ in calls} == {"lu_factor", "lu_solve", "dgecon"}
+    assert [name for name, inside in calls if not inside] == []
+
+
+def test_svd_fallback_runs_inside_the_handover(monkeypatch):
+    depth = [0]
+    inside = []
+    monkeypatch.setattr(blas, "handover_to_scipy", _tracking_handover(depth))
+    real_svd = scipy.linalg.svd
+
+    def failing_gesdd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def spy(*args, **kwargs):
+        inside.append(depth[0])
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
+    monkeypatch.setattr(scipy.linalg, "svd", spy)
+    matrix = np.random.default_rng(0).standard_normal((8, 12))
+    merging._svd(matrix)
+    assert inside == [1]
 
 
 # Kernels whose bits depend on the thread count at h=256 (README, Determinism),
@@ -178,6 +295,7 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
     scoped = pipeline()
     assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
     monkeypatch.setattr(blas, "one_thread", lambda **kwargs: contextlib.nullcontext())
+    monkeypatch.setattr(blas, "handover_to_scipy", contextlib.nullcontext)
     unscoped = pipeline()
     assert scoped.keys() == unscoped.keys()
     for key, array in scoped.items():

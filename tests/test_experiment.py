@@ -707,11 +707,21 @@ class TestRunCommand:
             (lambda a, m: a.update(old_tokens=a["old_tokens"][:-1]), "'old_tokens' has shape (7,)"),
             (lambda a, m: a.update(hop_transform=a["hop_transform"].astype(np.int64)), "'hop_transform'"),
             (lambda a, m: m.update(languages=m["languages"][:-1]), "names 2 languages, its config 3"),
+            (lambda a, m: a.update(new_tokens=a["old_tokens"].copy()), "'old_tokens' and 'new_tokens' share"),
+            (
+                lambda a, m: a["new_tokens"].__setitem__(0, a["preserved_tokens"][3]),
+                "'new_tokens' and 'preserved_tokens' share",
+            ),
+            (
+                lambda a, m: a["old_tokens"].__setitem__(2, a["preserved_tokens"][0]),
+                "'old_tokens' and 'preserved_tokens' share",
+            ),
         ],
         ids=[
             "fact-vectors-wrong-d", "too-few-transforms", "unrelated-index-out-of-range",
             "rephrase-offsets-wrong-width", "nan-fact-vectors", "negative-preserved-token",
             "token-beyond-vocab", "short-old-tokens", "integer-hop-transform", "too-few-languages",
+            "new-tokens-are-old-tokens", "new-token-is-preserved", "old-token-is-preserved",
         ],
     )
     def test_dataset_arrays_misfit_their_config_exit_2(self, tiny_setup, tmp_path, capsys, damage, named):
