@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from . import experiment
+from . import experiment, merging, solvers
 from .errors import (
     ConfigError,
     ContainerError,
@@ -20,7 +20,6 @@ from .errors import (
     FitError,
     IllConditionedError,
     LameditError,
-    RankRatioError,
 )
 
 
@@ -40,11 +39,11 @@ def _build_parser():
     run.add_argument("config", help="experiment config (JSON)")
     run.add_argument("--dataset", required=True, help="benchmark directory from `lamedit generate`")
     run.add_argument("--out", required=True, help="run output directory")
-    run.add_argument("--method", choices=("memit", "alphaedit"), help="override solver method")
+    run.add_argument("--method", choices=solvers.METHODS, help="override solver method")
     run.add_argument(
         "--merge",
         action="append",
-        choices=("sum", "mean", "tsvm", "sum_cov", "mean_cov", "tsvm_cov"),
+        choices=merging.MERGE_METHODS,
         help="restrict to these merge methods (repeatable)",
     )
     run.add_argument("--alpha", type=float, help="override the anchor weight scale")
@@ -83,8 +82,6 @@ def _apply_run_overrides(config, args):
         ]
     config = replace(config, merges=tuple(merges))
     if args.alpha is not None:
-        if not args.alpha > 0:
-            raise ConfigError("--alpha must be positive")
         config = replace(config, alpha=args.alpha)
     if args.no_mono:
         config = replace(config, include_mono=False)
@@ -164,7 +161,7 @@ def main(argv=None):
         warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
         try:
             return handlers[args.command](args)
-        except (ConfigError, ContainerError, RankRatioError) as exc:
+        except (ConfigError, ContainerError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except (IllConditionedError, FitError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -176,28 +176,36 @@ def save_model(path, toy_model):
 
 
 def load_model(path):
+    """Read a ToyModel; one that is not lamedit's architecture raises ContainerError.
+
+    The meta must name relu and layernorm, and every layer's stored
+    ``norm_scale``/``norm_bias`` must be the fixed ones and zeros: the model
+    has no place for other values, so it would score a different model.
+    """
     from .model import LamLayer, ToyModel
 
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "toy_model":
         raise ContainerError(f"{path}: container does not hold a model (kind={meta.get('kind')!r})")
     with _entries(path, "model"):
-        layers = tuple(
-            LamLayer(
-                w_in=arrays[f"w_in_{idx:02d}"],
-                w_out=arrays[f"w_out_{idx:02d}"],
-                norm_scale=arrays[f"norm_scale_{idx:02d}"],
-                norm_bias=arrays[f"norm_bias_{idx:02d}"],
+        architecture = (meta["activation"], meta["norm"])
+        if architecture != (ToyModel.activation, ToyModel.norm):
+            raise ContainerError(
+                f"{path}: model has activation {architecture[0]!r} and norm {architecture[1]!r}; "
+                f"lamedit models are {ToyModel.activation!r} and {ToyModel.norm!r}"
             )
+        layers = tuple(
+            LamLayer(w_in=arrays[f"w_in_{idx:02d}"], w_out=arrays[f"w_out_{idx:02d}"])
             for idx in range(1, meta["n_layers"] + 1)
         )
-        return ToyModel(
-            layers=layers,
-            codebook=arrays["codebook"],
-            edit_layers=tuple(meta["edit_layers"]),
-            activation=meta["activation"],
-            norm=meta["norm"],
-        )
+        for idx, layer in enumerate(layers, start=1):
+            for name, fixed in (("norm_scale", "ones"), ("norm_bias", "zeros")):
+                if not np.array_equal(arrays[f"{name}_{idx:02d}"], getattr(layer, name)):
+                    raise ContainerError(
+                        f"{path}: model array '{name}_{idx:02d}' must be all {fixed}: "
+                        "lamedit's layer norm has no affine"
+                    )
+        return ToyModel(layers=layers, codebook=arrays["codebook"], edit_layers=tuple(meta["edit_layers"]))
 
 
 def _dataset_shapes(cfg):

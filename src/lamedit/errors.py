@@ -25,7 +25,7 @@ class InvalidRequestError(LameditError):
     """An edit request references a token or fact that does not exist."""
 
 
-class RankRatioError(LameditError):
+class RankRatioError(ConfigError):
     """Rank ratio too small: the retained rank floor(r * d) must be >= 1."""
 
 

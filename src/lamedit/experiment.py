@@ -108,6 +108,10 @@ class ExperimentConfig:
             raise ConfigError("rank_grid values must lie in (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha!r}")
+        for m in self.merges:
+            if m.base_rule == "tsvm":
+                # Refused here, not after every edit has been computed.
+                merging._retained_rank((self.dataset.d, self.dataset.h), m.rank_ratio)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.include_mono, bool):
@@ -200,12 +204,13 @@ def config_from_dict(doc):
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema_version {version!r}")
         seed = _integer("seed", doc.get("seed", 0))
+        if isinstance(doc.get("dataset"), dict) and "seed" in doc["dataset"]:
+            raise ConfigError("dataset.seed is not a config field: the dataset seed is the top-level seed")
         return _section(
             "config",
             doc,
             ExperimentConfig,
             seed=seed,
-            # The dataset seed is always the top-level one.
             dataset=_section("dataset", doc.get("dataset", {}), synthdata.GenConfig, seed=seed),
             solver=_section("solver", doc.get("solver", {}), SolverSettings),
             merges=tuple(
@@ -459,6 +464,9 @@ def sweep(config, dataset, model, axis):
         merge_cfgs = [m for m in config.merges if m.base_rule == "tsvm"]
         if not merge_cfgs:
             raise ConfigError("rank sweep needs at least one tsvm-family merge method")
+        for rank in grid:
+            # Refused before any edit is computed; `run` does not read the grid.
+            merging._retained_rank((model.d, model.h), rank)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
     modes = [m.cov_mode for m in merge_cfgs]

@@ -1,8 +1,9 @@
 """Toy residual stack of key-value feedforward layers with a codebook readout.
 
-Each layer reads the running hidden state, normalizes it, projects up with
-``w_in``, applies the activation (the result is the layer's *key*), and
-projects back down with ``w_out`` onto the residual stream.  There is no
+Every model has one architecture, the shape MEMIT and AlphaEdit edit: each
+layer layer-normalizes the running hidden state (no affine), projects up with
+``w_in`` and applies a ReLU, so its *key* is ``relu(w_in @ layernorm(h))``,
+and projects back down with ``w_out`` onto the residual stream.  There is no
 attention path; the residual update is exactly ``h += w_out @ key``.  A
 prediction is the index of the codebook column with the largest inner product
 against the final hidden state.
@@ -29,9 +30,6 @@ from .errors import InvalidRequestError, ShapeError
 
 LN_EPS = 1e-5
 
-ACTIVATIONS = ("relu", "identity")
-NORMS = ("layernorm", "identity")
-
 
 def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
@@ -40,12 +38,10 @@ def _check_finite(name, arr):
 
 @dataclass(frozen=True)
 class LamLayer:
-    """One feedforward layer: up/down projections plus normalization params."""
+    """One feedforward layer: its up and down projections."""
 
     w_in: np.ndarray  # (h, d)
     w_out: np.ndarray  # (d, h)
-    norm_scale: np.ndarray  # (d,)
-    norm_bias: np.ndarray  # (d,)
 
     def __post_init__(self):
         w_in = np.asarray(self.w_in, dtype=float)
@@ -57,16 +53,10 @@ class LamLayer:
             raise ShapeError(f"w_out shape {w_out.shape} does not match w_in shape {w_in.shape}")
         if d < 2 or h < d:
             raise ShapeError(f"need h >= d >= 2, got d={d}, h={h}")
-        scale = np.asarray(self.norm_scale, dtype=float)
-        bias = np.asarray(self.norm_bias, dtype=float)
-        if scale.shape != (d,) or bias.shape != (d,):
-            raise ShapeError("norm parameters must be vectors of length d")
-        for name, arr in (("w_in", w_in), ("w_out", w_out), ("norm_scale", scale), ("norm_bias", bias)):
+        for name, arr in (("w_in", w_in), ("w_out", w_out)):
             _check_finite(name, arr)
         object.__setattr__(self, "w_in", w_in)
         object.__setattr__(self, "w_out", w_out)
-        object.__setattr__(self, "norm_scale", scale)
-        object.__setattr__(self, "norm_bias", bias)
 
     @property
     def d(self):
@@ -76,11 +66,15 @@ class LamLayer:
     def h(self):
         return self.w_in.shape[0]
 
+    @property
+    def norm_scale(self):
+        """The layer norm's scale, fixed at one; ``model.lam`` still stores it."""
+        return np.ones(self.d)
 
-def default_layer(w_in, w_out):
-    """Layer with normalization scale 1 and bias 0."""
-    d = np.asarray(w_in).shape[1]
-    return LamLayer(w_in=w_in, w_out=w_out, norm_scale=np.ones(d), norm_bias=np.zeros(d))
+    @property
+    def norm_bias(self):
+        """The layer norm's bias, fixed at zero; ``model.lam`` still stores it."""
+        return np.zeros(self.d)
 
 
 @dataclass(frozen=True)
@@ -96,8 +90,10 @@ class ToyModel:
     layers: tuple[LamLayer, ...]
     codebook: np.ndarray  # (d, vocab)
     edit_layers: tuple[int, ...]
-    activation: str = "relu"
-    norm: str = "layernorm"
+
+    # The one architecture, by the names ``model.lam``'s meta records.
+    activation = "relu"
+    norm = "layernorm"
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -121,10 +117,6 @@ class ToyModel:
             raise ShapeError("edit_layers must be strictly increasing")
         if edit_layers[0] < 1 or edit_layers[-1] > len(layers):
             raise ShapeError(f"edit_layers {edit_layers} outside 1..{len(layers)}")
-        if self.activation not in ACTIVATIONS:
-            raise ShapeError(f"unknown activation {self.activation!r}")
-        if self.norm not in NORMS:
-            raise ShapeError(f"unknown norm {self.norm!r}")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "codebook", codebook)
         object.__setattr__(self, "edit_layers", edit_layers)
@@ -161,28 +153,17 @@ class ToyModel:
         return replace(self, layers=tuple(layers))
 
 
-def _normalize(model, states):
-    """Apply the model's normalization column-wise to ``states`` (d, n)."""
-    if model.norm == "identity":
-        return states
+def _normalize(states):
+    """Layer-normalize ``states`` (d, n) column-wise, with no affine."""
     # The variance from the centred states, as ``states.var`` computes it.
     centred = states - states.mean(axis=0, keepdims=True)
     var = np.square(centred).sum(axis=0, keepdims=True) / states.shape[0]
     return centred / np.sqrt(var + LN_EPS)
 
 
-def _activate(model, pre):
-    if model.activation == "identity":
-        return pre
-    return np.maximum(pre, 0.0)
-
-
 def _layer_keys(model, layer_index, states):
     """Keys of 1-based ``layer_index`` for a batch of hidden states (d, n)."""
-    layer = model.layer(layer_index)
-    normed = _normalize(model, states)
-    normed = normed * layer.norm_scale[:, None] + layer.norm_bias[:, None]
-    return _activate(model, layer.w_in @ normed)
+    return np.maximum(model.layer(layer_index).w_in @ _normalize(states), 0.0)
 
 
 def _check_inputs(model, inputs):
@@ -199,8 +180,8 @@ class Prefix:
     layer, and that layer's keys, one column per input.
 
     Every model edited from ``base`` shares the layers below the first edit
-    layer and that layer's ``w_in`` and norm, so it maps the batch to this same
-    state and these same keys.  Running such a model on from here gives the
+    layer and that layer's ``w_in``, so it maps the batch to this same state
+    and these same keys.  Running such a model on from here gives the
     bits of its full forward pass.
     """
 
@@ -224,26 +205,20 @@ class Prefix:
     def check(self, model):
         """Raise :class:`ShapeError` unless ``model`` shares the prefix's layers.
 
-        The layers below :attr:`layer`, and that layer's ``w_in`` and norm
-        parameters, must be the base's own arrays (compared by identity, which
-        :meth:`ToyModel.with_w_out` preserves), under the same edit layers,
-        norm and activation.
+        The layers below :attr:`layer`, and that layer's ``w_in``, must be the
+        base's own arrays (compared by identity, which
+        :meth:`ToyModel.with_w_out` preserves), under the same edit layers.
         """
         base, first = self.base, self.layer
         shared = (
             model.edit_layers == base.edit_layers
-            and model.norm == base.norm
-            and model.activation == base.activation
             and all(a is b for a, b in zip(model.layers[: first - 1], base.layers[: first - 1]))
-            and all(
-                getattr(model.layer(first), name) is getattr(base.layer(first), name)
-                for name in ("w_in", "norm_scale", "norm_bias")
-            )
+            and model.layer(first).w_in is base.layer(first).w_in
         )
         if not shared:
             raise ShapeError(
                 f"model does not share the prefix's unedited layers 1..{first - 1} "
-                f"and layer {first}'s w_in and norm"
+                f"and layer {first}'s w_in"
             )
 
 

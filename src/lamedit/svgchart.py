@@ -36,29 +36,23 @@ def _ticks(lo, hi, count=5):
     return [lo + i * step for i in range(count)]
 
 
-def line_chart(series, title, x_label, y_label, y_range=None):
+def line_chart(series, title, x_label, y_label, y_range):
     """Render labelled polylines.
 
     Parameters
     ----------
     series : sequence of (label, xs, ys)
-    y_range : optional (lo, hi); defaults to the data range padded by 5%.
+    y_range : (lo, hi) of the y axis.
 
     Returns
     -------
     str : a complete SVG document.
     """
     all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [y for _, _, ys in series for y in ys]
     if not all_x:
         raise ValueError("line_chart needs at least one point")
     x_lo, x_hi = min(all_x), max(all_x)
-    if y_range is not None:
-        y_lo, y_hi = y_range
-    else:
-        y_lo, y_hi = min(all_y), max(all_y)
-        pad = 0.05 * max(y_hi - y_lo, 1e-9)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = y_range
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:

@@ -339,7 +339,7 @@ def fit_initial_model(cfg, dataset):
         for _ in range(cfg.n_layers):
             w_in = rng.standard_normal((cfg.h, cfg.d)) / np.sqrt(cfg.d)
             w_out = rng.standard_normal((cfg.d, cfg.h)) * (FIT_W_OUT_SCALE / np.sqrt(cfg.h))
-            layers.append(model_core.default_layer(w_in, w_out))
+            layers.append(model_core.LamLayer(w_in, w_out))
         seed_model = model_core.ToyModel(
             layers=tuple(layers),
             codebook=_unit_columns(rng.standard_normal((cfg.d, cfg.vocab_size))),

@@ -137,6 +137,17 @@ class TestModelIO:
             assert np.array_equal(loaded.layer(l).w_in, model.layer(l).w_in)
             assert np.array_equal(loaded.layer(l).w_out, model.layer(l).w_out)
 
+    def test_model_file_keeps_fixed_norm_arrays_and_meta(self, tmp_path):
+        # The architecture is fixed, yet model.lam keeps every entry it had.
+        model = random_model(np.random.default_rng(4))
+        path = tmp_path / "model.lam"
+        container.save_model(path, model)
+        arrays, meta = container.load_arrays(path)
+        assert (meta["activation"], meta["norm"]) == ("relu", "layernorm")
+        for l in range(1, model.n_layers + 1):
+            assert np.array_equal(arrays[f"norm_scale_{l:02d}"], np.ones(model.d))
+            assert np.array_equal(arrays[f"norm_bias_{l:02d}"], np.zeros(model.d))
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "x.lam"
         container.save_arrays(path, {"a": np.zeros(2)}, meta={"kind": "other"})

@@ -741,6 +741,80 @@ class TestRunCommand:
         assert named in err and path in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda a, m: m.update(activation="identity"), "activation 'identity'"),
+            (lambda a, m: m.update(norm="identity"), "norm 'identity'"),
+            (lambda a, m: a["norm_scale_02"].__setitem__(0, 2.0), "'norm_scale_02' must be all ones"),
+            (lambda a, m: a["norm_bias_03"].__setitem__(1, 0.5), "'norm_bias_03' must be all zeros"),
+        ],
+        ids=["identity-activation", "identity-norm", "norm-scale-not-ones", "norm-bias-not-zeros"],
+    )
+    def test_model_of_another_architecture_exit_2(self, tiny_setup, tmp_path, capsys, damage, named):
+        # The model has no place for another activation, norm or norm affine,
+        # so a model.lam that names one is refused rather than scored as relu/layernorm.
+        config_path, bench_dir, _ = tiny_setup
+        broken = tmp_path / "bench"
+        shutil.copytree(bench_dir, broken)
+        path = str(broken / experiment.MODEL_FILE)
+        arrays, meta = container.load_arrays(path)
+        damage(arrays, meta)
+        container.save_arrays(path, arrays, meta=meta)
+        out = tmp_path / "o"
+        code = cli.main(["run", config_path, "--dataset", str(broken), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:") and "Traceback" not in err
+        assert named in err and path in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["generate"], ["run", "--dataset", "{bench}"]], ids=["generate", "run"])
+    def test_dataset_seed_exit_2(self, tiny_setup, tmp_path, capsys, command):
+        # The dataset seed is the top-level seed; a dataset.seed is refused, not ignored.
+        _, bench_dir, _ = tiny_setup
+        doc = dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=7))
+        out = tmp_path / "o"
+        argv = [command[0], write_config(tmp_path, doc), *command[1:], "--out", str(out)]
+        code = cli.main([a.format(bench=bench_dir) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "dataset.seed" in err and "top-level seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, argv",
+        [
+            ({"merges": [{"method": "tsvm", "rank_ratio": 0.01}]}, ["run"]),
+            ({"merges": [{"method": "sum"}, {"method": "tsvm_cov", "rank_ratio": 0.01}]}, ["run"]),
+            ({}, ["run", "--rank-ratio", "0.01"]),
+            ({"rank_grid": [0.01, 0.5, 1.0]}, ["sweep", "--axis", "rank"]),
+        ],
+        ids=["tsvm-merge", "tsvm-cov-merge", "rank-ratio-flag", "rank-grid"],
+    )
+    def test_infeasible_tsvm_rank_exit_2_before_any_edit(
+        self, tiny_setup, tmp_path, capsys, monkeypatch, change, argv
+    ):
+        # floor(0.01 * d) = 0 at d=8: refused before any edit is computed.
+        config_path, bench_dir, _ = tiny_setup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("edits computed before the rank ratio was checked")
+
+        monkeypatch.setattr(experiment, "compute_delta_sets", refuse)
+        config = write_config(tmp_path, {**TINY_CONFIG, **change})
+        code = cli.main([argv[0], config, "--dataset", bench_dir, "--out", str(tmp_path / "o"), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert "rank_ratio 0.01 with d=8 floors to rank 0" in err
+
+    def test_run_ignores_infeasible_rank_grid(self, tiny_setup, tmp_path):
+        config_path, bench_dir, _ = tiny_setup
+        config = write_config(tmp_path, {**TINY_CONFIG, "rank_grid": [0.01, 0.5, 1.0]})
+        argv = ["run", config, "--dataset", bench_dir, "--out", str(tmp_path / "o"), "--merge", "sum", "--no-mono"]
+        assert cli.main(argv) == 0
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "rank"]])
     @pytest.mark.parametrize(
         "change, named",
@@ -803,6 +877,17 @@ class TestRunCommand:
             "run", config_path, "--dataset", bench_dir, "--out", str(tmp_path / "o"), "--alpha", "nan",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "inf"])
+    def test_alpha_override_not_finite_positive_exit_2(self, tiny_setup, tmp_path, capsys, alpha):
+        # nan: test_nan_alpha_override_exit_2.
+        config_path, bench_dir, _ = tiny_setup
+        out = tmp_path / "o"
+        code = cli.main(["run", config_path, "--dataset", bench_dir, "--out", str(out), "--alpha", alpha])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "alpha must be finite and positive" in err
+        assert not out.exists()
 
     def test_merge_and_alpha_overrides(self, tiny_setup, tmp_path):
         config_path, bench_dir, _ = tiny_setup

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from lamedit.errors import InvalidRequestError, ShapeError
 from lamedit.model import (
-    ACTIVATIONS,
     LN_EPS,
-    NORMS,
     LamLayer,
     ToyModel,
     compute_prefix,
-    default_layer,
     forward_batch,
     keys_and_targets,
     predict_batch,
@@ -26,21 +23,17 @@ def oracle_forward(model, x):
     hidden = [h.copy()]
     keys = []
     for layer in model.layers:
-        v = h.copy()
-        if model.norm == "layernorm":
-            v = (v - v.mean()) / np.sqrt(v.var() + LN_EPS)
-        v = v * layer.norm_scale + layer.norm_bias
-        pre = layer.w_in @ v
-        k = np.maximum(pre, 0.0) if model.activation == "relu" else pre
+        v = (h - h.mean()) / np.sqrt(h.var() + LN_EPS)
+        k = np.maximum(layer.w_in @ v, 0.0)
         h = h + layer.w_out @ k
         hidden.append(h.copy())
         keys.append(k)
     return np.array(hidden), np.array(keys)
 
 
-def random_model(rng, d=8, h=12, n_layers=3, vocab=10, edit_layers=(2, 3), **kwargs):
+def random_model(rng, d=8, h=12, n_layers=3, vocab=10, edit_layers=(2, 3)):
     layers = tuple(
-        default_layer(
+        LamLayer(
             rng.standard_normal((h, d)) / np.sqrt(d),
             rng.standard_normal((d, h)) * 0.2,
         )
@@ -48,11 +41,11 @@ def random_model(rng, d=8, h=12, n_layers=3, vocab=10, edit_layers=(2, 3), **kwa
     )
     codebook = rng.standard_normal((d, vocab))
     codebook /= np.linalg.norm(codebook, axis=0)
-    return ToyModel(layers=layers, codebook=codebook, edit_layers=edit_layers, **kwargs)
+    return ToyModel(layers=layers, codebook=codebook, edit_layers=edit_layers)
 
 
 def zero_model(d=4, h=6, n_layers=2, vocab=5):
-    layers = tuple(default_layer(np.zeros((h, d)), np.zeros((d, h))) for _ in range(n_layers))
+    layers = tuple(LamLayer(np.zeros((h, d)), np.zeros((d, h))) for _ in range(n_layers))
     codebook = np.zeros((d, vocab))
     for j in range(vocab):
         codebook[j % d, j] = 1.0
@@ -84,16 +77,14 @@ class TestForward:
         assert np.array_equal(hidden[-1], x)
         assert np.array_equal(keys, np.zeros((2, 6)))
 
-    def test_hand_example_identity_activation_and_norm(self):
-        layer = default_layer(np.eye(2), np.eye(2))
-        codebook = np.eye(2)
-        model = ToyModel(
-            layers=(layer,), codebook=codebook, edit_layers=(1,),
-            activation="identity", norm="identity",
-        )
+    def test_hand_example_relu_layernorm(self):
+        # layernorm([1, 0]) = [1, -1] / sqrt(1 + 4 eps); the ReLU drops the -1.
+        layer = LamLayer(np.eye(2), np.eye(2))
+        model = ToyModel(layers=(layer,), codebook=np.eye(2), edit_layers=(1,))
         hidden, keys = forward_one(model, np.array([1.0, 0.0]))
-        assert np.allclose(keys[0], [1.0, 0.0])
-        assert np.allclose(hidden[1], [2.0, 0.0])
+        unit = 1.0 / np.sqrt(1.0 + 4 * LN_EPS)
+        assert np.allclose(keys[0], [unit, 0.0], rtol=1e-15, atol=0)
+        assert np.allclose(hidden[1], [1.0 + unit, 0.0], rtol=1e-15, atol=0)
 
     def test_matches_oracle_reimplementation(self):
         rng = np.random.default_rng(0)
@@ -130,11 +121,10 @@ class TestForward:
 
     def test_normalize_bit_identical_to_numpy_var(self):
         rng = np.random.default_rng(8)
-        model = random_model(rng)
         states = rng.standard_normal((8, 257)) * 3.0 + 1.5
         mean = states.mean(axis=0, keepdims=True)
         reference = (states - mean) / np.sqrt(states.var(axis=0, keepdims=True) + LN_EPS)
-        assert np.array_equal(_normalize(model, states), reference)
+        assert np.array_equal(_normalize(states), reference)
 
 
 class TestComputeKey:
@@ -154,15 +144,14 @@ class TestComputeKey:
             assert np.array_equal(key[:, 0], keys[l - 1])
 
     def test_relu_gate(self):
+        # layernorm([0.3, 0.5]) = [-u, u] with u = 0.1 / sqrt(0.01 + eps).
         w_in = np.array([[1.0, -1.0], [0.0, 1.0]])
-        layer = default_layer(w_in, np.zeros((2, 2)))
-        model = ToyModel(
-            layers=(layer,), codebook=np.eye(2), edit_layers=(1,), norm="identity",
-        )
+        layer = LamLayer(w_in, np.zeros((2, 2)))
+        model = ToyModel(layers=(layer,), codebook=np.eye(2), edit_layers=(1,))
         _, keys = forward_one(model, np.array([0.3, 0.5]))
         key = keys[0]
-        assert key[0] == 0.0  # max(0, 0.3 - 0.5)
-        assert key[1] == 0.5
+        assert key[0] == 0.0  # max(0, -u - u)
+        assert np.isclose(key[1], 0.1 / np.sqrt(0.01 + LN_EPS), rtol=1e-12, atol=0)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -206,7 +195,7 @@ class TestPredict:
         d, vocab = 4, 5
         codebook = np.zeros((d, vocab))
         codebook[0, :] = 1.0  # all columns identical
-        layers = (default_layer(np.zeros((6, d)), np.zeros((d, 6))),)
+        layers = (LamLayer(np.zeros((6, d)), np.zeros((d, 6))),)
         model = ToyModel(layers=layers, codebook=codebook, edit_layers=(1,))
         assert predict_one(model, np.array([1.0, 0, 0, 0])) == 0
 
@@ -228,12 +217,10 @@ class TestPredict:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 300),
-        norm=st.sampled_from(NORMS),
-        activation=st.sampled_from(ACTIVATIONS),
     )
-    def test_final_state_forward_equals_traced_forward(self, seed, n, norm, activation):
+    def test_final_state_forward_equals_traced_forward(self, seed, n):
         rng = np.random.default_rng(seed)
-        model = random_model(rng, vocab=23, norm=norm, activation=activation)
+        model = random_model(rng, vocab=23)
         inputs = rng.standard_normal((8, n))
         hidden, _ = forward_batch(model, inputs)
         expected = np.argmax(model.codebook.T @ hidden[-1], axis=0)
@@ -325,11 +312,9 @@ class TestComputeTargetValues:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 40),
         n_layers=st.integers(1, 5),
-        norm=st.sampled_from(NORMS),
-        activation=st.sampled_from(ACTIVATIONS),
         data=st.data(),
     )
-    def test_prefix_run_equals_full_forward(self, seed, n, n_layers, norm, activation, data):
+    def test_prefix_run_equals_full_forward(self, seed, n, n_layers, data):
         # The edit path never runs a full forward: it runs on from a prefix
         # computed once on the unedited model.  On that model and on any model
         # edited from it, each edit layer's keys and the final state must be
@@ -338,7 +323,7 @@ class TestComputeTargetValues:
             sorted(data.draw(st.sets(st.integers(1, n_layers), min_size=1), label="edit_layers"))
         )
         rng = np.random.default_rng(seed)
-        model = random_model(rng, n_layers=n_layers, edit_layers=edit_layers, norm=norm, activation=activation)
+        model = random_model(rng, n_layers=n_layers, edit_layers=edit_layers)
         inputs = rng.standard_normal((8, n)) * 2.0
         tokens = rng.integers(0, model.vocab_size, size=n)
         prefix = compute_prefix(model, inputs)
@@ -372,14 +357,14 @@ class TestComputeTargetValues:
 class TestValidation:
     def test_layer_shape_rules(self):
         with pytest.raises(ShapeError):
-            LamLayer(np.zeros((2, 4)), np.zeros((4, 2)), np.zeros(4), np.zeros(4))  # h < d
+            LamLayer(np.zeros((2, 4)), np.zeros((4, 2)))  # h < d
         with pytest.raises(ShapeError):
-            default_layer(np.zeros((6, 4)), np.zeros((4, 5)))  # w_out mismatch
+            LamLayer(np.zeros((6, 4)), np.zeros((4, 5)))  # w_out mismatch
         with pytest.raises(ShapeError):
-            default_layer(np.full((6, 4), np.nan), np.zeros((4, 6)))
+            LamLayer(np.full((6, 4), np.nan), np.zeros((4, 6)))
 
     def test_model_rules(self):
-        layer = default_layer(np.zeros((6, 4)), np.zeros((4, 6)))
+        layer = LamLayer(np.zeros((6, 4)), np.zeros((4, 6)))
         good_cb = np.eye(4)
         with pytest.raises(ShapeError):
             ToyModel(layers=(layer,), codebook=2 * good_cb, edit_layers=(1,))
