@@ -146,12 +146,14 @@ def load_arrays(path):
 
 @contextlib.contextmanager
 def _entries(path, kind):
-    """Report an array or meta entry a ``kind`` container lacks as ContainerError."""
+    """Report an entry a ``kind`` container lacks, or one its type refuses, as ContainerError."""
     try:
         yield
+    except ContainerError:
+        raise
     except KeyError as exc:
         raise ContainerError(f"{path}: {kind} container has no entry {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ShapeError) as exc:
         raise ContainerError(f"{path}: malformed {kind} container: {exc}") from exc
 
 
@@ -181,6 +183,9 @@ def load_model(path):
     The meta must name relu and layernorm, and every layer's stored
     ``norm_scale``/``norm_bias`` must be the fixed ones and zeros: the model
     has no place for other values, so it would score a different model.
+    Whatever the layer and model constructors refuse (non-finite weights, a
+    codebook column off unit norm, unordered edit layers, no layers) raises
+    ContainerError too.
     """
     from .model import LamLayer, ToyModel
 

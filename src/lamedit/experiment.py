@@ -23,7 +23,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
-from . import container, merging, metrics, solvers, synthdata
+from . import blas, container, merging, metrics, solvers, synthdata
 from .covariance import PER_LANGUAGE
 from .errors import ConfigError, EmptyNullSpaceWarning
 from .merging import MergeConfig
@@ -471,16 +471,19 @@ def sweep(config, dataset, model, axis):
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
     modes = [m.cov_mode for m in merge_cfgs]
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-    if axis == "alpha":
-        merged = {m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs}
-        points = [[(merged[m.method], m, alpha) for m in merge_cfgs] for alpha in grid]
-    else:
-        factors = {mode: merging.delta_factors(delta_sets[mode]) for mode in set(modes)}
-        rank_cfgs = [[replace(m, rank_ratio=rank) for m in merge_cfgs] for rank in grid]
-        points = [
-            [(merging.merge(c, delta_sets[c.cov_mode], factors[c.cov_mode]), c, config.alpha) for c in cfgs]
-            for cfgs in rank_cfgs
-        ]
+    # One quiet scope holds numpy's workers stopped through every merge and
+    # factorisation; the merges' own scopes nest in it as no-ops.
+    with blas.quiet():
+        if axis == "alpha":
+            merged = {m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs}
+            points = [[(merged[m.method], m, alpha) for m in merge_cfgs] for alpha in grid]
+        else:
+            factors = {mode: merging.delta_factors(delta_sets[mode]) for mode in set(modes)}
+            rank_cfgs = [[replace(m, rank_ratio=rank) for m in merge_cfgs] for rank in grid]
+            points = [
+                [(merging.merge(c, delta_sets[c.cov_mode], factors[c.cov_mode]), c, config.alpha) for c in cfgs]
+                for cfgs in rank_cfgs
+            ]
     probes = metrics.probe_batch(model, dataset)
     per_point = [
         [merge_report(model, probes, *merged_point, config.seed) for merged_point in point]

@@ -72,16 +72,16 @@ def merge_mean(deltas):
 def _svd(matrix):
     """Thin SVD by LAPACK ``gesdd``, falling back to ``gesvd`` when it fails.
 
-    ``gesdd`` runs on one OpenBLAS thread: its bits are the same at any count,
-    and at these sizes one thread is faster.  It fails to converge on some
-    rank-deficient deltas (seen on alphaedit edits at d=128, rank
-    ``n_facts``) that ``gesvd`` factors to machine precision.  ``gesvd`` runs
-    in scipy at the default thread count, inside
-    :func:`lamedit.blas.handover_to_scipy`.
+    ``gesdd`` runs at the caller's thread count, its bits the same at any
+    count: :func:`merge`'s tsvm rules and :func:`delta_factors` call it inside
+    :func:`lamedit.blas.quiet`, on one thread with numpy's idle workers
+    stopped.  It fails to converge on some rank-deficient deltas (seen on
+    alphaedit edits at d=128, rank ``n_facts``) that ``gesvd`` factors to
+    machine precision.  ``gesvd`` runs in scipy at the default thread count,
+    inside :func:`lamedit.blas.handover_to_scipy`.
     """
     try:
-        with blas.one_thread():
-            return np.linalg.svd(matrix, full_matrices=False)
+        return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
         with blas.handover_to_scipy():
             return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
@@ -129,12 +129,14 @@ def delta_factors(delta_set):
     """Thin SVD of every delta, ``{layer: (u, s, vt) per language}``.
 
     :func:`merge` slices these at any rank ratio, so a tsvm rank sweep
-    factors each delta once instead of once per grid point.
+    factors each delta once instead of once per grid point.  The SVDs run
+    inside :func:`lamedit.blas.quiet`.
     """
-    return {
-        layer: tuple(_svd(m) for m in delta_set.layer_deltas(layer))
-        for layer in delta_set.layers
-    }
+    with blas.quiet():
+        return {
+            layer: tuple(_svd(m) for m in delta_set.layer_deltas(layer))
+            for layer in delta_set.layers
+        }
 
 
 def _orthogonal_polar_factor(matrix):
@@ -172,7 +174,8 @@ def merge(config, delta_set, factors=None):
     The delta set's covariance mode must match the method suffix: the plain
     rules take per-language-covariance deltas, the ``*_cov`` rules take
     shared-covariance deltas.  The tsvm rules slice ``factors`` (from
-    :func:`delta_factors` on the same delta set) when given.
+    :func:`delta_factors` on the same delta set) when given, and run inside
+    :func:`lamedit.blas.quiet`.
 
     Returns
     -------
@@ -183,17 +186,18 @@ def merge(config, delta_set, factors=None):
             f"merge method {config.method!r} needs deltas with {config.cov_mode!r} covariance, "
             f"got {delta_set.cov_mode!r}"
         )
-    merged = {}
-    for layer in delta_set.layers:
-        mats = delta_set.layer_deltas(layer)
-        if config.base_rule == "sum":
-            merged[layer] = merge_sum(mats)
-        elif config.base_rule == "mean":
-            merged[layer] = merge_mean(mats)
-        else:
-            layer_factors = None if factors is None else factors[layer]
-            merged[layer] = merge_tsvm(mats, config.rank_ratio, factors=layer_factors)
-    return merged
+    if config.base_rule == "tsvm":
+        with blas.quiet():
+            return {
+                layer: merge_tsvm(
+                    delta_set.layer_deltas(layer),
+                    config.rank_ratio,
+                    factors=None if factors is None else factors[layer],
+                )
+                for layer in delta_set.layers
+            }
+    rule = merge_sum if config.base_rule == "sum" else merge_mean
+    return {layer: rule(delta_set.layer_deltas(layer)) for layer in delta_set.layers}
 
 
 def apply_update(model, merged, alpha):

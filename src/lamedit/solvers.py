@@ -33,14 +33,19 @@ phases, with one switch into the solving library and one back:
 2. the method's library factors, condition-checks and solves them all back
    to back, at the default thread count, since at h=256 those factors' bits
    depend on it.  alphaedit's scipy run sits inside
-   :func:`lamedit.blas.handover_to_scipy`, which stops numpy's idle workers
-   before it and scipy's after it, so neither library's spinning workers
-   take the cores from the other's first calls.  The stop leaves every
-   thread count alone and the next threaded call re-creates the workers at
-   that count, so it changes no bit; like every BLAS scope it must not run
-   while another BLAS call is in flight, and lamedit is serial;
+   :func:`lamedit.blas.handover_to_scipy`, which stops scipy's idle workers
+   after it, so they do not take the cores from numpy's next calls.  The
+   stop leaves every thread count alone and the next threaded call
+   re-creates the workers at that count, so it changes no bit; like every
+   BLAS scope it must not run while another BLAS call is in flight, and
+   lamedit is serial;
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
+
+alphaedit's whole layer loop runs inside :func:`lamedit.blas.quiet`: numpy
+needs no worker in any phase, so its pool is stopped once, before the first
+layer, and each phase 1 leaves it stopped.  memit's phase 2 inverts in numpy
+at the default count, so its loop keeps numpy's workers.
 
 memit systems stay in numpy throughout: a Cholesky check, one explicit
 inverse per system, its exact 1-norm condition number and a matmul per
@@ -392,9 +397,10 @@ def edit_model(
     (layer, language).  Each layer runs in three phases (see the module
     docstring): numpy forms the systems and right-hand sides on one OpenBLAS
     thread, the method's library factors, checks and solves them back to back
-    at the default thread count (alphaedit's scipy run with the idle pools
-    stopped on either side, which changes no count and no bit), and numpy
-    stores the deltas and updates the working copies.
+    at the default thread count, and numpy stores the deltas and updates the
+    working copies.  alphaedit's loop runs with numpy's idle workers stopped
+    throughout (:func:`lamedit.blas.quiet`), and scipy's stopped after each
+    solve run; neither changes a bit.
 
     Parameters
     ----------
@@ -429,53 +435,55 @@ def edit_model(
         raise ShapeError("a RequestPrefix was computed on another model")
 
     if method == METHOD_MEMIT:
-        factor, handover = _memit_inverse, contextlib.nullcontext
+        factor, handover, scope = _memit_inverse, contextlib.nullcontext, contextlib.nullcontext
     else:
-        factor, handover = _alphaedit_lu, blas.handover_to_scipy
+        factor, handover, scope = _alphaedit_lu, blas.handover_to_scipy, blas.quiet
     entries = {}
     working = {lang: model for lang in language_ids}
-    for layer in model.edit_layers:
-        term = preserved[layer]
-        projector = term.projector if method == METHOD_ALPHAEDIT else None
-        # Phase 1, numpy on one thread: each language's keys and right-hand
-        # side, then every distinct system at this layer with its 1-norm and
-        # the indices of the right-hand sides it solves.
-        with blas.one_thread():
-            layer_keys = []
-            rhs = []
-            for prep in prepared:
-                copy = working[prep.language_id]
-                if layer == prep.prefix.layer:
-                    keys, targets = prep.prefix.key, prep.targets
+    with scope():
+        for layer in model.edit_layers:
+            term = preserved[layer]
+            projector = term.projector if method == METHOD_ALPHAEDIT else None
+            # Phase 1, numpy on one thread (for alphaedit, the quiet scope's):
+            # each language's keys and right-hand side, then every distinct
+            # system at this layer with its 1-norm and the indices of the
+            # right-hand sides it solves.
+            with blas.one_thread():
+                layer_keys = []
+                rhs = []
+                for prep in prepared:
+                    copy = working[prep.language_id]
+                    if layer == prep.prefix.layer:
+                        keys, targets = prep.prefix.key, prep.targets
+                    else:
+                        keys, targets = model_core.keys_and_targets(
+                            copy, prep.prefix, prep.requests.new_tokens, layer
+                        )
+                    layer_keys.append(keys)
+                    rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
+                if cov_mode == SHARED:
+                    count = sum(keys.shape[1] for keys in layer_keys)
+                    shared = cov_mod.cov_shared(layer_keys)
+                    systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
                 else:
-                    keys, targets = model_core.keys_and_targets(
-                        copy, prep.prefix, prep.requests.new_tokens, layer
-                    )
-                layer_keys.append(keys)
-                rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
-            if cov_mode == SHARED:
-                count = sum(keys.shape[1] for keys in layer_keys)
-                shared = cov_mod.cov_shared(layer_keys)
-                systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
-            else:
-                systems = [
-                    (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
-                    for i, keys in enumerate(layer_keys)
-                ]
-        # Phase 2, the method's library: factor and check each system and
-        # solve its right-hand sides, all back to back, one factor at a time.
-        # memit stays in numpy, so only scipy's run needs the handover.
-        deltas = [None] * len(rhs)
-        with handover():
-            for matrix, norm, users in systems:
-                solve = factor(matrix, norm, cond_limit)
-                for i in users:
-                    deltas[i] = solve(rhs[i]).T
-        # Phase 3, numpy: store the deltas and move each working copy on.
-        for lang, delta in zip(language_ids, deltas):
-            entries[(layer, lang)] = delta
-            w_out = working[lang].layer(layer).w_out
-            working[lang] = working[lang].with_w_out(layer, w_out + delta)
+                    systems = [
+                        (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
+                        for i, keys in enumerate(layer_keys)
+                    ]
+            # Phase 2, the method's library: factor and check each system and
+            # solve its right-hand sides, all back to back, one factor at a time.
+            # memit stays in numpy, so only scipy's run needs the handover.
+            deltas = [None] * len(rhs)
+            with handover():
+                for matrix, norm, users in systems:
+                    solve = factor(matrix, norm, cond_limit)
+                    for i in users:
+                        deltas[i] = solve(rhs[i]).T
+            # Phase 3, numpy: store the deltas and move each working copy on.
+            for lang, delta in zip(language_ids, deltas):
+                entries[(layer, lang)] = delta
+                w_out = working[lang].layer(layer).w_out
+                working[lang] = working[lang].with_w_out(layer, w_out + delta)
 
     return DeltaSet(
         cov_mode=cov_mode,

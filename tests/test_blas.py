@@ -9,7 +9,7 @@ import scipy.linalg
 from lamedit import blas, cli, merging, solvers, synthdata
 from lamedit.covariance import PER_LANGUAGE, SHARED
 
-from test_experiment import TINY_CONFIG, write_config
+from test_experiment import TINY_CONFIG, tiny_setup, write_config  # noqa: F401 (tiny_setup is a fixture)
 
 PACKAGES = ("numpy", "scipy")
 # The lookup itself, kept for reading counts while a test replaces it.
@@ -135,6 +135,107 @@ class TestHandoverToScipy:
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
 
 
+class TestQuiet:
+    def test_one_thread_inside_and_the_callers_count_after(self, caller_count):
+        with blas.quiet():
+            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    def test_restored_after_an_exception(self, caller_count):
+        with pytest.raises(ZeroDivisionError):
+            with blas.quiet():
+                1 / 0
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    def test_nested_scopes_leave_numpy_to_the_outer_one(self, caller_count):
+        with blas.quiet():
+            with blas.quiet():
+                pass
+            assert _count("numpy") == 1
+            with blas.one_thread(scipy=True):
+                assert (_count("numpy"), _count("scipy")) == (1, 1)
+            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    @linux_only
+    @pytest.mark.parametrize("caller_count", [2], indirect=True, ids=["caller-2"])
+    def test_pool_stays_stopped_through_nested_scopes_and_a_gesdd(self, caller_count):
+        # Nothing inside reads a count: setting one, even from 1 to 1,
+        # re-creates a stopped pool.
+        rng = np.random.default_rng(0)
+        np.linalg.inv(rng.standard_normal((256, 256)))
+        matrix = rng.standard_normal((128, 256))
+        before = _os_threads()
+        with blas.quiet():
+            inside = _os_threads()
+            with blas.quiet():
+                with blas.one_thread():
+                    merging._svd(matrix)
+                    assert _os_threads() == inside
+            assert _os_threads() == inside
+        assert before > inside
+
+    @pytest.mark.parametrize("missing", ["library", "setter"])
+    def test_missing_library_or_setter_does_nothing(self, caller_count, monkeypatch, missing):
+        monkeypatch.setattr(blas, "_thread_setter", lambda package: None)
+        if missing == "library":
+            monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
+        before = _os_threads() if sys.platform.startswith("linux") else None
+        with blas.quiet():
+            if before is not None:
+                assert _os_threads() == before
+            assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+    def test_missing_stopper_still_runs_on_one_thread(self, caller_count, monkeypatch):
+        monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
+        with blas.quiet():
+            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
+        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+
+
+def _numpy_setter_calls(monkeypatch):
+    """Record every count passed to numpy's thread setter, in the returned list."""
+    real = blas._thread_setter
+    setter = real("numpy")
+    if setter is None:
+        pytest.skip("numpy's OpenBLAS has no openblas_set_num_threads_local")
+    calls = []
+
+    def spy(count):
+        calls.append(count)
+        return setter(count)
+
+    monkeypatch.setattr(blas, "_thread_setter", lambda package: spy if package == "numpy" else real(package))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        # Each edit layer's phase 1 (2 layers, 2 covariance modes), then one
+        # scope per tsvm-family merge.
+        (["run"], 4 + 2),
+        # alphaedit's edit loop, once per covariance mode, then the merges;
+        # the phase-1 scopes inside the loop leave numpy alone.
+        (["run", "--method", "alphaedit"], 2 + 2),
+        # The phase-1 scopes, then one scope around the whole merge phase.
+        (["sweep", "--axis", "alpha"], 4 + 1),
+        (["sweep", "--axis", "rank"], 4 + 1),
+    ],
+    ids=["run", "run-alphaedit", "sweep-alpha", "sweep-rank"],
+)
+def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command, entries):
+    # Every scope sets numpy's count once on entry and once on exit.  A
+    # scope per SVD (10 per tsvm merge here) or a set count inside a quiet
+    # scope would show here.
+    config_path, bench_dir, tmp = tiny_setup
+    calls = _numpy_setter_calls(monkeypatch)
+    argv = [command[0], config_path, "--dataset", bench_dir, "--out", str(tmp / "-".join(command)), *command[1:]]
+    assert cli.main(argv) == 0
+    assert len(calls) == 2 * entries
+
+
 def _tracking_handover(depth):
     """A ``blas.handover_to_scipy`` that keeps in ``depth[0]`` how many scopes it is inside."""
     real = blas.handover_to_scipy
@@ -215,27 +316,30 @@ SENSITIVE = {
 
 
 def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
-    # A scope on numpy's library alone may hold scipy's kernels (the fit's
-    # Cholesky solves), never numpy's.
+    # A scope on numpy's library alone (a plain one_thread or quiet) may hold
+    # scipy's kernels (the fit's Cholesky solves, alphaedit's LU), never numpy's.
     depth = dict.fromkeys(PACKAGES, 0)
     scopes = []
     calls = []
-    real_one_thread = blas.one_thread
 
-    @contextlib.contextmanager
-    def tracked(scipy=False):
-        scoped = PACKAGES if scipy else ("numpy",)
-        scopes.append(scoped)
-        with real_one_thread(scipy=scipy):
-            for package in scoped:
-                depth[package] += 1
-            try:
-                yield
-            finally:
+    def tracking(real):
+        @contextlib.contextmanager
+        def tracked(**kwargs):
+            scoped = PACKAGES if kwargs.get("scipy") else ("numpy",)
+            scopes.append((real.__name__, scoped))
+            with real(**kwargs):
                 for package in scoped:
-                    depth[package] -= 1
+                    depth[package] += 1
+                try:
+                    yield
+                finally:
+                    for package in scoped:
+                        depth[package] -= 1
 
-    monkeypatch.setattr(blas, "one_thread", tracked)
+        return tracked
+
+    monkeypatch.setattr(blas, "one_thread", tracking(blas.one_thread))
+    monkeypatch.setattr(blas, "quiet", tracking(blas.quiet))
     for package, owners in SENSITIVE.items():
         for owner, names in owners:
             for name in names:
@@ -256,7 +360,7 @@ def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
         ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "rank"), "--axis", "rank"],
     ):
         assert cli.main(argv) == 0
-    assert set(scopes) == {PACKAGES, ("numpy",)}
+    assert set(scopes) == {("one_thread", PACKAGES), ("one_thread", ("numpy",)), ("quiet", ("numpy",))}
     # Every spied library was reached, so the guard watched real calls.
     assert {name for name, _ in calls} >= {"inv", "cholesky", "eigh", "cho_factor", "lu_factor", "dgecon"}
     assert [name for name, inside in calls if inside] == []
@@ -296,6 +400,7 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
     assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
     monkeypatch.setattr(blas, "one_thread", lambda **kwargs: contextlib.nullcontext())
     monkeypatch.setattr(blas, "handover_to_scipy", contextlib.nullcontext)
+    monkeypatch.setattr(blas, "quiet", contextlib.nullcontext)
     unscoped = pipeline()
     assert scoped.keys() == unscoped.keys()
     for key, array in scoped.items():

@@ -480,18 +480,20 @@ class TestBlasThreadCount:
     def test_tiny_generate_and_run_bytes_do_not_depend_on_thread_count(self, tmp_path):
         # At h <= 64 every BLAS kernel the pipeline calls gives the same bits
         # on one thread as on two; at h=256 several do not (see README,
-        # Determinism).  Each thread count runs in its own process, because
-        # OpenBLAS reads its thread count once, at load.
+        # Determinism).  The rank sweep enters and leaves the most scopes.
+        # Each thread count runs in its own process, because OpenBLAS reads
+        # its thread count once, at load.
         src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
         config_path = write_config(tmp_path)
         outputs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            bench, run = tmp_path / f"bench{threads}", tmp_path / f"run{threads}"
+            bench, run, rank = (tmp_path / f"{name}{threads}" for name in ("bench", "run", "rank"))
             for argv in (
                 ["generate", config_path, "--out", str(bench)],
                 ["run", config_path, "--dataset", str(bench), "--out", str(run)],
+                ["sweep", config_path, "--dataset", str(bench), "--out", str(rank), "--axis", "rank"],
             ):
                 done = subprocess.run(
                     [sys.executable, "-m", "lamedit.cli", *argv], env=env, capture_output=True, text=True
@@ -502,6 +504,7 @@ class TestBlasThreadCount:
                 for directory, names in (
                     (bench, ("dataset.lam", "model.lam", "manifest.json")),
                     (run, ("metrics.csv", "metrics.json")),
+                    (rank, ("sweep_rank.csv", "sweep_rank.json", "sweep_rank.svg")),
                 )
                 for name in names
             }
@@ -748,12 +751,20 @@ class TestRunCommand:
             (lambda a, m: m.update(norm="identity"), "norm 'identity'"),
             (lambda a, m: a["norm_scale_02"].__setitem__(0, 2.0), "'norm_scale_02' must be all ones"),
             (lambda a, m: a["norm_bias_03"].__setitem__(1, 0.5), "'norm_bias_03' must be all zeros"),
+            (lambda a, m: a["w_in_01"].__setitem__((0, 0), np.nan), "w_in contains non-finite entries"),
+            (lambda a, m: a.update(codebook=2 * a["codebook"]), "codebook columns must have unit norm"),
+            (lambda a, m: m.update(edit_layers=[3, 2]), "edit_layers must be strictly increasing"),
+            (lambda a, m: m.update(n_layers=0), "model needs at least one layer"),
         ],
-        ids=["identity-activation", "identity-norm", "norm-scale-not-ones", "norm-bias-not-zeros"],
+        ids=[
+            "identity-activation", "identity-norm", "norm-scale-not-ones", "norm-bias-not-zeros",
+            "nan-w-in", "codebook-scaled-by-2", "edit-layers-descending", "no-layers",
+        ],
     )
     def test_model_of_another_architecture_exit_2(self, tiny_setup, tmp_path, capsys, damage, named):
         # The model has no place for another activation, norm or norm affine,
-        # so a model.lam that names one is refused rather than scored as relu/layernorm.
+        # so a model.lam that names one is refused rather than scored as
+        # relu/layernorm; so is one the layer and model constructors refuse.
         config_path, bench_dir, _ = tiny_setup
         broken = tmp_path / "bench"
         shutil.copytree(bench_dir, broken)
