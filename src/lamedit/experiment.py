@@ -106,8 +106,7 @@ class ExperimentConfig:
             raise ConfigError("alpha_grid must contain 1.0")
         if self.rank_grid[0] <= 0 or self.rank_grid[-1] > 1:
             raise ConfigError("rank_grid values must lie in (0, 1]")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"alpha must be finite and positive, got {self.alpha!r}")
+        _check_alpha("alpha", self.alpha)
         for m in self.merges:
             if m.base_rule == "tsvm":
                 # Refused here, not after every edit has been computed.
@@ -118,6 +117,12 @@ class ExperimentConfig:
             raise ConfigError(f"include_mono must be true or false, got {self.include_mono!r}")
         if self.dataset.seed != self.seed:
             object.__setattr__(self, "dataset", replace(self.dataset, seed=self.seed))
+
+
+def _check_alpha(name, alpha):
+    """Raise ConfigError unless the weight scale ``alpha`` is finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"{name} must be finite and positive, got {alpha!r}")
 
 
 def _refuse_repeated_methods(where, methods):
@@ -369,6 +374,25 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
     }
 
 
+def build_merges(delta_sets, merge_cfgs):
+    """``merging.merge`` of each of ``merge_cfgs`` on its covariance mode's delta set, in order.
+
+    A covariance mode that more than one tsvm merge reads (a rank sweep's
+    grid) is factored once (:func:`merging.delta_factors`), and those merges
+    slice its SVDs.  The whole phase is thread-count-independent numpy work,
+    so it runs in one :func:`lamedit.blas.quiet` scope; scoring then runs at
+    the default count.
+    """
+    tsvm_modes = [m.cov_mode for m in merge_cfgs if m.base_rule == "tsvm"]
+    with blas.quiet():
+        factors = {
+            mode: merging.delta_factors(delta_sets[mode])
+            for mode in sorted(set(tsvm_modes))
+            if tsvm_modes.count(mode) > 1
+        }
+        return [merging.merge(m, delta_sets[m.cov_mode], factors.get(m.cov_mode)) for m in merge_cfgs]
+
+
 def merge_report(model, probes, merged, merge_cfg, alpha, seed):
     """Apply one merge (``{layer: matrix}`` from ``merge_cfg``) at ``alpha`` and score it.
 
@@ -409,12 +433,11 @@ def run_experiment(config, dataset, model):
     if config.include_mono:
         modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
+    merged = build_merges(delta_sets, config.merges)
     probes = metrics.probe_batch(model, dataset)
     reports = [
-        merge_report(
-            model, probes, merging.merge(m, delta_sets[m.cov_mode]), m, config.alpha, config.seed
-        )
-        for m in config.merges
+        merge_report(model, probes, merged_one, m, config.alpha, config.seed)
+        for merged_one, m in zip(merged, config.merges)
     ]
     if config.include_mono:
         reports.append(
@@ -471,19 +494,13 @@ def sweep(config, dataset, model, axis):
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
     modes = [m.cov_mode for m in merge_cfgs]
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-    # One quiet scope holds numpy's workers stopped through every merge and
-    # factorisation; the merges' own scopes nest in it as no-ops.
-    with blas.quiet():
-        if axis == "alpha":
-            merged = {m.method: merging.merge(m, delta_sets[m.cov_mode]) for m in merge_cfgs}
-            points = [[(merged[m.method], m, alpha) for m in merge_cfgs] for alpha in grid]
-        else:
-            factors = {mode: merging.delta_factors(delta_sets[mode]) for mode in set(modes)}
-            rank_cfgs = [[replace(m, rank_ratio=rank) for m in merge_cfgs] for rank in grid]
-            points = [
-                [(merging.merge(c, delta_sets[c.cov_mode], factors[c.cov_mode]), c, config.alpha) for c in cfgs]
-                for cfgs in rank_cfgs
-            ]
+    if axis == "alpha":
+        merged = build_merges(delta_sets, merge_cfgs)
+        points = [[(merged_one, m, alpha) for merged_one, m in zip(merged, merge_cfgs)] for alpha in grid]
+    else:
+        rank_cfgs = [[replace(m, rank_ratio=rank) for m in merge_cfgs] for rank in grid]
+        merged = iter(build_merges(delta_sets, [c for cfgs in rank_cfgs for c in cfgs]))
+        points = [[(next(merged), c, config.alpha) for c in cfgs] for cfgs in rank_cfgs]
     probes = metrics.probe_batch(model, dataset)
     per_point = [
         [merge_report(model, probes, *merged_point, config.seed) for merged_point in point]
@@ -658,8 +675,10 @@ def _is_text(value):
 def _report_row(path, index, rep):
     """Report ``index`` of run output ``path`` as a :class:`_ReportRow`.
 
-    A missing or ill-typed field raises :class:`ConfigError` naming the file,
-    the report and the field.
+    A missing or ill-typed field, or a value no run writes (an accuracy
+    outside [0, 1], an alpha that is not finite and positive, a rank ratio
+    outside (0, 1], a language listed twice), raises :class:`ConfigError`
+    naming the file, the report and the field.
     """
     where = f"run output {path} report {index}"
     if not isinstance(rep, dict):
@@ -673,13 +692,18 @@ def _report_row(path, index, rep):
     languages = rep["languages"]
     if not (isinstance(languages, list) and all(_is_text(lang) for lang in languages)):
         raise ConfigError(f"{where} languages must be a list of strings, got {languages!r}")
+    if len(set(languages)) != len(languages):
+        raise ConfigError(f"{where} languages lists a language more than once: {languages!r}")
     if not isinstance(rep["per_language"], dict):
         raise ConfigError(f"{where} per_language must be a JSON object")
 
     def averaged(name, row):
         if not (isinstance(row, dict) and "averaged" in row):
             raise ConfigError(f"{where} {name} holds no averaged accuracy")
-        return _number(f"{where} {name}.averaged", row["averaged"])
+        value = _number(f"{where} {name}.averaged", row["averaged"])
+        if not metrics.is_accuracy(value):
+            raise ConfigError(f"{where} {name}.averaged must lie in [0, 1], got {value!r}")
+        return value
 
     values = []
     for lang in languages:
@@ -687,13 +711,18 @@ def _report_row(path, index, rep):
             raise ConfigError(f"{where} per_language lacks language {lang!r}")
         values.append(averaged(f"per_language.{lang}", rep["per_language"][lang]))
     values.append(averaged("mean", rep["mean"]))
+    alpha = _number(f"{where} alpha", rep["alpha"])
+    _check_alpha(f"{where} alpha", alpha)
     rank_ratio = rep.get("rank_ratio")
+    if rank_ratio is not None:
+        rank_ratio = _number(f"{where} rank_ratio", rank_ratio)
+        merging.check_rank_ratio(rank_ratio, f"{where} rank_ratio")
     return _ReportRow(
         method=rep["method"],
         seed=_integer(f"{where} seed", rep["seed"]),
         languages=tuple(languages),
-        alpha=_number(f"{where} alpha", rep["alpha"]),
-        rank_ratio=None if rank_ratio is None else _number(f"{where} rank_ratio", rank_ratio),
+        alpha=alpha,
+        rank_ratio=rank_ratio,
         values=values,
     )
 

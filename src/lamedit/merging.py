@@ -21,6 +21,12 @@ from .errors import ConfigError, RankRatioError, ShapeError
 MERGE_METHODS = ("sum", "mean", "tsvm", "sum_cov", "mean_cov", "tsvm_cov")
 
 
+def check_rank_ratio(rank_ratio, name="rank_ratio"):
+    """Raise :class:`RankRatioError`, a :class:`ConfigError`, unless ``rank_ratio`` lies in (0, 1]."""
+    if not 0 < rank_ratio <= 1:
+        raise RankRatioError(f"{name} must lie in (0, 1], got {rank_ratio}")
+
+
 @dataclass(frozen=True)
 class MergeConfig:
     """Merge rule selection plus tsvm's rank ratio; the weight scale is the run's."""
@@ -31,8 +37,7 @@ class MergeConfig:
     def __post_init__(self):
         if self.method not in MERGE_METHODS:
             raise ConfigError(f"unknown merge method {self.method!r}; expected one of {MERGE_METHODS}")
-        if not 0 < self.rank_ratio <= 1:
-            raise ConfigError(f"rank_ratio must lie in (0, 1], got {self.rank_ratio}")
+        check_rank_ratio(self.rank_ratio)
 
     @property
     def cov_mode(self):
@@ -72,19 +77,21 @@ def merge_mean(deltas):
 def _svd(matrix):
     """Thin SVD by LAPACK ``gesdd``, falling back to ``gesvd`` when it fails.
 
-    ``gesdd`` runs at the caller's thread count, its bits the same at any
-    count: :func:`merge`'s tsvm rules and :func:`delta_factors` call it inside
-    :func:`lamedit.blas.quiet`, on one thread with numpy's idle workers
-    stopped.  It fails to converge on some rank-deficient deltas (seen on
-    alphaedit edits at d=128, rank ``n_facts``) that ``gesvd`` factors to
-    machine precision.  ``gesvd`` runs in scipy at the default thread count,
-    inside :func:`lamedit.blas.handover_to_scipy`.
+    ``gesdd`` runs in numpy at the caller's thread count, its bits the same at
+    any count; the merge phase calls it inside :func:`lamedit.blas.quiet`, on
+    one thread with numpy's idle workers stopped.  It fails to converge on
+    some rank-deficient deltas (seen on alphaedit edits at d=128, rank
+    ``n_facts``) that ``gesvd`` factors to machine precision.  ``gesvd`` runs
+    in scipy at the default thread count, and scipy's idle workers are
+    stopped after it (:func:`lamedit.blas.stop_idle_pool`).
     """
     try:
         return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
-        with blas.handover_to_scipy():
+        try:
             return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
+        finally:
+            blas.stop_idle_pool("scipy")
 
 
 def _retained_rank(shape, rank_ratio):
@@ -93,8 +100,7 @@ def _retained_rank(shape, rank_ratio):
     The product is rounded to 9 decimals first: ``(1 / 49) * 49 < 1``.
     """
     d, h = shape
-    if not 0 < rank_ratio <= 1:
-        raise RankRatioError(f"rank_ratio must lie in (0, 1], got {rank_ratio}")
+    check_rank_ratio(rank_ratio)
     k = int(np.floor(round(rank_ratio * d, 9)))
     if k < 1:
         raise RankRatioError(f"rank_ratio {rank_ratio} with d={d} floors to rank 0")
@@ -129,14 +135,12 @@ def delta_factors(delta_set):
     """Thin SVD of every delta, ``{layer: (u, s, vt) per language}``.
 
     :func:`merge` slices these at any rank ratio, so a tsvm rank sweep
-    factors each delta once instead of once per grid point.  The SVDs run
-    inside :func:`lamedit.blas.quiet`.
+    factors each delta once instead of once per grid point.
     """
-    with blas.quiet():
-        return {
-            layer: tuple(_svd(m) for m in delta_set.layer_deltas(layer))
-            for layer in delta_set.layers
-        }
+    return {
+        layer: tuple(_svd(m) for m in delta_set.layer_deltas(layer))
+        for layer in delta_set.layers
+    }
 
 
 def _orthogonal_polar_factor(matrix):
@@ -174,8 +178,7 @@ def merge(config, delta_set, factors=None):
     The delta set's covariance mode must match the method suffix: the plain
     rules take per-language-covariance deltas, the ``*_cov`` rules take
     shared-covariance deltas.  The tsvm rules slice ``factors`` (from
-    :func:`delta_factors` on the same delta set) when given, and run inside
-    :func:`lamedit.blas.quiet`.
+    :func:`delta_factors` on the same delta set) when given.
 
     Returns
     -------
@@ -187,15 +190,14 @@ def merge(config, delta_set, factors=None):
             f"got {delta_set.cov_mode!r}"
         )
     if config.base_rule == "tsvm":
-        with blas.quiet():
-            return {
-                layer: merge_tsvm(
-                    delta_set.layer_deltas(layer),
-                    config.rank_ratio,
-                    factors=None if factors is None else factors[layer],
-                )
-                for layer in delta_set.layers
-            }
+        return {
+            layer: merge_tsvm(
+                delta_set.layer_deltas(layer),
+                config.rank_ratio,
+                factors=None if factors is None else factors[layer],
+            )
+            for layer in delta_set.layers
+        }
     rule = merge_sum if config.base_rule == "sum" else merge_mean
     return {layer: rule(delta_set.layer_deltas(layer)) for layer in delta_set.layers}
 

@@ -23,6 +23,11 @@ from . import merging, model as model_core
 from .errors import ShapeError
 
 
+def is_accuracy(value):
+    """Whether ``value`` is a fraction in [0, 1], as every accuracy is; NaN is not."""
+    return 0.0 <= value <= 1.0
+
+
 @dataclass(frozen=True)
 class MetricsRow:
     """The four accuracies for one language; ``averaged`` is their mean."""
@@ -35,7 +40,7 @@ class MetricsRow:
     def __post_init__(self):
         for name in ("efficacy", "generalization", "specificity", "portability"):
             value = float(getattr(self, name))
-            if not 0.0 <= value <= 1.0:
+            if not is_accuracy(value):
                 raise ShapeError(f"{name} must lie in [0, 1], got {value}")
             object.__setattr__(self, name, value)
 

@@ -27,25 +27,20 @@ other when calls alternate, so ``edit_model`` runs each edit layer in three
 phases, with one switch into the solving library and one back:
 
 1. numpy forms every distinct system at the layer with its 1-norm, and each
-   language's right-hand side, on one OpenBLAS thread
-   (:func:`lamedit.blas.one_thread`): forwards, matmuls and norms, whose bits
-   do not depend on the thread count;
+   language's right-hand side: forwards, matmuls and norms, whose bits do
+   not depend on the thread count;
 2. the method's library factors, condition-checks and solves them all back
    to back, at the default thread count, since at h=256 those factors' bits
-   depend on it.  alphaedit's scipy run sits inside
-   :func:`lamedit.blas.handover_to_scipy`, which stops scipy's idle workers
-   after it, so they do not take the cores from numpy's next calls.  The
-   stop leaves every thread count alone and the next threaded call
-   re-creates the workers at that count, so it changes no bit; like every
-   BLAS scope it must not run while another BLAS call is in flight, and
-   lamedit is serial;
+   depend on it;
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
 
 alphaedit's whole layer loop runs inside :func:`lamedit.blas.quiet`: numpy
 needs no worker in any phase, so its pool is stopped once, before the first
-layer, and each phase 1 leaves it stopped.  memit's phase 2 inverts in numpy
-at the default count, so its loop keeps numpy's workers.
+layer, and each phase 2 ends in a :func:`lamedit.blas.stop_idle_pool` of
+scipy's, so scipy's idle workers do not take the cores from numpy's next
+calls.  Neither changes a bit.  memit's phase 2 inverts in numpy at the
+default count, so its loop enters no scope and keeps numpy's workers.
 
 memit systems stay in numpy throughout: a Cholesky check, one explicit
 inverse per system, its exact 1-norm condition number and a matmul per
@@ -395,12 +390,12 @@ def edit_model(
     language's system at a layer is the same matrix, so it is factored and
     condition-checked once per layer; in the per-language mode once per
     (layer, language).  Each layer runs in three phases (see the module
-    docstring): numpy forms the systems and right-hand sides on one OpenBLAS
-    thread, the method's library factors, checks and solves them back to back
-    at the default thread count, and numpy stores the deltas and updates the
-    working copies.  alphaedit's loop runs with numpy's idle workers stopped
-    throughout (:func:`lamedit.blas.quiet`), and scipy's stopped after each
-    solve run; neither changes a bit.
+    docstring): numpy forms the systems and right-hand sides, the method's
+    library factors, checks and solves them back to back at the default
+    thread count, and numpy stores the deltas and updates the working
+    copies.  alphaedit's loop runs with numpy on one thread and its idle
+    workers stopped throughout (:func:`lamedit.blas.quiet`), and scipy's
+    stopped after each solve run; neither changes a bit.
 
     Parameters
     ----------
@@ -435,50 +430,51 @@ def edit_model(
         raise ShapeError("a RequestPrefix was computed on another model")
 
     if method == METHOD_MEMIT:
-        factor, handover, scope = _memit_inverse, contextlib.nullcontext, contextlib.nullcontext
+        factor, scope = _memit_inverse, contextlib.nullcontext
     else:
-        factor, handover, scope = _alphaedit_lu, blas.handover_to_scipy, blas.quiet
+        factor, scope = _alphaedit_lu, blas.quiet
     entries = {}
     working = {lang: model for lang in language_ids}
     with scope():
         for layer in model.edit_layers:
             term = preserved[layer]
             projector = term.projector if method == METHOD_ALPHAEDIT else None
-            # Phase 1, numpy on one thread (for alphaedit, the quiet scope's):
-            # each language's keys and right-hand side, then every distinct
-            # system at this layer with its 1-norm and the indices of the
-            # right-hand sides it solves.
-            with blas.one_thread():
-                layer_keys = []
-                rhs = []
-                for prep in prepared:
-                    copy = working[prep.language_id]
-                    if layer == prep.prefix.layer:
-                        keys, targets = prep.prefix.key, prep.targets
-                    else:
-                        keys, targets = model_core.keys_and_targets(
-                            copy, prep.prefix, prep.requests.new_tokens, layer
-                        )
-                    layer_keys.append(keys)
-                    rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
-                if cov_mode == SHARED:
-                    count = sum(keys.shape[1] for keys in layer_keys)
-                    shared = cov_mod.cov_shared(layer_keys)
-                    systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
+            # Phase 1, numpy: each language's keys and right-hand side, then
+            # every distinct system at this layer with its 1-norm and the
+            # indices of the right-hand sides it solves.
+            layer_keys = []
+            rhs = []
+            for prep in prepared:
+                copy = working[prep.language_id]
+                if layer == prep.prefix.layer:
+                    keys, targets = prep.prefix.key, prep.targets
                 else:
-                    systems = [
-                        (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
-                        for i, keys in enumerate(layer_keys)
-                    ]
+                    keys, targets = model_core.keys_and_targets(
+                        copy, prep.prefix, prep.requests.new_tokens, layer
+                    )
+                layer_keys.append(keys)
+                rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
+            if cov_mode == SHARED:
+                count = sum(keys.shape[1] for keys in layer_keys)
+                shared = cov_mod.cov_shared(layer_keys)
+                systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
+            else:
+                systems = [
+                    (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
+                    for i, keys in enumerate(layer_keys)
+                ]
             # Phase 2, the method's library: factor and check each system and
             # solve its right-hand sides, all back to back, one factor at a time.
-            # memit stays in numpy, so only scipy's run needs the handover.
+            # alphaedit's run is in scipy, whose idle workers are stopped after it.
             deltas = [None] * len(rhs)
-            with handover():
+            try:
                 for matrix, norm, users in systems:
                     solve = factor(matrix, norm, cond_limit)
                     for i in users:
                         deltas[i] = solve(rhs[i]).T
+            finally:
+                if method == METHOD_ALPHAEDIT:
+                    blas.stop_idle_pool("scipy")
             # Phase 3, numpy: store the deltas and move each working copy on.
             for lang, delta in zip(language_ids, deltas):
                 entries[(layer, lang)] = delta

@@ -222,9 +222,9 @@ def generate_dataset(cfg):
     preserved_tokens = preserved_pool[np.arange(p) % preserved_pool.size].astype(np.int64)
 
     rng_transforms = np.random.default_rng([cfg.seed, STREAM_TRANSFORMS])
-    # QR, the determinant's sign, logm (a Schur form) and expm give the same
-    # bits on one thread as on two, checked at d=32 and d=128.
-    with blas.one_thread(scipy=True):
+    # numpy's QR and determinant sign give the same bits on one thread as on
+    # two; scipy's logm (a Schur form) and expm run at scipy's default count.
+    with blas.quiet():
         shared = _random_rotation(rng_transforms, d)
         transforms = np.empty((m, d, d))
         for i in range(m):
@@ -332,8 +332,9 @@ def fit_initial_model(cfg, dataset):
     that of the last pass, computed once on the returned model.
     """
     # numpy's library only: the fit's matmuls and QR give the same bits on one
-    # thread as on several, solve_memit's Cholesky factor in scipy does not.
-    with blas.one_thread():
+    # thread as on several; solve_memit's Cholesky factor in scipy does not,
+    # and runs at scipy's default count.
+    with blas.quiet():
         rng = np.random.default_rng([cfg.seed, STREAM_MODEL])
         layers = []
         for _ in range(cfg.n_layers):

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -57,60 +58,36 @@ def caller_count(request):
         setter(count)
 
 
-class TestOneThread:
-    def test_one_thread_inside_and_the_callers_count_after(self, caller_count):
-        with blas.one_thread():
-            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
-        with blas.one_thread(scipy=True):
-            assert (_count("numpy"), _count("scipy")) == (1, 1)
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-
-    def test_restored_after_an_exception(self, caller_count):
-        with pytest.raises(ZeroDivisionError):
-            with blas.one_thread(scipy=True):
-                1 / 0
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-
-    def test_restored_when_nested(self, caller_count):
-        with blas.one_thread():
-            with blas.one_thread(scipy=True):
-                assert (_count("numpy"), _count("scipy")) == (1, 1)
-            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-
-    def test_missing_library_leaves_count_and_result_alone(self, caller_count, monkeypatch):
-        matrix = np.random.default_rng(0).standard_normal((24, 40))
-        expected = np.linalg.svd(matrix, full_matrices=False)
-        monkeypatch.setattr(blas, "_thread_setter", lambda package: None)
-        with blas.one_thread(scipy=True):
-            assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-            factors = merging._svd(matrix)
-        for got, want in zip(factors, expected):
-            assert np.array_equal(got, want)
-
-
 def _os_threads():
-    """The number of OS threads in this process."""
-    return len(os.listdir("/proc/self/task"))
+    """The number of OS threads in this process, once it holds steady for 5 ms.
+
+    A worker that a pool stop has joined can stay listed for a moment after
+    the join returns, until the kernel reaps it.
+    """
+    count = len(os.listdir("/proc/self/task"))
+    for _ in range(200):
+        time.sleep(0.005)
+        previous, count = count, len(os.listdir("/proc/self/task"))
+        if count == previous:
+            break
+    return count
 
 
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
 
 
-class TestHandoverToScipy:
-    def test_counts_unchanged_after_a_normal_exit_and_an_exception(self, caller_count):
+class TestStopIdlePool:
+    def test_counts_unchanged_after_a_stop(self, caller_count):
         matrix = np.random.default_rng(0).standard_normal((64, 64))
-        with blas.handover_to_scipy():
-            scipy.linalg.lu_factor(matrix)
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-        with pytest.raises(ZeroDivisionError):
-            with blas.handover_to_scipy():
-                1 / 0
+        np.linalg.inv(matrix)
+        scipy.linalg.lu_factor(matrix)
+        for package in PACKAGES:
+            blas.stop_idle_pool(package)
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
 
     @linux_only
     @pytest.mark.parametrize("caller_count", [2], indirect=True, ids=["caller-2"])
-    def test_idle_pools_stop_and_come_back_with_the_next_threaded_call(self, caller_count):
+    def test_idle_pools_stop_and_come_back_with_the_next_call(self, caller_count):
         # A pool keeps the workers of the largest count it ran at, so only
         # the direction of each change is machine-independent.  Nothing here
         # sets a count: setting one re-creates a stopped pool.
@@ -118,18 +95,19 @@ class TestHandoverToScipy:
         np.linalg.inv(matrix)
         scipy.linalg.lu_factor(matrix)
         before = _os_threads()
-        with blas.handover_to_scipy():
-            inside = _os_threads()
-        after = _os_threads()
+        blas.stop_idle_pool("numpy")
+        numpy_stopped = _os_threads()
+        blas.stop_idle_pool("scipy")
+        both_stopped = _os_threads()
         scipy.linalg.lu_factor(matrix)
-        assert before > inside > after
-        assert _os_threads() == inside
+        assert before > numpy_stopped > both_stopped
+        assert _os_threads() == numpy_stopped
 
-    def test_missing_library_does_nothing(self, caller_count, monkeypatch):
+    def test_missing_stopper_does_nothing(self, caller_count, monkeypatch):
         monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
         before = _os_threads() if sys.platform.startswith("linux") else None
-        with blas.handover_to_scipy():
-            pass
+        for package in PACKAGES:
+            blas.stop_idle_pool(package)
         if before is not None:
             assert _os_threads() == before
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
@@ -147,19 +125,9 @@ class TestQuiet:
                 1 / 0
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
 
-    def test_nested_scopes_leave_numpy_to_the_outer_one(self, caller_count):
-        with blas.quiet():
-            with blas.quiet():
-                pass
-            assert _count("numpy") == 1
-            with blas.one_thread(scipy=True):
-                assert (_count("numpy"), _count("scipy")) == (1, 1)
-            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-
     @linux_only
     @pytest.mark.parametrize("caller_count", [2], indirect=True, ids=["caller-2"])
-    def test_pool_stays_stopped_through_nested_scopes_and_a_gesdd(self, caller_count):
+    def test_pool_stays_stopped_through_a_gesdd(self, caller_count):
         # Nothing inside reads a count: setting one, even from 1 to 1,
         # re-creates a stopped pool.
         rng = np.random.default_rng(0)
@@ -168,15 +136,14 @@ class TestQuiet:
         before = _os_threads()
         with blas.quiet():
             inside = _os_threads()
-            with blas.quiet():
-                with blas.one_thread():
-                    merging._svd(matrix)
-                    assert _os_threads() == inside
+            merging._svd(matrix)
             assert _os_threads() == inside
         assert before > inside
 
     @pytest.mark.parametrize("missing", ["library", "setter"])
     def test_missing_library_or_setter_does_nothing(self, caller_count, monkeypatch, missing):
+        matrix = np.random.default_rng(0).standard_normal((24, 40))
+        expected = np.linalg.svd(matrix, full_matrices=False)
         monkeypatch.setattr(blas, "_thread_setter", lambda package: None)
         if missing == "library":
             monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
@@ -185,7 +152,10 @@ class TestQuiet:
             if before is not None:
                 assert _os_threads() == before
             assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+            factors = merging._svd(matrix)
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+        for got, want in zip(factors, expected):
+            assert np.array_equal(got, want)
 
     def test_missing_stopper_still_runs_on_one_thread(self, caller_count, monkeypatch):
         monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
@@ -213,22 +183,19 @@ def _numpy_setter_calls(monkeypatch):
 @pytest.mark.parametrize(
     "command, entries",
     [
-        # Each edit layer's phase 1 (2 layers, 2 covariance modes), then one
-        # scope per tsvm-family merge.
-        (["run"], 4 + 2),
-        # alphaedit's edit loop, once per covariance mode, then the merges;
-        # the phase-1 scopes inside the loop leave numpy alone.
-        (["run", "--method", "alphaedit"], 2 + 2),
-        # The phase-1 scopes, then one scope around the whole merge phase.
-        (["sweep", "--axis", "alpha"], 4 + 1),
-        (["sweep", "--axis", "rank"], 4 + 1),
+        # The merge phase; memit's edit loop enters no scope.
+        (["run"], 1),
+        # alphaedit's edit loop, once per covariance mode, then the merge phase.
+        (["run", "--method", "alphaedit"], 2 + 1),
+        # The merge phase, holding every grid point's merges.
+        (["sweep", "--axis", "alpha"], 1),
+        (["sweep", "--axis", "rank"], 1),
     ],
     ids=["run", "run-alphaedit", "sweep-alpha", "sweep-rank"],
 )
 def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command, entries):
     # Every scope sets numpy's count once on entry and once on exit.  A
-    # scope per SVD (10 per tsvm merge here) or a set count inside a quiet
-    # scope would show here.
+    # scope per merge or per SVD (10 per tsvm merge here) would show here.
     config_path, bench_dir, tmp = tiny_setup
     calls = _numpy_setter_calls(monkeypatch)
     argv = [command[0], config_path, "--dataset", bench_dir, "--out", str(tmp / "-".join(command)), *command[1:]]
@@ -236,120 +203,125 @@ def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command, entr
     assert len(calls) == 2 * entries
 
 
-def _tracking_handover(depth):
-    """A ``blas.handover_to_scipy`` that keeps in ``depth[0]`` how many scopes it is inside."""
-    real = blas.handover_to_scipy
+def _record_stops(monkeypatch, events):
+    """Append ``("stop", package)`` to ``events`` at every ``blas.stop_idle_pool``."""
+    real_stop = blas.stop_idle_pool
+
+    def stop(package):
+        events.append(("stop", package))
+        real_stop(package)
+
+    monkeypatch.setattr(blas, "stop_idle_pool", stop)
+
+
+def _spy(monkeypatch, events, library, owner, name):
+    """Append ``(library, name)`` to ``events`` at every call of ``owner.name``."""
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        events.append((library, name))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def _scipy_runs_left_spinning(events):
+    """Indices of numpy calls that follow a scipy run with no scipy stop in between.
+
+    The handover: each run of scipy calls ends in a stop of scipy's idle
+    workers before numpy calls again, so they do not take the cores from
+    numpy's one-thread kernels.  A run still open at the end counts as -1.
+    """
+    scipy_ran = False
+    unstopped = []
+    for index, event in enumerate(events):
+        if event[0] == "scipy":
+            scipy_ran = True
+        elif event == ("stop", "scipy"):
+            scipy_ran = False
+        elif event[0] == "numpy" and scipy_ran:
+            unstopped.append(index)
+    return unstopped + [-1] * scipy_ran
+
+
+def test_every_alphaedit_scipy_call_runs_inside_the_handover(tmp_path, monkeypatch):
+    # Covers alphaedit's phase 2 in both covariance modes, and the rank
+    # sweep's merges after it.
+    events = []
+    _record_stops(monkeypatch, events)
+    for library, owner, name in (
+        ("numpy", np.linalg, "norm"),
+        ("numpy", np.linalg, "svd"),
+        ("scipy", scipy.linalg, "lu_factor"),
+        ("scipy", scipy.linalg, "lu_solve"),
+        ("scipy", scipy.linalg.lapack, "dgecon"),
+    ):
+        _spy(monkeypatch, events, library, owner, name)
+
+    doc = dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02})
+    config_path = write_config(tmp_path, doc)
+    bench = str(tmp_path / "bench")
+    assert cli.main(["generate", config_path, "--out", bench]) == 0
+    events.clear()
+    for argv in (
+        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "alpha"), "--method", "alphaedit"],
+        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "rank"), "--axis", "rank"],
+    ):
+        assert cli.main(argv) == 0
+    assert {event for event in events if event[0] == "scipy"} == {
+        ("scipy", name) for name in ("lu_factor", "lu_solve", "dgecon")
+    }
+    assert _scipy_runs_left_spinning(events) == []
+
+
+def test_svd_fallback_runs_inside_the_handover(monkeypatch):
+    events = []
+    _record_stops(monkeypatch, events)
+
+    def failing_gesdd(*args, **kwargs):
+        events.append(("numpy", "svd"))
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
+    _spy(monkeypatch, events, "scipy", scipy.linalg, "svd")
+    merging._svd(np.random.default_rng(0).standard_normal((8, 12)))
+    assert events == [("numpy", "svd"), ("scipy", "svd"), ("stop", "scipy")]
+    assert _scipy_runs_left_spinning(events) == []
+
+
+# numpy's kernels whose bits depend on the thread count at h=256 (README,
+# Determinism).  scipy's run at scipy's default count, inside a scope or not.
+SENSITIVE = ("inv", "cholesky", "eigh")
+
+
+def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
+    # A quiet scope holds numpy on one thread, so none of numpy's sensitive
+    # kernels may run in one; and no scope may be entered inside another,
+    # since re-setting numpy's count re-creates the pool the outer one stopped.
+    depth = [0]
+    nested = []
+    calls = []
+    real_quiet = blas.quiet
 
     @contextlib.contextmanager
     def tracked():
-        with real():
+        nested.append(depth[0] > 0)
+        with real_quiet():
             depth[0] += 1
             try:
                 yield
             finally:
                 depth[0] -= 1
 
-    return tracked
-
-
-def test_every_alphaedit_scipy_call_runs_inside_the_handover(tmp_path, monkeypatch):
-    # A scipy call outside the scope would meet numpy's idle workers still
-    # spinning, or leave scipy's spinning against numpy's next call.
-    depth = [0]
-    calls = []
-    monkeypatch.setattr(blas, "handover_to_scipy", _tracking_handover(depth))
-    for owner, name in (
-        (scipy.linalg, "lu_factor"),
-        (scipy.linalg, "lu_solve"),
-        (scipy.linalg.lapack, "dgecon"),
-    ):
-        original = getattr(owner, name)
+    monkeypatch.setattr(blas, "quiet", tracked)
+    for name in SENSITIVE:
+        original = getattr(np.linalg, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
             calls.append((_name, depth[0]))
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, spy)
-
-    doc = dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02})
-    config_path = write_config(tmp_path, doc)
-    bench = str(tmp_path / "bench")
-    assert cli.main(["generate", config_path, "--out", bench]) == 0
-    for argv in (
-        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "alpha"), "--method", "alphaedit"],
-        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "rank"), "--axis", "rank"],
-    ):
-        assert cli.main(argv) == 0
-    assert {name for name, _ in calls} == {"lu_factor", "lu_solve", "dgecon"}
-    assert [name for name, inside in calls if not inside] == []
-
-
-def test_svd_fallback_runs_inside_the_handover(monkeypatch):
-    depth = [0]
-    inside = []
-    monkeypatch.setattr(blas, "handover_to_scipy", _tracking_handover(depth))
-    real_svd = scipy.linalg.svd
-
-    def failing_gesdd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    def spy(*args, **kwargs):
-        inside.append(depth[0])
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
-    monkeypatch.setattr(scipy.linalg, "svd", spy)
-    matrix = np.random.default_rng(0).standard_normal((8, 12))
-    merging._svd(matrix)
-    assert inside == [1]
-
-
-# Kernels whose bits depend on the thread count at h=256 (README, Determinism),
-# by the library whose OpenBLAS runs them.
-SENSITIVE = {
-    "numpy": ((np.linalg, ("inv", "cholesky", "eigh")),),
-    "scipy": (
-        (scipy.linalg, ("cho_factor", "cho_solve", "lu_factor", "lu_solve")),
-        (scipy.linalg.lapack, ("dgecon", "dpocon")),
-    ),
-}
-
-
-def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
-    # A scope on numpy's library alone (a plain one_thread or quiet) may hold
-    # scipy's kernels (the fit's Cholesky solves, alphaedit's LU), never numpy's.
-    depth = dict.fromkeys(PACKAGES, 0)
-    scopes = []
-    calls = []
-
-    def tracking(real):
-        @contextlib.contextmanager
-        def tracked(**kwargs):
-            scoped = PACKAGES if kwargs.get("scipy") else ("numpy",)
-            scopes.append((real.__name__, scoped))
-            with real(**kwargs):
-                for package in scoped:
-                    depth[package] += 1
-                try:
-                    yield
-                finally:
-                    for package in scoped:
-                        depth[package] -= 1
-
-        return tracked
-
-    monkeypatch.setattr(blas, "one_thread", tracking(blas.one_thread))
-    monkeypatch.setattr(blas, "quiet", tracking(blas.quiet))
-    for package, owners in SENSITIVE.items():
-        for owner, names in owners:
-            for name in names:
-                original = getattr(owner, name)
-
-                def spy(*args, _package=package, _name=name, _original=original, **kwargs):
-                    calls.append((_name, depth[_package]))
-                    return _original(*args, **kwargs)
-
-                monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(np.linalg, name, spy)
 
     config_path = write_config(tmp_path)
     bench = str(tmp_path / "bench")
@@ -357,12 +329,14 @@ def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
         ["generate", config_path, "--out", bench],
         ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "memit")],
         ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "alpha"), "--method", "alphaedit"],
-        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "rank"), "--axis", "rank"],
+        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "alpha"],
+        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "rank"],
     ):
         assert cli.main(argv) == 0
-    assert set(scopes) == {("one_thread", PACKAGES), ("one_thread", ("numpy",)), ("quiet", ("numpy",))}
-    # Every spied library was reached, so the guard watched real calls.
-    assert {name for name, _ in calls} >= {"inv", "cholesky", "eigh", "cho_factor", "lu_factor", "dgecon"}
+    # Set-up's two phases, alphaedit's two edit loops and four merge phases.
+    assert nested == [False] * 8
+    # Every spied kernel was reached, so the guard watched real calls.
+    assert {name for name, _ in calls} == set(SENSITIVE)
     assert [name for name, inside in calls if inside] == []
 
 
@@ -390,7 +364,9 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
             )
             for key, delta in delta_set.entries.items():
                 arrays[mode, "delta", key] = delta
-            for layer, svds in merging.delta_factors(delta_set).items():
+            with blas.quiet():
+                factors = merging.delta_factors(delta_set)
+            for layer, svds in factors.items():
                 for lang, svd in zip(delta_set.language_ids, svds):
                     for name, array in zip("usv", svd):
                         arrays[mode, name, layer, lang] = array
@@ -398,8 +374,6 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
 
     scoped = pipeline()
     assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
-    monkeypatch.setattr(blas, "one_thread", lambda **kwargs: contextlib.nullcontext())
-    monkeypatch.setattr(blas, "handover_to_scipy", contextlib.nullcontext)
     monkeypatch.setattr(blas, "quiet", contextlib.nullcontext)
     unscoped = pipeline()
     assert scoped.keys() == unscoped.keys()

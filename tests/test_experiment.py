@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -1163,10 +1164,28 @@ class TestReportCommand:
             ([dict(REPORT, method="\ud800")], "report 0 method must be a string"),
             ([dict(REPORT, mean={"averaged": [0.25]})], "report 0 mean.averaged must be a number"),
             ([], "hold no reports"),
+            # Values no run writes, each refused by the rule that keeps runs from writing it.
+            ([dict(REPORT, mean={"averaged": math.nan})], "report 0 mean.averaged must lie in [0, 1], got nan"),
+            (
+                [dict(REPORT, per_language={"en": {"averaged": 7.5}, "zh": REPORT_ROW})],
+                "report 0 per_language.en.averaged must lie in [0, 1], got 7.5",
+            ),
+            (
+                [dict(REPORT, per_language={"en": REPORT_ROW, "zh": {"averaged": -1.0}})],
+                "report 0 per_language.zh.averaged must lie in [0, 1], got -1.0",
+            ),
+            ([dict(REPORT, alpha=math.nan)], "report 0 alpha must be finite and positive, got nan"),
+            ([dict(REPORT, alpha=-2)], "report 0 alpha must be finite and positive, got -2.0"),
+            ([dict(REPORT, rank_ratio=5)], "report 0 rank_ratio must lie in (0, 1], got 5.0"),
+            (
+                [dict(REPORT, languages=["en", "en", "cz"], per_language=dict.fromkeys(["en", "zh", "cz"], REPORT_ROW))],
+                "report 0 languages lists a language more than once: ['en', 'en', 'cz']",
+            ),
         ],
         ids=[
             "empty-report", "not-an-object", "missing-language", "seed-string", "lone-surrogate",
-            "mean-list", "no-reports",
+            "mean-list", "no-reports", "mean-nan", "averaged-above-1", "averaged-negative", "alpha-nan",
+            "alpha-negative", "rank-ratio-above-1", "repeated-language",
         ],
     )
     def test_malformed_report_exit_2(self, tmp_path, capsys, reports, named):

@@ -419,6 +419,50 @@ class TestEditModel:
                 assert np.array_equal(got, expected)
                 working[lang] = working[lang].with_w_out(layer, w_out + got)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(2, 16),
+        d_frac=st.floats(0.0, 1.0),
+        null_frac=st.floats(0.0, 1.0),
+        n_layers=st.integers(2, 4),
+        m=st.integers(1, 3),
+        n=st.integers(1, 6),
+        lam=st.floats(0.05, 10.0),
+        method=st.sampled_from(["memit", "alphaedit"]),
+    )
+    def test_shared_deltas_sum_to_the_joint_edit_at_the_first_edit_layer(
+        self, seed, h, d_frac, null_frac, n_layers, m, n, lam, method
+    ):
+        # In the shared covariance mode every language solves the same system
+        # and, at the first edit layer, on the same unedited weights, so the
+        # solve is linear in the stacked right-hand sides: the deltas sum to
+        # the edit of one batch holding every language's requests.
+        rng = np.random.default_rng(seed)
+        d = 2 + int(d_frac * (h - 2))
+        edit_layers = tuple(range(2, n_layers + 1))
+        model = random_model(rng, d=d, h=h, n_layers=n_layers, vocab=12, edit_layers=edit_layers)
+        requests = [
+            LanguageRequests(lang, rng.standard_normal((d, n)), rng.integers(0, 12, n)) for lang in range(m)
+        ]
+        joint = LanguageRequests(
+            0, np.hstack([req.inputs for req in requests]), np.concatenate([req.new_tokens for req in requests])
+        )
+        preserved = {}
+        for layer in edit_layers:
+            if method == "memit":
+                b = rng.standard_normal((h, h))
+                preserved[layer] = np.eye(h) + b @ b.T / h
+            else:
+                kept = rng.standard_normal((h, int(null_frac * h)))
+                preserved[layer] = nullspace_projector(kept @ kept.T, rel_tol=1e-8)
+        shared = edit_model(model, prepare(model, requests), preserved, lam, method=method, cov_mode=SHARED)
+        edited = edit_model(model, prepare(model, [joint]), preserved, lam, method=method, cov_mode=SHARED)
+        first = edit_layers[0]
+        expected = edited.delta(first, 0)
+        total = merge_sum(shared.layer_deltas(first))
+        assert np.linalg.norm(total - expected) <= 1e-9 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
     def test_memit_cond_limit_raises(self, small_bench, cov_mode):
         dataset, model = small_bench
