@@ -1,44 +1,60 @@
-"""Keep numpy's and scipy's bundled OpenBLAS thread pools out of each other's way.
+"""Keep numpy's and scipy's bundled OpenBLAS thread pools out of each other's way,
+and spread independent numpy work over the cores.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own pool of
 worker threads.  After a threaded call a library's idle workers spin for
 about 0.1 s; on 2 cores the other library's workers, or the next one-thread
 kernel, then wait for a scheduler slice.  Setting a library to one thread
-does not stop the spin.  Two tools cut that cost, and neither changes an
+does not stop the spin.  Three tools cut that cost, and none changes an
 output bit:
 
 * :func:`quiet` runs one numpy phase whose kernels need no numpy worker on
   one thread of numpy's OpenBLAS, with numpy's idle workers stopped on entry,
   and restores numpy's count on exit.  At the matrix sizes here most kernels
-  gain nothing from a second thread and lose time to waking it: on a shared
-  2-core Xeon, 36 thin ``gesdd`` SVDs of rank-64 128x256 matrices took
-  0.37 s on two threads and 0.20 s on one (medians of 7).  Each phase enters
-  it once, never inside another scope: set-up's rotations, the backbone
-  fit, alphaedit's whole edit loop, and a command's whole merge phase.
-  Setting the count at all, even from 1 to 1, re-creates a stopped pool, so
-  a scope per kernel, or one scope inside another, would bring the spinning
-  workers back.
+  gain nothing from a second BLAS thread and lose time to waking it: on a
+  shared 2-core Xeon, 36 thin ``gesdd`` SVDs of rank-64 128x256 matrices
+  took 0.37 s on two threads and 0.20 s on one (medians of 7).  Each phase
+  enters it once, never inside another scope: set-up's rotations, the
+  backbone fit, alphaedit's whole edit loop, and a command's whole
+  merge-and-score phase.  Setting the count at all, even from 1 to 1,
+  re-creates a stopped pool, so a scope per kernel, or one scope inside
+  another, would bring the spinning workers back.
+* :func:`spread` uses the cores that :func:`quiet` leaves idle: it works
+  through independent items (the merges' SVDs, the scoring of each
+  merge or grid point) on the calling thread and one Python worker thread
+  per other core, each running one-thread kernels.  On the same machine, 12
+  thin ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core
+  and 41-49 ms spread over two (medians of 15).  Workers never enter a
+  scope and never stop a pool.
 * :func:`stop_idle_pool` stops one library's idle workers, for a run of
   scipy calls at the default count inside a :func:`quiet` scope: alphaedit's
   solves and the ``gesvd`` fallback each end with scipy's pool stopped, so
-  its workers do not take the cores from numpy's next kernel.
+  its workers do not take the cores from numpy's next kernel.  A run of
+  scipy calls inside a :func:`spread` item holds :data:`SCIPY_RUN` through
+  the run and its stop, so two items never stop scipy's pool under each
+  other.
 
 Pools are stopped through OpenBLAS's ``blas_thread_shutdown_``.  Stopping a
 pool changes no bit of any kernel: the library's next threaded call
 re-creates the workers at the count then set.
 
 Only numpy kernels whose every bit is the same at any thread count belong in
-a :func:`quiet` scope: matrix products (GEMM, SYRK), norms, ``gesdd`` SVDs
-and QR.  numpy's ``inv``, ``cholesky`` and ``eigh`` give other bits at h=256
-on one thread than on two, so they stay outside every scope, at the default
-count.  scipy's kernels run at scipy's default count inside or outside one.
+a :func:`quiet` scope, or in a :func:`spread` item: matrix products (GEMM,
+SYRK), norms, ``gesdd`` SVDs and QR.  Each item's result comes from the
+same kernels on the same operands whichever thread runs it, so a spread
+gives the bits of a serial loop.  numpy's ``inv``, ``cholesky`` and ``eigh``
+give other bits at h=256 on one thread than on two, so they stay outside
+every scope, at the default count, and set-up and the edit loops stay
+serial.  scipy's kernels run at scipy's default count inside or outside a
+scope.
 
 The count is set through OpenBLAS's ``openblas_set_num_threads_local``.  In
 the pthreads builds the wheels bundle, that count and the worker pool are the
-process's, not the calling thread's.  So no scope may run while another BLAS
-call is in flight; lamedit runs serially, so none is.  A library or symbol
-that cannot be found makes either tool a no-op: it then costs speed, never
-bits.
+process's, not the calling thread's.  So a scope is entered and left only on
+the main thread, with no spread running, and a pool is stopped only while no
+other call into that library is in flight.  A library or symbol that cannot
+be found makes :func:`quiet` and :func:`stop_idle_pool` no-ops: they then
+cost speed, never bits.
 """
 
 from __future__ import annotations
@@ -48,9 +64,14 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 
 import numpy
 import scipy
+
+# Held by a spread item through a run of scipy calls and the stop of scipy's
+# pool after it, so no item stops the pool while another's run is in flight.
+SCIPY_RUN = threading.Lock()
 
 # Each package's bundled OpenBLAS, relative to the directory holding the package.
 _BUNDLED = {
@@ -109,3 +130,46 @@ def quiet():
         yield
     finally:
         setter(previous)
+
+
+def spread(fn, items):
+    """``[fn(x) for x in items]``, worked through by this thread and one worker per other core.
+
+    Each thread takes the next item as it finishes one, so the results come
+    back in input order whichever thread ran them.  There is one thread per
+    core this process may run on, capped at the item count; on one core the
+    loop runs here and starts no thread.  After an item raises, no thread takes
+    a new item, and once every worker has finished, the exception of the
+    first failed item in input order is raised here, its type unchanged:
+    the one a serial loop would raise, since every earlier item has run.
+    """
+    items = list(items)
+    n_threads = min(len(os.sched_getaffinity(0)), len(items))
+    if n_threads <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    failures = []
+    pending = iter(enumerate(items))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                index, item = (None, None) if failures else next(pending, (None, None))
+            if index is None:
+                return
+            try:
+                results[index] = fn(item)
+            except BaseException as exc:
+                with lock:
+                    failures.append((index, exc))
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(n_threads - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    for worker in workers:
+        worker.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results

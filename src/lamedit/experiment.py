@@ -6,9 +6,12 @@ scales, applies, and scores each configured merge method plus the mono
 baseline, which reads each language's own deltas from the per-language delta
 set.  Sweeps compute the delta sets once and build every grid point's merge
 up front: the scale axis reuses one merge per method, the rank axis slices
-one SVD per delta at each rank ratio.  Each grid point is then applied and
-scored in grid order, serially, from one probe batch built on the unedited
-model (:func:`lamedit.metrics.probe_batch`).
+one SVD per delta at each rank ratio.  Every merge (of a run or a grid point)
+and every mono language is then applied and scored from one probe batch built
+on the unedited model (:func:`lamedit.metrics.probe_batch`).  The merges and
+the scoring form one phase in one :func:`lamedit.blas.quiet` scope, and its
+independent items (the merges' SVDs, each score) are spread over the cores
+(:func:`lamedit.blas.spread`); results keep their grid order.
 
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
 floats via ``repr``.
@@ -379,18 +382,16 @@ def build_merges(delta_sets, merge_cfgs):
 
     A covariance mode that more than one tsvm merge reads (a rank sweep's
     grid) is factored once (:func:`merging.delta_factors`), and those merges
-    slice its SVDs.  The whole phase is thread-count-independent numpy work,
-    so it runs in one :func:`lamedit.blas.quiet` scope; scoring then runs at
-    the default count.
+    slice its SVDs.  This is thread-count-independent numpy work, run in the
+    merge-and-score phase's :func:`lamedit.blas.quiet` scope.
     """
     tsvm_modes = [m.cov_mode for m in merge_cfgs if m.base_rule == "tsvm"]
-    with blas.quiet():
-        factors = {
-            mode: merging.delta_factors(delta_sets[mode])
-            for mode in sorted(set(tsvm_modes))
-            if tsvm_modes.count(mode) > 1
-        }
-        return [merging.merge(m, delta_sets[m.cov_mode], factors.get(m.cov_mode)) for m in merge_cfgs]
+    factors = {
+        mode: merging.delta_factors(delta_sets[mode])
+        for mode in sorted(set(tsvm_modes))
+        if tsvm_modes.count(mode) > 1
+    }
+    return [merging.merge(m, delta_sets[m.cov_mode], factors.get(m.cov_mode)) for m in merge_cfgs]
 
 
 def merge_report(model, probes, merged, merge_cfg, alpha, seed):
@@ -409,13 +410,19 @@ def merge_report(model, probes, merged, merge_cfg, alpha, seed):
     )
 
 
+def merge_reports(model, probes, points, seed):
+    """:func:`merge_report` of each ``(merged, merge_cfg, alpha)`` point, in order, spread over the cores."""
+    return blas.spread(lambda point: merge_report(model, probes, *point, seed), points)
+
+
 def mono_report(model, probes, delta_set, alpha, seed):
     """Mono baseline: each language edited with only its own per-language deltas.
 
     ``probes`` is the dataset's :class:`~lamedit.metrics.ProbeBatch` on
-    ``model``; each row scores its language's columns of the batch.
+    ``model``; each row scores its language's columns of the batch.  The
+    languages are spread over the cores.
     """
-    rows = tuple(metrics.run_mono(model, probes, delta_set, i, alpha) for i in probes.language_ids)
+    rows = blas.spread(lambda i: metrics.run_mono(model, probes, delta_set, i, alpha), probes.language_ids)
     return metrics.MetricsReport(
         method=MONO_METHOD,
         cov_mode=PER_LANGUAGE,
@@ -423,7 +430,7 @@ def mono_report(model, probes, delta_set, alpha, seed):
         rank_ratio=None,
         seed=seed,
         languages=probes.languages,
-        rows=rows,
+        rows=tuple(rows),
     )
 
 
@@ -433,16 +440,15 @@ def run_experiment(config, dataset, model):
     if config.include_mono:
         modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-    merged = build_merges(delta_sets, config.merges)
-    probes = metrics.probe_batch(model, dataset)
-    reports = [
-        merge_report(model, probes, merged_one, m, config.alpha, config.seed)
-        for merged_one, m in zip(merged, config.merges)
-    ]
-    if config.include_mono:
-        reports.append(
-            mono_report(model, probes, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
-        )
+    with blas.quiet():
+        merged = build_merges(delta_sets, config.merges)
+        probes = metrics.probe_batch(model, dataset)
+        points = [(merged_one, m, config.alpha) for merged_one, m in zip(merged, config.merges)]
+        reports = merge_reports(model, probes, points, config.seed)
+        if config.include_mono:
+            reports.append(
+                mono_report(model, probes, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
+            )
     return reports
 
 
@@ -494,22 +500,20 @@ def sweep(config, dataset, model, axis):
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
     modes = [m.cov_mode for m in merge_cfgs]
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-    if axis == "alpha":
-        merged = build_merges(delta_sets, merge_cfgs)
-        points = [[(merged_one, m, alpha) for merged_one, m in zip(merged, merge_cfgs)] for alpha in grid]
-    else:
-        rank_cfgs = [[replace(m, rank_ratio=rank) for m in merge_cfgs] for rank in grid]
-        merged = iter(build_merges(delta_sets, [c for cfgs in rank_cfgs for c in cfgs]))
-        points = [[(next(merged), c, config.alpha) for c in cfgs] for cfgs in rank_cfgs]
-    probes = metrics.probe_batch(model, dataset)
-    per_point = [
-        [merge_report(model, probes, *merged_point, config.seed) for merged_point in point]
-        for point in points
-    ]
+    with blas.quiet():
+        if axis == "alpha":
+            merged = build_merges(delta_sets, merge_cfgs)
+            points = [(merged_one, m, alpha) for alpha in grid for merged_one, m in zip(merged, merge_cfgs)]
+        else:
+            rank_cfgs = [replace(m, rank_ratio=rank) for rank in grid for m in merge_cfgs]
+            merged = build_merges(delta_sets, rank_cfgs)
+            points = [(merged_one, c, config.alpha) for merged_one, c in zip(merged, rank_cfgs)]
+        probes = metrics.probe_batch(model, dataset)
+        point_reports = merge_reports(model, probes, points, config.seed)
 
     results = []
     for idx, m in enumerate(merge_cfgs):
-        values = tuple(float(reports[idx].mean_row().averaged) for reports in per_point)
+        values = tuple(float(rep.mean_row().averaged) for rep in point_reports[idx :: len(merge_cfgs)])
         results.append(
             SweepResult(
                 axis=axis,
@@ -519,7 +523,6 @@ def sweep(config, dataset, model, axis):
                 argmax_point=_argmax_point(grid, values),
             )
         )
-    point_reports = [rep for reports in per_point for rep in reports]
     return results, point_reports
 
 
@@ -677,8 +680,10 @@ def _report_row(path, index, rep):
 
     A missing or ill-typed field, or a value no run writes (an accuracy
     outside [0, 1], an alpha that is not finite and positive, a rank ratio
-    outside (0, 1], a language listed twice), raises :class:`ConfigError`
-    naming the file, the report and the field.
+    outside (0, 1], a language listed twice or not at all, a ``per_language``
+    entry for a language ``languages`` does not list, a ``mean`` more than
+    1e-9 from the mean of the listed languages' ``averaged`` values), raises
+    :class:`ConfigError` naming the file, the report and the field.
     """
     where = f"run output {path} report {index}"
     if not isinstance(rep, dict):
@@ -710,7 +715,19 @@ def _report_row(path, index, rep):
         if lang not in rep["per_language"]:
             raise ConfigError(f"{where} per_language lacks language {lang!r}")
         values.append(averaged(f"per_language.{lang}", rep["per_language"][lang]))
-    values.append(averaged("mean", rep["mean"]))
+    unlisted = sorted(set(rep["per_language"]) - set(languages))
+    if unlisted:
+        raise ConfigError(f"{where} per_language holds languages {unlisted} that languages does not list")
+    if not languages:
+        raise ConfigError(f"{where} languages lists no language")
+    mean = averaged("mean", rep["mean"])
+    listed_mean = sum(values) / len(values)
+    if abs(mean - listed_mean) > 1e-9:
+        raise ConfigError(
+            f"{where} mean.averaged {mean!r} is not the mean {listed_mean!r} "
+            f"of the listed languages' averaged accuracies"
+        )
+    values.append(mean)
     alpha = _number(f"{where} alpha", rep["alpha"])
     _check_alpha(f"{where} alpha", alpha)
     rank_ratio = rep.get("rank_ratio")

@@ -78,20 +78,24 @@ def _svd(matrix):
     """Thin SVD by LAPACK ``gesdd``, falling back to ``gesvd`` when it fails.
 
     ``gesdd`` runs in numpy at the caller's thread count, its bits the same at
-    any count; the merge phase calls it inside :func:`lamedit.blas.quiet`, on
-    one thread with numpy's idle workers stopped.  It fails to converge on
-    some rank-deficient deltas (seen on alphaedit edits at d=128, rank
-    ``n_facts``) that ``gesvd`` factors to machine precision.  ``gesvd`` runs
-    in scipy at the default thread count, and scipy's idle workers are
-    stopped after it (:func:`lamedit.blas.stop_idle_pool`).
+    any count; the merge-and-score phase calls it inside
+    :func:`lamedit.blas.quiet`, on one thread with numpy's idle workers
+    stopped, from the threads of a :func:`lamedit.blas.spread`.  It fails to
+    converge on some rank-deficient deltas (seen on alphaedit edits at
+    d=128, rank ``n_facts``) that ``gesvd`` factors to machine precision.
+    ``gesvd`` runs in scipy at the default thread count, and scipy's idle
+    workers are stopped after it (:func:`lamedit.blas.stop_idle_pool`), both
+    under :data:`lamedit.blas.SCIPY_RUN`, so a concurrent fallback never
+    stops the pool under this one.
     """
     try:
         return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
-        try:
-            return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
-        finally:
-            blas.stop_idle_pool("scipy")
+        with blas.SCIPY_RUN:
+            try:
+                return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
+            finally:
+                blas.stop_idle_pool("scipy")
 
 
 def _retained_rank(shape, rank_ratio):
@@ -135,12 +139,12 @@ def delta_factors(delta_set):
     """Thin SVD of every delta, ``{layer: (u, s, vt) per language}``.
 
     :func:`merge` slices these at any rank ratio, so a tsvm rank sweep
-    factors each delta once instead of once per grid point.
+    factors each delta once instead of once per grid point.  The SVDs are
+    spread over the cores (:func:`lamedit.blas.spread`).
     """
-    return {
-        layer: tuple(_svd(m) for m in delta_set.layer_deltas(layer))
-        for layer in delta_set.layers
-    }
+    per_layer = [delta_set.layer_deltas(layer) for layer in delta_set.layers]
+    svds = iter(blas.spread(_svd, [m for deltas in per_layer for m in deltas]))
+    return {layer: tuple(next(svds) for _ in deltas) for layer, deltas in zip(delta_set.layers, per_layer)}
 
 
 def _orthogonal_polar_factor(matrix):
@@ -157,18 +161,18 @@ def merge_tsvm(deltas, rank_ratio, factors=None):
     are replaced by their orthogonal polar factor before reconstruction.  An
     over-complete concatenation (m * k exceeding min(d, h)) is allowed.
     ``factors``, the thin SVDs of ``deltas`` in order, are sliced when given
-    instead of factoring each delta again.
+    instead of factoring each delta again.  The deltas' SVDs, and the two
+    polar factors, are spread over the cores (:func:`lamedit.blas.spread`).
     """
     mats = _stack(deltas)
     k = _retained_rank(mats[0].shape, rank_ratio)
     if factors is None:
-        factors = [_svd(m) for m in mats]
+        factors = blas.spread(_svd, mats)
     lefts, sigmas, rights = zip(*(_truncate(f, k) for f in factors))
     left_cat = np.hstack(lefts)
     sigma_cat = np.concatenate(sigmas)
     right_cat = np.vstack(rights)
-    left_merged = _orthogonal_polar_factor(left_cat)
-    right_merged = _orthogonal_polar_factor(right_cat)
+    left_merged, right_merged = blas.spread(_orthogonal_polar_factor, (left_cat, right_cat))
     return (left_merged * sigma_cat) @ right_merged
 
 

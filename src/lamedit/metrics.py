@@ -126,8 +126,11 @@ class ProbeBatch:
     edited from ``prefix.base`` is scored by one prediction that starts from
     the cached prefix (``state + w_out_edited @ key`` at the first edit
     layer), which gives the bits of a full forward pass.  Predictions are per
-    column, so this scores each (language, family) like its own
-    :func:`accuracy` call.
+    column (:func:`lamedit.model.predict_batch` runs them in column blocks),
+    so this scores each (language, family) like its own :func:`accuracy`
+    call.  A batch is never written after it is built: a run's or sweep's
+    scores read one batch from every thread of a :func:`lamedit.blas.spread`,
+    each on one-thread kernels whose bits match a serial score's.
     """
 
     dataset: object  # MultilingualDataset

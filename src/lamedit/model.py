@@ -30,6 +30,10 @@ from .errors import InvalidRequestError, ShapeError
 
 LN_EPS = 1e-5
 
+# Columns per block of :func:`predict_batch`: one block's running states and
+# (columns, vocab) score matrix, not the whole batch's, are alive at once.
+PREDICT_BLOCK = 512
+
 
 def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
@@ -281,13 +285,18 @@ def predict_batch(model, prefix):
 
     ``prefix`` is the batch's :class:`Prefix` on the unedited model ``model``
     was edited from (:func:`compute_prefix`), and the run starts there.  The
-    stack runs keeping only the running state (no per-layer trace), and the
-    state is scored as an (n, vocab) matrix so the argmax runs along
-    contiguous rows.  The predictions equal those read from
-    :func:`forward_batch`'s final state.
+    stack runs keeping only the running state (no per-layer trace), in
+    blocks of :data:`PREDICT_BLOCK` columns, and each block's state is
+    scored as a (columns, vocab) matrix so the argmax runs along contiguous
+    rows.  Every column's state and scores come from its own column's
+    products, so the blocks' argmaxes, concatenated, equal the whole
+    batch's, and equal those read from :func:`forward_batch`'s final state.
     """
-    state, _ = _run_prefix(model, prefix, None)
-    return np.argmax(state.T @ model.codebook, axis=1)
+    blocks = []
+    for start in range(0, max(prefix.n, 1), PREDICT_BLOCK):
+        state, _ = _run_prefix(model, prefix.columns(start, start + PREDICT_BLOCK), None)
+        blocks.append(np.argmax(state.T @ model.codebook, axis=1))
+    return np.concatenate(blocks)
 
 
 def keys_and_targets(model, prefix, new_tokens, layer):

@@ -1,14 +1,16 @@
 import contextlib
 import os
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from lamedit import blas, cli, merging, solvers, synthdata
+from lamedit import blas, cli, experiment, merging, metrics, solvers, synthdata
 from lamedit.covariance import PER_LANGUAGE, SHARED
+from lamedit.merging import MergeConfig
 
 from test_experiment import TINY_CONFIG, tiny_setup, write_config  # noqa: F401 (tiny_setup is a fixture)
 
@@ -342,7 +344,9 @@ def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
 
 def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
     # h=256 is the shape where a thread-sensitive kernel changes bits (README,
-    # Determinism); everything else is shrunk to keep this fast.
+    # Determinism); everything else is shrunk to keep this fast.  The scoped
+    # run spreads its merges and scores over two cores, the other runs them
+    # on one core at the default count.
     cfg = synthdata.GenConfig(
         n_facts=8, m_languages=2, d=128, h=256, n_preserved=32, vocab_size=32, seed=5
     )
@@ -358,24 +362,226 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
             "codebook": model.codebook,
             **{f"w_out{i}": layer.w_out for i, layer in enumerate(model.layers)},
         }
+        delta_sets = {}
         for mode in (PER_LANGUAGE, SHARED):
-            delta_set = solvers.edit_model(
+            delta_set = delta_sets[mode] = solvers.edit_model(
                 model, requests, preserved, solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=mode
             )
             for key, delta in delta_set.entries.items():
                 arrays[mode, "delta", key] = delta
-            with blas.quiet():
+        merge_cfgs = [*experiment.default_merges(), MergeConfig("tsvm", rank_ratio=0.125)]
+        with blas.quiet():
+            for mode, delta_set in delta_sets.items():
                 factors = merging.delta_factors(delta_set)
-            for layer, svds in factors.items():
-                for lang, svd in zip(delta_set.language_ids, svds):
-                    for name, array in zip("usv", svd):
-                        arrays[mode, name, layer, lang] = array
-        return arrays
+                for layer, svds in factors.items():
+                    for lang, svd in zip(delta_set.language_ids, svds):
+                        for name, array in zip("usv", svd):
+                            arrays[mode, name, layer, lang] = array
+            merged = experiment.build_merges(delta_sets, merge_cfgs)
+            probes = metrics.probe_batch(model, dataset)
+            reports = experiment.merge_reports(
+                model, probes, [(one, m, 1.0) for one, m in zip(merged, merge_cfgs)], cfg.seed
+            )
+            reports.append(experiment.mono_report(model, probes, delta_sets[PER_LANGUAGE], 1.0, cfg.seed))
+        for index, one in enumerate(merged):
+            for layer, array in one.items():
+                arrays["merged", index, layer] = array
+        return arrays, reports
 
-    scoped = pipeline()
+    _cores(monkeypatch, 2)
+    scoped, scoped_reports = pipeline()
     assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
     monkeypatch.setattr(blas, "quiet", contextlib.nullcontext)
-    unscoped = pipeline()
+    _cores(monkeypatch, 1)
+    unscoped, unscoped_reports = pipeline()
     assert scoped.keys() == unscoped.keys()
     for key, array in scoped.items():
         assert np.array_equal(array, unscoped[key]), key
+    assert scoped_reports == unscoped_reports
+
+
+def _cores(monkeypatch, n):
+    """Make ``blas.spread`` see ``n`` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestSpread:
+    def test_keeps_input_order(self, monkeypatch):
+        _cores(monkeypatch, 4)
+        threads = set()
+
+        def slow_square(x):
+            threads.add(threading.get_ident())
+            time.sleep(0.001 * (x % 3))
+            return x * x
+
+        assert blas.spread(slow_square, range(30)) == [x * x for x in range(30)]
+        assert len(threads) > 1
+
+    def test_worker_error_keeps_its_type_after_every_worker_finished(self, monkeypatch):
+        _cores(monkeypatch, 4)
+
+        class FirstError(Exception):
+            pass
+
+        started = threading.active_count()
+        finished = []
+
+        def work(x):
+            time.sleep(0.005)
+            if threading.current_thread() is not threading.main_thread() and x >= 2:
+                raise FirstError(x)
+            finished.append(x)
+            return x
+
+        with pytest.raises(FirstError):
+            blas.spread(work, range(40))
+        assert threading.active_count() == started
+        assert len(finished) < 40  # no item is taken after the first failure
+
+    def test_raises_the_first_failure_in_input_order(self, monkeypatch):
+        _cores(monkeypatch, 3)
+
+        def work(x):
+            time.sleep(0.01 if x == 3 else 0.0)
+            if x == 3:
+                raise KeyError(x)
+            if x == 5:
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(KeyError):
+            blas.spread(work, range(8))
+
+    def test_each_item_runs_once_under_contention(self, monkeypatch):
+        # More workers than cores and a short switch interval, so threads
+        # interleave between taking an item and storing its result.
+        _cores(monkeypatch, 8)
+        calls = []
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: outcome.append(blas.spread(lambda x: calls.append(x) or 3 * x, range(2000)))
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert outcome == [[3 * x for x in range(2000)]]
+        assert sorted(calls) == list(range(2000))
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        _cores(monkeypatch, 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("spread started a thread on one core")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        callers = set()
+
+        def work(x):
+            callers.add(threading.get_ident())
+            return -x
+
+        assert blas.spread(work, range(5)) == [0, -1, -2, -3, -4]
+        assert callers == {threading.get_ident()}
+
+    def test_no_worker_enters_quiet_or_stops_a_pool_outside_the_locked_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        # gesdd is made to fail, so every merge SVD, on whichever thread,
+        # takes the gesvd fallback and stops scipy's pool.
+        _cores(monkeypatch, 2)
+        main = threading.main_thread()
+        scopes = []
+        stops = []
+        owner = [None]
+        real_quiet, real_stop, real_lock = blas.quiet, blas.stop_idle_pool, blas.SCIPY_RUN
+
+        @contextlib.contextmanager
+        def tracked_quiet():
+            scopes.append(threading.current_thread() is main)
+            with real_quiet():
+                yield
+
+        def tracked_stop(package):
+            on_main = threading.current_thread() is main
+            stops.append((package, on_main, owner[0] == threading.get_ident()))
+            real_stop(package)
+
+        class TrackedLock:
+            def __enter__(self):
+                real_lock.acquire()
+                owner[0] = threading.get_ident()
+
+            def __exit__(self, *exc):
+                owner[0] = None
+                real_lock.release()
+
+        def failing_gesdd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(blas, "quiet", tracked_quiet)
+        monkeypatch.setattr(blas, "stop_idle_pool", tracked_stop)
+        monkeypatch.setattr(blas, "SCIPY_RUN", TrackedLock())
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02}))
+        bench = str(tmp_path / "bench")
+        assert cli.main(["generate", config_path, "--out", bench]) == 0
+        monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
+        for argv in (
+            ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "run")],
+            ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "rank"],
+        ):
+            assert cli.main(argv) == 0
+        assert scopes and all(scopes)
+        off_main = [stop for stop in stops if not stop[1]]
+        assert off_main, "no fallback ran on a worker, so the guard watched nothing"
+        assert all(package == "scipy" and locked for package, _, locked in off_main)
+
+    def test_spread_fallback_factors_equal_serial_ones(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        layers, languages = (2, 3), (0, 1, 2, 3)
+        delta_set = solvers.DeltaSet(
+            cov_mode=PER_LANGUAGE,
+            layers=layers,
+            language_ids=languages,
+            entries={
+                (layer, lang): rng.standard_normal((24, 4)) @ rng.standard_normal((4, 40))
+                for layer in layers
+                for lang in languages
+            },
+        )
+        running = [0]
+        most = [0]
+        count_lock = threading.Lock()
+        real_svd = scipy.linalg.svd
+
+        def failing_gesdd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        def counted_svd(*args, **kwargs):
+            with count_lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.002)
+                return real_svd(*args, **kwargs)
+            finally:
+                with count_lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
+        monkeypatch.setattr(scipy.linalg, "svd", counted_svd)
+        _cores(monkeypatch, 1)
+        serial = merging.delta_factors(delta_set)
+        _cores(monkeypatch, 4)
+        spread = merging.delta_factors(delta_set)
+        assert most[0] == 1
+        assert serial.keys() == spread.keys()
+        for layer in layers:
+            for serial_svd, spread_svd in zip(serial[layer], spread[layer]):
+                for got, want in zip(spread_svd, serial_svd):
+                    assert np.array_equal(got, want)

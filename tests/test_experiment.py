@@ -1181,11 +1181,20 @@ class TestReportCommand:
                 [dict(REPORT, languages=["en", "en", "cz"], per_language=dict.fromkeys(["en", "zh", "cz"], REPORT_ROW))],
                 "report 0 languages lists a language more than once: ['en', 'en', 'cz']",
             ),
+            (
+                [dict(REPORT, languages=["en"], per_language={"en": REPORT_ROW, "zh": dict(REPORT_ROW, averaged=0.75)},
+                      mean=dict(REPORT_ROW, averaged=0.5))],
+                "report 0 per_language holds languages ['zh'] that languages does not list",
+            ),
+            (
+                [dict(REPORT, mean=dict(REPORT_ROW, averaged=0.5))],
+                "report 0 mean.averaged 0.5 is not the mean 0.25 of the listed languages' averaged accuracies",
+            ),
         ],
         ids=[
             "empty-report", "not-an-object", "missing-language", "seed-string", "lone-surrogate",
             "mean-list", "no-reports", "mean-nan", "averaged-above-1", "averaged-negative", "alpha-nan",
-            "alpha-negative", "rank-ratio-above-1", "repeated-language",
+            "alpha-negative", "rank-ratio-above-1", "repeated-language", "unlisted-language", "mean-not-the-mean",
         ],
     )
     def test_malformed_report_exit_2(self, tmp_path, capsys, reports, named):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamedit.errors import InvalidRequestError, ShapeError
 from lamedit.model import (
     LN_EPS,
+    PREDICT_BLOCK,
     LamLayer,
     ToyModel,
     compute_prefix,
@@ -225,6 +226,23 @@ class TestPredict:
         hidden, _ = forward_batch(model, inputs)
         expected = np.argmax(model.codebook.T @ hidden[-1], axis=0)
         assert np.array_equal(predict_batch(model, compute_prefix(model, inputs)), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1600).filter(lambda n: n % PREDICT_BLOCK),
+    )
+    @example(seed=1, n=1)
+    @example(seed=2, n=511)
+    @example(seed=3, n=513)
+    @example(seed=4, n=3072)
+    def test_blocked_prediction_equals_the_whole_batch_argmax(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, vocab=23)
+        prefix = compute_prefix(model, rng.standard_normal((8, n)))
+        state, _ = _run_prefix(model, prefix, None)
+        expected = np.argmax(state.T @ model.codebook, axis=1)
+        assert np.array_equal(predict_batch(model, prefix), expected)
 
     def test_batch_checks_inputs(self):
         # A batch reaches predict_batch through its prefix, which checks the inputs.
