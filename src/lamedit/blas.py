@@ -54,7 +54,8 @@ process's, not the calling thread's.  So a scope is entered and left only on
 the main thread, with no spread running, and a pool is stopped only while no
 other call into that library is in flight.  A library or symbol that cannot
 be found makes :func:`quiet` and :func:`stop_idle_pool` no-ops: they then
-cost speed, never bits.
+cost speed, never bits.  Without numpy's thread setter :func:`spread` is a
+plain loop too, since its items' kernels would not run on one thread each.
 """
 
 from __future__ import annotations
@@ -132,21 +133,28 @@ def quiet():
         setter(previous)
 
 
+def _cores():
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def spread(fn, items):
     """``[fn(x) for x in items]``, worked through by this thread and one worker per other core.
 
     Each thread takes the next item as it finishes one, so the results come
     back in input order whichever thread ran them.  There is one thread per
-    core this process may run on, capped at the item count; on one core the
-    loop runs here and starts no thread.  After an item raises, no thread takes
-    a new item, and once every worker has finished, the exception of the
-    first failed item in input order is raised here, its type unchanged:
-    the one a serial loop would raise, since every earlier item has run.
+    core this process may run on, capped at the item count; on one core, or
+    when numpy's OpenBLAS has no thread setter (so :func:`quiet` is a no-op
+    and each kernel may use every core), the loop runs here and starts no
+    thread.  After an item raises, no thread takes a new item, and once every
+    worker has finished, the exception of the first failed item in input
+    order is raised here, its type unchanged: the one a serial loop would
+    raise, since every earlier item has run.
     """
     items = list(items)
-    n_threads = min(len(os.sched_getaffinity(0)), len(items))
-    if n_threads <= 1:
-        return [fn(x) for x in items]
+    n_threads = min(_cores(), len(items)) if _thread_setter("numpy") is not None else 1
     results = [None] * len(items)
     failures = []
     pending = iter(enumerate(items))

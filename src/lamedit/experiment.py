@@ -410,11 +410,6 @@ def merge_report(model, probes, merged, merge_cfg, alpha, seed):
     )
 
 
-def merge_reports(model, probes, points, seed):
-    """:func:`merge_report` of each ``(merged, merge_cfg, alpha)`` point, in order, spread over the cores."""
-    return blas.spread(lambda point: merge_report(model, probes, *point, seed), points)
-
-
 def mono_report(model, probes, delta_set, alpha, seed):
     """Mono baseline: each language edited with only its own per-language deltas.
 
@@ -444,7 +439,7 @@ def run_experiment(config, dataset, model):
         merged = build_merges(delta_sets, config.merges)
         probes = metrics.probe_batch(model, dataset)
         points = [(merged_one, m, config.alpha) for merged_one, m in zip(merged, config.merges)]
-        reports = merge_reports(model, probes, points, config.seed)
+        reports = blas.spread(lambda point: merge_report(model, probes, *point, config.seed), points)
         if config.include_mono:
             reports.append(
                 mono_report(model, probes, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
@@ -509,7 +504,7 @@ def sweep(config, dataset, model, axis):
             merged = build_merges(delta_sets, rank_cfgs)
             points = [(merged_one, c, config.alpha) for merged_one, c in zip(merged, rank_cfgs)]
         probes = metrics.probe_batch(model, dataset)
-        point_reports = merge_reports(model, probes, points, config.seed)
+        point_reports = blas.spread(lambda point: merge_report(model, probes, *point, config.seed), points)
 
     results = []
     for idx, m in enumerate(merge_cfgs):

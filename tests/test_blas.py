@@ -379,8 +379,9 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
                             arrays[mode, name, layer, lang] = array
             merged = experiment.build_merges(delta_sets, merge_cfgs)
             probes = metrics.probe_batch(model, dataset)
-            reports = experiment.merge_reports(
-                model, probes, [(one, m, 1.0) for one, m in zip(merged, merge_cfgs)], cfg.seed
+            reports = blas.spread(
+                lambda point: experiment.merge_report(model, probes, *point, cfg.seed),
+                [(one, m, 1.0) for one, m in zip(merged, merge_cfgs)],
             )
             reports.append(experiment.mono_report(model, probes, delta_sets[PER_LANGUAGE], 1.0, cfg.seed))
         for index, one in enumerate(merged):
@@ -488,6 +489,32 @@ class TestSpread:
 
         assert blas.spread(work, range(5)) == [0, -1, -2, -3, -4]
         assert callers == {threading.get_ident()}
+
+    def test_without_sched_getaffinity_it_counts_the_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threads = set()
+
+        def work(x):
+            threads.add(threading.get_ident())
+            time.sleep(0.001)
+            return x + 1
+
+        assert blas.spread(work, range(20)) == list(range(1, 21))
+        assert len(threads) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert blas.spread(work, range(20)) == list(range(1, 21))
+
+    def test_without_numpys_thread_setter_starts_no_thread(self, monkeypatch):
+        # quiet is then a no-op, so an item's kernels may already use every core.
+        _cores(monkeypatch, 4)
+        monkeypatch.setattr(blas, "_thread_setter", lambda package: None)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("spread started a thread without numpy's thread setter")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert blas.spread(lambda x: 2 * x, range(6)) == [0, 2, 4, 6, 8, 10]
 
     def test_no_worker_enters_quiet_or_stops_a_pool_outside_the_locked_fallback(
         self, tmp_path, monkeypatch
