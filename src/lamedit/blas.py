@@ -20,9 +20,10 @@ output bit:
   re-creates a stopped pool, so a scope per kernel, or one scope inside
   another, would bring the spinning workers back.
 * :func:`spread` uses the cores that :func:`quiet` leaves idle: it works
-  through independent items (the merges' SVDs, the scoring of each
-  merge or grid point) on the calling thread and one Python worker thread
-  per other core, each running one-thread kernels.  On the same machine, 12
+  through independent items (each delta's SVD in ``delta_factors``, tsvm's
+  polar factors, the scoring of each merge, grid point or mono language) on
+  the calling thread and one Python worker thread per other core, each
+  running one-thread kernels.  On the same machine, 12
   thin ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core
   and 41-49 ms spread over two (medians of 15).  Workers never enter a
   scope and never stop a pool.

@@ -1,17 +1,17 @@
 """Experiment orchestration: configs, the edit/merge/evaluate pipeline, sweeps.
 
-A run starts from a generated benchmark directory (dataset + fitted model),
-computes per-language delta sets once per covariance mode, then merges,
-scales, applies, and scores each configured merge method plus the mono
-baseline, which reads each language's own deltas from the per-language delta
-set.  Sweeps compute the delta sets once and build every grid point's merge
-up front: the scale axis reuses one merge per method, the rank axis slices
-one SVD per delta at each rank ratio.  Every merge (of a run or a grid point)
-and every mono language is then applied and scored from one probe batch built
-on the unedited model (:func:`lamedit.metrics.probe_batch`).  The merges and
-the scoring form one phase in one :func:`lamedit.blas.quiet` scope, and its
-independent items (the merges' SVDs, each score) are spread over the cores
-(:func:`lamedit.blas.spread`); results keep their grid order.
+A run and each sweep axis start from a generated benchmark directory
+(dataset + fitted model) and score a list of ``(merge config, alpha)``
+points through :func:`score_points`: the run's merges at the anchor alpha,
+the scale axis's at each alpha, or the rank axis's tsvm merges at each rank
+ratio.  It computes the per-language delta sets once per covariance mode,
+merges each distinct config once (each tsvm mode's deltas factored once, by
+:func:`lamedit.merging.delta_factors`), and applies and scores every point,
+then the mono baseline (each language edited with its own per-language
+deltas), from one probe batch built on the unedited model
+(:func:`lamedit.metrics.probe_batch`).  The merges and the scoring form one
+phase in one :func:`lamedit.blas.quiet` scope; its independent items (the
+delta SVDs, each score) are spread over the cores (:func:`lamedit.blas.spread`).
 
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
 floats via ``repr``.
@@ -378,20 +378,19 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
 
 
 def build_merges(delta_sets, merge_cfgs):
-    """``merging.merge`` of each of ``merge_cfgs`` on its covariance mode's delta set, in order.
+    """``{config: merging.merge(...)}`` for each distinct config of ``merge_cfgs``.
 
-    A covariance mode that more than one tsvm merge reads (a rank sweep's
-    grid) is factored once (:func:`merging.delta_factors`), and those merges
-    slice its SVDs.  This is thread-count-independent numpy work, run in the
-    merge-and-score phase's :func:`lamedit.blas.quiet` scope.
+    Each config reads its covariance mode's delta set, and each mode that a
+    tsvm config reads is factored once (:func:`merging.delta_factors`) for
+    all of them to slice.  This is thread-count-independent numpy work, run
+    in the merge-and-score phase's :func:`lamedit.blas.quiet` scope.
     """
-    tsvm_modes = [m.cov_mode for m in merge_cfgs if m.base_rule == "tsvm"]
+    cfgs = dict.fromkeys(merge_cfgs)
     factors = {
         mode: merging.delta_factors(delta_sets[mode])
-        for mode in sorted(set(tsvm_modes))
-        if tsvm_modes.count(mode) > 1
+        for mode in sorted({m.cov_mode for m in cfgs if m.base_rule == "tsvm"})
     }
-    return [merging.merge(m, delta_sets[m.cov_mode], factors.get(m.cov_mode)) for m in merge_cfgs]
+    return {m: merging.merge(m, delta_sets[m.cov_mode], factors.get(m.cov_mode)) for m in cfgs}
 
 
 def merge_report(model, probes, merged, merge_cfg, alpha, seed):
@@ -429,22 +428,33 @@ def mono_report(model, probes, delta_set, alpha, seed):
     )
 
 
-def run_experiment(config, dataset, model):
-    """Score every configured merge method (plus mono) at the anchor alpha."""
-    modes = [m.cov_mode for m in config.merges]
-    if config.include_mono:
+def score_points(config, dataset, model, points, include_mono=False):
+    """Reports of each ``(MergeConfig, alpha)`` point in order, then mono at the anchor alpha.
+
+    One merge per distinct config (:func:`build_merges`) and one probe batch
+    serve every point; the points are spread over the cores.
+    """
+    modes = [m.cov_mode for m, _ in points]
+    if include_mono:
         modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
     with blas.quiet():
-        merged = build_merges(delta_sets, config.merges)
+        merged = build_merges(delta_sets, [m for m, _ in points])
         probes = metrics.probe_batch(model, dataset)
-        points = [(merged_one, m, config.alpha) for merged_one, m in zip(merged, config.merges)]
-        reports = blas.spread(lambda point: merge_report(model, probes, *point, config.seed), points)
-        if config.include_mono:
+        reports = blas.spread(
+            lambda point: merge_report(model, probes, merged[point[0]], *point, config.seed), points
+        )
+        if include_mono:
             reports.append(
                 mono_report(model, probes, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
             )
     return reports
+
+
+def run_experiment(config, dataset, model):
+    """Score every configured merge method (plus mono) at the anchor alpha."""
+    points = [(m, config.alpha) for m in config.merges]
+    return score_points(config, dataset, model, points, config.include_mono)
 
 
 # --- sweeps ---
@@ -483,6 +493,7 @@ def sweep(config, dataset, model, axis):
     if axis == "alpha":
         grid = config.alpha_grid
         merge_cfgs = list(config.merges)
+        points = [(m, alpha) for alpha in grid for m in merge_cfgs]
     elif axis == "rank":
         grid = config.rank_grid
         merge_cfgs = [m for m in config.merges if m.base_rule == "tsvm"]
@@ -491,20 +502,10 @@ def sweep(config, dataset, model, axis):
         for rank in grid:
             # Refused before any edit is computed; `run` does not read the grid.
             merging._retained_rank((model.d, model.h), rank)
+        points = [(replace(m, rank_ratio=rank), config.alpha) for rank in grid for m in merge_cfgs]
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
-    modes = [m.cov_mode for m in merge_cfgs]
-    delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
-    with blas.quiet():
-        if axis == "alpha":
-            merged = build_merges(delta_sets, merge_cfgs)
-            points = [(merged_one, m, alpha) for alpha in grid for merged_one, m in zip(merged, merge_cfgs)]
-        else:
-            rank_cfgs = [replace(m, rank_ratio=rank) for rank in grid for m in merge_cfgs]
-            merged = build_merges(delta_sets, rank_cfgs)
-            points = [(merged_one, c, config.alpha) for merged_one, c in zip(merged, rank_cfgs)]
-        probes = metrics.probe_batch(model, dataset)
-        point_reports = blas.spread(lambda point: merge_report(model, probes, *point, config.seed), points)
+    point_reports = score_points(config, dataset, model, points)
 
     results = []
     for idx, m in enumerate(merge_cfgs):

@@ -3,8 +3,9 @@
 Six methods: ``sum``, ``mean``, ``tsvm`` on deltas solved with per-language
 request covariance, and their ``*_cov`` twins which accept only deltas solved
 with the shared (summed over languages) covariance.  The tsvm rule truncates
-each delta by SVD, concatenates factors across languages, re-orthogonalizes
-the stacked factors through their orthogonal polar factor, and reconstructs.
+each delta's SVD (:func:`delta_factors`, the one place a delta is factored),
+concatenates factors across languages, re-orthogonalizes the stacked factors
+through their orthogonal polar factor, and reconstructs.
 """
 
 from __future__ import annotations
@@ -48,14 +49,20 @@ class MergeConfig:
         return self.method.removesuffix("_cov")
 
 
+def _common_shape(shapes):
+    """The one shape every delta has; none, or two different ones, raise ShapeError."""
+    shapes = list(shapes)
+    if not shapes:
+        raise ShapeError("merge needs at least one delta")
+    for shape in shapes:
+        if shape != shapes[0]:
+            raise ShapeError(f"delta shape mismatch: {shape} vs {shapes[0]}")
+    return shapes[0]
+
+
 def _stack(deltas):
     mats = [np.asarray(m, dtype=float) for m in deltas]
-    if not mats:
-        raise ShapeError("merge needs at least one delta")
-    shape = mats[0].shape
-    for m in mats:
-        if m.shape != shape:
-            raise ShapeError(f"delta shape mismatch: {m.shape} vs {shape}")
+    _common_shape(m.shape for m in mats)
     return mats
 
 
@@ -80,9 +87,10 @@ def _svd(matrix):
     ``gesdd`` runs in numpy at the caller's thread count, its bits the same at
     any count; the merge-and-score phase calls it inside
     :func:`lamedit.blas.quiet`, on one thread with numpy's idle workers
-    stopped, from the threads of a :func:`lamedit.blas.spread`.  It fails to
-    converge on some rank-deficient deltas (seen on alphaedit edits at
-    d=128, rank ``n_facts``) that ``gesvd`` factors to machine precision.
+    stopped, from the threads of a :func:`lamedit.blas.spread` (every delta
+    in :func:`delta_factors`, tsvm's polar factors).  It fails to converge
+    on some rank-deficient deltas (seen on alphaedit edits at d=128, rank
+    ``n_facts``) that ``gesvd`` factors to machine precision.
     ``gesvd`` runs in scipy at the default thread count, and scipy's idle
     workers are stopped after it (:func:`lamedit.blas.stop_idle_pool`), both
     under :data:`lamedit.blas.SCIPY_RUN`, so a concurrent fallback never
@@ -138,11 +146,12 @@ def truncate_svd(matrix, rank_ratio):
 def delta_factors(delta_set):
     """Thin SVD of every delta, ``{layer: (u, s, vt) per language}``.
 
-    :func:`merge` slices these at any rank ratio, so a tsvm rank sweep
-    factors each delta once instead of once per grid point.  The SVDs are
-    spread over the cores (:func:`lamedit.blas.spread`).
+    The one place a delta is factored for a merge: :func:`merge_tsvm` slices
+    these at any rank ratio, so each delta is factored once however many
+    tsvm merges read it.  A layer's deltas of unequal shapes raise
+    :class:`ShapeError`; all layers' SVDs form one :func:`lamedit.blas.spread`.
     """
-    per_layer = [delta_set.layer_deltas(layer) for layer in delta_set.layers]
+    per_layer = [_stack(delta_set.layer_deltas(layer)) for layer in delta_set.layers]
     svds = iter(blas.spread(_svd, [m for deltas in per_layer for m in deltas]))
     return {layer: tuple(next(svds) for _ in deltas) for layer, deltas in zip(delta_set.layers, per_layer)}
 
@@ -153,21 +162,18 @@ def _orthogonal_polar_factor(matrix):
     return u @ vt
 
 
-def merge_tsvm(deltas, rank_ratio, factors=None):
+def merge_tsvm(factors, rank_ratio):
     """Truncate, concatenate across languages, re-orthogonalize, reconstruct.
 
-    Left factors concatenate column-wise and right factors row-wise, with the
-    retained singular values forming a block diagonal; both stacked factors
-    are replaced by their orthogonal polar factor before reconstruction.  An
+    ``factors`` are one layer's thin SVDs ``(u, s, vt)`` in language order
+    (:func:`delta_factors`).  Left factors concatenate column-wise and right
+    factors row-wise, with the retained singular values forming a block
+    diagonal; both stacked factors are replaced by their orthogonal polar
+    factor (the two spread over the cores) before reconstruction.  An
     over-complete concatenation (m * k exceeding min(d, h)) is allowed.
-    ``factors``, the thin SVDs of ``deltas`` in order, are sliced when given
-    instead of factoring each delta again.  The deltas' SVDs, and the two
-    polar factors, are spread over the cores (:func:`lamedit.blas.spread`).
     """
-    mats = _stack(deltas)
-    k = _retained_rank(mats[0].shape, rank_ratio)
-    if factors is None:
-        factors = blas.spread(_svd, mats)
+    shape = _common_shape((u.shape[0], vt.shape[1]) for u, _, vt in factors)
+    k = _retained_rank(shape, rank_ratio)
     lefts, sigmas, rights = zip(*(_truncate(f, k) for f in factors))
     left_cat = np.hstack(lefts)
     sigma_cat = np.concatenate(sigmas)
@@ -181,8 +187,8 @@ def merge(config, delta_set, factors=None):
 
     The delta set's covariance mode must match the method suffix: the plain
     rules take per-language-covariance deltas, the ``*_cov`` rules take
-    shared-covariance deltas.  The tsvm rules slice ``factors`` (from
-    :func:`delta_factors` on the same delta set) when given.
+    shared-covariance deltas.  The tsvm rules slice ``factors``, the delta
+    set's :func:`delta_factors`, computed here when not given.
 
     Returns
     -------
@@ -194,14 +200,9 @@ def merge(config, delta_set, factors=None):
             f"got {delta_set.cov_mode!r}"
         )
     if config.base_rule == "tsvm":
-        return {
-            layer: merge_tsvm(
-                delta_set.layer_deltas(layer),
-                config.rank_ratio,
-                factors=None if factors is None else factors[layer],
-            )
-            for layer in delta_set.layers
-        }
+        if factors is None:
+            factors = delta_factors(delta_set)
+        return {layer: merge_tsvm(factors[layer], config.rank_ratio) for layer in delta_set.layers}
     rule = merge_sum if config.base_rule == "sum" else merge_mean
     return {layer: rule(delta_set.layer_deltas(layer)) for layer in delta_set.layers}
 

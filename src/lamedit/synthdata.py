@@ -264,19 +264,13 @@ def _all_fact_inputs(dataset):
 def _recall_stats(model, prefix, dataset):
     """Old-token recall for edited and preserved facts, pooled over languages.
 
-    ``prefix`` holds :func:`_all_fact_inputs`; each language's columns are
-    scored on their own, so the score matrix stays one language wide.
+    ``prefix`` holds :func:`_all_fact_inputs`, scored as one batch.
     """
     n, width = dataset.n_facts, dataset.n_facts + dataset.n_preserved
-    req_hits = 0
-    pres_hits = 0
-    for i in range(dataset.m_languages):
-        pred = model_core.predict_batch(model, prefix.columns(i * width, (i + 1) * width))
-        req_hits += int(np.sum(pred[:n] == dataset.old_tokens))
-        pres_hits += int(np.sum(pred[n:] == dataset.preserved_tokens))
-    req_total = dataset.m_languages * dataset.n_facts
-    pres_total = dataset.m_languages * dataset.n_preserved
-    return req_hits / req_total, pres_hits / pres_total
+    pred = model_core.predict_batch(model, prefix).reshape(dataset.m_languages, width)
+    req_hits = int(np.sum(pred[:, :n] == dataset.old_tokens))
+    pres_hits = int(np.sum(pred[:, n:] == dataset.preserved_tokens))
+    return req_hits / (dataset.m_languages * n), pres_hits / (dataset.m_languages * dataset.n_preserved)
 
 
 def _init_codebook(model, prefix, tokens, dataset, rng):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lamedit import cli, experiment, metrics
-from lamedit.merging import apply_update, merge, merge_mean, merge_sum, merge_tsvm, truncate_svd
+from lamedit.merging import _svd, apply_update, merge, merge_mean, merge_sum, merge_tsvm, truncate_svd
 from lamedit.solvers import nullspace_projector, solve_alphaedit, solve_memit
 
 from test_solvers import descend_edit_objective, edit_objective, random_instance
@@ -92,7 +92,7 @@ def test_criterion_3_merge_identities(acceptance_log):
     mean = merge_mean(mats)
     mean_err = np.max(np.abs(mean - total / 5)) / max(np.max(np.abs(mean)), 1e-300)
     single = rng.standard_normal((12, 16))
-    tsvm_err = np.linalg.norm(merge_tsvm([single], 1.0) - single) / np.linalg.norm(single)
+    tsvm_err = np.linalg.norm(merge_tsvm([_svd(single)], 1.0) - single) / np.linalg.norm(single)
     # Orthonormality of the stacked factors in a non-overcomplete setting.
     d, h, m_langs, ratio = 12, 16, 3, 0.25
     k = int(np.floor(ratio * d))

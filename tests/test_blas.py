@@ -344,54 +344,65 @@ def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
 
 def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
     # h=256 is the shape where a thread-sensitive kernel changes bits (README,
-    # Determinism); everything else is shrunk to keep this fast.  The scoped
-    # run spreads its merges and scores over two cores, the other runs them
-    # on one core at the default count.
+    # Determinism); everything else is shrunk to keep this fast.  Both runs
+    # go through the CLI's merge-and-score function: the scoped run spreads
+    # its merges and scores over two cores, the other runs them on one core
+    # at the default count.  Spies record every delta, SVD and merge.
     cfg = synthdata.GenConfig(
         n_facts=8, m_languages=2, d=128, h=256, n_preserved=32, vocab_size=32, seed=5
     )
+    config = experiment.ExperimentConfig(
+        seed=cfg.seed, dataset=cfg, solver=experiment.SolverSettings(method="alphaedit")
+    )
+    points = [(m, 1.0) for m in (*experiment.default_merges(), MergeConfig("tsvm", rank_ratio=0.125))]
+    real_edit, real_factors, real_build = solvers.edit_model, merging.delta_factors, experiment.build_merges
 
     def pipeline():
         dataset = synthdata.generate_dataset(cfg)
         model, _ = synthdata.fit_initial_model(cfg, dataset)
-        preserved = solvers.preserved_terms(model, dataset.preserved_inputs_all(), "alphaedit")
-        requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
         arrays = {
             "transforms": dataset.transforms,
             "hop_transform": dataset.hop_transform,
             "codebook": model.codebook,
             **{f"w_out{i}": layer.w_out for i, layer in enumerate(model.layers)},
         }
-        delta_sets = {}
-        for mode in (PER_LANGUAGE, SHARED):
-            delta_set = delta_sets[mode] = solvers.edit_model(
-                model, requests, preserved, solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=mode
-            )
+
+        def edit_model(*args, cov_mode, **kwargs):
+            delta_set = real_edit(*args, cov_mode=cov_mode, **kwargs)
             for key, delta in delta_set.entries.items():
-                arrays[mode, "delta", key] = delta
-        merge_cfgs = [*experiment.default_merges(), MergeConfig("tsvm", rank_ratio=0.125)]
-        with blas.quiet():
-            for mode, delta_set in delta_sets.items():
-                factors = merging.delta_factors(delta_set)
-                for layer, svds in factors.items():
-                    for lang, svd in zip(delta_set.language_ids, svds):
-                        for name, array in zip("usv", svd):
-                            arrays[mode, name, layer, lang] = array
-            merged = experiment.build_merges(delta_sets, merge_cfgs)
-            probes = metrics.probe_batch(model, dataset)
-            reports = blas.spread(
-                lambda point: experiment.merge_report(model, probes, *point, cfg.seed),
-                [(one, m, 1.0) for one, m in zip(merged, merge_cfgs)],
-            )
-            reports.append(experiment.mono_report(model, probes, delta_sets[PER_LANGUAGE], 1.0, cfg.seed))
-        for index, one in enumerate(merged):
-            for layer, array in one.items():
-                arrays["merged", index, layer] = array
+                arrays[cov_mode, "delta", key] = delta
+            return delta_set
+
+        def delta_factors(delta_set):
+            factors = real_factors(delta_set)
+            for layer, svds in factors.items():
+                for lang, svd in zip(delta_set.language_ids, svds):
+                    for name, array in zip("usv", svd):
+                        arrays[delta_set.cov_mode, name, layer, lang] = array
+            return factors
+
+        def build_merges(delta_sets, merge_cfgs):
+            merged = real_build(delta_sets, merge_cfgs)
+            for index, one in enumerate(merged.values()):
+                for layer, array in one.items():
+                    arrays["merged", index, layer] = array
+            return merged
+
+        monkeypatch.setattr(solvers, "edit_model", edit_model)
+        monkeypatch.setattr(merging, "delta_factors", delta_factors)
+        monkeypatch.setattr(experiment, "build_merges", build_merges)
+        reports = experiment.score_points(config, dataset, model, points, include_mono=True)
         return arrays, reports
 
     _cores(monkeypatch, 2)
     scoped, scoped_reports = pipeline()
     assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
+    # Every spy saw its calls: deltas and SVDs of both modes, and each merge.
+    assert {(key[0], key[1]) for key in scoped if len(key) == 3 and key[1] == "delta"} == {
+        (PER_LANGUAGE, "delta"), (SHARED, "delta")
+    }
+    assert {key[0] for key in scoped if len(key) == 4} == {PER_LANGUAGE, SHARED}
+    assert len({key[1] for key in scoped if key[0] == "merged"}) == len(points)
     monkeypatch.setattr(blas, "quiet", contextlib.nullcontext)
     _cores(monkeypatch, 1)
     unscoped, unscoped_reports = pipeline()

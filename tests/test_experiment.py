@@ -938,7 +938,9 @@ class TestSweepCommand:
             fresh = experiment.run_experiment(replace(config, merges=merges), dataset, model)
             assert point_reports[i * n : (i + 1) * n] == fresh
 
-    def test_rank_sweep_factors_each_delta_once(self, tiny_setup, monkeypatch):
+    @pytest.mark.parametrize("axis", [None, "alpha", "rank"], ids=["run", "alpha", "rank"])
+    def test_each_delta_factored_once(self, tiny_setup, monkeypatch, axis):
+        # A run, and either sweep axis, factors each delta of a tsvm mode once.
         config_path, bench_dir, _ = tiny_setup
         config = experiment.load_config(config_path)
         dataset, model, _ = experiment.load_benchmark(bench_dir, config)
@@ -952,7 +954,10 @@ class TestSweepCommand:
             return original(matrix)
 
         monkeypatch.setattr(merging, "_svd", counting_svd)
-        experiment.sweep(config, dataset, model, "rank")
+        if axis is None:
+            experiment.run_experiment(config, dataset, model)
+        else:
+            experiment.sweep(config, dataset, model, axis)
         # Per-delta SVDs, told apart from the polar-factor SVDs by their input.
         per_delta = Counter(
             (mode, key)

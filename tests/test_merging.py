@@ -9,6 +9,7 @@ from lamedit.errors import ConfigError, RankRatioError, ShapeError
 from lamedit.merging import (
     MergeConfig,
     _retained_rank,
+    _svd,
     apply_update,
     merge,
     merge_mean,
@@ -41,6 +42,11 @@ def reference_tsvm(mats, ratio, svd=np.linalg.svd):
     pu, _, qu = svd(left_cat, full_matrices=False)
     pv, _, qv = svd(right_cat, full_matrices=False)
     return ((pu @ qu) * sigma_cat) @ (pv @ qv)
+
+
+def tsvm_of(mats, ratio):
+    """``merge_tsvm`` of one layer's deltas, each factored by the merge's own SVD."""
+    return merge_tsvm([_svd(m) for m in mats], ratio)
 
 
 def delta_set_from(mats, cov_mode=PER_LANGUAGE, layer=2):
@@ -84,8 +90,15 @@ class TestSumAndMean:
         assert np.allclose(merge_mean([m, m, m]), m, rtol=1e-15, atol=0)
 
     def test_shape_mismatch_rejected(self):
+        mats = [np.zeros((4, 6)), np.zeros((4, 5))]
         with pytest.raises(ShapeError):
-            merge_sum([np.zeros((4, 6)), np.zeros((4, 5))])
+            merge_sum(mats)
+        with pytest.raises(ShapeError):
+            tsvm_of(mats, 0.5)
+        for method in ("tsvm", "tsvm_cov"):
+            cfg = MergeConfig(method, rank_ratio=0.5)
+            with pytest.raises(ShapeError):
+                merge(cfg, delta_set_from(mats, cov_mode=cfg.cov_mode))
 
     def test_sum_mean_commute_under_reordering(self):
         rng = np.random.default_rng(5)
@@ -143,21 +156,21 @@ class TestTsvm:
         rng = np.random.default_rng(10)
         for shape in ((6, 6), (6, 10)):
             m = rng.standard_normal(shape)
-            merged = merge_tsvm([m], 1.0)
+            merged = tsvm_of([m], 1.0)
             assert np.linalg.norm(merged - m) <= 1e-6 * np.linalg.norm(m)
 
     def test_zero_second_task_matches_reference(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((8, 8))
         mats = [a, np.zeros((8, 8))]
-        merged = merge_tsvm(mats, 0.25)
+        merged = tsvm_of(mats, 0.25)
         expected = reference_tsvm(mats, 0.25)
         assert np.linalg.norm(merged - expected) <= 1e-8 * max(np.linalg.norm(expected), 1e-12)
 
     def test_matches_scripted_reference(self):
         rng = np.random.default_rng(12)
         mats = [rng.standard_normal((8, 8)) for _ in range(2)]
-        merged = merge_tsvm(mats, 0.5)
+        merged = tsvm_of(mats, 0.5)
         expected = reference_tsvm(mats, 0.5)
         assert np.linalg.norm(merged - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -186,8 +199,8 @@ class TestTsvm:
     def test_permutation_sensitivity_measured(self):
         rng = np.random.default_rng(14)
         mats = [rng.standard_normal((6, 8)) for _ in range(3)]
-        base = merge_tsvm(mats, 0.5)
-        permuted = merge_tsvm([mats[2], mats[0], mats[1]], 0.5)
+        base = tsvm_of(mats, 0.5)
+        permuted = tsvm_of([mats[2], mats[0], mats[1]], 0.5)
         sensitivity = np.linalg.norm(base - permuted) / np.linalg.norm(base)
         assert np.isfinite(sensitivity)
         print(f"tsvm language-order sensitivity (relative frobenius): {sensitivity:.3e}")
@@ -208,9 +221,9 @@ class TestTsvm:
         gu, gs, gvt = gesvd(mats[0])
         assert np.array_equal(u, gu[:, :4]) and np.array_equal(s, gs[:4])
         assert np.array_equal(vt, gvt[:4, :])
-        assert np.array_equal(merge_tsvm(mats, 0.5), expected_merge)
+        assert np.array_equal(tsvm_of(mats, 0.5), expected_merge)
         # criterion 3's tsvm identity: one full-rank delta at ratio 1 is kept.
-        identity = merge_tsvm([single], 1.0)
+        identity = tsvm_of([single], 1.0)
         assert np.linalg.norm(identity - single) <= 1e-6 * np.linalg.norm(single)
         assert len(failures) == 1 + 5 + 3  # truncate_svd, two tsvm merges' SVDs
 
@@ -249,7 +262,7 @@ class TestMergeIdentities:
             for i in range(m)
         ]
         expected = merge_sum(mats)
-        err = np.linalg.norm(merge_tsvm(mats, r / d) - expected) / np.linalg.norm(expected)
+        err = np.linalg.norm(tsvm_of(mats, r / d) - expected) / np.linalg.norm(expected)
         assert err <= 1e-10
 
     def test_ratio_r_over_d_retains_r(self):
