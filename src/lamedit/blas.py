@@ -13,12 +13,13 @@ output bit:
   and restores numpy's count on exit.  At the matrix sizes here most kernels
   gain nothing from a second BLAS thread and lose time to waking it: on a
   shared 2-core Xeon, 36 thin ``gesdd`` SVDs of rank-64 128x256 matrices
-  took 0.37 s on two threads and 0.20 s on one (medians of 7).  Each phase
-  enters it once, never inside another scope: set-up's rotations, the
-  backbone fit, alphaedit's whole edit loop, and a command's whole
-  merge-and-score phase.  Setting the count at all, even from 1 to 1,
-  re-creates a stopped pool, so a scope per kernel, or one scope inside
-  another, would bring the spinning workers back.
+  took 0.37 s on two threads and 0.20 s on one (medians of 7).  Only
+  ``lamedit.experiment`` enters it, once per phase and never inside another
+  scope: set-up (the rotations and the backbone fit), alphaedit's edit
+  loops of every covariance mode, and a command's whole merge-and-score
+  phase.  Setting the count at all, even from 1 to 1, re-creates a stopped
+  pool, so a scope per kernel, or one scope inside another, would bring the
+  spinning workers back.
 * :func:`spread` uses the cores that :func:`quiet` leaves idle: it works
   through independent items (each delta's SVD in ``delta_factors``, tsvm's
   polar factors, the scoring of each merge, grid point or mono language) on
@@ -27,13 +28,12 @@ output bit:
   thin ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core
   and 41-49 ms spread over two (medians of 15).  Workers never enter a
   scope and never stop a pool.
-* :func:`stop_idle_pool` stops one library's idle workers, for a run of
-  scipy calls at the default count inside a :func:`quiet` scope: alphaedit's
-  solves and the ``gesvd`` fallback each end with scipy's pool stopped, so
-  its workers do not take the cores from numpy's next kernel.  A run of
-  scipy calls inside a :func:`spread` item holds :data:`SCIPY_RUN` through
-  the run and its stop, so two items never stop scipy's pool under each
-  other.
+* :func:`stop_idle_pool` stops one library's idle workers, after a run of
+  scipy calls at the default count: alphaedit's solves and the ``gesvd``
+  fallback each end with scipy's pool stopped, so its workers do not take
+  the cores from numpy's next kernel.  A run of scipy calls inside a
+  :func:`spread` item holds :data:`SCIPY_RUN` through the run and its stop,
+  so two items never stop scipy's pool under each other.
 
 Pools are stopped through OpenBLAS's ``blas_thread_shutdown_``.  Stopping a
 pool changes no bit of any kernel: the library's next threaded call

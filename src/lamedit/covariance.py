@@ -36,9 +36,9 @@ def cov_per_language(keys):
 def cov_shared(keys):
     """Second moment summed over several languages' key batches.
 
-    The batches are summed in the order given, onto zeros, and the sum is
-    symmetrised once more; callers fix the order (ascending language id) so
-    the result is bit-reproducible.
+    The batches are summed in the order given, onto zeros; callers fix the
+    order (ascending language id) so the result is bit-reproducible.  Each
+    term is exactly symmetric, so the sum is too.
     """
     keys = list(keys)
     if not keys:
@@ -47,7 +47,7 @@ def cov_shared(keys):
     total = np.zeros((h, h))
     for batch in keys:
         total += cov_per_language(batch)
-    return 0.5 * (total + total.T)
+    return total
 
 
 def preserved_keys(model, preserved_inputs):

@@ -13,12 +13,17 @@ deltas), from one probe batch built on the unedited model
 phase in one :func:`lamedit.blas.quiet` scope; its independent items (the
 delta SVDs, each score) are spread over the cores (:func:`lamedit.blas.spread`).
 
+Only this module enters :func:`lamedit.blas.quiet`, once for each of set-up
+(:func:`write_benchmark`), alphaedit's edits (:func:`compute_delta_sets`) and
+that phase; a library caller that skips it gets the same bits, only slower.
+
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
 floats via ``repr``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -256,7 +261,10 @@ def write_benchmark(config, out_dir, force=False):
     manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     if os.path.exists(manifest_path) and not force:
         raise ConfigError(f"{out_dir} already holds a benchmark; pass --force to overwrite")
-    dataset, model, info = synthdata.build_benchmark(config.dataset)
+    # The rotations' QR and the fit's matmuls give the same bits on one thread;
+    # scipy's logm, expm and solve_memit's Cholesky run at scipy's default count.
+    with blas.quiet():
+        dataset, model, info = synthdata.build_benchmark(config.dataset)
     container.save_dataset(os.path.join(out_dir, DATASET_FILE), dataset)
     container.save_model(os.path.join(out_dir, MODEL_FILE), model)
     manifest = {
@@ -363,18 +371,22 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
                 EmptyNullSpaceWarning,
             )
     requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
-    return {
-        mode: solvers.edit_model(
-            model,
-            requests,
-            preserved,
-            solver.lam,
-            method=solver.method,
-            cov_mode=mode,
-            cond_limit=solver.cond_limit,
-        )
-        for mode in sorted(set(cov_modes))
-    }
+    # alphaedit's edits of every mode in one scope, after preserved_terms (its eigh
+    # stays at the default count); memit's loops invert in numpy, so run unscoped.
+    scope = blas.quiet() if solver.method == solvers.METHOD_ALPHAEDIT else contextlib.nullcontext()
+    with scope:
+        return {
+            mode: solvers.edit_model(
+                model,
+                requests,
+                preserved,
+                solver.lam,
+                method=solver.method,
+                cov_mode=mode,
+                cond_limit=solver.cond_limit,
+            )
+            for mode in sorted(set(cov_modes))
+        }
 
 
 def build_merges(delta_sets, merge_cfgs):

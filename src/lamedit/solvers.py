@@ -35,12 +35,12 @@ phases, with one switch into the solving library and one back:
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
 
-alphaedit's whole layer loop runs inside :func:`lamedit.blas.quiet`: numpy
-needs no worker in any phase, so its pool is stopped once, before the first
-layer, and each phase 2 ends in a :func:`lamedit.blas.stop_idle_pool` of
-scipy's, so scipy's idle workers do not take the cores from numpy's next
+alphaedit's phases need no numpy worker, so its caller may run the whole
+layer loop in :func:`lamedit.blas.quiet` (``experiment.compute_delta_sets``
+does), and each of its phase 2 ends in a :func:`lamedit.blas.stop_idle_pool`
+of scipy's, so scipy's idle workers do not take the cores from numpy's next
 calls.  Neither changes a bit.  memit's phase 2 inverts in numpy at the
-default count, so its loop enters no scope and keeps numpy's workers.
+default count, so its loop runs in no scope.
 
 memit systems stay in numpy throughout: a Cholesky check, one explicit
 inverse per system, its exact 1-norm condition number and a matmul per
@@ -53,7 +53,6 @@ right-hand side with the same helpers as ``edit_model``.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import warnings
 from dataclasses import dataclass
@@ -393,9 +392,9 @@ def edit_model(
     docstring): numpy forms the systems and right-hand sides, the method's
     library factors, checks and solves them back to back at the default
     thread count, and numpy stores the deltas and updates the working
-    copies.  alphaedit's loop runs with numpy on one thread and its idle
-    workers stopped throughout (:func:`lamedit.blas.quiet`), and scipy's
-    stopped after each solve run; neither changes a bit.
+    copies.  alphaedit's scipy pool is stopped after each solve run, which
+    changes no bit.  An alphaedit call may run in :func:`lamedit.blas.quiet`;
+    a memit call may not, since its phase 2 inverts in numpy.
 
     Parameters
     ----------
@@ -429,57 +428,51 @@ def edit_model(
     if any(prep.prefix.base is not model for prep in prepared):
         raise ShapeError("a RequestPrefix was computed on another model")
 
-    if method == METHOD_MEMIT:
-        factor, scope = _memit_inverse, contextlib.nullcontext
-    else:
-        factor, scope = _alphaedit_lu, blas.quiet
+    factor = _memit_inverse if method == METHOD_MEMIT else _alphaedit_lu
     entries = {}
     working = {lang: model for lang in language_ids}
-    with scope():
-        for layer in model.edit_layers:
-            term = preserved[layer]
-            projector = term.projector if method == METHOD_ALPHAEDIT else None
-            # Phase 1, numpy: each language's keys and right-hand side, then
-            # every distinct system at this layer with its 1-norm and the
-            # indices of the right-hand sides it solves.
-            layer_keys = []
-            rhs = []
-            for prep in prepared:
-                copy = working[prep.language_id]
-                if layer == prep.prefix.layer:
-                    keys, targets = prep.prefix.key, prep.targets
-                else:
-                    keys, targets = model_core.keys_and_targets(
-                        copy, prep.prefix, prep.requests.new_tokens, layer
-                    )
-                layer_keys.append(keys)
-                rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
-            if cov_mode == SHARED:
-                count = sum(keys.shape[1] for keys in layer_keys)
-                shared = cov_mod.cov_shared(layer_keys)
-                systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
+    for layer in model.edit_layers:
+        term = preserved[layer]
+        projector = term.projector if method == METHOD_ALPHAEDIT else None
+        # Phase 1, numpy: each language's keys and right-hand side, then
+        # every distinct system at this layer with its 1-norm and the
+        # indices of the right-hand sides it solves.
+        layer_keys = []
+        rhs = []
+        for prep in prepared:
+            copy = working[prep.language_id]
+            if layer == prep.prefix.layer:
+                keys, targets = prep.prefix.key, prep.targets
             else:
-                systems = [
-                    (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
-                    for i, keys in enumerate(layer_keys)
-                ]
-            # Phase 2, the method's library: factor and check each system and
-            # solve its right-hand sides, all back to back, one factor at a time.
-            # alphaedit's run is in scipy, whose idle workers are stopped after it.
-            deltas = [None] * len(rhs)
-            try:
-                for matrix, norm, users in systems:
-                    solve = factor(matrix, norm, cond_limit)
-                    for i in users:
-                        deltas[i] = solve(rhs[i]).T
-            finally:
-                if method == METHOD_ALPHAEDIT:
-                    blas.stop_idle_pool("scipy")
-            # Phase 3, numpy: store the deltas and move each working copy on.
-            for lang, delta in zip(language_ids, deltas):
-                entries[(layer, lang)] = delta
-                w_out = working[lang].layer(layer).w_out
-                working[lang] = working[lang].with_w_out(layer, w_out + delta)
+                keys, targets = model_core.keys_and_targets(copy, prep.prefix, prep.requests.new_tokens, layer)
+            layer_keys.append(keys)
+            rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
+        if cov_mode == SHARED:
+            count = sum(keys.shape[1] for keys in layer_keys)
+            shared = cov_mod.cov_shared(layer_keys)
+            systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
+        else:
+            systems = [
+                (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
+                for i, keys in enumerate(layer_keys)
+            ]
+        # Phase 2, the method's library: factor and check each system and
+        # solve its right-hand sides, all back to back, one factor at a time.
+        # alphaedit's run is in scipy, whose idle workers are stopped after it.
+        deltas = [None] * len(rhs)
+        try:
+            for matrix, norm, users in systems:
+                solve = factor(matrix, norm, cond_limit)
+                for i in users:
+                    deltas[i] = solve(rhs[i]).T
+        finally:
+            if method == METHOD_ALPHAEDIT:
+                blas.stop_idle_pool("scipy")
+        # Phase 3, numpy: store the deltas and move each working copy on.
+        for lang, delta in zip(language_ids, deltas):
+            entries[(layer, lang)] = delta
+            w_out = working[lang].layer(layer).w_out
+            working[lang] = working[lang].with_w_out(layer, w_out + delta)
 
     return DeltaSet(
         cov_mode=cov_mode,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from . import blas
 from . import covariance as cov_mod
 from . import model as model_core
 from .errors import ConfigError, FitError
@@ -222,15 +221,12 @@ def generate_dataset(cfg):
     preserved_tokens = preserved_pool[np.arange(p) % preserved_pool.size].astype(np.int64)
 
     rng_transforms = np.random.default_rng([cfg.seed, STREAM_TRANSFORMS])
-    # numpy's QR and determinant sign give the same bits on one thread as on
-    # two; scipy's logm (a Schur form) and expm run at scipy's default count.
-    with blas.quiet():
-        shared = _random_rotation(rng_transforms, d)
-        transforms = np.empty((m, d, d))
-        for i in range(m):
-            independent = _random_rotation(rng_transforms, d)
-            transforms[i] = _geodesic(shared, independent, 1.0 - cfg.overlap)
-        hop_transform = _geodesic(np.eye(d), _random_rotation(rng_transforms, d), HOP_BLEND)
+    shared = _random_rotation(rng_transforms, d)
+    transforms = np.empty((m, d, d))
+    for i in range(m):
+        independent = _random_rotation(rng_transforms, d)
+        transforms[i] = _geodesic(shared, independent, 1.0 - cfg.overlap)
+    hop_transform = _geodesic(np.eye(d), _random_rotation(rng_transforms, d), HOP_BLEND)
 
     rng_noise = np.random.default_rng([cfg.seed, STREAM_NOISE])
     rephrase_offsets = rng_noise.standard_normal((m, d, n)) * (cfg.rephrase_noise / np.sqrt(d))
@@ -325,37 +321,33 @@ def fit_initial_model(cfg, dataset):
     Returns ``(model, (request_recall, preserved_recall))``: the recall is
     that of the last pass, computed once on the returned model.
     """
-    # numpy's library only: the fit's matmuls and QR give the same bits on one
-    # thread as on several; solve_memit's Cholesky factor in scipy does not,
-    # and runs at scipy's default count.
-    with blas.quiet():
-        rng = np.random.default_rng([cfg.seed, STREAM_MODEL])
-        layers = []
-        for _ in range(cfg.n_layers):
-            w_in = rng.standard_normal((cfg.h, cfg.d)) / np.sqrt(cfg.d)
-            w_out = rng.standard_normal((cfg.d, cfg.h)) * (FIT_W_OUT_SCALE / np.sqrt(cfg.h))
-            layers.append(model_core.LamLayer(w_in, w_out))
-        seed_model = model_core.ToyModel(
-            layers=tuple(layers),
-            codebook=_unit_columns(rng.standard_normal((cfg.d, cfg.vocab_size))),
-            edit_layers=cfg.edit_layers,
-        )
-        inputs, tokens = _all_fact_inputs(dataset)
-        prefix = model_core.compute_prefix(seed_model, inputs)
-        model = replace(seed_model, codebook=_init_codebook(seed_model, prefix, tokens, dataset, rng))
-        identity = np.eye(cfg.h)
-        history = []
-        for pass_idx in range(FIT_MAX_PASSES):
-            for layer in cfg.edit_layers:
-                keys, targets = model_core.keys_and_targets(model, prefix, tokens, layer)
-                cov_request = cov_mod.cov_per_language(keys)
-                ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
-                delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)
-                model = model.with_w_out(layer, model.layer(layer).w_out + delta)
-            recall = _recall_stats(model, prefix, dataset)
-            history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
-            if min(recall) >= FIT_STOP_AT:
-                break
+    rng = np.random.default_rng([cfg.seed, STREAM_MODEL])
+    layers = []
+    for _ in range(cfg.n_layers):
+        w_in = rng.standard_normal((cfg.h, cfg.d)) / np.sqrt(cfg.d)
+        w_out = rng.standard_normal((cfg.d, cfg.h)) * (FIT_W_OUT_SCALE / np.sqrt(cfg.h))
+        layers.append(model_core.LamLayer(w_in, w_out))
+    seed_model = model_core.ToyModel(
+        layers=tuple(layers),
+        codebook=_unit_columns(rng.standard_normal((cfg.d, cfg.vocab_size))),
+        edit_layers=cfg.edit_layers,
+    )
+    inputs, tokens = _all_fact_inputs(dataset)
+    prefix = model_core.compute_prefix(seed_model, inputs)
+    model = replace(seed_model, codebook=_init_codebook(seed_model, prefix, tokens, dataset, rng))
+    identity = np.eye(cfg.h)
+    history = []
+    for pass_idx in range(FIT_MAX_PASSES):
+        for layer in cfg.edit_layers:
+            keys, targets = model_core.keys_and_targets(model, prefix, tokens, layer)
+            cov_request = cov_mod.cov_per_language(keys)
+            ridge = FIT_RIDGE * np.trace(cov_request) / cfg.h
+            delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)
+            model = model.with_w_out(layer, model.layer(layer).w_out + delta)
+        recall = _recall_stats(model, prefix, dataset)
+        history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
+        if min(recall) >= FIT_STOP_AT:
+            break
     req_recall, pres_recall = recall
     if min(recall) < FIT_FLOOR:
         raise FitError(

@@ -185,22 +185,25 @@ def _numpy_setter_calls(monkeypatch):
 @pytest.mark.parametrize(
     "command, entries",
     [
+        # Set-up: the rotations and the backbone fit, in one phase.
+        (["generate"], 1),
         # The merge phase; memit's edit loop enters no scope.
         (["run"], 1),
-        # alphaedit's edit loop, once per covariance mode, then the merge phase.
-        (["run", "--method", "alphaedit"], 2 + 1),
+        # alphaedit's edit loops, both covariance modes in one phase, then the merge phase.
+        (["run", "--method", "alphaedit"], 1 + 1),
         # The merge phase, holding every grid point's merges.
         (["sweep", "--axis", "alpha"], 1),
         (["sweep", "--axis", "rank"], 1),
     ],
-    ids=["run", "run-alphaedit", "sweep-alpha", "sweep-rank"],
+    ids=["generate", "run", "run-alphaedit", "sweep-alpha", "sweep-rank"],
 )
 def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command, entries):
     # Every scope sets numpy's count once on entry and once on exit.  A
     # scope per merge or per SVD (10 per tsvm merge here) would show here.
     config_path, bench_dir, tmp = tiny_setup
     calls = _numpy_setter_calls(monkeypatch)
-    argv = [command[0], config_path, "--dataset", bench_dir, "--out", str(tmp / "-".join(command)), *command[1:]]
+    dataset = [] if command[0] == "generate" else ["--dataset", bench_dir]
+    argv = [command[0], config_path, *dataset, "--out", str(tmp / "-".join(command)), *command[1:]]
     assert cli.main(argv) == 0
     assert len(calls) == 2 * entries
 
@@ -335,19 +338,21 @@ def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
         ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "rank"],
     ):
         assert cli.main(argv) == 0
-    # Set-up's two phases, alphaedit's two edit loops and four merge phases.
-    assert nested == [False] * 8
+    # Set-up, alphaedit's edit loops and four merge phases, one scope each.
+    assert nested == [False] * 6
     # Every spied kernel was reached, so the guard watched real calls.
     assert {name for name, _ in calls} == set(SENSITIVE)
     assert [name for name, inside in calls if inside] == []
 
 
-def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
+def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
     # h=256 is the shape where a thread-sensitive kernel changes bits (README,
     # Determinism); everything else is shrunk to keep this fast.  Both runs
-    # go through the CLI's merge-and-score function: the scoped run spreads
-    # its merges and scores over two cores, the other runs them on one core
-    # at the default count.  Spies record every delta, SVD and merge.
+    # go through the CLI's set-up and merge-and-score functions: the scoped
+    # run spreads its merges and scores over two cores, the other runs them
+    # on one core at the default count, with no scope anywhere.  Spies
+    # record every delta, SVD and merge, and the scope depth at set-up and
+    # at each edit_model call.
     cfg = synthdata.GenConfig(
         n_facts=8, m_languages=2, d=128, h=256, n_preserved=32, vocab_size=32, seed=5
     )
@@ -356,10 +361,27 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
     )
     points = [(m, 1.0) for m in (*experiment.default_merges(), MergeConfig("tsvm", rank_ratio=0.125))]
     real_edit, real_factors, real_build = solvers.edit_model, merging.delta_factors, experiment.build_merges
+    real_setup, real_quiet = synthdata.build_benchmark, blas.quiet
+    depth = [0]
 
-    def pipeline():
-        dataset = synthdata.generate_dataset(cfg)
-        model, _ = synthdata.fit_initial_model(cfg, dataset)
+    @contextlib.contextmanager
+    def tracked_quiet():
+        with real_quiet():
+            depth[0] += 1
+            try:
+                yield
+            finally:
+                depth[0] -= 1
+
+    def pipeline(bench_dir):
+        depths = []
+
+        def build_benchmark(gen_config):
+            depths.append(("set-up", depth[0]))
+            return real_setup(gen_config)
+
+        monkeypatch.setattr(synthdata, "build_benchmark", build_benchmark)
+        dataset, model, _ = experiment.write_benchmark(config, str(bench_dir))
         arrays = {
             "transforms": dataset.transforms,
             "hop_transform": dataset.hop_transform,
@@ -368,6 +390,7 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
         }
 
         def edit_model(*args, cov_mode, **kwargs):
+            depths.append((cov_mode, depth[0]))
             delta_set = real_edit(*args, cov_mode=cov_mode, **kwargs)
             for key, delta in delta_set.entries.items():
                 arrays[cov_mode, "delta", key] = delta
@@ -392,10 +415,14 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
         monkeypatch.setattr(merging, "delta_factors", delta_factors)
         monkeypatch.setattr(experiment, "build_merges", build_merges)
         reports = experiment.score_points(config, dataset, model, points, include_mono=True)
-        return arrays, reports
+        return arrays, reports, depths
 
+    monkeypatch.setattr(blas, "quiet", tracked_quiet)
     _cores(monkeypatch, 2)
-    scoped, scoped_reports = pipeline()
+    scoped, scoped_reports, depths = pipeline(tmp_path / "scoped")
+    # Set-up and alphaedit's edits of both modes ran in a scope, so the
+    # comparison below covers them.
+    assert depths == [("set-up", 1), (PER_LANGUAGE, 1), (SHARED, 1)]
     assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
     # Every spy saw its calls: deltas and SVDs of both modes, and each merge.
     assert {(key[0], key[1]) for key in scoped if len(key) == 3 and key[1] == "delta"} == {
@@ -405,7 +432,8 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(monkeypatch):
     assert len({key[1] for key in scoped if key[0] == "merged"}) == len(points)
     monkeypatch.setattr(blas, "quiet", contextlib.nullcontext)
     _cores(monkeypatch, 1)
-    unscoped, unscoped_reports = pipeline()
+    unscoped, unscoped_reports, depths = pipeline(tmp_path / "unscoped")
+    assert depths == [("set-up", 0), (PER_LANGUAGE, 0), (SHARED, 0)]
     assert scoped.keys() == unscoped.keys()
     for key, array in scoped.items():
         assert np.array_equal(array, unscoped[key]), key

@@ -92,7 +92,10 @@ class TestCovShared:
         rng = np.random.default_rng(8)
         batches = [rng.standard_normal((5, 3 + i)) for i in range(3)]
         concat = np.hstack(batches)
-        assert np.linalg.norm(cov_shared(batches) - concat @ concat.T) <= 1e-10
+        cov = cov_shared(batches)
+        assert np.linalg.norm(cov - concat @ concat.T) <= 1e-10
+        # Exactly symmetric, with no symmetrising step after the sum.
+        assert np.array_equal(cov, cov.T)
 
     def test_partition_equals_whole(self):
         rng = np.random.default_rng(11)

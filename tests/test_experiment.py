@@ -174,6 +174,15 @@ def tiny_setup(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def tiny_runs(tiny_setup):
+    """``tiny_setup`` after two ``run``s of its config, into ``run1/`` and ``run2/``."""
+    config_path, bench_dir, tmp = tiny_setup
+    for name in ("run1", "run2"):
+        assert cli.main(["run", config_path, "--dataset", bench_dir, "--out", str(tmp / name)]) == 0
+    return tiny_setup
+
+
+@pytest.fixture(scope="module")
 def other_shape_bench(tmp_path_factory):
     """A benchmark whose dataset and model have d=10 where the tiny one has d=8."""
     tmp = tmp_path_factory.mktemp("other")
@@ -544,17 +553,15 @@ class TestEmptyNullSpaceWarning:
 
 
 class TestRunCommand:
-    def test_outputs_and_determinism(self, tiny_setup):
-        config_path, bench_dir, tmp = tiny_setup
+    def test_outputs_and_determinism(self, tiny_runs):
+        _, _, tmp = tiny_runs
         out1, out2 = str(tmp / "run1"), str(tmp / "run2")
-        assert cli.main(["run", config_path, "--dataset", bench_dir, "--out", out1]) == 0
-        assert cli.main(["run", config_path, "--dataset", bench_dir, "--out", out2]) == 0
         for name in ("metrics.csv", "metrics.json"):
             with open(os.path.join(out1, name), "rb") as fa, open(os.path.join(out2, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
 
-    def test_csv_columns_contract(self, tiny_setup):
-        config_path, bench_dir, tmp = tiny_setup
+    def test_csv_columns_contract(self, tiny_runs):
+        config_path, bench_dir, tmp = tiny_runs
         with open(os.path.join(str(tmp / "run1"), "metrics.csv")) as fh:
             header = fh.readline().strip()
         assert header == ",".join(experiment.CSV_COLUMNS)
@@ -981,8 +988,8 @@ class TestSweepCommand:
         assert methods == {"tsvm", "tsvm_cov"}
         assert os.path.exists(os.path.join(out, "sweep_rank.svg"))
 
-    def test_single_point_grid_degenerates_to_run(self, tiny_setup, tmp_path):
-        config_path, bench_dir, tmp = tiny_setup
+    def test_single_point_grid_degenerates_to_run(self, tiny_runs, tmp_path):
+        config_path, bench_dir, tmp = tiny_runs
         doc = dict(TINY_CONFIG)
         doc["alpha_grid"] = [1.0]
         single = write_config(tmp_path, doc, name="single.json")
@@ -1051,8 +1058,8 @@ class TestSweepCommand:
 
 
 class TestReportCommand:
-    def test_single_run_table_matches_csv(self, tiny_setup, tmp_path):
-        config_path, bench_dir, tmp = tiny_setup
+    def test_single_run_table_matches_csv(self, tiny_runs, tmp_path):
+        config_path, bench_dir, tmp = tiny_runs
         run_dir = str(tmp / "run1")
         out = str(tmp_path / "rep")
         assert cli.main(["report", run_dir, "--out", out]) == 0
@@ -1078,16 +1085,16 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert named in err and "metrics.json" in err
 
-    def test_rows_sorted_by_method_name(self, tiny_setup, tmp_path):
-        _, _, tmp = tiny_setup
+    def test_rows_sorted_by_method_name(self, tiny_runs, tmp_path):
+        _, _, tmp = tiny_runs
         out = str(tmp_path / "rep2")
         assert cli.main(["report", str(tmp / "run1"), str(tmp / "run2"), "--out", out, "--allow-mixed"]) == 0
         with open(os.path.join(out, "report.csv")) as fh:
             methods = [line.split(",")[0] for line in fh.read().strip().splitlines()[1:]]
         assert methods == sorted(methods)
 
-    def test_regenerated_report_byte_identical(self, tiny_setup, tmp_path):
-        _, _, tmp = tiny_setup
+    def test_regenerated_report_byte_identical(self, tiny_runs, tmp_path):
+        _, _, tmp = tiny_runs
         a, b = str(tmp_path / "ra"), str(tmp_path / "rb")
         for out in (a, b):
             assert cli.main(["report", str(tmp / "run1"), "--out", out]) == 0
