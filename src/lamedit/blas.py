@@ -21,19 +21,22 @@ output bit:
   pool, so a scope per kernel, or one scope inside another, would bring the
   spinning workers back.
 * :func:`spread` uses the cores that :func:`quiet` leaves idle: it works
-  through independent items (each delta's SVD in ``delta_factors``, tsvm's
-  polar factors, the scoring of each merge, grid point or mono language) on
-  the calling thread and one Python worker thread per other core, each
-  running one-thread kernels.  On the same machine, 12
+  through independent items on the calling thread and one Python worker
+  thread per other core, each running one-thread kernels.  The
+  merge-and-score phase makes two calls, both from the main thread and
+  neither inside another: every delta's SVD in ``delta_factors``, then one
+  task list of an item per distinct merge config (its merge, tsvm's two
+  polar factors included, and the scoring of each of its points) and an
+  item per mono language.  On the same machine, 12
   thin ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core
   and 41-49 ms spread over two (medians of 15).  Workers never enter a
   scope and never stop a pool.
 * :func:`stop_idle_pool` stops one library's idle workers, after a run of
   scipy calls at the default count: alphaedit's solves and the ``gesvd``
   fallback each end with scipy's pool stopped, so its workers do not take
-  the cores from numpy's next kernel.  A run of scipy calls inside a
-  :func:`spread` item holds :data:`SCIPY_RUN` through the run and its stop,
-  so two items never stop scipy's pool under each other.
+  the cores from numpy's next kernel.  Both runs hold :data:`SCIPY_RUN`
+  through the run and its stop, so no thread stops scipy's pool while
+  another thread's run is in flight.
 
 Pools are stopped through OpenBLAS's ``blas_thread_shutdown_``.  Stopping a
 pool changes no bit of any kernel: the library's next threaded call
@@ -71,8 +74,9 @@ import threading
 import numpy
 import scipy
 
-# Held by a spread item through a run of scipy calls and the stop of scipy's
-# pool after it, so no item stops the pool while another's run is in flight.
+# Held through a run of scipy calls and the stop of scipy's pool after it (the
+# gesvd fallback, alphaedit's solves), so no thread stops the pool while
+# another's run is in flight.
 SCIPY_RUN = threading.Lock()
 
 # Each package's bundled OpenBLAS, relative to the directory holding the package.

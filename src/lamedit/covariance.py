@@ -50,8 +50,11 @@ def cov_shared(keys):
     return total
 
 
-def preserved_keys(model, preserved_inputs):
-    """Preserved-knowledge keys of every layer, from one forward pass.
+def preserved_keys(model, preserved_inputs, layers):
+    """Preserved-knowledge keys at each 1-based layer of ``layers``, from one walk.
+
+    The walk stops at the last of ``layers`` and keeps only the running state
+    (:func:`lamedit.model.keys_at`), never the whole stack's trace.
 
     Parameters
     ----------
@@ -62,15 +65,14 @@ def preserved_keys(model, preserved_inputs):
 
     Returns
     -------
-    keys : ndarray (L, h, p)
-        ``keys[layer - 1]`` holds the keys of 1-based ``layer``.
+    dict mapping each layer of ``layers`` -> keys, ndarray (h, p)
     """
     preserved_inputs = np.asarray(preserved_inputs, dtype=float)
     if preserved_inputs.ndim != 2 or preserved_inputs.shape[0] != model.d:
         raise ShapeError(f"preserved inputs must be (d, p) with d={model.d}")
     if preserved_inputs.shape[1] == 0:
-        return np.zeros((model.n_layers, model.h, 0))
-    return model_core.forward_batch(model, preserved_inputs)[1]
+        return {layer: np.zeros((model.h, 0)) for layer in layers}
+    return model_core.keys_at(model, preserved_inputs, layers)
 
 
 def const_stats(model, preserved_inputs, layer):
@@ -83,5 +85,5 @@ def const_stats(model, preserved_inputs, layer):
     cov : ndarray (h, h)
     keys : ndarray (h, p)
     """
-    keys = preserved_keys(model, preserved_inputs)[layer - 1]
+    keys = preserved_keys(model, preserved_inputs, (layer,))[layer]
     return cov_per_language(keys), keys

@@ -10,8 +10,11 @@ merges each distinct config once (each tsvm mode's deltas factored once, by
 then the mono baseline (each language edited with its own per-language
 deltas), from one probe batch built on the unedited model
 (:func:`lamedit.metrics.probe_batch`).  The merges and the scoring form one
-phase in one :func:`lamedit.blas.quiet` scope; its independent items (the
-delta SVDs, each score) are spread over the cores (:func:`lamedit.blas.spread`).
+phase in one :func:`lamedit.blas.quiet` scope with two
+:func:`lamedit.blas.spread` calls, both from the main thread and neither
+inside another: every delta SVD of every tsvm-read mode, then one task list
+of an item per distinct merge config (merge it, score each of its points)
+and an item per mono language.
 
 Only this module enters :func:`lamedit.blas.quiet`, once for each of set-up
 (:func:`write_benchmark`), alphaedit's edits (:func:`compute_delta_sets`) and
@@ -24,6 +27,7 @@ floats via ``repr``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -389,22 +393,6 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
         }
 
 
-def build_merges(delta_sets, merge_cfgs):
-    """``{config: merging.merge(...)}`` for each distinct config of ``merge_cfgs``.
-
-    Each config reads its covariance mode's delta set, and each mode that a
-    tsvm config reads is factored once (:func:`merging.delta_factors`) for
-    all of them to slice.  This is thread-count-independent numpy work, run
-    in the merge-and-score phase's :func:`lamedit.blas.quiet` scope.
-    """
-    cfgs = dict.fromkeys(merge_cfgs)
-    factors = {
-        mode: merging.delta_factors(delta_sets[mode])
-        for mode in sorted({m.cov_mode for m in cfgs if m.base_rule == "tsvm"})
-    }
-    return {m: merging.merge(m, delta_sets[m.cov_mode], factors.get(m.cov_mode)) for m in cfgs}
-
-
 def merge_report(model, probes, merged, merge_cfg, alpha, seed):
     """Apply one merge (``{layer: matrix}`` from ``merge_cfg``) at ``alpha`` and score it.
 
@@ -421,14 +409,12 @@ def merge_report(model, probes, merged, merge_cfg, alpha, seed):
     )
 
 
-def mono_report(model, probes, delta_set, alpha, seed):
-    """Mono baseline: each language edited with only its own per-language deltas.
+def mono_report(probes, rows, alpha, seed):
+    """Mono baseline report from each language's :func:`lamedit.metrics.run_mono` row.
 
-    ``probes`` is the dataset's :class:`~lamedit.metrics.ProbeBatch` on
-    ``model``; each row scores its language's columns of the batch.  The
-    languages are spread over the cores.
+    ``rows`` align with ``probes.language_ids``: each language edited with
+    only its own per-language deltas at ``alpha``.
     """
-    rows = blas.spread(lambda i: metrics.run_mono(model, probes, delta_set, i, alpha), probes.language_ids)
     return metrics.MetricsReport(
         method=MONO_METHOD,
         cov_mode=PER_LANGUAGE,
@@ -443,23 +429,40 @@ def mono_report(model, probes, delta_set, alpha, seed):
 def score_points(config, dataset, model, points, include_mono=False):
     """Reports of each ``(MergeConfig, alpha)`` point in order, then mono at the anchor alpha.
 
-    One merge per distinct config (:func:`build_merges`) and one probe batch
-    serve every point; the points are spread over the cores.
+    Inside one :func:`lamedit.blas.quiet` scope, one :func:`lamedit.blas.spread`
+    factors every delta of every covariance mode a tsvm config reads
+    (:func:`lamedit.merging.delta_factors`), and one more works through the
+    task list: an item per distinct merge config, which merges it and
+    scores each of its points, and an item per mono language.  One probe
+    batch serves every item.
     """
     modes = [m.cov_mode for m, _ in points]
     if include_mono:
         modes.append(PER_LANGUAGE)
     delta_sets = compute_delta_sets(model, dataset, config.solver, modes)
+    alphas = {}  # each distinct config -> its points' alphas, in point order
+    for merge_cfg, alpha in points:
+        alphas.setdefault(merge_cfg, []).append(alpha)
     with blas.quiet():
-        merged = build_merges(delta_sets, [m for m, _ in points])
+        tsvm_modes = sorted({m.cov_mode for m in alphas if m.base_rule == "tsvm"})
+        factors = dict(zip(tsvm_modes, merging.delta_factors([delta_sets[mode] for mode in tsvm_modes])))
         probes = metrics.probe_batch(model, dataset)
-        reports = blas.spread(
-            lambda point: merge_report(model, probes, merged[point[0]], *point, config.seed), points
-        )
+
+        def merge_and_score(merge_cfg):
+            merged = merging.merge(merge_cfg, delta_sets[merge_cfg.cov_mode], factors.get(merge_cfg.cov_mode))
+            return [merge_report(model, probes, merged, merge_cfg, a, config.seed) for a in alphas[merge_cfg]]
+
+        def mono_row(language_id):
+            return metrics.run_mono(model, probes, delta_sets[PER_LANGUAGE], language_id, config.alpha)
+
+        tasks = [functools.partial(merge_and_score, m) for m in alphas]
         if include_mono:
-            reports.append(
-                mono_report(model, probes, delta_sets[PER_LANGUAGE], config.alpha, config.seed)
-            )
+            tasks += [functools.partial(mono_row, i) for i in probes.language_ids]
+        done = blas.spread(lambda task: task(), tasks)
+    per_config = {m: iter(reports) for m, reports in zip(alphas, done)}
+    reports = [next(per_config[m]) for m, _ in points]
+    if include_mono:
+        reports.append(mono_report(probes, done[len(alphas) :], config.alpha, config.seed))
     return reports
 
 

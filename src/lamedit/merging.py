@@ -88,7 +88,7 @@ def _svd(matrix):
     any count; the merge-and-score phase calls it inside
     :func:`lamedit.blas.quiet`, on one thread with numpy's idle workers
     stopped, from the threads of a :func:`lamedit.blas.spread` (every delta
-    in :func:`delta_factors`, tsvm's polar factors).  It fails to converge
+    in :func:`delta_factors`, and tsvm's polar factors in each merge's item).  It fails to converge
     on some rank-deficient deltas (seen on alphaedit edits at d=128, rank
     ``n_facts``) that ``gesvd`` factors to machine precision.
     ``gesvd`` runs in scipy at the default thread count, and scipy's idle
@@ -143,17 +143,21 @@ def truncate_svd(matrix, rank_ratio):
     return _truncate(_svd(matrix), k)
 
 
-def delta_factors(delta_set):
-    """Thin SVD of every delta, ``{layer: (u, s, vt) per language}``.
+def delta_factors(delta_sets):
+    """Thin SVD of every delta of each delta set, ``[{layer: (u, s, vt) per language}]``.
 
     The one place a delta is factored for a merge: :func:`merge_tsvm` slices
     these at any rank ratio, so each delta is factored once however many
     tsvm merges read it.  A layer's deltas of unequal shapes raise
-    :class:`ShapeError`; all layers' SVDs form one :func:`lamedit.blas.spread`.
+    :class:`ShapeError`; the SVDs of every layer of every set form one
+    :func:`lamedit.blas.spread`.
     """
-    per_layer = [_stack(delta_set.layer_deltas(layer)) for layer in delta_set.layers]
-    svds = iter(blas.spread(_svd, [m for deltas in per_layer for m in deltas]))
-    return {layer: tuple(next(svds) for _ in deltas) for layer, deltas in zip(delta_set.layers, per_layer)}
+    per_set = [[_stack(ds.layer_deltas(layer)) for layer in ds.layers] for ds in delta_sets]
+    svds = iter(blas.spread(_svd, [m for per_layer in per_set for deltas in per_layer for m in deltas]))
+    return [
+        {layer: tuple(next(svds) for _ in deltas) for layer, deltas in zip(ds.layers, per_layer)}
+        for ds, per_layer in zip(delta_sets, per_set)
+    ]
 
 
 def _orthogonal_polar_factor(matrix):
@@ -169,8 +173,8 @@ def merge_tsvm(factors, rank_ratio):
     (:func:`delta_factors`).  Left factors concatenate column-wise and right
     factors row-wise, with the retained singular values forming a block
     diagonal; both stacked factors are replaced by their orthogonal polar
-    factor (the two spread over the cores) before reconstruction.  An
-    over-complete concatenation (m * k exceeding min(d, h)) is allowed.
+    factor, on the calling thread, before reconstruction.  An over-complete
+    concatenation (m * k exceeding min(d, h)) is allowed.
     """
     shape = _common_shape((u.shape[0], vt.shape[1]) for u, _, vt in factors)
     k = _retained_rank(shape, rank_ratio)
@@ -178,8 +182,8 @@ def merge_tsvm(factors, rank_ratio):
     left_cat = np.hstack(lefts)
     sigma_cat = np.concatenate(sigmas)
     right_cat = np.vstack(rights)
-    left_merged, right_merged = blas.spread(_orthogonal_polar_factor, (left_cat, right_cat))
-    return (left_merged * sigma_cat) @ right_merged
+    left_merged = _orthogonal_polar_factor(left_cat)
+    return (left_merged * sigma_cat) @ _orthogonal_polar_factor(right_cat)
 
 
 def merge(config, delta_set, factors=None):
@@ -201,7 +205,7 @@ def merge(config, delta_set, factors=None):
         )
     if config.base_rule == "tsvm":
         if factors is None:
-            factors = delta_factors(delta_set)
+            (factors,) = delta_factors([delta_set])
         return {layer: merge_tsvm(factors[layer], config.rank_ratio) for layer in delta_set.layers}
     rule = merge_sum if config.base_rule == "sum" else merge_mean
     return {layer: rule(delta_set.layer_deltas(layer)) for layer in delta_set.layers}

@@ -16,8 +16,10 @@ Edits change only the edit layers' ``w_out``.  A batch's :class:`Prefix` (the
 state entering the first edit layer, and that layer's keys) is therefore the
 same on the unedited model and on every model edited from it.  Target
 computation (:func:`keys_and_targets`) and prediction (:func:`predict_batch`)
-always run on from a prefix computed once on the unedited model;
-:func:`forward_batch` is the full pass with its per-layer trace.
+always run on from a prefix computed once on the unedited model, and
+:func:`keys_at` walks a batch to some layers' keys; both keep only the
+running state.  :func:`forward_batch` is the full pass with its per-layer
+trace, the reference their bits are held to.
 """
 
 from __future__ import annotations
@@ -148,26 +150,43 @@ class ToyModel:
         return self.layers[index - 1]
 
     def with_w_out(self, index, w_out):
-        """New model with layer ``index`` (1-based) carrying ``w_out``."""
+        """New model with layer ``index`` (1-based) carrying ``w_out``.
+
+        Only the new matrix is checked: its shape and finiteness.  Every other
+        array is this model's own, already checked, and shared by identity,
+        which :meth:`Prefix.check` relies on.
+        """
         old = self.layer(index)
-        if np.asarray(w_out).shape != old.w_out.shape:
-            raise ShapeError(f"w_out shape {np.asarray(w_out).shape} != {old.w_out.shape}")
-        layers = list(self.layers)
-        layers[index - 1] = replace(old, w_out=np.asarray(w_out, dtype=float))
-        return replace(self, layers=tuple(layers))
+        w_out = np.asarray(w_out, dtype=float)
+        if w_out.shape != old.w_out.shape:
+            raise ShapeError(f"w_out shape {w_out.shape} != {old.w_out.shape}")
+        _check_finite("w_out", w_out)
+        layer = _unchecked(old, w_out=w_out)
+        return _unchecked(self, layers=self.layers[: index - 1] + (layer,) + self.layers[index:])
+
+
+def _unchecked(instance, **changes):
+    """A copy of the frozen dataclass ``instance`` with ``changes``, skipping ``__post_init__``."""
+    copy = object.__new__(type(instance))
+    copy.__dict__.update(instance.__dict__, **changes)
+    return copy
 
 
 def _normalize(states):
     """Layer-normalize ``states`` (d, n) column-wise, with no affine."""
     # The variance from the centred states, as ``states.var`` computes it.
     centred = states - states.mean(axis=0, keepdims=True)
-    var = np.square(centred).sum(axis=0, keepdims=True) / states.shape[0]
-    return centred / np.sqrt(var + LN_EPS)
+    scale = np.square(centred).sum(axis=0, keepdims=True)
+    scale /= states.shape[0]
+    scale += LN_EPS
+    centred /= np.sqrt(scale, out=scale)
+    return centred
 
 
 def _layer_keys(model, layer_index, states):
     """Keys of 1-based ``layer_index`` for a batch of hidden states (d, n)."""
-    return np.maximum(model.layer(layer_index).w_in @ _normalize(states), 0.0)
+    keys = model.layer(layer_index).w_in @ _normalize(states)
+    return np.maximum(keys, 0.0, out=keys)
 
 
 def _check_inputs(model, inputs):
@@ -226,35 +245,51 @@ class Prefix:
             )
 
 
-def _walk(model, state, layers, key_layer=None):
+def _walk(model, state, layers, key_layers):
     """Run ``layers`` (1-based, ascending) on ``state`` (d, n), keeping only the running state.
 
-    Returns the state after the last of them and the keys at ``key_layer``
-    (``None`` unless it is one of ``layers``).
+    Returns the state after the last of them and ``{layer: keys}`` for each
+    of ``key_layers`` that is one of ``layers``.  ``state`` is never written.
     """
-    keys = None
+    keys = {}
     for l in layers:
         layer_keys = _layer_keys(model, l, state)
-        if l == key_layer:
-            keys = layer_keys
-        state = state + model.layer(l).w_out @ layer_keys
+        if l in key_layers:
+            keys[l] = layer_keys
+        update = model.layer(l).w_out @ layer_keys
+        update += state
+        state = update
     return state, keys
 
 
 def compute_prefix(model, inputs):
     """The :class:`Prefix` of ``inputs`` (d, n) on ``model``."""
     first = model.edit_layers[0]
-    state, _ = _walk(model, _check_inputs(model, inputs), range(1, first))
+    state, _ = _walk(model, _check_inputs(model, inputs), range(1, first), ())
     return Prefix(base=model, state=state, key=_layer_keys(model, first, state))
+
+
+def keys_at(model, inputs, layers):
+    """``{layer: keys (h, n)}`` of ``inputs`` (d, n) at each 1-based layer of ``layers``.
+
+    One walk up to the last of them, keeping only the running state, gives
+    the bits of :func:`forward_batch`'s keys at those layers without its
+    per-layer trace.
+    """
+    last = max(layers)
+    state, keys = _walk(model, _check_inputs(model, inputs), range(1, last), layers)
+    keys[last] = _layer_keys(model, last, state)
+    return keys
 
 
 def _run_prefix(model, prefix, key_layer):
     """``model``'s final state on the prefix's batch, and its keys at ``key_layer``."""
     prefix.check(model)
     first = prefix.layer
-    state = prefix.state + model.layer(first).w_out @ prefix.key
-    state, keys = _walk(model, state, range(first + 1, model.n_layers + 1), key_layer)
-    return state, prefix.key if key_layer == first else keys
+    state = model.layer(first).w_out @ prefix.key
+    state += prefix.state
+    state, keys = _walk(model, state, range(first + 1, model.n_layers + 1), (key_layer,))
+    return state, prefix.key if key_layer == first else keys.get(key_layer)
 
 
 def forward_batch(model, inputs):

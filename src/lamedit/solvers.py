@@ -16,7 +16,7 @@ to the original weights.  The input model is never mutated.
 
 Everything ``edit_model`` shares with the unedited model comes in prepared
 on it, once per run: the preserved term of every layer from
-:func:`preserved_terms` (one forward pass of the preserved sample), and each
+:func:`preserved_terms` (one walk of the preserved sample), and each
 language's requests as a :class:`RequestPrefix` from :func:`request_prefix`.
 In the shared covariance mode each layer's system (the same matrix for every
 language) is factored and condition-checked once, then applied to each
@@ -39,7 +39,9 @@ alphaedit's phases need no numpy worker, so its caller may run the whole
 layer loop in :func:`lamedit.blas.quiet` (``experiment.compute_delta_sets``
 does), and each of its phase 2 ends in a :func:`lamedit.blas.stop_idle_pool`
 of scipy's, so scipy's idle workers do not take the cores from numpy's next
-calls.  Neither changes a bit.  memit's phase 2 inverts in numpy at the
+calls.  Neither changes a bit.  The phase 2 and its stop hold
+:data:`lamedit.blas.SCIPY_RUN`, as the ``gesvd`` fallback does, so no thread
+stops scipy's pool while another thread's scipy run is in flight.  memit's phase 2 inverts in numpy at the
 default count, so its loop runs in no scope.
 
 memit systems stay in numpy throughout: a Cholesky check, one explicit
@@ -53,6 +55,7 @@ right-hand side with the same helpers as ``edit_model``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import warnings
 from dataclasses import dataclass
@@ -309,8 +312,9 @@ def solve_alphaedit(w_out, keys, targets, projector, cov_request, lam, cond_limi
 def preserved_terms(model, preserved_inputs, method=METHOD_MEMIT, rel_tol=DEFAULT_REL_TOL):
     """Per edit layer, the preserved-knowledge term the solver consumes.
 
-    The statistics come from the unedited model, from one forward pass of the
-    preserved inputs, so every covariance mode can share them.  memit takes
+    The statistics come from the unedited model, from one walk of the
+    preserved inputs up to the last edit layer, so every covariance mode can
+    share them.  memit takes
     the preserved second moment normalized per sample (``edit_model``
     rescales it to the request batch size); alphaedit takes the null-space
     projector of the raw moment.
@@ -322,12 +326,12 @@ def preserved_terms(model, preserved_inputs, method=METHOD_MEMIT, rel_tol=DEFAUL
     """
     if method not in METHODS:
         raise ShapeError(f"unknown method {method!r}")
-    keys = cov_mod.preserved_keys(model, preserved_inputs)
+    keys = cov_mod.preserved_keys(model, preserved_inputs, model.edit_layers)
     terms = {}
     for layer in model.edit_layers:
-        cov = cov_mod.cov_per_language(keys[layer - 1])
+        cov = cov_mod.cov_per_language(keys[layer])
         if method == METHOD_MEMIT:
-            terms[layer] = cov / max(keys.shape[2], 1)
+            terms[layer] = cov / max(keys[layer].shape[1], 1)
         else:
             terms[layer] = nullspace_projector(cov, rel_tol=rel_tol)
     return terms
@@ -429,6 +433,7 @@ def edit_model(
         raise ShapeError("a RequestPrefix was computed on another model")
 
     factor = _memit_inverse if method == METHOD_MEMIT else _alphaedit_lu
+    scipy_run = contextlib.nullcontext() if method == METHOD_MEMIT else blas.SCIPY_RUN
     entries = {}
     working = {lang: model for lang in language_ids}
     for layer in model.edit_layers:
@@ -458,16 +463,18 @@ def edit_model(
             ]
         # Phase 2, the method's library: factor and check each system and
         # solve its right-hand sides, all back to back, one factor at a time.
-        # alphaedit's run is in scipy, whose idle workers are stopped after it.
+        # alphaedit's run is in scipy, whose idle workers are stopped after it,
+        # both under SCIPY_RUN so no other thread's scipy run is in flight.
         deltas = [None] * len(rhs)
-        try:
-            for matrix, norm, users in systems:
-                solve = factor(matrix, norm, cond_limit)
-                for i in users:
-                    deltas[i] = solve(rhs[i]).T
-        finally:
-            if method == METHOD_ALPHAEDIT:
-                blas.stop_idle_pool("scipy")
+        with scipy_run:
+            try:
+                for matrix, norm, users in systems:
+                    solve = factor(matrix, norm, cond_limit)
+                    for i in users:
+                        deltas[i] = solve(rhs[i]).T
+            finally:
+                if method == METHOD_ALPHAEDIT:
+                    blas.stop_idle_pool("scipy")
         # Phase 3, numpy: store the deltas and move each working copy on.
         for lang, delta in zip(language_ids, deltas):
             entries[(layer, lang)] = delta

@@ -42,9 +42,11 @@ def pinned_reports(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes
 @pytest.fixture(scope="module")
 def pinned_mono(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes):
     dataset, model = pinned_bench
-    report = experiment.mono_report(
-        model, pinned_probes, pinned_delta_sets["per_language"], pinned_config.alpha, pinned_config.seed
-    )
+    rows = [
+        metrics.run_mono(model, pinned_probes, pinned_delta_sets["per_language"], i, pinned_config.alpha)
+        for i in pinned_probes.language_ids
+    ]
+    report = experiment.mono_report(pinned_probes, rows, pinned_config.alpha, pinned_config.seed)
     return float(report.mean_row().averaged)
 
 

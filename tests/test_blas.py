@@ -208,6 +208,38 @@ def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command, entr
     assert len(calls) == 2 * entries
 
 
+@pytest.mark.parametrize(
+    "command, spreads",
+    [
+        (["generate"], 0),
+        # The merge-and-score phase: every delta SVD, then the task list.
+        (["run"], 2),
+        (["run", "--method", "alphaedit"], 2),
+        (["sweep", "--axis", "alpha"], 2),
+        (["sweep", "--axis", "rank"], 2),
+    ],
+    ids=["generate", "run", "run-alphaedit", "sweep-alpha", "sweep-rank"],
+)
+def test_spread_calls_per_command(tiny_setup, monkeypatch, command, spreads):
+    # Two cores, so spread starts a worker and a spread inside an item would
+    # be called off the main thread.  A spread per merge, per layer or per
+    # mode would show in the count.
+    config_path, bench_dir, tmp = tiny_setup
+    on_main = []
+    real_spread = blas.spread
+
+    def spread(fn, items):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real_spread(fn, items)
+
+    monkeypatch.setattr(blas, "spread", spread)
+    _cores(monkeypatch, 2)
+    dataset = [] if command[0] == "generate" else ["--dataset", bench_dir]
+    argv = [command[0], config_path, *dataset, "--out", str(tmp / ("spread-" + "-".join(command))), *command[1:]]
+    assert cli.main(argv) == 0
+    assert on_main == [True] * spreads
+
+
 def _record_stops(monkeypatch, events):
     """Append ``("stop", package)`` to ``events`` at every ``blas.stop_idle_pool``."""
     real_stop = blas.stop_idle_pool
@@ -294,6 +326,31 @@ def test_svd_fallback_runs_inside_the_handover(monkeypatch):
     assert _scipy_runs_left_spinning(events) == []
 
 
+def test_alphaedit_scipy_stops_hold_the_scipy_lock(tmp_path, monkeypatch):
+    # alphaedit's phase 2 and its stop hold SCIPY_RUN, as the gesvd fallback
+    # does, so a concurrent edit loop or fallback never stops scipy's pool
+    # under a run in flight.
+    held = []
+    real_stop = blas.stop_idle_pool
+
+    def stop(package):
+        if package == "scipy":
+            held.append(blas.SCIPY_RUN.locked())
+        real_stop(package)
+
+    monkeypatch.setattr(blas, "stop_idle_pool", stop)
+    config_path = write_config(tmp_path, dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02}))
+    bench = str(tmp_path / "bench")
+    assert cli.main(["generate", config_path, "--out", bench]) == 0
+    held.clear()
+    argv = ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "run"), "--method", "alphaedit"]
+    assert cli.main(argv) == 0
+    # One stop per edit layer per covariance mode, each under the lock.
+    layers = len(TINY_CONFIG["dataset"]["edit_layers"])
+    assert held == [True] * (2 * layers)
+    assert not blas.SCIPY_RUN.locked()
+
+
 # numpy's kernels whose bits depend on the thread count at h=256 (README,
 # Determinism).  scipy's run at scipy's default count, inside a scope or not.
 SENSITIVE = ("inv", "cholesky", "eigh")
@@ -360,7 +417,7 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
         seed=cfg.seed, dataset=cfg, solver=experiment.SolverSettings(method="alphaedit")
     )
     points = [(m, 1.0) for m in (*experiment.default_merges(), MergeConfig("tsvm", rank_ratio=0.125))]
-    real_edit, real_factors, real_build = solvers.edit_model, merging.delta_factors, experiment.build_merges
+    real_edit, real_factors, real_merge = solvers.edit_model, merging.delta_factors, merging.merge
     real_setup, real_quiet = synthdata.build_benchmark, blas.quiet
     depth = [0]
 
@@ -396,24 +453,25 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
                 arrays[cov_mode, "delta", key] = delta
             return delta_set
 
-        def delta_factors(delta_set):
-            factors = real_factors(delta_set)
-            for layer, svds in factors.items():
-                for lang, svd in zip(delta_set.language_ids, svds):
-                    for name, array in zip("usv", svd):
-                        arrays[delta_set.cov_mode, name, layer, lang] = array
-            return factors
+        def delta_factors(delta_sets):
+            all_factors = real_factors(delta_sets)
+            for delta_set, factors in zip(delta_sets, all_factors):
+                for layer, svds in factors.items():
+                    for lang, svd in zip(delta_set.language_ids, svds):
+                        for name, array in zip("usv", svd):
+                            arrays[delta_set.cov_mode, name, layer, lang] = array
+            return all_factors
 
-        def build_merges(delta_sets, merge_cfgs):
-            merged = real_build(delta_sets, merge_cfgs)
-            for index, one in enumerate(merged.values()):
-                for layer, array in one.items():
-                    arrays["merged", index, layer] = array
+        def merge(merge_cfg, delta_set, factors=None):
+            # Called from the task list's items, on any thread.
+            merged = real_merge(merge_cfg, delta_set, factors)
+            for layer, array in merged.items():
+                arrays["merged", merge_cfg, layer] = array
             return merged
 
         monkeypatch.setattr(solvers, "edit_model", edit_model)
         monkeypatch.setattr(merging, "delta_factors", delta_factors)
-        monkeypatch.setattr(experiment, "build_merges", build_merges)
+        monkeypatch.setattr(merging, "merge", merge)
         reports = experiment.score_points(config, dataset, model, points, include_mono=True)
         return arrays, reports, depths
 
@@ -642,9 +700,9 @@ class TestSpread:
         monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
         monkeypatch.setattr(scipy.linalg, "svd", counted_svd)
         _cores(monkeypatch, 1)
-        serial = merging.delta_factors(delta_set)
+        (serial,) = merging.delta_factors([delta_set])
         _cores(monkeypatch, 4)
-        spread = merging.delta_factors(delta_set)
+        (spread,) = merging.delta_factors([delta_set])
         assert most[0] == 1
         assert serial.keys() == spread.keys()
         for layer in layers:

@@ -400,16 +400,18 @@ class TestComputeDeltaSets:
         count(covariance, "preserved_keys")
         count(solvers, "nullspace_projector")
         count(model_mod, "forward_batch")
+        count(model_mod, "keys_at")
         count(model_mod, "compute_prefix")
         count(model_mod, "keys_and_targets")
         delta_sets = experiment.compute_delta_sets(model, dataset, solver, modes)
 
         n_layers, m = len(model.edit_layers), dataset.m_languages
-        # One preserved forward gives every edit layer's keys.
+        # One preserved walk gives every edit layer's keys, with no full trace.
         assert calls["preserved_keys"] == 1
         assert calls["const_stats"] == 0
         assert calls["nullspace_projector"] == (n_layers if method == "alphaedit" else 0)
-        assert calls["forward_batch"] == 1
+        assert calls["keys_at"] == 1
+        assert calls["forward_batch"] == 0
         # One request prefix and one first-layer target computation per
         # language, shared by both modes; then one forward from the prefix
         # per (mode, language, later layer) step serving both keys and targets.

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lamedit import container
+from lamedit.covariance import preserved_keys
 from lamedit.errors import InvalidRequestError, ShapeError
 from lamedit.model import (
     LN_EPS,
@@ -12,9 +14,11 @@ from lamedit.model import (
     compute_prefix,
     forward_batch,
     keys_and_targets,
+    keys_at,
     predict_batch,
     _normalize,
     _run_prefix,
+    _walk,
 )
 
 
@@ -400,3 +404,137 @@ class TestValidation:
         hidden, keys = forward_batch(model, rng.standard_normal((8, 2)))
         assert hidden.shape == (model.n_layers + 1, 8, 2)
         assert keys.shape == (model.n_layers, 12, 2)
+
+
+def _edit_layers(data, n_layers):
+    return tuple(sorted(data.draw(st.sets(st.integers(1, n_layers), min_size=1), label="edit_layers")))
+
+
+class TestKeysAt:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        n_layers=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_one_walk_gives_the_traced_keys(self, seed, n, n_layers, data):
+        layers = _edit_layers(data, n_layers)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_layers=n_layers, edit_layers=layers)
+        inputs = rng.standard_normal((8, n)) * 2.0
+        _, keys = forward_batch(model, inputs)
+        walked = keys_at(model, inputs, layers)
+        assert sorted(walked) == list(layers)
+        for l in layers:
+            assert np.array_equal(walked[l], keys[l - 1])
+        preserved = preserved_keys(model, inputs, layers)
+        assert all(np.array_equal(preserved[l], keys[l - 1]) for l in layers)
+
+
+def _arrays(model):
+    """Every array ``model`` holds, by name."""
+    arrays = {"codebook": model.codebook}
+    for l, layer in enumerate(model.layers, start=1):
+        arrays[f"w_in{l}"] = layer.w_in
+        arrays[f"w_out{l}"] = layer.w_out
+    return arrays
+
+
+class TestNoWrites:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        n_layers=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_forward_helpers_never_write_into_their_inputs(self, seed, n, n_layers, data):
+        # The forward helpers reuse their own temporaries in place; none of
+        # them may reach an array it was given.
+        edit_layers = _edit_layers(data, n_layers)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_layers=n_layers, edit_layers=edit_layers)
+        inputs = rng.standard_normal((8, n))
+        tokens = rng.integers(0, model.vocab_size, size=n)
+        prefix = compute_prefix(model, inputs)
+        first = edit_layers[0]
+        edited = model.with_w_out(first, model.layer(first).w_out + 0.1 * rng.standard_normal((8, 12)))
+        watched = {
+            "inputs": inputs,
+            "state": prefix.state,
+            "key": prefix.key,
+            **{("base", name): a for name, a in _arrays(model).items()},
+            **{("edited", name): a for name, a in _arrays(edited).items()},
+        }
+        before = {name: array.copy() for name, array in watched.items()}
+        calls = [
+            lambda: _walk(model, inputs, range(1, n_layers + 1), edit_layers),
+            lambda: compute_prefix(model, inputs),
+            lambda: keys_at(model, inputs, edit_layers),
+            lambda: preserved_keys(model, inputs, edit_layers),
+            lambda: predict_batch(edited, prefix),
+            *(lambda l=l: _run_prefix(edited, prefix, l) for l in (None, *edit_layers)),
+            *(lambda l=l: keys_and_targets(edited, prefix, tokens, l) for l in edit_layers),
+        ]
+        for call in calls:
+            call()
+            for name, array in watched.items():
+                assert np.array_equal(array, before[name]), name
+
+
+class TestWithWOut:
+    def test_rejects_a_misshapen_or_non_finite_matrix(self):
+        model = random_model(np.random.default_rng(20))
+        w_out = model.layer(2).w_out
+        non_finite = w_out.copy()
+        non_finite[3, 4] = np.inf
+        for bad in (w_out[:, :-1], w_out.T, w_out[0], np.full_like(w_out, np.nan), non_finite):
+            with pytest.raises(ShapeError):
+                model.with_w_out(2, bad)
+        with pytest.raises(IndexError):
+            model.with_w_out(4, w_out)
+
+    def test_shares_every_checked_array(self):
+        rng = np.random.default_rng(21)
+        model = random_model(rng)
+        original = model.layer(2).w_out.copy()
+        new = original + 0.5
+        edited = model.with_w_out(2, new)
+        assert edited.layer(2).w_out is new
+        assert edited.codebook is model.codebook
+        assert edited.edit_layers == model.edit_layers
+        assert all(edited.layer(l).w_in is model.layer(l).w_in for l in (1, 2, 3))
+        assert edited.layer(1) is model.layer(1) and edited.layer(3) is model.layer(3)
+        assert np.array_equal(model.layer(2).w_out, original)
+        # The identities the prefix cache relies on hold.
+        compute_prefix(model, rng.standard_normal((8, 3))).check(edited)
+        # A list, or an integer matrix, comes in as floats.
+        assert edited.with_w_out(2, np.ones((8, 12), dtype=int)).layer(2).w_out.dtype == float
+        assert edited.with_w_out(2, original.tolist()).layer(2).w_out.dtype == float
+
+    def test_saves_the_bytes_of_a_constructed_model(self, tmp_path):
+        rng = np.random.default_rng(22)
+        model = random_model(rng)
+        new = {2: rng.standard_normal((8, 12)), 3: rng.standard_normal((8, 12))}
+        edited = model
+        for l, w_out in new.items():
+            edited = edited.with_w_out(l, w_out)
+        built = ToyModel(
+            layers=tuple(
+                LamLayer(layer.w_in, new.get(l, layer.w_out)) for l, layer in enumerate(model.layers, start=1)
+            ),
+            codebook=model.codebook,
+            edit_layers=model.edit_layers,
+        )
+        container.save_model(tmp_path / "edited.lam", edited)
+        container.save_model(tmp_path / "built.lam", built)
+        assert (tmp_path / "edited.lam").read_bytes() == (tmp_path / "built.lam").read_bytes()
+
+    def test_construction_still_rejects_a_bad_codebook(self):
+        layer = LamLayer(np.zeros((6, 4)), np.zeros((4, 6)))
+        bad = np.eye(4)
+        bad[0, 0] = np.nan
+        for codebook in (2 * np.eye(4), bad, np.eye(3), np.zeros((4, 0))):
+            with pytest.raises(ShapeError):
+                ToyModel(layers=(layer,), codebook=codebook, edit_layers=(1,))
