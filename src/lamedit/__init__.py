@@ -4,7 +4,12 @@ The package builds a synthetic multilingual editing benchmark, computes
 closed-form weight edits per language, merges them under six different rules,
 and scores the result on efficacy / generalization / specificity /
 portability, with a CLI for experiments and sweeps.
+
+Importing the package sets numpy's bundled OpenBLAS to one thread for the
+whole process (:mod:`lamedit.blas`).
 """
+
+from . import blas  # noqa: F401 (sets numpy's BLAS thread count on import)
 
 from .covariance import (
     const_stats,

@@ -1,70 +1,54 @@
-"""Keep numpy's and scipy's bundled OpenBLAS thread pools out of each other's way,
-and spread independent numpy work over the cores.
+"""numpy's BLAS thread policy, scipy's idle-pool stop, and spreading
+independent numpy work over the cores.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own pool of
-worker threads.  After a threaded call a library's idle workers spin for
-about 0.1 s; on 2 cores the other library's workers, or the next one-thread
-kernel, then wait for a scheduler slice.  Setting a library to one thread
-does not stop the spin.  Three tools cut that cost, and none changes an
-output bit:
+worker threads.  Importing this module, as ``import lamedit`` does, sets
+numpy's OpenBLAS to one thread for the whole process and stops its idle
+workers, once.  The setting is made on import, not by the CLI, so library
+callers, the benchmark harness and the CLI all get the same numpy bits.
+Nothing sets numpy's count again: setting it at all, even from 1 to 1,
+re-creates a stopped pool.  At the matrix sizes here most numpy kernels gain
+nothing from a second BLAS thread and lose time to waking it: on a shared
+2-core Xeon, 36 thin ``gesdd`` SVDs of rank-64 128x256 matrices took 0.37 s
+on two threads and 0.20 s on one (medians of 7).
 
-* :func:`quiet` runs one numpy phase whose kernels need no numpy worker on
-  one thread of numpy's OpenBLAS, with numpy's idle workers stopped on entry,
-  and restores numpy's count on exit.  At the matrix sizes here most kernels
-  gain nothing from a second BLAS thread and lose time to waking it: on a
-  shared 2-core Xeon, 36 thin ``gesdd`` SVDs of rank-64 128x256 matrices
-  took 0.37 s on two threads and 0.20 s on one (medians of 7).  Only
-  ``lamedit.experiment`` enters it, once per phase and never inside another
-  scope: set-up (the rotations and the backbone fit), alphaedit's edit
-  loops of every covariance mode, and a command's whole merge-and-score
-  phase.  Setting the count at all, even from 1 to 1, re-creates a stopped
-  pool, so a scope per kernel, or one scope inside another, would bring the
-  spinning workers back.
-* :func:`spread` uses the cores that :func:`quiet` leaves idle: it works
-  through independent items on the calling thread and one Python worker
-  thread per other core, each running one-thread kernels.  The
-  merge-and-score phase makes two calls, both from the main thread and
-  neither inside another: every delta's SVD in ``delta_factors``, then one
-  task list of an item per distinct merge config (its merge, tsvm's two
-  polar factors included, and the scoring of each of its points) and an
-  item per mono language.  On the same machine, 12
-  thin ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core
-  and 41-49 ms spread over two (medians of 15).  Workers never enter a
-  scope and never stop a pool.
-* :func:`stop_idle_pool` stops one library's idle workers, after a run of
-  scipy calls at the default count: alphaedit's solves and the ``gesvd``
-  fallback each end with scipy's pool stopped, so its workers do not take
-  the cores from numpy's next kernel.  Both runs hold :data:`SCIPY_RUN`
+scipy stays at its default count.  So the thread count can decide bits only
+through scipy's kernels: set-up's ``logm``, ``expm`` and Cholesky, the
+null-space projector's ``eigh``, alphaedit's LU and the ``gesvd`` fallback.
+Two tools work beside the setting, and neither changes an output bit:
+
+* :func:`spread` uses the cores that numpy's one thread leaves idle: it
+  works through independent items on the calling thread and one Python
+  worker thread per other core.  The merge-and-score phase makes two calls,
+  both from the main thread and neither inside another: every delta's SVD in
+  ``delta_factors``, then one task list of an item per distinct merge config
+  (its merge, tsvm's two polar factors included, and the scoring of each of
+  its points) and an item per mono language.  On the same machine, 12 thin
+  ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core and
+  41-49 ms spread over two (medians of 15).  Each item's result comes from
+  the same kernels on the same operands and at the same count whichever
+  thread runs it, so a spread gives the bits of a serial loop.
+* :func:`stop_idle_pool` stops scipy's idle workers after a run of scipy
+  calls at the default count.  After a threaded call a library's idle
+  workers spin for about 0.1 s, and on 2 cores they would take the cores
+  from numpy's next kernel.  alphaedit's solves and the ``gesvd`` fallback
+  each end with scipy's pool stopped, and both hold :data:`SCIPY_RUN`
   through the run and its stop, so no thread stops scipy's pool while
   another thread's run is in flight.
 
-Pools are stopped through OpenBLAS's ``blas_thread_shutdown_``.  Stopping a
-pool changes no bit of any kernel: the library's next threaded call
-re-creates the workers at the count then set.
-
-Only numpy kernels whose every bit is the same at any thread count belong in
-a :func:`quiet` scope, or in a :func:`spread` item: matrix products (GEMM,
-SYRK), norms, ``gesdd`` SVDs and QR.  Each item's result comes from the
-same kernels on the same operands whichever thread runs it, so a spread
-gives the bits of a serial loop.  numpy's ``inv``, ``cholesky`` and ``eigh``
-give other bits at h=256 on one thread than on two, so they stay outside
-every scope, at the default count, and set-up and the edit loops stay
-serial.  scipy's kernels run at scipy's default count inside or outside a
-scope.
-
-The count is set through OpenBLAS's ``openblas_set_num_threads_local``.  In
-the pthreads builds the wheels bundle, that count and the worker pool are the
-process's, not the calling thread's.  So a scope is entered and left only on
-the main thread, with no spread running, and a pool is stopped only while no
-other call into that library is in flight.  A library or symbol that cannot
-be found makes :func:`quiet` and :func:`stop_idle_pool` no-ops: they then
-cost speed, never bits.  Without numpy's thread setter :func:`spread` is a
-plain loop too, since its items' kernels would not run on one thread each.
+Pools are stopped through OpenBLAS's ``blas_thread_shutdown_``, which
+changes no bit of any kernel: the library's next threaded call re-creates
+the workers at its count.  The count is set through
+``openblas_set_num_threads_local``; in the pthreads builds the wheels
+bundle, that count and the pool are the process's, not the calling
+thread's.  A library or symbol that cannot be found leaves numpy at its
+default count and makes :func:`stop_idle_pool` a no-op: that costs speed,
+never bits.  Without numpy's thread setter :func:`spread` is a plain loop
+too, since its items' kernels would not run on one thread each.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import glob
@@ -119,23 +103,15 @@ def stop_idle_pool(package):
         stopper()
 
 
-@contextlib.contextmanager
-def quiet():
-    """Run the body on one thread of numpy's OpenBLAS with its idle workers stopped.
-
-    Restores numpy's count on exit; its next threaded call then runs on
-    re-created workers.  A no-op when numpy's OpenBLAS has no thread setter.
-    """
+def _numpy_on_one_thread():
+    """Set numpy's OpenBLAS to one thread and stop its idle workers; a no-op without a setter."""
     setter = _thread_setter("numpy")
-    if setter is None:
-        yield
-        return
-    previous = setter(1)
-    stop_idle_pool("numpy")
-    try:
-        yield
-    finally:
-        setter(previous)
+    if setter is not None:
+        setter(1)
+        stop_idle_pool("numpy")
+
+
+_numpy_on_one_thread()
 
 
 def _cores():
@@ -151,9 +127,9 @@ def spread(fn, items):
     Each thread takes the next item as it finishes one, so the results come
     back in input order whichever thread ran them.  There is one thread per
     core this process may run on, capped at the item count; on one core, or
-    when numpy's OpenBLAS has no thread setter (so :func:`quiet` is a no-op
-    and each kernel may use every core), the loop runs here and starts no
-    thread.  After an item raises, no thread takes a new item, and once every
+    when numpy's OpenBLAS has no thread setter (so numpy stays at its default
+    count and each kernel may use every core), the loop runs here and starts
+    no thread.  After an item raises, no thread takes a new item, and once every
     worker has finished, the exception of the first failed item in input
     order is raised here, its type unchanged: the one a serial loop would
     raise, since every earlier item has run.

@@ -10,15 +10,10 @@ merges each distinct config once (each tsvm mode's deltas factored once, by
 then the mono baseline (each language edited with its own per-language
 deltas), from one probe batch built on the unedited model
 (:func:`lamedit.metrics.probe_batch`).  The merges and the scoring form one
-phase in one :func:`lamedit.blas.quiet` scope with two
-:func:`lamedit.blas.spread` calls, both from the main thread and neither
-inside another: every delta SVD of every tsvm-read mode, then one task list
-of an item per distinct merge config (merge it, score each of its points)
-and an item per mono language.
-
-Only this module enters :func:`lamedit.blas.quiet`, once for each of set-up
-(:func:`write_benchmark`), alphaedit's edits (:func:`compute_delta_sets`) and
-that phase; a library caller that skips it gets the same bits, only slower.
+phase with two :func:`lamedit.blas.spread` calls, both from the main thread
+and neither inside another: every delta SVD of every tsvm-read mode, then
+one task list of an item per distinct merge config (merge it, score each of
+its points) and an item per mono language.
 
 All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
 floats via ``repr``.
@@ -26,7 +21,6 @@ floats via ``repr``.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -265,10 +259,7 @@ def write_benchmark(config, out_dir, force=False):
     manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     if os.path.exists(manifest_path) and not force:
         raise ConfigError(f"{out_dir} already holds a benchmark; pass --force to overwrite")
-    # The rotations' QR and the fit's matmuls give the same bits on one thread;
-    # scipy's logm, expm and solve_memit's Cholesky run at scipy's default count.
-    with blas.quiet():
-        dataset, model, info = synthdata.build_benchmark(config.dataset)
+    dataset, model, info = synthdata.build_benchmark(config.dataset)
     container.save_dataset(os.path.join(out_dir, DATASET_FILE), dataset)
     container.save_model(os.path.join(out_dir, MODEL_FILE), model)
     manifest = {
@@ -375,22 +366,18 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
                 EmptyNullSpaceWarning,
             )
     requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
-    # alphaedit's edits of every mode in one scope, after preserved_terms (its eigh
-    # stays at the default count); memit's loops invert in numpy, so run unscoped.
-    scope = blas.quiet() if solver.method == solvers.METHOD_ALPHAEDIT else contextlib.nullcontext()
-    with scope:
-        return {
-            mode: solvers.edit_model(
-                model,
-                requests,
-                preserved,
-                solver.lam,
-                method=solver.method,
-                cov_mode=mode,
-                cond_limit=solver.cond_limit,
-            )
-            for mode in sorted(set(cov_modes))
-        }
+    return {
+        mode: solvers.edit_model(
+            model,
+            requests,
+            preserved,
+            solver.lam,
+            method=solver.method,
+            cov_mode=mode,
+            cond_limit=solver.cond_limit,
+        )
+        for mode in sorted(set(cov_modes))
+    }
 
 
 def merge_report(model, probes, merged, merge_cfg, alpha, seed):
@@ -429,12 +416,11 @@ def mono_report(probes, rows, alpha, seed):
 def score_points(config, dataset, model, points, include_mono=False):
     """Reports of each ``(MergeConfig, alpha)`` point in order, then mono at the anchor alpha.
 
-    Inside one :func:`lamedit.blas.quiet` scope, one :func:`lamedit.blas.spread`
-    factors every delta of every covariance mode a tsvm config reads
-    (:func:`lamedit.merging.delta_factors`), and one more works through the
-    task list: an item per distinct merge config, which merges it and
-    scores each of its points, and an item per mono language.  One probe
-    batch serves every item.
+    One :func:`lamedit.blas.spread` factors every delta of every covariance
+    mode a tsvm config reads (:func:`lamedit.merging.delta_factors`), and one
+    more works through the task list: an item per distinct merge config,
+    which merges it and scores each of its points, and an item per mono
+    language.  One probe batch serves every item.
     """
     modes = [m.cov_mode for m, _ in points]
     if include_mono:
@@ -443,22 +429,21 @@ def score_points(config, dataset, model, points, include_mono=False):
     alphas = {}  # each distinct config -> its points' alphas, in point order
     for merge_cfg, alpha in points:
         alphas.setdefault(merge_cfg, []).append(alpha)
-    with blas.quiet():
-        tsvm_modes = sorted({m.cov_mode for m in alphas if m.base_rule == "tsvm"})
-        factors = dict(zip(tsvm_modes, merging.delta_factors([delta_sets[mode] for mode in tsvm_modes])))
-        probes = metrics.probe_batch(model, dataset)
+    tsvm_modes = sorted({m.cov_mode for m in alphas if m.base_rule == "tsvm"})
+    factors = dict(zip(tsvm_modes, merging.delta_factors([delta_sets[mode] for mode in tsvm_modes])))
+    probes = metrics.probe_batch(model, dataset)
 
-        def merge_and_score(merge_cfg):
-            merged = merging.merge(merge_cfg, delta_sets[merge_cfg.cov_mode], factors.get(merge_cfg.cov_mode))
-            return [merge_report(model, probes, merged, merge_cfg, a, config.seed) for a in alphas[merge_cfg]]
+    def merge_and_score(merge_cfg):
+        merged = merging.merge(merge_cfg, delta_sets[merge_cfg.cov_mode], factors.get(merge_cfg.cov_mode))
+        return [merge_report(model, probes, merged, merge_cfg, a, config.seed) for a in alphas[merge_cfg]]
 
-        def mono_row(language_id):
-            return metrics.run_mono(model, probes, delta_sets[PER_LANGUAGE], language_id, config.alpha)
+    def mono_row(language_id):
+        return metrics.run_mono(model, probes, delta_sets[PER_LANGUAGE], language_id, config.alpha)
 
-        tasks = [functools.partial(merge_and_score, m) for m in alphas]
-        if include_mono:
-            tasks += [functools.partial(mono_row, i) for i in probes.language_ids]
-        done = blas.spread(lambda task: task(), tasks)
+    tasks = [functools.partial(merge_and_score, m) for m in alphas]
+    if include_mono:
+        tasks += [functools.partial(mono_row, i) for i in probes.language_ids]
+    done = blas.spread(lambda task: task(), tasks)
     per_config = {m: iter(reports) for m, reports in zip(alphas, done)}
     reports = [next(per_config[m]) for m, _ in points]
     if include_mono:

@@ -84,11 +84,10 @@ def merge_mean(deltas):
 def _svd(matrix):
     """Thin SVD by LAPACK ``gesdd``, falling back to ``gesvd`` when it fails.
 
-    ``gesdd`` runs in numpy at the caller's thread count, its bits the same at
-    any count; the merge-and-score phase calls it inside
-    :func:`lamedit.blas.quiet`, on one thread with numpy's idle workers
-    stopped, from the threads of a :func:`lamedit.blas.spread` (every delta
-    in :func:`delta_factors`, and tsvm's polar factors in each merge's item).  It fails to converge
+    ``gesdd`` runs in numpy, on its one thread (:mod:`lamedit.blas`); the
+    merge-and-score phase calls it from the threads of a
+    :func:`lamedit.blas.spread` (every delta in :func:`delta_factors`, and
+    tsvm's polar factors in each merge's item).  It fails to converge
     on some rank-deficient deltas (seen on alphaedit edits at d=128, rank
     ``n_facts``) that ``gesvd`` factors to machine precision.
     ``gesvd`` runs in scipy at the default thread count, and scipy's idle

@@ -27,22 +27,18 @@ other when calls alternate, so ``edit_model`` runs each edit layer in three
 phases, with one switch into the solving library and one back:
 
 1. numpy forms every distinct system at the layer with its 1-norm, and each
-   language's right-hand side: forwards, matmuls and norms, whose bits do
-   not depend on the thread count;
+   language's right-hand side: forwards, matmuls and norms;
 2. the method's library factors, condition-checks and solves them all back
-   to back, at the default thread count, since at h=256 those factors' bits
-   depend on it;
+   to back: numpy on its one thread (:mod:`lamedit.blas`) for memit, scipy
+   at its default count for alphaedit;
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
 
-alphaedit's phases need no numpy worker, so its caller may run the whole
-layer loop in :func:`lamedit.blas.quiet` (``experiment.compute_delta_sets``
-does), and each of its phase 2 ends in a :func:`lamedit.blas.stop_idle_pool`
-of scipy's, so scipy's idle workers do not take the cores from numpy's next
-calls.  Neither changes a bit.  The phase 2 and its stop hold
+alphaedit's phase 2 ends in a :func:`lamedit.blas.stop_idle_pool` of
+scipy's, so scipy's idle workers do not take the cores from numpy's next
+calls; that changes no bit.  The phase 2 and its stop hold
 :data:`lamedit.blas.SCIPY_RUN`, as the ``gesvd`` fallback does, so no thread
-stops scipy's pool while another thread's scipy run is in flight.  memit's phase 2 inverts in numpy at the
-default count, so its loop runs in no scope.
+stops scipy's pool while another thread's scipy run is in flight.
 
 memit systems stay in numpy throughout: a Cholesky check, one explicit
 inverse per system, its exact 1-norm condition number and a matmul per
@@ -264,18 +260,24 @@ def nullspace_projector(cov_preserved, rel_tol=DEFAULT_REL_TOL):
 
     Eigenvalues at or below ``rel_tol`` times the largest eigenvalue count as
     zero.  A zero matrix yields the identity (everything is null space); a
-    full-rank matrix yields the zero projector.
+    full-rank matrix yields the zero projector; one whose Frobenius norm is
+    not finite raises :class:`IllConditionedError`.  The eigendecomposition
+    is scipy's ``dsyevd``, the kernel of numpy's ``eigh``, at scipy's thread
+    count.
     """
     cov = np.asarray(cov_preserved, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ShapeError("covariance must be square")
-    scale = np.linalg.norm(cov)
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
+        scale = np.linalg.norm(cov)
+    if not np.isfinite(scale):
+        raise IllConditionedError(f"preserved covariance norm is {scale}: an entry is not finite or too large")
     if scale > 0 and np.linalg.norm(cov - cov.T) > 1e-9 * scale:
         raise ShapeError("covariance is not symmetric")
     h = cov.shape[0]
     if scale == 0.0:
         return NullProjector(projector=np.eye(h), null_dim=h)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    eigvals, eigvecs = scipy.linalg.eigh(0.5 * (cov + cov.T), driver="evd", check_finite=False)
     top = eigvals[-1]
     if top <= 0:
         return NullProjector(projector=np.eye(h), null_dim=h)
@@ -394,11 +396,9 @@ def edit_model(
     condition-checked once per layer; in the per-language mode once per
     (layer, language).  Each layer runs in three phases (see the module
     docstring): numpy forms the systems and right-hand sides, the method's
-    library factors, checks and solves them back to back at the default
-    thread count, and numpy stores the deltas and updates the working
-    copies.  alphaedit's scipy pool is stopped after each solve run, which
-    changes no bit.  An alphaedit call may run in :func:`lamedit.blas.quiet`;
-    a memit call may not, since its phase 2 inverts in numpy.
+    library factors, checks and solves them back to back, and numpy stores
+    the deltas and updates the working copies.  alphaedit's scipy pool is stopped after each solve run, which
+    changes no bit.
 
     Parameters
     ----------

@@ -1,5 +1,7 @@
 import contextlib
+import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -7,8 +9,10 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lamedit import blas, cli, experiment, merging, metrics, solvers, synthdata
+from lamedit import blas, cli, experiment, merging, solvers, synthdata
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.merging import MergeConfig
 
@@ -58,6 +62,23 @@ def caller_count(request):
     yield request.param
     for setter, count in zip(setters, previous):
         setter(count)
+
+
+@contextlib.contextmanager
+def numpy_at_scipys_count():
+    """numpy's OpenBLAS at scipy's thread count for the body.
+
+    The import-time state, one thread with the idle workers stopped, is put
+    back in a ``finally``.
+    """
+    setter = _thread_setter("numpy")
+    if setter is None or _thread_setter("scipy") is None:
+        pytest.skip("a bundled OpenBLAS without openblas_set_num_threads_local")
+    setter(_count("scipy"))
+    try:
+        yield
+    finally:
+        blas._numpy_on_one_thread()
 
 
 def _os_threads():
@@ -115,97 +136,81 @@ class TestStopIdlePool:
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
 
 
-class TestQuiet:
-    def test_one_thread_inside_and_the_callers_count_after(self, caller_count):
-        with blas.quiet():
-            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+# The environment variables OpenBLAS reads its default thread count from.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-    def test_restored_after_an_exception(self, caller_count):
-        with pytest.raises(ZeroDivisionError):
-            with blas.quiet():
-                1 / 0
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+# Run in a fresh process: each library's thread count before and after
+# ``import lamedit``, read by setting it to one and back, as ``_count`` does.
+_COUNTS_AROUND_IMPORT = """
+import ctypes, glob, json, os
+import numpy, scipy, scipy.linalg
 
-    @linux_only
-    @pytest.mark.parametrize("caller_count", [2], indirect=True, ids=["caller-2"])
-    def test_pool_stays_stopped_through_a_gesdd(self, caller_count):
-        # Nothing inside reads a count: setting one, even from 1 to 1,
-        # re-creates a stopped pool.
-        rng = np.random.default_rng(0)
-        np.linalg.inv(rng.standard_normal((256, 256)))
-        matrix = rng.standard_normal((128, 256))
-        before = _os_threads()
-        with blas.quiet():
-            inside = _os_threads()
-            merging._svd(matrix)
-            assert _os_threads() == inside
-        assert before > inside
+def count(module, pattern):
+    root = os.path.dirname(os.path.dirname(module.__file__))
+    setter = ctypes.CDLL(sorted(glob.glob(os.path.join(root, pattern)))[0]).openblas_set_num_threads_local
+    previous = setter(1)
+    setter(previous)
+    return previous
 
-    @pytest.mark.parametrize("missing", ["library", "setter"])
-    def test_missing_library_or_setter_does_nothing(self, caller_count, monkeypatch, missing):
-        matrix = np.random.default_rng(0).standard_normal((24, 40))
-        expected = np.linalg.svd(matrix, full_matrices=False)
-        monkeypatch.setattr(blas, "_thread_setter", lambda package: None)
-        if missing == "library":
-            monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
-        before = _os_threads() if sys.platform.startswith("linux") else None
-        with blas.quiet():
-            if before is not None:
-                assert _os_threads() == before
-            assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-            factors = merging._svd(matrix)
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
-        for got, want in zip(factors, expected):
-            assert np.array_equal(got, want)
+def counts():
+    return {
+        "numpy": count(numpy, os.path.join("numpy.libs", "libscipy_openblas64_*")),
+        "scipy": count(scipy, os.path.join("scipy.libs", "libscipy_openblas*")),
+    }
 
-    def test_missing_stopper_still_runs_on_one_thread(self, caller_count, monkeypatch):
-        monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
-        with blas.quiet():
-            assert (_count("numpy"), _count("scipy")) == (1, caller_count)
-        assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
+before = counts()
+import lamedit
+print(json.dumps({"before": before, "after": counts()}))
+"""
 
 
-def _numpy_setter_calls(monkeypatch):
-    """Record every count passed to numpy's thread setter, in the returned list."""
-    real = blas._thread_setter
-    setter = real("numpy")
-    if setter is None:
-        pytest.skip("numpy's OpenBLAS has no openblas_set_num_threads_local")
-    calls = []
+def _run_python(code, env, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this checkout's lamedit; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blas.__file__)))
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
-    def spy(count):
-        calls.append(count)
-        return setter(count)
 
-    monkeypatch.setattr(blas, "_thread_setter", lambda package: spy if package == "numpy" else real(package))
-    return calls
+def test_import_puts_numpy_on_one_thread_and_leaves_scipy_at_its_default():
+    if None in (_thread_setter("numpy"), _thread_setter("scipy")):
+        pytest.skip("a bundled OpenBLAS without openblas_set_num_threads_local")
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_ENV}
+    counts = json.loads(_run_python(_COUNTS_AROUND_IMPORT, env))
+    assert counts["before"]["numpy"] == counts["before"]["scipy"] >= 1
+    assert counts["after"] == {"numpy": 1, "scipy": counts["before"]["scipy"]}
 
 
 @pytest.mark.parametrize(
-    "command, entries",
-    [
-        # Set-up: the rotations and the backbone fit, in one phase.
-        (["generate"], 1),
-        # The merge phase; memit's edit loop enters no scope.
-        (["run"], 1),
-        # alphaedit's edit loops, both covariance modes in one phase, then the merge phase.
-        (["run", "--method", "alphaedit"], 1 + 1),
-        # The merge phase, holding every grid point's merges.
-        (["sweep", "--axis", "alpha"], 1),
-        (["sweep", "--axis", "rank"], 1),
-    ],
+    "command",
+    [["generate"], ["run"], ["run", "--method", "alphaedit"], ["sweep", "--axis", "alpha"], ["sweep", "--axis", "rank"]],
     ids=["generate", "run", "run-alphaedit", "sweep-alpha", "sweep-rank"],
 )
-def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command, entries):
-    # Every scope sets numpy's count once on entry and once on exit.  A
-    # scope per merge or per SVD (10 per tsvm merge here) would show here.
+def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command):
+    # numpy's count is set once, on import, and no command sets either
+    # library's count again: setting it at all re-creates a stopped pool.
+    # numpy's eigh, whose bits at h=256 depend on the count, is reached by
+    # none of them either; the projector's eigh is scipy's.
     config_path, bench_dir, tmp = tiny_setup
-    calls = _numpy_setter_calls(monkeypatch)
+    calls = []
+    real = blas._thread_setter
+
+    def setter_spy(package):
+        setter = real(package)
+        if setter is None:
+            pytest.skip(f"{package}'s OpenBLAS has no openblas_set_num_threads_local")
+        return lambda count: calls.append((package, count)) or setter(count)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy's eigh was called")
+
+    monkeypatch.setattr(blas, "_thread_setter", setter_spy)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     dataset = [] if command[0] == "generate" else ["--dataset", bench_dir]
     argv = [command[0], config_path, *dataset, "--out", str(tmp / "-".join(command)), *command[1:]]
     assert cli.main(argv) == 0
-    assert len(calls) == 2 * entries
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -351,65 +356,71 @@ def test_alphaedit_scipy_stops_hold_the_scipy_lock(tmp_path, monkeypatch):
     assert not blas.SCIPY_RUN.locked()
 
 
-# numpy's kernels whose bits depend on the thread count at h=256 (README,
-# Determinism).  scipy's run at scipy's default count, inside a scope or not.
-SENSITIVE = ("inv", "cholesky", "eigh")
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.sampled_from([64, 256]),
+    rank_share=st.floats(0.05, 0.95),
+    rel_tol=st.sampled_from([1e-12, solvers.DEFAULT_REL_TOL, 1e-3]),
+)
+def test_projector_equals_numpys_eigh_at_scipys_count(seed, h, rank_share, rel_tol):
+    # The projector's eigh moved from numpy to scipy's dsyevd, the same LAPACK
+    # routine; at the same thread count it gives numpy's bits.
+    rng = np.random.default_rng(seed)
+    keys = rng.standard_normal((h, max(1, int(rank_share * h))))
+    cov = keys @ keys.T
+    got = solvers.nullspace_projector(cov, rel_tol=rel_tol)
+    with numpy_at_scipys_count():
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    mask = eigvals <= rel_tol * eigvals[-1]
+    basis = eigvecs[:, mask]
+    projector = basis @ basis.T
+    assert 0 < got.null_dim == mask.sum() < h
+    assert np.array_equal(got.projector, 0.5 * (projector + projector.T))
 
 
-def test_no_thread_sensitive_kernel_runs_inside_a_scope(tmp_path, monkeypatch):
-    # A quiet scope holds numpy on one thread, so none of numpy's sensitive
-    # kernels may run in one; and no scope may be entered inside another,
-    # since re-setting numpy's count re-creates the pool the outer one stopped.
-    depth = [0]
-    nested = []
-    calls = []
-    real_quiet = blas.quiet
+# Run in a fresh process on a saved benchmark: the sha256 of memit's deltas
+# in both covariance modes.
+_MEMIT_DELTA_DIGEST = """
+import hashlib, sys
+from lamedit import experiment
+from lamedit.covariance import PER_LANGUAGE, SHARED
 
-    @contextlib.contextmanager
-    def tracked():
-        nested.append(depth[0] > 0)
-        with real_quiet():
-            depth[0] += 1
-            try:
-                yield
-            finally:
-                depth[0] -= 1
+dataset, model, _ = experiment.load_benchmark(sys.argv[1])
+delta_sets = experiment.compute_delta_sets(model, dataset, experiment.SolverSettings(), [PER_LANGUAGE, SHARED])
+digest = hashlib.sha256()
+for mode, delta_set in sorted(delta_sets.items()):
+    for key in sorted(delta_set.entries):
+        digest.update(delta_set.entries[key].tobytes())
+print(digest.hexdigest())
+"""
 
-    monkeypatch.setattr(blas, "quiet", tracked)
-    for name in SENSITIVE:
-        original = getattr(np.linalg, name)
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls.append((_name, depth[0]))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
-
-    config_path = write_config(tmp_path)
+def test_memit_deltas_at_h256_do_not_depend_on_the_thread_count(tmp_path):
+    # memit inverts and Cholesky-checks its systems in numpy, whose inv and
+    # cholesky give other bits at h=256 on one thread than on two; numpy runs
+    # on one thread whatever OPENBLAS_NUM_THREADS says.  n_preserved > h, so
+    # the preserved keys span every direction and memit's systems are definite.
+    cfg = synthdata.GenConfig(
+        n_facts=8, m_languages=2, d=128, h=256, n_preserved=320, vocab_size=32, seed=5
+    )
     bench = str(tmp_path / "bench")
-    for argv in (
-        ["generate", config_path, "--out", bench],
-        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "memit")],
-        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "alpha"), "--method", "alphaedit"],
-        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "alpha"],
-        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "rank"],
-    ):
-        assert cli.main(argv) == 0
-    # Set-up, alphaedit's edit loops and four merge phases, one scope each.
-    assert nested == [False] * 6
-    # Every spied kernel was reached, so the guard watched real calls.
-    assert {name for name, _ in calls} == set(SENSITIVE)
-    assert [name for name, inside in calls if inside] == []
+    experiment.write_benchmark(experiment.ExperimentConfig(seed=cfg.seed, dataset=cfg), bench)
+    digests = {
+        threads: _run_python(_MEMIT_DELTA_DIGEST, dict(os.environ, OPENBLAS_NUM_THREADS=threads), bench)
+        for threads in ("1", "2")
+    }
+    assert digests["1"] == digests["2"]
 
 
 def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
     # h=256 is the shape where a thread-sensitive kernel changes bits (README,
     # Determinism); everything else is shrunk to keep this fast.  Both runs
-    # go through the CLI's set-up and merge-and-score functions: the scoped
-    # run spreads its merges and scores over two cores, the other runs them
-    # on one core at the default count, with no scope anywhere.  Spies
-    # record every delta, SVD and merge, and the scope depth at set-up and
-    # at each edit_model call.
+    # go through the CLI's set-up and merge-and-score functions: one spreads
+    # its merges and scores over two cores with numpy on its one thread, the
+    # other runs them on one core with numpy at scipy's count, the default
+    # count before numpy's was set on import.  Spies record every delta, SVD
+    # and merge.
     cfg = synthdata.GenConfig(
         n_facts=8, m_languages=2, d=128, h=256, n_preserved=32, vocab_size=32, seed=5
     )
@@ -418,26 +429,8 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
     )
     points = [(m, 1.0) for m in (*experiment.default_merges(), MergeConfig("tsvm", rank_ratio=0.125))]
     real_edit, real_factors, real_merge = solvers.edit_model, merging.delta_factors, merging.merge
-    real_setup, real_quiet = synthdata.build_benchmark, blas.quiet
-    depth = [0]
-
-    @contextlib.contextmanager
-    def tracked_quiet():
-        with real_quiet():
-            depth[0] += 1
-            try:
-                yield
-            finally:
-                depth[0] -= 1
 
     def pipeline(bench_dir):
-        depths = []
-
-        def build_benchmark(gen_config):
-            depths.append(("set-up", depth[0]))
-            return real_setup(gen_config)
-
-        monkeypatch.setattr(synthdata, "build_benchmark", build_benchmark)
         dataset, model, _ = experiment.write_benchmark(config, str(bench_dir))
         arrays = {
             "transforms": dataset.transforms,
@@ -447,7 +440,6 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
         }
 
         def edit_model(*args, cov_mode, **kwargs):
-            depths.append((cov_mode, depth[0]))
             delta_set = real_edit(*args, cov_mode=cov_mode, **kwargs)
             for key, delta in delta_set.entries.items():
                 arrays[cov_mode, "delta", key] = delta
@@ -473,29 +465,24 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
         monkeypatch.setattr(merging, "delta_factors", delta_factors)
         monkeypatch.setattr(merging, "merge", merge)
         reports = experiment.score_points(config, dataset, model, points, include_mono=True)
-        return arrays, reports, depths
+        return arrays, reports
 
-    monkeypatch.setattr(blas, "quiet", tracked_quiet)
     _cores(monkeypatch, 2)
-    scoped, scoped_reports, depths = pipeline(tmp_path / "scoped")
-    # Set-up and alphaedit's edits of both modes ran in a scope, so the
-    # comparison below covers them.
-    assert depths == [("set-up", 1), (PER_LANGUAGE, 1), (SHARED, 1)]
-    assert all(np.any(scoped[key]) for key in scoped if "delta" in key)  # real edits, not zeros
+    spread, spread_reports = pipeline(tmp_path / "spread")
+    assert all(np.any(spread[key]) for key in spread if "delta" in key)  # real edits, not zeros
     # Every spy saw its calls: deltas and SVDs of both modes, and each merge.
-    assert {(key[0], key[1]) for key in scoped if len(key) == 3 and key[1] == "delta"} == {
+    assert {(key[0], key[1]) for key in spread if len(key) == 3 and key[1] == "delta"} == {
         (PER_LANGUAGE, "delta"), (SHARED, "delta")
     }
-    assert {key[0] for key in scoped if len(key) == 4} == {PER_LANGUAGE, SHARED}
-    assert len({key[1] for key in scoped if key[0] == "merged"}) == len(points)
-    monkeypatch.setattr(blas, "quiet", contextlib.nullcontext)
+    assert {key[0] for key in spread if len(key) == 4} == {PER_LANGUAGE, SHARED}
+    assert len({key[1] for key in spread if key[0] == "merged"}) == len(points)
     _cores(monkeypatch, 1)
-    unscoped, unscoped_reports, depths = pipeline(tmp_path / "unscoped")
-    assert depths == [("set-up", 0), (PER_LANGUAGE, 0), (SHARED, 0)]
-    assert scoped.keys() == unscoped.keys()
-    for key, array in scoped.items():
-        assert np.array_equal(array, unscoped[key]), key
-    assert scoped_reports == unscoped_reports
+    with numpy_at_scipys_count():
+        serial, serial_reports = pipeline(tmp_path / "serial")
+    assert spread.keys() == serial.keys()
+    for key, array in spread.items():
+        assert np.array_equal(array, serial[key]), key
+    assert spread_reports == serial_reports
 
 
 def _cores(monkeypatch, n):
@@ -603,7 +590,7 @@ class TestSpread:
         assert blas.spread(work, range(20)) == list(range(1, 21))
 
     def test_without_numpys_thread_setter_starts_no_thread(self, monkeypatch):
-        # quiet is then a no-op, so an item's kernels may already use every core.
+        # numpy then stays at its default count, so an item's kernels may already use every core.
         _cores(monkeypatch, 4)
         monkeypatch.setattr(blas, "_thread_setter", lambda package: None)
 
@@ -613,23 +600,14 @@ class TestSpread:
         monkeypatch.setattr(threading, "Thread", no_thread)
         assert blas.spread(lambda x: 2 * x, range(6)) == [0, 2, 4, 6, 8, 10]
 
-    def test_no_worker_enters_quiet_or_stops_a_pool_outside_the_locked_fallback(
-        self, tmp_path, monkeypatch
-    ):
+    def test_no_worker_stops_a_pool_outside_the_locked_fallback(self, tmp_path, monkeypatch):
         # gesdd is made to fail, so every merge SVD, on whichever thread,
         # takes the gesvd fallback and stops scipy's pool.
         _cores(monkeypatch, 2)
         main = threading.main_thread()
-        scopes = []
         stops = []
         owner = [None]
-        real_quiet, real_stop, real_lock = blas.quiet, blas.stop_idle_pool, blas.SCIPY_RUN
-
-        @contextlib.contextmanager
-        def tracked_quiet():
-            scopes.append(threading.current_thread() is main)
-            with real_quiet():
-                yield
+        real_stop, real_lock = blas.stop_idle_pool, blas.SCIPY_RUN
 
         def tracked_stop(package):
             on_main = threading.current_thread() is main
@@ -648,7 +626,6 @@ class TestSpread:
         def failing_gesdd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(blas, "quiet", tracked_quiet)
         monkeypatch.setattr(blas, "stop_idle_pool", tracked_stop)
         monkeypatch.setattr(blas, "SCIPY_RUN", TrackedLock())
         config_path = write_config(tmp_path, dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02}))
@@ -660,7 +637,6 @@ class TestSpread:
             ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "rank"],
         ):
             assert cli.main(argv) == 0
-        assert scopes and all(scopes)
         off_main = [stop for stop in stops if not stop[1]]
         assert off_main, "no fallback ran on a worker, so the guard watched nothing"
         assert all(package == "scipy" and locked for package, _, locked in off_main)

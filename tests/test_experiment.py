@@ -492,7 +492,7 @@ class TestBlasThreadCount:
     def test_tiny_generate_and_run_bytes_do_not_depend_on_thread_count(self, tmp_path):
         # At h <= 64 every BLAS kernel the pipeline calls gives the same bits
         # on one thread as on two; at h=256 several do not (see README,
-        # Determinism).  The rank sweep enters and leaves the most scopes.
+        # Determinism).  The rank sweep makes the most merges.
         # Each thread count runs in its own process, because OpenBLAS reads
         # its thread count once, at load.
         src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
@@ -861,6 +861,27 @@ class TestRunCommand:
         code = cli.main(["run", config_path, "--dataset", bench_dir, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_preserved_covariance_exit_3(self, tiny_setup, tmp_path, capsys):
+        # A finite model whose first edit layer's w_in is scaled by 1e160 loads,
+        # but its preserved keys' second moment overflows: alphaedit's
+        # projector refuses it as a numerical failure, not a traceback.
+        config_path, bench_dir, _ = tiny_setup
+        bench = tmp_path / "overflow"
+        shutil.copytree(bench_dir, bench)
+        model_path = str(bench / experiment.MODEL_FILE)
+        model = container.load_model(model_path)
+        layers = list(model.layers)
+        index = model.edit_layers[0] - 1
+        layers[index] = replace(layers[index], w_in=layers[index].w_in * 1e160)
+        container.save_model(model_path, replace(model, layers=tuple(layers)))
+        argv = ["run", config_path, "--dataset", str(bench), "--out", str(tmp_path / "o"), "--method", "alphaedit"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure:") and "preserved covariance" in err
+        assert "Traceback" not in err
 
     def test_single_language_sum_matches_mono(self, tmp_path):
         doc = dict(TINY_CONFIG)

@@ -231,6 +231,18 @@ class TestNullspaceProjector:
         with pytest.raises(ShapeError):
             nullspace_projector(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e200], ids=["inf", "-inf", "nan", "overflow"])
+    def test_non_finite_norm_raises_before_the_eigendecomposition(self, entry, monkeypatch):
+        # scipy's eigh would raise a bare ValueError on a non-finite matrix.
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh was reached")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+        cov = np.eye(6)
+        cov[2, 3] = cov[3, 2] = entry
+        with pytest.raises(IllConditionedError, match="preserved covariance"):
+            nullspace_projector(cov)
+
 
 class TestSolveAlphaedit:
     def test_identity_projector_matches_memit_identity_const(self):
