@@ -120,8 +120,8 @@ def cmd_sweep(args):
     config = experiment.load_config(args.config)
     dataset, model, manifest = experiment.load_benchmark(args.dataset, config)
     experiment.make_out_dir(args.out)
-    results, point_reports = experiment.sweep(config, dataset, model, args.axis)
-    experiment.write_sweep_outputs(args.out, config, args.axis, results, point_reports)
+    results, _ = experiment.sweep(config, dataset, model, args.axis)
+    experiment.write_sweep_outputs(args.out, config, args.axis, results)
     for result in results:
         print(
             f"{result.method:10s} best {args.axis}={result.argmax_point:g} "

@@ -15,8 +15,11 @@ and neither inside another: every delta SVD of every tsvm-read mode, then
 one task list of an item per distinct merge config (merge it, score each of
 its points) and an item per mono language.
 
-All emitted CSV/JSON is deterministic: fixed column orders, sorted JSON keys,
-floats via ``repr``.
+:func:`score_points` builds each :class:`~lamedit.metrics.MetricsReport`
+once.  A sweep keeps each method's curve as its cross-language mean rows
+(:class:`SweepResult`); the sweep's CSV rows, JSON values, argmax and chart
+all read those rows.  One writer emits every CSV.  All emitted CSV/JSON is
+deterministic: fixed column orders, sorted JSON keys, floats via ``repr``.
 """
 
 from __future__ import annotations
@@ -41,18 +44,9 @@ DEFAULT_ALPHA_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 DEFAULT_RANK_GRID = (0.0625, 0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0)
 DEFAULT_TSVM_RANK = 0.375
 
-CSV_COLUMNS = (
-    "method",
-    "cov_mode",
-    "alpha",
-    "rank_ratio",
-    "language",
-    "efficacy",
-    "generalization",
-    "specificity",
-    "portability",
-    "averaged",
-)
+ACCURACY_COLUMNS = ("efficacy", "generalization", "specificity", "portability", "averaged")
+CSV_COLUMNS = ("method", "cov_mode", "alpha", "rank_ratio", "language", *ACCURACY_COLUMNS)
+SWEEP_CSV_COLUMNS = ("method", "axis", "point", *ACCURACY_COLUMNS)
 
 MONO_METHOD = "mono"
 
@@ -380,39 +374,6 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
     }
 
 
-def merge_report(model, probes, merged, merge_cfg, alpha, seed):
-    """Apply one merge (``{layer: matrix}`` from ``merge_cfg``) at ``alpha`` and score it.
-
-    ``probes`` is the dataset's :class:`~lamedit.metrics.ProbeBatch` on ``model``.
-    """
-    return metrics.MetricsReport(
-        method=merge_cfg.method,
-        cov_mode=merge_cfg.cov_mode,
-        alpha=float(alpha),
-        rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
-        seed=seed,
-        languages=probes.languages,
-        rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), probes),
-    )
-
-
-def mono_report(probes, rows, alpha, seed):
-    """Mono baseline report from each language's :func:`lamedit.metrics.run_mono` row.
-
-    ``rows`` align with ``probes.language_ids``: each language edited with
-    only its own per-language deltas at ``alpha``.
-    """
-    return metrics.MetricsReport(
-        method=MONO_METHOD,
-        cov_mode=PER_LANGUAGE,
-        alpha=float(alpha),
-        rank_ratio=None,
-        seed=seed,
-        languages=probes.languages,
-        rows=tuple(rows),
-    )
-
-
 def score_points(config, dataset, model, points, include_mono=False):
     """Reports of each ``(MergeConfig, alpha)`` point in order, then mono at the anchor alpha.
 
@@ -435,7 +396,18 @@ def score_points(config, dataset, model, points, include_mono=False):
 
     def merge_and_score(merge_cfg):
         merged = merging.merge(merge_cfg, delta_sets[merge_cfg.cov_mode], factors.get(merge_cfg.cov_mode))
-        return [merge_report(model, probes, merged, merge_cfg, a, config.seed) for a in alphas[merge_cfg]]
+        return [
+            metrics.MetricsReport(
+                method=merge_cfg.method,
+                cov_mode=merge_cfg.cov_mode,
+                alpha=float(alpha),
+                rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
+                seed=config.seed,
+                languages=probes.languages,
+                rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), probes),
+            )
+            for alpha in alphas[merge_cfg]
+        ]
 
     def mono_row(language_id):
         return metrics.run_mono(model, probes, delta_sets[PER_LANGUAGE], language_id, config.alpha)
@@ -447,7 +419,18 @@ def score_points(config, dataset, model, points, include_mono=False):
     per_config = {m: iter(reports) for m, reports in zip(alphas, done)}
     reports = [next(per_config[m]) for m, _ in points]
     if include_mono:
-        reports.append(mono_report(probes, done[len(alphas) :], config.alpha, config.seed))
+        # Each language edited with only its own per-language deltas.
+        reports.append(
+            metrics.MetricsReport(
+                method=MONO_METHOD,
+                cov_mode=PER_LANGUAGE,
+                alpha=float(config.alpha),
+                rank_ratio=None,
+                seed=config.seed,
+                languages=probes.languages,
+                rows=tuple(done[len(alphas) :]),
+            )
+        )
     return reports
 
 
@@ -462,25 +445,27 @@ def run_experiment(config, dataset, model):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One method's curve along one axis, plus its argmax grid point."""
+    """One method's curve along one axis: its cross-language mean row at each grid point."""
 
     axis: str
     method: str
     grid: tuple[float, ...]
-    values: tuple[float, ...]
-    argmax_point: float
+    rows: tuple[metrics.MetricsRow, ...]
 
     def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise ConfigError("sweep grid and values must have equal length")
+        if len(self.grid) != len(self.rows):
+            raise ConfigError("sweep grid and rows must have equal length")
 
+    @property
+    def values(self):
+        """The curve: averaged accuracy at each grid point."""
+        return tuple(row.averaged for row in self.rows)
 
-def _argmax_point(grid, values):
-    best = max(values)
-    for point, value in zip(grid, values):
-        if value == best:
-            return point
-    return grid[0]
+    @property
+    def argmax_point(self):
+        """The first grid point of the curve's maximum."""
+        values = self.values
+        return self.grid[values.index(max(values))]
 
 
 def sweep(config, dataset, model, axis):
@@ -506,19 +491,15 @@ def sweep(config, dataset, model, axis):
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected 'alpha' or 'rank'")
     point_reports = score_points(config, dataset, model, points)
-
-    results = []
-    for idx, m in enumerate(merge_cfgs):
-        values = tuple(float(rep.mean_row().averaged) for rep in point_reports[idx :: len(merge_cfgs)])
-        results.append(
-            SweepResult(
-                axis=axis,
-                method=m.method,
-                grid=tuple(grid),
-                values=values,
-                argmax_point=_argmax_point(grid, values),
-            )
+    results = [
+        SweepResult(
+            axis=axis,
+            method=m.method,
+            grid=tuple(grid),
+            rows=tuple(rep.mean_row() for rep in point_reports[idx :: len(merge_cfgs)]),
         )
+        for idx, m in enumerate(merge_cfgs)
+    ]
     return results, point_reports
 
 
@@ -551,28 +532,26 @@ def _write_json(path, doc):
     _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _csv_text(header, rows):
+    """CSV text of a header and rows of cells, one line each, newline-terminated."""
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+def _accuracy_cells(row):
+    """A MetricsRow's cells under ACCURACY_COLUMNS."""
+    return [_fmt_float(getattr(row, name)) for name in ACCURACY_COLUMNS]
+
+
 def metrics_csv_text(reports):
-    lines = [",".join(CSV_COLUMNS)]
-    for rep in reports:
-        rows = list(zip(rep.languages, rep.rows)) + [("avg", rep.mean_row())]
-        for language, row in rows:
-            lines.append(
-                ",".join(
-                    (
-                        rep.method,
-                        rep.cov_mode,
-                        _fmt_float(rep.alpha),
-                        _fmt_float(rep.rank_ratio),
-                        language,
-                        _fmt_float(row.efficacy),
-                        _fmt_float(row.generalization),
-                        _fmt_float(row.specificity),
-                        _fmt_float(row.portability),
-                        _fmt_float(row.averaged),
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        CSV_COLUMNS,
+        (
+            [rep.method, rep.cov_mode, _fmt_float(rep.alpha), _fmt_float(rep.rank_ratio), language]
+            + _accuracy_cells(row)
+            for rep in reports
+            for language, row in [*zip(rep.languages, rep.rows), ("avg", rep.mean_row())]
+        ),
+    )
 
 
 def write_run_outputs(out_dir, config, reports, manifest):
@@ -587,36 +566,21 @@ def write_run_outputs(out_dir, config, reports, manifest):
     _write_json(os.path.join(out_dir, "metrics.json"), doc)
 
 
-def sweep_csv_text(results, point_reports):
-    lines = ["method,axis,point,efficacy,generalization,specificity,portability,averaged"]
-    by_method = {}
-    for rep in point_reports:
-        by_method.setdefault(rep.method, []).append(rep)
-    for result in results:
-        reps = by_method[result.method]
-        for point, rep in zip(result.grid, reps):
-            mean = rep.mean_row()
-            lines.append(
-                ",".join(
-                    (
-                        result.method,
-                        result.axis,
-                        _fmt_float(point),
-                        _fmt_float(mean.efficacy),
-                        _fmt_float(mean.generalization),
-                        _fmt_float(mean.specificity),
-                        _fmt_float(mean.portability),
-                        _fmt_float(mean.averaged),
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+def sweep_csv_text(results):
+    return _csv_text(
+        SWEEP_CSV_COLUMNS,
+        (
+            [r.method, r.axis, _fmt_float(point)] + _accuracy_cells(row)
+            for r in results
+            for point, row in zip(r.grid, r.rows)
+        ),
+    )
 
 
-def write_sweep_outputs(out_dir, config, axis, results, point_reports):
+def write_sweep_outputs(out_dir, config, axis, results):
     make_out_dir(out_dir)
     base = f"sweep_{axis}"
-    _write_text(os.path.join(out_dir, base + ".csv"), sweep_csv_text(results, point_reports))
+    _write_text(os.path.join(out_dir, base + ".csv"), sweep_csv_text(results))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "axis": axis,
@@ -801,11 +765,10 @@ def build_comparison(run_dirs, allow_mixed=False):
 
 
 def comparison_csv_text(languages, rows):
-    header = ["method", *languages, "avg"]
-    lines = [",".join(header)]
-    for method, values in rows.items():
-        lines.append(",".join([method, *(_fmt_float(v) for v in values)]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        ["method", *languages, "avg"],
+        ([method, *(_fmt_float(v) for v in values)] for method, values in rows.items()),
+    )
 
 
 def comparison_markdown_text(languages, rows):

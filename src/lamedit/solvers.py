@@ -321,6 +321,10 @@ def preserved_terms(model, preserved_inputs, method=METHOD_MEMIT, rel_tol=DEFAUL
     rescales it to the request batch size); alphaedit takes the null-space
     projector of the raw moment.
 
+    A backbone whose preserved keys overflow raises
+    :class:`IllConditionedError` naming the first edit layer whose preserved
+    covariance is not finite.
+
     Returns
     -------
     dict mapping layer -> ndarray (h, h) for memit, :class:`NullProjector`
@@ -328,10 +332,15 @@ def preserved_terms(model, preserved_inputs, method=METHOD_MEMIT, rel_tol=DEFAUL
     """
     if method not in METHODS:
         raise ShapeError(f"unknown method {method!r}")
-    keys = cov_mod.preserved_keys(model, preserved_inputs, model.edit_layers)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite entry
+        keys = cov_mod.preserved_keys(model, preserved_inputs, model.edit_layers)
+        covs = {layer: cov_mod.cov_per_language(keys[layer]) for layer in model.edit_layers}
     terms = {}
-    for layer in model.edit_layers:
-        cov = cov_mod.cov_per_language(keys[layer])
+    for layer, cov in covs.items():
+        if not np.isfinite(cov).all():
+            raise IllConditionedError(
+                f"preserved covariance at edit layer {layer} is not finite: the preserved keys overflow"
+            )
         if method == METHOD_MEMIT:
             terms[layer] = cov / max(keys[layer].shape[1], 1)
         else:

@@ -46,7 +46,15 @@ def pinned_mono(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes):
         metrics.run_mono(model, pinned_probes, pinned_delta_sets["per_language"], i, pinned_config.alpha)
         for i in pinned_probes.language_ids
     ]
-    report = experiment.mono_report(pinned_probes, rows, pinned_config.alpha, pinned_config.seed)
+    report = metrics.MetricsReport(
+        method=experiment.MONO_METHOD,
+        cov_mode="per_language",
+        alpha=pinned_config.alpha,
+        rank_ratio=None,
+        seed=pinned_config.seed,
+        languages=pinned_probes.languages,
+        rows=tuple(rows),
+    )
     return float(report.mean_row().averaged)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamedit import cli, container, covariance, experiment, merging, solvers
+from lamedit import cli, container, covariance, experiment, merging, metrics, solvers
 from lamedit import model as model_mod
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import ConfigError
@@ -863,25 +864,30 @@ class TestRunCommand:
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_preserved_covariance_exit_3(self, tiny_setup, tmp_path, capsys):
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    def test_overflowing_preserved_covariance_exit_3(self, tmp_path, capsys, method):
         # A finite model whose first edit layer's w_in is scaled by 1e160 loads,
-        # but its preserved keys' second moment overflows: alphaedit's
-        # projector refuses it as a numerical failure, not a traceback.
-        config_path, bench_dir, _ = tiny_setup
-        bench = tmp_path / "overflow"
-        shutil.copytree(bench_dir, bench)
-        model_path = str(bench / experiment.MODEL_FILE)
+        # but its preserved keys' second moment overflows: both solvers refuse
+        # it at the preserved statistics, in one line, with no RuntimeWarning
+        # on the way (pytest.ini makes each one an error).
+        doc = dict(TINY_CONFIG, seed=5, dataset=dict(TINY_CONFIG["dataset"], n_preserved=24, vocab_size=32))
+        config_path = write_config(tmp_path, doc)
+        bench = str(tmp_path / "overflow")
+        assert cli.main(["generate", config_path, "--out", bench]) == 0
+        model_path = os.path.join(bench, experiment.MODEL_FILE)
         model = container.load_model(model_path)
         layers = list(model.layers)
         index = model.edit_layers[0] - 1
         layers[index] = replace(layers[index], w_in=layers[index].w_in * 1e160)
         container.save_model(model_path, replace(model, layers=tuple(layers)))
-        argv = ["run", config_path, "--dataset", str(bench), "--out", str(tmp_path / "o"), "--method", "alphaedit"]
+        capsys.readouterr()
+        argv = ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "o"), "--method", method]
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 3
+        assert err.count("\n") == 1
         assert err.startswith("numerical failure:") and "preserved covariance" in err
-        assert "Traceback" not in err
+        assert f"edit layer {model.edit_layers[0]} " in err
 
     def test_single_language_sum_matches_mono(self, tmp_path):
         doc = dict(TINY_CONFIG)
@@ -1066,8 +1072,8 @@ class TestSweepCommand:
 
     def test_argmax_tie_breaks_to_smallest(self):
         res = experiment.SweepResult(
-            axis="alpha", method="sum", grid=(0.5, 1.0, 2.0), values=(0.2, 0.5, 0.5),
-            argmax_point=experiment._argmax_point((0.5, 1.0, 2.0), (0.2, 0.5, 0.5)),
+            axis="alpha", method="sum", grid=(0.5, 1.0, 2.0),
+            rows=tuple(metrics.MetricsRow(v, v, v, v) for v in (0.2, 0.5, 0.5)),
         )
         assert res.argmax_point == 1.0
 
@@ -1079,6 +1085,24 @@ class TestSweepCommand:
         with open(os.path.join(a, "sweep_alpha.svg"), "rb") as fa, open(os.path.join(b, "sweep_alpha.svg"), "rb") as fb:
             assert fa.read() == fb.read()
 
+
+    @pytest.mark.parametrize("axis", ["alpha", "rank"])
+    def test_json_values_are_csv_averaged_column(self, tiny_setup, tmp_path, axis):
+        # The JSON curve, the CSV mean rows and the argmax are one computation.
+        config_path, bench_dir, _ = tiny_setup
+        out = str(tmp_path / "sw")
+        assert cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", out, "--axis", axis]) == 0
+        with open(os.path.join(out, f"sweep_{axis}.json")) as fh:
+            results = json.load(fh)["results"]
+        with open(os.path.join(out, f"sweep_{axis}.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == sum(len(r["grid"]) for r in results)
+        for r in results:
+            curve = [row for row in rows if row["method"] == r["method"]]
+            assert [float(row["point"]) for row in curve] == r["grid"]
+            assert [float(row["averaged"]) for row in curve] == r["values"]
+            assert all(row["axis"] == axis for row in curve)
+            assert r["argmax_point"] == r["grid"][r["values"].index(max(r["values"]))]
 
 class TestReportCommand:
     def test_single_run_table_matches_csv(self, tiny_runs, tmp_path):
@@ -1239,6 +1263,68 @@ class TestReportCommand:
         assert cli.main(["report", str(run_dir), "--out", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
         assert named in err and str(run_dir) in err
+
+
+class TestCsvText:
+    # Hand-built reports, so every expected line is spelled out.
+    EN = metrics.MetricsRow(1.0, 0.5, 0.75, 0.25)
+    FR = metrics.MetricsRow(0.5, 0.5, 0.25, 0.25)
+    THIRD = metrics.MetricsRow(1 / 3, 1 / 3, 1 / 3, 1 / 3)
+
+    def _report(self, method, cov_mode, rank_ratio, rows, alpha=1.0):
+        return metrics.MetricsReport(
+            method=method, cov_mode=cov_mode, alpha=alpha, rank_ratio=rank_ratio,
+            seed=5, languages=("en", "fr"), rows=rows,
+        )
+
+    def test_metrics_csv_text(self):
+        reports = [
+            self._report("tsvm", "per_language", 0.375, (self.EN, self.FR)),
+            self._report("sum_cov", "shared", None, (self.THIRD, self.THIRD), alpha=0.1),
+            self._report("mono", "per_language", None, (self.FR, self.EN)),
+        ]
+        assert experiment.metrics_csv_text(reports) == (
+            "method,cov_mode,alpha,rank_ratio,language,efficacy,generalization,specificity,portability,averaged\n"
+            "tsvm,per_language,1.0,0.375,en,1.0,0.5,0.75,0.25,0.625\n"
+            "tsvm,per_language,1.0,0.375,fr,0.5,0.5,0.25,0.25,0.375\n"
+            "tsvm,per_language,1.0,0.375,avg,0.75,0.5,0.5,0.25,0.5\n"
+            "sum_cov,shared,0.1,,en,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333\n"
+            "sum_cov,shared,0.1,,fr,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333\n"
+            "sum_cov,shared,0.1,,avg,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333\n"
+            "mono,per_language,1.0,,en,0.5,0.5,0.25,0.25,0.375\n"
+            "mono,per_language,1.0,,fr,1.0,0.5,0.75,0.25,0.625\n"
+            "mono,per_language,1.0,,avg,0.75,0.5,0.5,0.25,0.5\n"
+        )
+
+    def test_sweep_csv_text(self):
+        results = [
+            experiment.SweepResult(axis="rank", method="tsvm", grid=(0.25, 1.0), rows=(self.EN, self.THIRD)),
+            experiment.SweepResult(axis="rank", method="tsvm_cov", grid=(0.25, 1.0), rows=(self.FR, self.EN)),
+        ]
+        assert experiment.sweep_csv_text(results) == (
+            "method,axis,point,efficacy,generalization,specificity,portability,averaged\n"
+            "tsvm,rank,0.25,1.0,0.5,0.75,0.25,0.625\n"
+            "tsvm,rank,1.0,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333\n"
+            "tsvm_cov,rank,0.25,0.5,0.5,0.25,0.25,0.375\n"
+            "tsvm_cov,rank,1.0,1.0,0.5,0.75,0.25,0.625\n"
+        )
+
+    def test_comparison_csv_text(self):
+        rows = {"mono": [0.375, 0.625, 0.5], "tsvm(r=0.375)@a=0.5": [1 / 3, 0.1, 0.21666666666666667]}
+        assert experiment.comparison_csv_text(("en", "fr"), rows) == (
+            "method,en,fr,avg\n"
+            "mono,0.375,0.625,0.5\n"
+            "tsvm(r=0.375)@a=0.5,0.3333333333333333,0.1,0.21666666666666667\n"
+        )
+
+    def test_no_rows_writes_the_header_line(self):
+        assert experiment.metrics_csv_text([]) == (
+            "method,cov_mode,alpha,rank_ratio,language,efficacy,generalization,specificity,portability,averaged\n"
+        )
+        assert experiment.sweep_csv_text([]) == (
+            "method,axis,point,efficacy,generalization,specificity,portability,averaged\n"
+        )
+        assert experiment.comparison_csv_text(("en", "fr"), {}) == "method,en,fr,avg\n"
 
 
 class TestCliFuzz:
