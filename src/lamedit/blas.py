@@ -1,4 +1,4 @@
-"""numpy's BLAS thread policy, scipy's idle-pool stop, and spreading
+"""numpy's BLAS thread policy, the one handover into scipy, and spreading
 independent numpy work over the cores.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own pool of
@@ -13,10 +13,23 @@ nothing from a second BLAS thread and lose time to waking it: on a shared
 on two threads and 0.20 s on one (medians of 7).
 
 scipy stays at its default count.  So the thread count can decide bits only
-through scipy's kernels: set-up's ``logm``, ``expm`` and Cholesky, the
-null-space projector's ``eigh``, alphaedit's LU and the ``gesvd`` fallback.
-Two tools work beside the setting, and neither changes an output bit:
+through scipy's kernels: set-up's ``logm``, ``expm`` and Cholesky, and
+alphaedit's null-space projector ``eigh`` and LU.  Two tools work beside the
+setting, and neither changes an output bit:
 
+* :func:`scipy_run` is the one way ``run`` and ``sweep`` call scipy: every
+  scipy call they make (alphaedit's projector ``eigh``, and each edit
+  layer's LU factors, condition estimates and solves) runs inside it, on the
+  main thread.  It holds one lock through the body and stops scipy's idle
+  workers on the way out, whether the body returns or raises.  After a
+  threaded call a library's idle workers spin for about 0.1 s, and on 2
+  cores they would take the cores from numpy's next kernel.  The lock keeps
+  a thread from stopping the pool while another thread's scipy run is in
+  flight.  Set-up's scipy calls (the dataset's ``logm`` and ``expm``, the
+  fit's Cholesky solves) stay outside it: on a shared 2-core Xeon, wrapping
+  them too read ``pinned-run``'s median ``setup_s`` 16% higher, and lower
+  in only 2 of 5 alternating pairs, so what the stop does there is
+  unresolved.
 * :func:`spread` uses the cores that numpy's one thread leaves idle: it
   works through independent items on the calling thread and one Python
   worker thread per other core.  The merge-and-score phase makes two calls,
@@ -27,14 +40,8 @@ Two tools work beside the setting, and neither changes an output bit:
   ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core and
   41-49 ms spread over two (medians of 15).  Each item's result comes from
   the same kernels on the same operands and at the same count whichever
-  thread runs it, so a spread gives the bits of a serial loop.
-* :func:`stop_idle_pool` stops scipy's idle workers after a run of scipy
-  calls at the default count.  After a threaded call a library's idle
-  workers spin for about 0.1 s, and on 2 cores they would take the cores
-  from numpy's next kernel.  alphaedit's solves and the ``gesvd`` fallback
-  each end with scipy's pool stopped, and both hold :data:`SCIPY_RUN`
-  through the run and its stop, so no thread stops scipy's pool while
-  another thread's run is in flight.
+  thread runs it, so a spread gives the bits of a serial loop.  No item
+  calls scipy.
 
 Pools are stopped through OpenBLAS's ``blas_thread_shutdown_``, which
 changes no bit of any kernel: the library's next threaded call re-creates
@@ -42,13 +49,14 @@ the workers at its count.  The count is set through
 ``openblas_set_num_threads_local``; in the pthreads builds the wheels
 bundle, that count and the pool are the process's, not the calling
 thread's.  A library or symbol that cannot be found leaves numpy at its
-default count and makes :func:`stop_idle_pool` a no-op: that costs speed,
-never bits.  Without numpy's thread setter :func:`spread` is a plain loop
-too, since its items' kernels would not run on one thread each.
+default count and makes the pool stops no-ops: that costs speed, never
+bits.  Without numpy's thread setter :func:`spread` is a plain loop too,
+since its items' kernels would not run on one thread each.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -58,10 +66,9 @@ import threading
 import numpy
 import scipy
 
-# Held through a run of scipy calls and the stop of scipy's pool after it (the
-# gesvd fallback, alphaedit's solves), so no thread stops the pool while
-# another's run is in flight.
-SCIPY_RUN = threading.Lock()
+# Held through a :func:`scipy_run` and its stop of scipy's pool, so no thread
+# stops the pool while another's run is in flight.
+_SCIPY_RUN = threading.Lock()
 
 # Each package's bundled OpenBLAS, relative to the directory holding the package.
 _BUNDLED = {
@@ -96,11 +103,21 @@ def _pool_stopper(package):
     return _openblas_function(package, "blas_thread_shutdown_", (), ctypes.c_int)
 
 
-def stop_idle_pool(package):
+def _stop_idle_pool(package):
     """Stop the idle workers of ``package``'s OpenBLAS; its thread count stays as it is."""
     stopper = _pool_stopper(package)
     if stopper is not None:
         stopper()
+
+
+@contextlib.contextmanager
+def scipy_run():
+    """Hold the scipy lock through the body, then stop scipy's idle workers, even if it raises."""
+    with _SCIPY_RUN:
+        try:
+            yield
+        finally:
+            _stop_idle_pool("scipy")
 
 
 def _numpy_on_one_thread():
@@ -108,7 +125,7 @@ def _numpy_on_one_thread():
     setter = _thread_setter("numpy")
     if setter is not None:
         setter(1)
-        stop_idle_pool("numpy")
+        _stop_idle_pool("numpy")
 
 
 _numpy_on_one_thread()

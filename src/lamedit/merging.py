@@ -5,7 +5,9 @@ request covariance, and their ``*_cov`` twins which accept only deltas solved
 with the shared (summed over languages) covariance.  The tsvm rule truncates
 each delta's SVD (:func:`delta_factors`, the one place a delta is factored),
 concatenates factors across languages, re-orthogonalizes the stacked factors
-through their orthogonal polar factor, and reconstructs.
+through their orthogonal polar factor, and reconstructs.  Every SVD is
+numpy's ``gesdd`` (:func:`_svd`), so no merge calls scipy, whichever thread
+of a :func:`lamedit.blas.spread` runs it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import blas
 from .covariance import PER_LANGUAGE, SHARED
@@ -82,27 +83,22 @@ def merge_mean(deltas):
 
 
 def _svd(matrix):
-    """Thin SVD by LAPACK ``gesdd``, falling back to ``gesvd`` when it fails.
+    """Thin SVD by LAPACK ``gesdd``, retried on the transpose when it fails.
 
     ``gesdd`` runs in numpy, on its one thread (:mod:`lamedit.blas`); the
     merge-and-score phase calls it from the threads of a
     :func:`lamedit.blas.spread` (every delta in :func:`delta_factors`, and
-    tsvm's polar factors in each merge's item).  It fails to converge
-    on some rank-deficient deltas (seen on alphaedit edits at d=128, rank
-    ``n_facts``) that ``gesvd`` factors to machine precision.
-    ``gesvd`` runs in scipy at the default thread count, and scipy's idle
-    workers are stopped after it (:func:`lamedit.blas.stop_idle_pool`), both
-    under :data:`lamedit.blas.SCIPY_RUN`, so a concurrent fallback never
-    stops the pool under this one.
+    tsvm's polar factors in each merge's item).  It fails to converge on
+    some rank-deficient deltas (one alphaedit delta at d=128, seed
+    647892279) that it factors on the transpose, to a reconstruction error
+    of 2e-15 there; the transpose's factors ``(v, s, u^T)`` are returned as
+    ``(u, s, v^T)``.  A second failure raises :class:`numpy.linalg.LinAlgError`.
     """
     try:
         return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
-        with blas.SCIPY_RUN:
-            try:
-                return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
-            finally:
-                blas.stop_idle_pool("scipy")
+        u, s, vt = np.linalg.svd(matrix.T, full_matrices=False)
+        return vt.T, s, u.T
 
 
 def _retained_rank(shape, rank_ratio):

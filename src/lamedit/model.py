@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidRequestError, ShapeError
+from .errors import IllConditionedError, InvalidRequestError, ShapeError
 
 LN_EPS = 1e-5
 
@@ -326,11 +326,19 @@ def predict_batch(model, prefix):
     rows.  Every column's state and scores come from its own column's
     products, so the blocks' argmaxes, concatenated, equal the whole
     batch's, and equal those read from :func:`forward_batch`'s final state.
+    A forward pass that overflows, as an edit scaled by a huge weight makes
+    it, raises :class:`IllConditionedError` rather than scoring a layer
+    norm that divided by infinity.
     """
     blocks = []
-    for start in range(0, max(prefix.n, 1), PREDICT_BLOCK):
-        state, _ = _run_prefix(model, prefix.columns(start, start + PREDICT_BLOCK), None)
-        blocks.append(np.argmax(state.T @ model.codebook, axis=1))
+    try:
+        # numpy's error state is per thread, so this holds on a spread's workers too.
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, max(prefix.n, 1), PREDICT_BLOCK):
+                state, _ = _run_prefix(model, prefix.columns(start, start + PREDICT_BLOCK), None)
+                blocks.append(np.argmax(state.T @ model.codebook, axis=1))
+    except FloatingPointError as exc:
+        raise IllConditionedError(f"the scored model's forward pass overflows: {exc}") from exc
     return np.concatenate(blocks)
 
 

@@ -34,24 +34,23 @@ phases, with one switch into the solving library and one back:
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
 
-alphaedit's phase 2 ends in a :func:`lamedit.blas.stop_idle_pool` of
-scipy's, so scipy's idle workers do not take the cores from numpy's next
-calls; that changes no bit.  The phase 2 and its stop hold
-:data:`lamedit.blas.SCIPY_RUN`, as the ``gesvd`` fallback does, so no thread
-stops scipy's pool while another thread's scipy run is in flight.
+alphaedit's phase 2, like its projector's ``eigh``, runs inside
+:func:`lamedit.blas.scipy_run`, which stops scipy's idle workers after it so
+they do not take the cores from numpy's next calls; that changes no bit.
+These are the only scipy calls of ``run`` and ``sweep``.
 
 memit systems stay in numpy throughout: a Cholesky check, one explicit
 inverse per system, its exact 1-norm condition number and a matmul per
 right-hand side.  alphaedit systems go through scipy's LU factor, ``dgecon``
 and LU solve, whose bits the rank-deficient tsvm merges of its deltas are
 sensitive to.  ``solve_memit`` keeps scipy's Cholesky solve, whose bits fix
-the fitted backbone.  Both ``solve_*`` functions build their system and
-right-hand side with the same helpers as ``edit_model``.
+the fitted backbone; the fit is set-up, which calls scipy outside the
+handover.  Both ``solve_*`` functions build their system and right-hand side
+with the same helpers as ``edit_model``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import warnings
 from dataclasses import dataclass
@@ -263,7 +262,7 @@ def nullspace_projector(cov_preserved, rel_tol=DEFAULT_REL_TOL):
     full-rank matrix yields the zero projector; one whose Frobenius norm is
     not finite raises :class:`IllConditionedError`.  The eigendecomposition
     is scipy's ``dsyevd``, the kernel of numpy's ``eigh``, at scipy's thread
-    count.
+    count, inside :func:`lamedit.blas.scipy_run`.
     """
     cov = np.asarray(cov_preserved, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -277,7 +276,8 @@ def nullspace_projector(cov_preserved, rel_tol=DEFAULT_REL_TOL):
     h = cov.shape[0]
     if scale == 0.0:
         return NullProjector(projector=np.eye(h), null_dim=h)
-    eigvals, eigvecs = scipy.linalg.eigh(0.5 * (cov + cov.T), driver="evd", check_finite=False)
+    with blas.scipy_run():
+        eigvals, eigvecs = scipy.linalg.eigh(0.5 * (cov + cov.T), driver="evd", check_finite=False)
     top = eigvals[-1]
     if top <= 0:
         return NullProjector(projector=np.eye(h), null_dim=h)
@@ -384,6 +384,16 @@ def _layer_matrix(method, preserved_term, cov_request, request_count, lam):
     return _alphaedit_matrix(preserved_term.projector, cov_request, lam)
 
 
+def _solve_systems(factor, systems, rhs, cond_limit):
+    """Each right-hand side's (d, h) delta, back to back: every system factored and checked once, then solved."""
+    deltas = [None] * len(rhs)
+    for matrix, norm, users in systems:
+        solve = factor(matrix, norm, cond_limit)
+        for i in users:
+            deltas[i] = solve(rhs[i]).T
+    return deltas
+
+
 def edit_model(
     model,
     requests,
@@ -406,8 +416,8 @@ def edit_model(
     (layer, language).  Each layer runs in three phases (see the module
     docstring): numpy forms the systems and right-hand sides, the method's
     library factors, checks and solves them back to back, and numpy stores
-    the deltas and updates the working copies.  alphaedit's scipy pool is stopped after each solve run, which
-    changes no bit.
+    the deltas and updates the working copies.  alphaedit's phase 2 runs
+    inside :func:`lamedit.blas.scipy_run`.
 
     Parameters
     ----------
@@ -441,8 +451,6 @@ def edit_model(
     if any(prep.prefix.base is not model for prep in prepared):
         raise ShapeError("a RequestPrefix was computed on another model")
 
-    factor = _memit_inverse if method == METHOD_MEMIT else _alphaedit_lu
-    scipy_run = contextlib.nullcontext() if method == METHOD_MEMIT else blas.SCIPY_RUN
     entries = {}
     working = {lang: model for lang in language_ids}
     for layer in model.edit_layers:
@@ -470,20 +478,12 @@ def edit_model(
                 (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
                 for i, keys in enumerate(layer_keys)
             ]
-        # Phase 2, the method's library: factor and check each system and
-        # solve its right-hand sides, all back to back, one factor at a time.
-        # alphaedit's run is in scipy, whose idle workers are stopped after it,
-        # both under SCIPY_RUN so no other thread's scipy run is in flight.
-        deltas = [None] * len(rhs)
-        with scipy_run:
-            try:
-                for matrix, norm, users in systems:
-                    solve = factor(matrix, norm, cond_limit)
-                    for i in users:
-                        deltas[i] = solve(rhs[i]).T
-            finally:
-                if method == METHOD_ALPHAEDIT:
-                    blas.stop_idle_pool("scipy")
+        # Phase 2, the method's library: alphaedit's run is scipy's.
+        if method == METHOD_MEMIT:
+            deltas = _solve_systems(_memit_inverse, systems, rhs, cond_limit)
+        else:
+            with blas.scipy_run():
+                deltas = _solve_systems(_alphaedit_lu, systems, rhs, cond_limit)
         # Phase 3, numpy: store the deltas and move each working copy on.
         for lang, delta in zip(language_ids, deltas):
             entries[(layer, lang)] = delta

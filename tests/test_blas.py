@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lamedit import blas, cli, experiment, merging, solvers, synthdata
 from lamedit.covariance import PER_LANGUAGE, SHARED
+from lamedit.errors import IllConditionedError
 from lamedit.merging import MergeConfig
 
 from test_experiment import TINY_CONFIG, tiny_setup, write_config  # noqa: F401 (tiny_setup is a fixture)
@@ -105,7 +106,7 @@ class TestStopIdlePool:
         np.linalg.inv(matrix)
         scipy.linalg.lu_factor(matrix)
         for package in PACKAGES:
-            blas.stop_idle_pool(package)
+            blas._stop_idle_pool(package)
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
 
     @linux_only
@@ -118,9 +119,9 @@ class TestStopIdlePool:
         np.linalg.inv(matrix)
         scipy.linalg.lu_factor(matrix)
         before = _os_threads()
-        blas.stop_idle_pool("numpy")
+        blas._stop_idle_pool("numpy")
         numpy_stopped = _os_threads()
-        blas.stop_idle_pool("scipy")
+        blas._stop_idle_pool("scipy")
         both_stopped = _os_threads()
         scipy.linalg.lu_factor(matrix)
         assert before > numpy_stopped > both_stopped
@@ -130,7 +131,7 @@ class TestStopIdlePool:
         monkeypatch.setattr(blas, "_pool_stopper", lambda package: None)
         before = _os_threads() if sys.platform.startswith("linux") else None
         for package in PACKAGES:
-            blas.stop_idle_pool(package)
+            blas._stop_idle_pool(package)
         if before is not None:
             assert _os_threads() == before
         assert (_count("numpy"), _count("scipy")) == (caller_count, caller_count)
@@ -246,14 +247,14 @@ def test_spread_calls_per_command(tiny_setup, monkeypatch, command, spreads):
 
 
 def _record_stops(monkeypatch, events):
-    """Append ``("stop", package)`` to ``events`` at every ``blas.stop_idle_pool``."""
-    real_stop = blas.stop_idle_pool
+    """Append ``("stop", package)`` to ``events`` at every pool stop."""
+    real_stop = blas._stop_idle_pool
 
     def stop(package):
         events.append(("stop", package))
         real_stop(package)
 
-    monkeypatch.setattr(blas, "stop_idle_pool", stop)
+    monkeypatch.setattr(blas, "_stop_idle_pool", stop)
 
 
 def _spy(monkeypatch, events, library, owner, name):
@@ -265,6 +266,77 @@ def _spy(monkeypatch, events, library, owner, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
+
+
+# Every scipy routine lamedit calls, set-up's included.
+SCIPY_ROUTINES = (
+    (scipy.linalg, ("eigh", "lu_factor", "lu_solve", "cho_factor", "cho_solve", "logm", "expm", "svd")),
+    (scipy.linalg.lapack, ("dgecon", "dpocon")),
+)
+
+
+def _watch(monkeypatch, events):
+    """Append ``(kind, name, where)`` to ``events`` at every scipy call, pool stop and numpy norm or SVD.
+
+    ``kind`` is "scipy", "stop" or "numpy".  ``where`` records the depth of
+    :func:`blas.scipy_run` entries, whether the scipy lock is held, whether
+    the call runs inside a :func:`blas.spread` item, and whether it runs on
+    the main thread.  A ``scipy_run`` entered inside another fails the test
+    before it could deadlock.
+    """
+    depth = [0]
+    in_item = threading.local()
+    real_run, real_spread, real_stop = blas.scipy_run, blas.spread, blas._stop_idle_pool
+
+    def where():
+        return {
+            "depth": depth[0],
+            "locked": blas._SCIPY_RUN.locked(),
+            "item": getattr(in_item, "on", False),
+            "main": threading.current_thread() is threading.main_thread(),
+        }
+
+    @contextlib.contextmanager
+    def scipy_run():
+        assert depth[0] == 0, "a scipy_run was entered inside another"
+        with real_run():
+            depth[0] += 1
+            try:
+                yield
+            finally:
+                depth[0] -= 1
+
+    def spread(fn, items):
+        def item(x):
+            in_item.on = True
+            try:
+                return fn(x)
+            finally:
+                in_item.on = False
+
+        return real_spread(item, items)
+
+    def stop(package):
+        events.append(("stop", package, where()))
+        real_stop(package)
+
+    def spy(kind, owner, name):
+        original = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            events.append((kind, name, where()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spied)
+
+    monkeypatch.setattr(blas, "scipy_run", scipy_run)
+    monkeypatch.setattr(blas, "spread", spread)
+    monkeypatch.setattr(blas, "_stop_idle_pool", stop)
+    for owner, names in SCIPY_ROUTINES:
+        for name in names:
+            spy("scipy", owner, name)
+    for name in ("norm", "svd"):
+        spy("numpy", np.linalg, name)
 
 
 def _scipy_runs_left_spinning(events):
@@ -279,7 +351,7 @@ def _scipy_runs_left_spinning(events):
     for index, event in enumerate(events):
         if event[0] == "scipy":
             scipy_ran = True
-        elif event == ("stop", "scipy"):
+        elif event[:2] == ("stop", "scipy"):
             scipy_ran = False
         elif event[0] == "numpy" and scipy_ran:
             unstopped.append(index)
@@ -287,73 +359,115 @@ def _scipy_runs_left_spinning(events):
 
 
 def test_every_alphaedit_scipy_call_runs_inside_the_handover(tmp_path, monkeypatch):
-    # Covers alphaedit's phase 2 in both covariance modes, and the rank
-    # sweep's merges after it.
-    events = []
-    _record_stops(monkeypatch, events)
-    for library, owner, name in (
-        ("numpy", np.linalg, "norm"),
-        ("numpy", np.linalg, "svd"),
-        ("scipy", scipy.linalg, "lu_factor"),
-        ("scipy", scipy.linalg, "lu_solve"),
-        ("scipy", scipy.linalg.lapack, "dgecon"),
-    ):
-        _spy(monkeypatch, events, library, owner, name)
-
-    doc = dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02})
-    config_path = write_config(tmp_path, doc)
+    # alphaedit's projector eigh and its phase 2 in both covariance modes are
+    # the only scipy calls, each inside exactly one scipy_run on the main
+    # thread; memit makes none.  Two cores, so each spread starts a worker.
+    config_path = write_config(tmp_path, dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02}))
     bench = str(tmp_path / "bench")
     assert cli.main(["generate", config_path, "--out", bench]) == 0
-    events.clear()
-    for argv in (
-        ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "alpha"), "--method", "alphaedit"],
-        ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "rank"), "--axis", "rank"],
+    _cores(monkeypatch, 2)
+    events = []
+    _watch(monkeypatch, events)
+    alphaedit = {"eigh", "lu_factor", "dgecon", "lu_solve"}
+    inside = {"depth": 1, "locked": True, "item": False, "main": True}
+    for command, scipy_names in (
+        (["run", "--method", "alphaedit"], alphaedit),
+        (["run", "--method", "memit"], set()),
+        (["sweep", "--axis", "alpha"], alphaedit),
+        (["sweep", "--axis", "rank"], alphaedit),
     ):
-        assert cli.main(argv) == 0
-    assert {event for event in events if event[0] == "scipy"} == {
-        ("scipy", name) for name in ("lu_factor", "lu_solve", "dgecon")
-    }
-    assert _scipy_runs_left_spinning(events) == []
+        events.clear()
+        out = str(tmp_path / "-".join(command))
+        assert cli.main([command[0], config_path, "--dataset", bench, "--out", out, *command[1:]]) == 0
+        scipy_calls = [event for event in events if event[0] == "scipy"]
+        assert {name for _, name, _ in scipy_calls} == scipy_names, command
+        assert all(where == inside for _, _, where in scipy_calls), command
+        assert all(where["locked"] and where["main"] for kind, _, where in events if kind == "stop"), command
+        assert _scipy_runs_left_spinning(events) == [], command
+        # The spread items were watched: their SVDs ran, some off the main thread.
+        items = [where for kind, name, where in events if (kind, name) == ("numpy", "svd") and where["item"]]
+        assert items and not all(where["main"] for where in items), command
 
 
-def test_svd_fallback_runs_inside_the_handover(monkeypatch):
+def test_handover_frees_the_lock_and_stops_the_pool_when_a_solve_raises(small_bench, monkeypatch):
+    dataset, model = small_bench
+    requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
+    preserved = solvers.preserved_terms(model, dataset.preserved_inputs_all(), "alphaedit", rel_tol=0.02)
     events = []
     _record_stops(monkeypatch, events)
-
-    def failing_gesdd(*args, **kwargs):
-        events.append(("numpy", "svd"))
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
-    _spy(monkeypatch, events, "scipy", scipy.linalg, "svd")
-    merging._svd(np.random.default_rng(0).standard_normal((8, 12)))
-    assert events == [("numpy", "svd"), ("scipy", "svd"), ("stop", "scipy")]
-    assert _scipy_runs_left_spinning(events) == []
+    _spy(monkeypatch, events, "scipy", scipy.linalg.lapack, "dgecon")
+    with pytest.raises(IllConditionedError):
+        solvers.edit_model(
+            model, requests, preserved, solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cond_limit=1.0
+        )
+    assert events == [("scipy", "dgecon"), ("stop", "scipy")]
+    assert not blas._SCIPY_RUN.locked()
 
 
 def test_alphaedit_scipy_stops_hold_the_scipy_lock(tmp_path, monkeypatch):
-    # alphaedit's phase 2 and its stop hold SCIPY_RUN, as the gesvd fallback
-    # does, so a concurrent edit loop or fallback never stops scipy's pool
-    # under a run in flight.
+    # Each scipy stop is a scipy_run's, made with its lock held, so a
+    # concurrent edit loop never stops scipy's pool under a run in flight.
     held = []
-    real_stop = blas.stop_idle_pool
+    real_stop = blas._stop_idle_pool
 
     def stop(package):
         if package == "scipy":
-            held.append(blas.SCIPY_RUN.locked())
+            held.append(blas._SCIPY_RUN.locked())
         real_stop(package)
 
-    monkeypatch.setattr(blas, "stop_idle_pool", stop)
+    monkeypatch.setattr(blas, "_stop_idle_pool", stop)
     config_path = write_config(tmp_path, dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02}))
     bench = str(tmp_path / "bench")
     assert cli.main(["generate", config_path, "--out", bench]) == 0
     held.clear()
     argv = ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "run"), "--method", "alphaedit"]
     assert cli.main(argv) == 0
-    # One stop per edit layer per covariance mode, each under the lock.
+    # Per edit layer: one stop after the projector's eigh, and one after
+    # phase 2 in each covariance mode.
     layers = len(TINY_CONFIG["dataset"]["edit_layers"])
-    assert held == [True] * (2 * layers)
-    assert not blas.SCIPY_RUN.locked()
+    assert held == [True] * (3 * layers)
+    assert not blas._SCIPY_RUN.locked()
+
+
+def _gesdd_fails_every_other_call(monkeypatch):
+    """Make ``np.linalg.svd`` raise on every other call of each thread, its first included.
+
+    ``merging._svd`` makes both of its calls on one thread, so each of its
+    factorisations fails once and then takes the fallback on the transpose.
+    """
+    real_svd = np.linalg.svd
+    state = threading.local()
+
+    def svd(*args, **kwargs):
+        state.fail = not getattr(state, "fail", False)
+        if state.fail:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+def test_svd_fallback_calls_no_scipy_and_takes_no_lock(monkeypatch):
+    class RefusedLock:
+        def __getattr__(self, name):
+            raise AssertionError(f"the fallback used the scipy lock's {name}")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fallback entered the scipy handover or stopped a pool")
+
+    _gesdd_fails_every_other_call(monkeypatch)
+    events = []
+    for owner, names in SCIPY_ROUTINES:
+        for name in names:
+            _spy(monkeypatch, events, "scipy", owner, name)
+    _spy(monkeypatch, events, "numpy", np.linalg, "svd")
+    monkeypatch.setattr(blas, "scipy_run", refuse)
+    monkeypatch.setattr(blas, "_stop_idle_pool", refuse)
+    monkeypatch.setattr(blas, "_SCIPY_RUN", RefusedLock())
+    matrix = np.random.default_rng(0).standard_normal((8, 12))
+    u, s, vt = merging._svd(matrix)
+    assert events == [("numpy", "svd"), ("numpy", "svd")]
+    assert np.allclose((u * s) @ vt, matrix, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=12, deadline=None)
@@ -385,6 +499,7 @@ _MEMIT_DELTA_DIGEST = """
 import hashlib, sys
 from lamedit import experiment
 from lamedit.covariance import PER_LANGUAGE, SHARED
+from lamedit.errors import IllConditionedError
 
 dataset, model, _ = experiment.load_benchmark(sys.argv[1])
 delta_sets = experiment.compute_delta_sets(model, dataset, experiment.SolverSettings(), [PER_LANGUAGE, SHARED])
@@ -600,46 +715,24 @@ class TestSpread:
         monkeypatch.setattr(threading, "Thread", no_thread)
         assert blas.spread(lambda x: 2 * x, range(6)) == [0, 2, 4, 6, 8, 10]
 
-    def test_no_worker_stops_a_pool_outside_the_locked_fallback(self, tmp_path, monkeypatch):
-        # gesdd is made to fail, so every merge SVD, on whichever thread,
-        # takes the gesvd fallback and stops scipy's pool.
-        _cores(monkeypatch, 2)
-        main = threading.main_thread()
-        stops = []
-        owner = [None]
-        real_stop, real_lock = blas.stop_idle_pool, blas.SCIPY_RUN
-
-        def tracked_stop(package):
-            on_main = threading.current_thread() is main
-            stops.append((package, on_main, owner[0] == threading.get_ident()))
-            real_stop(package)
-
-        class TrackedLock:
-            def __enter__(self):
-                real_lock.acquire()
-                owner[0] = threading.get_ident()
-
-            def __exit__(self, *exc):
-                owner[0] = None
-                real_lock.release()
-
-        def failing_gesdd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(blas, "stop_idle_pool", tracked_stop)
-        monkeypatch.setattr(blas, "SCIPY_RUN", TrackedLock())
+    def test_no_worker_calls_scipy_or_stops_a_pool(self, tmp_path, monkeypatch):
+        # gesdd is made to fail on every other call of each thread, so every
+        # merge SVD, on whichever thread, takes the fallback on the transpose.
         config_path = write_config(tmp_path, dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02}))
         bench = str(tmp_path / "bench")
         assert cli.main(["generate", config_path, "--out", bench]) == 0
-        monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
+        _cores(monkeypatch, 2)
+        _gesdd_fails_every_other_call(monkeypatch)
+        events = []
+        _watch(monkeypatch, events)
         for argv in (
             ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "run")],
             ["sweep", config_path, "--dataset", bench, "--out", str(tmp_path / "sweep"), "--axis", "rank"],
         ):
             assert cli.main(argv) == 0
-        off_main = [stop for stop in stops if not stop[1]]
-        assert off_main, "no fallback ran on a worker, so the guard watched nothing"
-        assert all(package == "scipy" and locked for package, _, locked in off_main)
+        fallbacks = [where for kind, name, where in events if (kind, name) == ("numpy", "svd") and where["item"]]
+        assert any(not where["main"] for where in fallbacks), "no fallback ran on a worker, so the guard watched nothing"
+        assert all(where["main"] and not where["item"] for kind, _, where in events if kind in ("scipy", "stop"))
 
     def test_spread_fallback_factors_equal_serial_ones(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -654,34 +747,16 @@ class TestSpread:
                 for lang in languages
             },
         )
-        running = [0]
-        most = [0]
-        count_lock = threading.Lock()
-        real_svd = scipy.linalg.svd
-
-        def failing_gesdd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        def counted_svd(*args, **kwargs):
-            with count_lock:
-                running[0] += 1
-                most[0] = max(most[0], running[0])
-            try:
-                time.sleep(0.002)
-                return real_svd(*args, **kwargs)
-            finally:
-                with count_lock:
-                    running[0] -= 1
-
-        monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
-        monkeypatch.setattr(scipy.linalg, "svd", counted_svd)
+        real_svd = np.linalg.svd
+        _gesdd_fails_every_other_call(monkeypatch)
         _cores(monkeypatch, 1)
         (serial,) = merging.delta_factors([delta_set])
         _cores(monkeypatch, 4)
         (spread,) = merging.delta_factors([delta_set])
-        assert most[0] == 1
         assert serial.keys() == spread.keys()
         for layer in layers:
-            for serial_svd, spread_svd in zip(serial[layer], spread[layer]):
-                for got, want in zip(spread_svd, serial_svd):
+            for lang, serial_svd, spread_svd in zip(languages, serial[layer], spread[layer]):
+                u, s, vt = real_svd(delta_set.delta(layer, lang).T, full_matrices=False)
+                for got, want, transposed in zip(spread_svd, serial_svd, (vt.T, s, u.T)):
                     assert np.array_equal(got, want)
+                    assert np.array_equal(got, transposed)

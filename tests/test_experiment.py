@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -889,6 +890,37 @@ class TestRunCommand:
         assert err.startswith("numerical failure:") and "preserved covariance" in err
         assert f"edit layer {model.edit_layers[0]} " in err
 
+    def test_overflowing_forward_pass_exit_3(self, tiny_setup, tmp_path, capsys):
+        # Scaled by 1e300 the edits overflow the scored forward pass: the run
+        # stops there in one line, with no RuntimeWarning and no metrics file.
+        config_path, bench_dir, _ = tiny_setup
+        out = tmp_path / "o"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code = cli.main(["run", config_path, "--dataset", bench_dir, "--out", str(out), "--alpha", "1e300"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure:") and "forward pass overflows" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "metrics.csv").exists() and not (out / "metrics.json").exists()
+
+    def test_svd_failing_twice_exit_3(self, tiny_setup, tmp_path, capsys, monkeypatch):
+        # gesdd fails on a delta and on its transpose: a tsvm run ends in one line, no traceback.
+        config_path, bench_dir, _ = tiny_setup
+
+        def failing_gesdd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_gesdd)
+        capsys.readouterr()
+        argv = ["run", config_path, "--dataset", bench_dir, "--out", str(tmp_path / "o"), "--merge", "tsvm"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numerical failure: SVD did not converge\n"
+
     def test_single_language_sum_matches_mono(self, tmp_path):
         doc = dict(TINY_CONFIG)
         doc["dataset"] = dict(TINY_CONFIG["dataset"], m_languages=1)
@@ -955,6 +987,22 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
+    def test_overflowing_alpha_grid_point_exit_3(self, tiny_setup, tmp_path, capsys):
+        # The grid point at 1e300 overflows the scored forward pass; the one at 1.0 does not.
+        _, bench_dir, _ = tiny_setup
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, alpha_grid=[1.0, 1e300]))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code = cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", str(out), "--axis", "alpha"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure:") and "forward pass overflows" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not any(out.iterdir())
+
     def test_sweep_points_equal_fresh_runs(self, tiny_setup):
         # A sweep computes the delta sets once; every grid point must equal a
         # run that computes them afresh at that point.

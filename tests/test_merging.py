@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lamedit import build_benchmark
 from lamedit.covariance import PER_LANGUAGE, SHARED
+from lamedit.experiment import compute_delta_sets
 from lamedit.errors import ConfigError, RankRatioError, ShapeError
 from lamedit.merging import (
     MergeConfig,
@@ -205,27 +209,58 @@ class TestTsvm:
         assert np.isfinite(sensitivity)
         print(f"tsvm language-order sensitivity (relative frobenius): {sensitivity:.3e}")
 
-    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
+    def test_gesdd_failure_falls_back_to_gesdd_of_the_transpose(self, monkeypatch):
         rng = np.random.default_rng(15)
         mats = [rng.standard_normal((8, 12)) for _ in range(3)]
         single = rng.standard_normal((12, 16))
-        expected_merge = reference_tsvm(mats, 0.5, svd=gesvd)
-        failures = []
+        real_svd = np.linalg.svd
 
-        def gesdd_fails(matrix, full_matrices=True, **kwargs):
-            failures.append(matrix.shape)
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def transposed_svd(m, full_matrices=False):
+            u, s, vt = real_svd(m.T, full_matrices=full_matrices)
+            return vt.T, s, u.T
 
-        monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
-        u, s, vt = truncate_svd(mats[0], 0.5)
-        gu, gs, gvt = gesvd(mats[0])
-        assert np.array_equal(u, gu[:, :4]) and np.array_equal(s, gs[:4])
-        assert np.array_equal(vt, gvt[:4, :])
+        expected_merge = reference_tsvm(mats, 0.5, svd=transposed_svd)
+        calls = []
+
+        def every_other_call_fails(matrix, full_matrices=True, **kwargs):
+            calls.append(matrix.shape)
+            if len(calls) % 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(matrix, full_matrices=full_matrices, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", every_other_call_fails)
+        u, s, vt = _svd(mats[0])
+        assert calls == [(8, 12), (12, 8)]
+        for got, want in zip((u, s, vt), transposed_svd(mats[0])):
+            assert np.array_equal(got, want)
+        assert np.linalg.norm((u * s) @ vt - mats[0]) <= 1e-12 * np.linalg.norm(mats[0])
+        assert np.allclose(u.T @ u, np.eye(8), atol=1e-12) and np.allclose(vt @ vt.T, np.eye(8), atol=1e-12)
         assert np.array_equal(tsvm_of(mats, 0.5), expected_merge)
         # criterion 3's tsvm identity: one full-rank delta at ratio 1 is kept.
         identity = tsvm_of([single], 1.0)
         assert np.linalg.norm(identity - single) <= 1e-6 * np.linalg.norm(single)
-        assert len(failures) == 1 + 5 + 3  # truncate_svd, two tsvm merges' SVDs
+        assert len(calls) == 2 * (1 + 5 + 3)  # _svd, two tsvm merges' SVDs, each failing once
+
+    def test_wide_alphaedit_deltas_factor_at_the_gesdd_failure_seed(self, pinned_config):
+        # The wide-alphaedit benchmark (d=128, h=256, 6 languages, alphaedit at
+        # rel_tol 1e-3) at seed 647892279, where gesdd fails to converge on one
+        # shared-mode delta (layer 4, language 3, with numpy 2.4's bundled
+        # OpenBLAS).  Whichever path each delta's SVD takes, its factors
+        # reconstruct the delta and carry gesvd's singular values.
+        config = replace(
+            pinned_config,
+            seed=647892279,
+            dataset=replace(pinned_config.dataset, d=128, h=256, m_languages=6, seed=647892279),
+            solver=replace(pinned_config.solver, method="alphaedit", rel_tol=1e-3),
+        )
+        dataset, model, _ = build_benchmark(config.dataset)
+        delta_set = compute_delta_sets(model, dataset, config.solver, [SHARED])[SHARED]
+        assert len(delta_set.entries) == 3 * 6
+        for key, delta in delta_set.entries.items():
+            u, s, vt = _svd(delta)
+            want = gesvd(delta)[1]
+            assert np.linalg.norm((u * s) @ vt - delta) <= 1e-12 * np.linalg.norm(delta), key
+            assert np.abs(s - want).max() <= 1e-12 * want[0], key
 
 
 class TestMergeIdentities:
