@@ -34,7 +34,9 @@ setting, and neither changes an output bit:
   works through independent items on the calling thread and one Python
   worker thread per other core.  The merge-and-score phase makes two calls,
   both from the main thread and neither inside another: every delta's SVD in
-  ``delta_factors``, then one task list of an item per distinct merge config
+  ``delta_factors`` (each item keeps owned copies of only the leading
+  triplets the command's tsvm merges read, so the full factors die inside
+  it), then one task list of an item per distinct merge config
   (its merge, tsvm's two polar factors included, and the scoring of each of
   its points) and an item per mono language.  On the same machine, 12 thin
   ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core and

@@ -6,7 +6,8 @@ points through :func:`score_points`: the run's merges at the anchor alpha,
 the scale axis's at each alpha, or the rank axis's tsvm merges at each rank
 ratio.  It computes the per-language delta sets once per covariance mode,
 merges each distinct config once (each tsvm mode's deltas factored once, by
-:func:`lamedit.merging.delta_factors`), and applies and scores every point,
+:func:`lamedit.merging.delta_factors`, and held only as deep as its tsvm
+configs read), and applies and scores every point,
 then the mono baseline (each language edited with its own per-language
 deltas), from one probe batch built on the unedited model
 (:func:`lamedit.metrics.probe_batch`).  The merges and the scoring form one
@@ -378,7 +379,8 @@ def score_points(config, dataset, model, points, include_mono=False):
     """Reports of each ``(MergeConfig, alpha)`` point in order, then mono at the anchor alpha.
 
     One :func:`lamedit.blas.spread` factors every delta of every covariance
-    mode a tsvm config reads (:func:`lamedit.merging.delta_factors`), and one
+    mode a tsvm config reads (:func:`lamedit.merging.delta_factors`), each
+    mode's deltas to the deepest retained rank of its tsvm configs, and one
     more works through the task list: an item per distinct merge config,
     which merges it and scores each of its points, and an item per mono
     language.  One probe batch serves every item.
@@ -390,8 +392,14 @@ def score_points(config, dataset, model, points, include_mono=False):
     alphas = {}  # each distinct config -> its points' alphas, in point order
     for merge_cfg, alpha in points:
         alphas.setdefault(merge_cfg, []).append(alpha)
-    tsvm_modes = sorted({m.cov_mode for m in alphas if m.base_rule == "tsvm"})
-    factors = dict(zip(tsvm_modes, merging.delta_factors([delta_sets[mode] for mode in tsvm_modes])))
+    depths = {}  # each tsvm mode -> the deepest retained rank its configs read
+    for m in alphas:
+        if m.base_rule == "tsvm":
+            rank = merging._retained_rank((model.d, model.h), m.rank_ratio)
+            depths[m.cov_mode] = max(depths.get(m.cov_mode, 0), rank)
+    tsvm_modes = sorted(depths)
+    held = merging.delta_factors([delta_sets[mode] for mode in tsvm_modes], [depths[mode] for mode in tsvm_modes])
+    factors = dict(zip(tsvm_modes, held))
     probes = metrics.probe_batch(model, dataset)
 
     def merge_and_score(merge_cfg):

@@ -5,9 +5,12 @@ request covariance, and their ``*_cov`` twins which accept only deltas solved
 with the shared (summed over languages) covariance.  The tsvm rule truncates
 each delta's SVD (:func:`delta_factors`, the one place a delta is factored),
 concatenates factors across languages, re-orthogonalizes the stacked factors
-through their orthogonal polar factor, and reconstructs.  Every SVD is
-numpy's ``gesdd`` (:func:`_svd`), so no merge calls scipy, whichever thread
-of a :func:`lamedit.blas.spread` runs it.
+through their orthogonal polar factor, and reconstructs.  A delta's factors
+are held only as deep as the tsvm merges that read them: its leading
+``depth`` singular triplets, the largest retained rank among those merges,
+copied out of the full SVD so that the rest of it is freed at once.  Every
+SVD is numpy's ``gesdd`` (:func:`_svd`), so no merge calls scipy, whichever
+thread of a :func:`lamedit.blas.spread` runs it.
 """
 
 from __future__ import annotations
@@ -138,17 +141,27 @@ def truncate_svd(matrix, rank_ratio):
     return _truncate(_svd(matrix), k)
 
 
-def delta_factors(delta_sets):
-    """Thin SVD of every delta of each delta set, ``[{layer: (u, s, vt) per language}]``.
+def _leading_triplets(matrix, depth):
+    """The ``depth`` leading triplets of ``matrix``'s thin SVD, as arrays that own their data."""
+    return tuple(factor.copy() for factor in _truncate(_svd(matrix), depth))
+
+
+def delta_factors(delta_sets, depths):
+    """Leading SVD triplets of every delta of each delta set, ``[{layer: (u, s, vt) per language}]``.
 
     The one place a delta is factored for a merge: :func:`merge_tsvm` slices
-    these at any rank ratio, so each delta is factored once however many
-    tsvm merges read it.  A layer's deltas of unequal shapes raise
+    these at any rank ratio whose retained rank is at most the set's depth,
+    so each delta is factored once however many tsvm merges read it.
+    ``depths`` holds one depth per set, the largest retained rank of the
+    merges that read it; each delta keeps ``u`` (d, depth), ``s`` (depth,)
+    and ``vt`` (depth, h), owned copies, so its full factors are freed in
+    the item that computed them.  A layer's deltas of unequal shapes raise
     :class:`ShapeError`; the SVDs of every layer of every set form one
     :func:`lamedit.blas.spread`.
     """
     per_set = [[_stack(ds.layer_deltas(layer)) for layer in ds.layers] for ds in delta_sets]
-    svds = iter(blas.spread(_svd, [m for per_layer in per_set for deltas in per_layer for m in deltas]))
+    items = [(m, depth) for per_layer, depth in zip(per_set, depths) for deltas in per_layer for m in deltas]
+    svds = iter(blas.spread(lambda item: _leading_triplets(*item), items))
     return [
         {layer: tuple(next(svds) for _ in deltas) for layer, deltas in zip(ds.layers, per_layer)}
         for ds, per_layer in zip(delta_sets, per_set)
@@ -164,15 +177,19 @@ def _orthogonal_polar_factor(matrix):
 def merge_tsvm(factors, rank_ratio):
     """Truncate, concatenate across languages, re-orthogonalize, reconstruct.
 
-    ``factors`` are one layer's thin SVDs ``(u, s, vt)`` in language order
-    (:func:`delta_factors`).  Left factors concatenate column-wise and right
-    factors row-wise, with the retained singular values forming a block
-    diagonal; both stacked factors are replaced by their orthogonal polar
-    factor, on the calling thread, before reconstruction.  An over-complete
-    concatenation (m * k exceeding min(d, h)) is allowed.
+    ``factors`` are one layer's SVD triplets ``(u, s, vt)`` in language
+    order (:func:`delta_factors`), at least as deep as the retained rank k;
+    shallower ones raise :class:`ShapeError`.  Left factors concatenate
+    column-wise and right factors row-wise, with the retained singular
+    values forming a block diagonal; both stacked factors are replaced by
+    their orthogonal polar factor, on the calling thread, before
+    reconstruction.  An over-complete concatenation (m * k exceeding
+    min(d, h)) is allowed.
     """
     shape = _common_shape((u.shape[0], vt.shape[1]) for u, _, vt in factors)
     k = _retained_rank(shape, rank_ratio)
+    if any(s.size < k for _, s, _ in factors):
+        raise ShapeError(f"tsvm at rank {k} needs factors at least {k} deep")
     lefts, sigmas, rights = zip(*(_truncate(f, k) for f in factors))
     left_cat = np.hstack(lefts)
     sigma_cat = np.concatenate(sigmas)
@@ -187,7 +204,8 @@ def merge(config, delta_set, factors=None):
     The delta set's covariance mode must match the method suffix: the plain
     rules take per-language-covariance deltas, the ``*_cov`` rules take
     shared-covariance deltas.  The tsvm rules slice ``factors``, the delta
-    set's :func:`delta_factors`, computed here when not given.
+    set's :func:`delta_factors` at least as deep as this merge's retained
+    rank; when not given, they are computed here at exactly that depth.
 
     Returns
     -------
@@ -200,7 +218,8 @@ def merge(config, delta_set, factors=None):
         )
     if config.base_rule == "tsvm":
         if factors is None:
-            (factors,) = delta_factors([delta_set])
+            shape = _common_shape(np.shape(m) for m in delta_set.entries.values())
+            (factors,) = delta_factors([delta_set], [_retained_rank(shape, config.rank_ratio)])
         return {layer: merge_tsvm(factors[layer], config.rank_ratio) for layer in delta_set.layers}
     rule = merge_sum if config.base_rule == "sum" else merge_mean
     return {layer: rule(delta_set.layer_deltas(layer)) for layer in delta_set.layers}

@@ -127,10 +127,14 @@ class ProbeBatch:
     the cached prefix (``state + w_out_edited @ key`` at the first edit
     layer), which gives the bits of a full forward pass.  Predictions are per
     column (:func:`lamedit.model.predict_batch` runs them in column blocks),
-    so this scores each (language, family) like its own :func:`accuracy`
-    call.  A batch is never written after it is built: a run's or sweep's
-    scores read one batch from every thread of a :func:`lamedit.blas.spread`,
-    each on one-thread kernels whose bits match a serial score's.
+    so each (language, family) gets the predictions of its own
+    :func:`accuracy` call.  Its final states and scores are that call's bits
+    only when ``n_facts`` lines up with the BLAS kernels' column grouping:
+    a narrower product may take other kernels, and the batch's blocks need
+    not start where a family does.  A batch is never written after it is
+    built: a run's or sweep's scores read one batch from every thread of a
+    :func:`lamedit.blas.spread`, each on one-thread kernels whose bits match
+    a serial score's.
     """
 
     dataset: object  # MultilingualDataset

@@ -560,8 +560,8 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
                 arrays[cov_mode, "delta", key] = delta
             return delta_set
 
-        def delta_factors(delta_sets):
-            all_factors = real_factors(delta_sets)
+        def delta_factors(delta_sets, depths):
+            all_factors = real_factors(delta_sets, depths)
             for delta_set, factors in zip(delta_sets, all_factors):
                 for layer, svds in factors.items():
                     for lang, svd in zip(delta_set.language_ids, svds):
@@ -750,9 +750,9 @@ class TestSpread:
         real_svd = np.linalg.svd
         _gesdd_fails_every_other_call(monkeypatch)
         _cores(monkeypatch, 1)
-        (serial,) = merging.delta_factors([delta_set])
+        (serial,) = merging.delta_factors([delta_set], [24])
         _cores(monkeypatch, 4)
-        (spread,) = merging.delta_factors([delta_set])
+        (spread,) = merging.delta_factors([delta_set], [24])
         assert serial.keys() == spread.keys()
         for layer in layers:
             for lang, serial_svd, spread_svd in zip(languages, serial[layer], spread[layer]):

@@ -1055,6 +1055,32 @@ class TestSweepCommand:
         assert all(count == 1 for count in per_delta.values())
         assert len(expected) == len(modes) * len(model.edit_layers) * dataset.m_languages
 
+    @pytest.mark.parametrize("axis, depth", [(None, 3), ("alpha", 3), ("rank", 8)], ids=["run", "alpha", "rank"])
+    def test_factors_held_as_deep_as_the_merges_read(self, tiny_setup, monkeypatch, axis, depth):
+        # d=8: the default tsvm merges retain floor(0.375 * 8) = 3 triplets, at
+        # every alpha, and the rank grid's 1.0 retains all 8.
+        config_path, bench_dir, _ = tiny_setup
+        config = experiment.load_config(config_path)
+        dataset, model, _ = experiment.load_benchmark(bench_dir, config)
+        calls = []
+        real = merging.delta_factors
+
+        def delta_factors(delta_sets, depths):
+            held = real(delta_sets, depths)
+            calls.append(([ds.cov_mode for ds in delta_sets], list(depths), held))
+            return held
+
+        monkeypatch.setattr(merging, "delta_factors", delta_factors)
+        if axis is None:
+            experiment.run_experiment(config, dataset, model)
+        else:
+            experiment.sweep(config, dataset, model, axis)
+        ((modes, depths, held),) = calls
+        assert modes == [PER_LANGUAGE, SHARED]
+        assert depths == [depth, depth]
+        shapes = {(u.shape, s.shape, vt.shape) for factors in held for svds in factors.values() for u, s, vt in svds}
+        assert shapes == {((model.d, depth), (depth,), (depth, model.h))}
+
     def test_rank_sweep_covers_tsvm_family_only(self, tiny_setup, tmp_path):
         config_path, bench_dir, _ = tiny_setup
         out = str(tmp_path / "swr")

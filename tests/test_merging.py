@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamedit import build_benchmark
+from lamedit import build_benchmark, merging
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.experiment import compute_delta_sets
 from lamedit.errors import ConfigError, RankRatioError, ShapeError
@@ -15,6 +15,7 @@ from lamedit.merging import (
     _retained_rank,
     _svd,
     apply_update,
+    delta_factors,
     merge,
     merge_mean,
     merge_sum,
@@ -261,6 +262,87 @@ class TestTsvm:
             want = gesvd(delta)[1]
             assert np.linalg.norm((u * s) @ vt - delta) <= 1e-12 * np.linalg.norm(delta), key
             assert np.abs(s - want).max() <= 1e-12 * want[0], key
+
+
+def assert_merges_equal(got, want):
+    assert got.keys() == want.keys()
+    for layer in want:
+        assert np.array_equal(got[layer], want[layer]), layer
+
+
+class TestFactorDepth:
+    @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+    def test_held_factors_merge_to_the_full_factors_bits(self, pinned_delta_sets, cov_mode):
+        # Pinned shape, d=32: factors held 12 deep (tsvm's default ratio 0.375)
+        # merge at every rank 1..12 to the bits of merges from each delta's
+        # full thin SVD, and so do factors exactly as deep as the merge's rank.
+        delta_set = pinned_delta_sets[cov_mode]
+        method = "tsvm" if cov_mode == PER_LANGUAGE else "tsvm_cov"
+        full = {layer: [_svd(m) for m in delta_set.layer_deltas(layer)] for layer in delta_set.layers}
+        (held,) = delta_factors([delta_set], [12])
+        for rank in range(1, 13):
+            config = MergeConfig(method, rank_ratio=rank / 32)
+            want = merge(config, delta_set, full)
+            assert_merges_equal(merge(config, delta_set, held), want)
+            assert_merges_equal(merge(config, delta_set), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        d=st.integers(2, 16),
+        h_extra=st.integers(0, 16),
+        data=st.data(),
+    )
+    def test_rank_deficient_merges_from_held_factors_keep_their_bits(self, seed, m, d, h_extra, data):
+        # Deltas of rank 1 to d, so the stacked factors can be rank deficient.
+        rng = np.random.default_rng(seed)
+        h = d + h_extra
+        mats = [
+            rng.standard_normal((d, r)) @ rng.standard_normal((r, h))
+            for r in rng.integers(1, d, size=m, endpoint=True)
+        ]
+        depth = data.draw(st.integers(1, d), label="depth")
+        rank = data.draw(st.integers(1, depth), label="rank")
+        (held,) = delta_factors([delta_set_from(mats)], [depth])
+        assert np.array_equal(merge_tsvm(held[2], rank / d), tsvm_of(mats, rank / d))
+
+    def test_held_factors_own_their_data_at_their_depth(self):
+        rng = np.random.default_rng(21)
+        mats = [rng.standard_normal((6, 9)) for _ in range(3)]
+        for depth in (1, 4, 6):
+            (held,) = delta_factors([delta_set_from(mats)], [depth])
+            for (u, s, vt), delta in zip(held[2], mats):
+                assert (u.shape, s.shape, vt.shape) == ((6, depth), (depth,), (depth, 9))
+                assert u.base is None and s.base is None and vt.base is None
+                u_full, s_full, vt_full = _svd(delta)
+                assert np.array_equal(u, u_full[:, :depth])
+                assert np.array_equal(s, s_full[:depth])
+                assert np.array_equal(vt, vt_full[:depth])
+
+    def test_merge_without_factors_holds_its_own_depth(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        delta_set = delta_set_from([rng.standard_normal((6, 9)) for _ in range(3)])
+        calls = []
+        real = merging.delta_factors
+
+        def spy(delta_sets, depths):
+            held = real(delta_sets, depths)
+            calls.append((list(depths), held))
+            return held
+
+        monkeypatch.setattr(merging, "delta_factors", spy)
+        merge(MergeConfig("tsvm", rank_ratio=0.5), delta_set)
+        ((depths, (held,)),) = calls
+        assert depths == [3]
+        assert all(u.shape == (6, 3) and vt.shape == (3, 9) for u, _, vt in held[2])
+
+    def test_factors_shallower_than_the_retained_rank_raise(self):
+        rng = np.random.default_rng(23)
+        delta_set = delta_set_from([rng.standard_normal((6, 9)) for _ in range(2)])
+        (held,) = delta_factors([delta_set], [2])
+        with pytest.raises(ShapeError, match="at least 3 deep"):
+            merge(MergeConfig("tsvm", rank_ratio=0.5), delta_set, held)
 
 
 class TestMergeIdentities:

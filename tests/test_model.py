@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lamedit import container
+from lamedit import container, model as model_module
 from lamedit.covariance import preserved_keys
 from lamedit.errors import InvalidRequestError, ShapeError
 from lamedit.model import (
@@ -247,6 +247,32 @@ class TestPredict:
         state, _ = _run_prefix(model, prefix, None)
         expected = np.argmax(state.T @ model.codebook, axis=1)
         assert np.array_equal(predict_batch(model, prefix), expected)
+
+    @pytest.mark.parametrize("n", [513, 514, 516, 517, 521, 1030, 1543, 2047, 2500, 2561, 3071])
+    def test_ragged_blocks_give_the_whole_batch_bits(self, monkeypatch, n):
+        # A tail shorter than a block rides in the last block.  Run as its own
+        # narrower product, it took other OpenBLAS kernels or column grouping,
+        # and its final states other last bits, than the whole batch.
+        rng = np.random.default_rng(n)
+        model = random_model(rng, d=32, h=64, n_layers=4, vocab=64)
+        inputs = rng.standard_normal((32, n))
+        prefix = compute_prefix(model, inputs)
+        states = []
+
+        def run_prefix(*args):
+            state, keys = _run_prefix(*args)
+            states.append(state)
+            return state, keys
+
+        monkeypatch.setattr(model_module, "_run_prefix", run_prefix)
+        predictions = predict_batch(model, prefix)
+        whole, _ = _run_prefix(model, prefix, None)
+        hidden, _ = forward_batch(model, inputs)
+        assert np.array_equal(np.hstack(states), whole)
+        assert np.array_equal(whole, hidden[-1])
+        scores = np.vstack([state.T @ model.codebook for state in states])
+        assert np.array_equal(scores, whole.T @ model.codebook)
+        assert np.array_equal(predictions, np.argmax(scores, axis=1))
 
     def test_batch_checks_inputs(self):
         # A batch reaches predict_batch through its prefix, which checks the inputs.
