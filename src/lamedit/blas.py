@@ -32,13 +32,14 @@ setting, and neither changes an output bit:
   unresolved.
 * :func:`spread` uses the cores that numpy's one thread leaves idle: it
   works through independent items on the calling thread and one Python
-  worker thread per other core.  The merge-and-score phase makes two calls,
-  both from the main thread and neither inside another: every delta's SVD in
-  ``delta_factors`` (each item keeps owned copies of only the leading
+  worker thread per other core.  The merge-and-score phase makes three
+  calls, all from the main thread and none inside another: every delta's
+  SVD in ``delta_factors`` (each item keeps owned copies of only the leading
   triplets the command's tsvm merges read, so the full factors die inside
-  it), then one task list of an item per distinct merge config
-  (its merge, tsvm's two polar factors included, and the scoring of each of
-  its points) and an item per mono language.  On the same machine, 12 thin
+  it), then an item per distinct merge config (tsvm's two polar factors
+  included), then the scoring, an item per stack of edited models and per
+  stack of mono languages (:func:`chunks` cuts them, so there are at least
+  as many stacks as threads).  On the same machine, 12 thin
   ``gesdd`` SVDs of rank-48 128x256 matrices took 56-61 ms on one core and
   41-49 ms spread over two (medians of 15).  Each item's result comes from
   the same kernels on the same operands and at the same count whichever
@@ -140,11 +141,30 @@ def _cores():
     return os.cpu_count() or 1
 
 
+def _threads(n_items):
+    """How many threads :func:`spread` runs ``n_items`` items on."""
+    return min(_cores(), n_items) if _thread_setter("numpy") is not None else 1
+
+
+def chunks(items, width):
+    """``items`` cut into consecutive runs of at most ``width``, of near-equal lengths.
+
+    There are as few runs as the width allows, but never fewer than the
+    threads a :func:`spread` over ``items`` would run on, so a spread of the
+    runs still keeps every core busy.
+    """
+    items = list(items)
+    n, count = len(items), max(-(-len(items) // width), _threads(len(items)))
+    return [items[n * i // count : n * (i + 1) // count] for i in range(count)]
+
+
 def spread(fn, items):
     """``[fn(x) for x in items]``, worked through by this thread and one worker per other core.
 
     Each thread takes the next item as it finishes one, so the results come
-    back in input order whichever thread ran them.  There is one thread per
+    back in input order whichever thread ran them.  Larger items pass the
+    interpreter lock between the threads less often per unit of work: the
+    scoring spreads stacks of models (:func:`chunks`) rather than models.  There is one thread per
     core this process may run on, capped at the item count; on one core, or
     when numpy's OpenBLAS has no thread setter (so numpy stays at its default
     count and each kernel may use every core), the loop runs here and starts
@@ -154,7 +174,7 @@ def spread(fn, items):
     raise, since every earlier item has run.
     """
     items = list(items)
-    n_threads = min(_cores(), len(items)) if _thread_setter("numpy") is not None else 1
+    n_threads = _threads(len(items))
     results = [None] * len(items)
     failures = []
     pending = iter(enumerate(items))

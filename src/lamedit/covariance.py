@@ -28,9 +28,12 @@ def request_keys(model, inputs, layer):
 
 
 def cov_per_language(keys):
-    """Symmetrised second moment (h, h) of one key batch (h, n)."""
-    cov = keys @ keys.T
-    return 0.5 * (cov + cov.T)
+    """Symmetrised second moment (h, h) of one key batch (h, n), or (K, h, h) of a stack (K, h, n).
+
+    Each matrix of a stack is the bits of its batch's own call.
+    """
+    cov = keys @ np.swapaxes(keys, -1, -2)
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def cov_shared(keys):

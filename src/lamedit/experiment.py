@@ -7,14 +7,15 @@ the scale axis's at each alpha, or the rank axis's tsvm merges at each rank
 ratio.  It computes the per-language delta sets once per covariance mode,
 merges each distinct config once (each tsvm mode's deltas factored once, by
 :func:`lamedit.merging.delta_factors`, and held only as deep as its tsvm
-configs read), and applies and scores every point,
-then the mono baseline (each language edited with its own per-language
-deltas), from one probe batch built on the unedited model
-(:func:`lamedit.metrics.probe_batch`).  The merges and the scoring form one
-phase with two :func:`lamedit.blas.spread` calls, both from the main thread
-and neither inside another: every delta SVD of every tsvm-read mode, then
-one task list of an item per distinct merge config (merge it, score each of
-its points) and an item per mono language.
+configs read), and applies and scores every point, then the mono baseline
+(each language edited with its own per-language deltas), from one probe
+batch built on the unedited model (:func:`lamedit.metrics.probe_batch`).
+The merges and the scoring form one phase with three
+:func:`lamedit.blas.spread` calls, all from the main thread and none inside
+another: every delta SVD of every tsvm-read mode, then an item per distinct
+merge config, then the scoring, an item per stack of edited models (each
+config's points side by side, and configs side by side where each has one
+point) and per stack of mono languages.
 
 :func:`score_points` builds each :class:`~lamedit.metrics.MetricsReport`
 once.  A sweep keeps each method's curve as its cross-language mean rows
@@ -26,6 +27,7 @@ deterministic: fixed column orders, sorted JSON keys, floats via ``repr``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,6 +36,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 from . import blas, container, merging, metrics, solvers, synthdata
+from . import model as model_core
 from .covariance import PER_LANGUAGE
 from .errors import ConfigError, EmptyNullSpaceWarning
 from .merging import MergeConfig
@@ -378,12 +381,18 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
 def score_points(config, dataset, model, points, include_mono=False):
     """Reports of each ``(MergeConfig, alpha)`` point in order, then mono at the anchor alpha.
 
-    One :func:`lamedit.blas.spread` factors every delta of every covariance
-    mode a tsvm config reads (:func:`lamedit.merging.delta_factors`), each
-    mode's deltas to the deepest retained rank of its tsvm configs, and one
-    more works through the task list: an item per distinct merge config,
-    which merges it and scores each of its points, and an item per mono
-    language.  One probe batch serves every item.
+    Three :func:`lamedit.blas.spread` calls: one factors every delta of
+    every covariance mode a tsvm config reads
+    (:func:`lamedit.merging.delta_factors`), each mode's deltas to the
+    deepest retained rank of its tsvm configs; one merges each distinct
+    config; and one scores.  The factors die once every merge has read
+    them.  The scoring's items are stacks of edited models, each scored
+    through one walk (:func:`lamedit.metrics.evaluate_all`): the points in
+    config order, so a config's weight scales sit side by side and so do
+    configs of one point each, cut by :func:`lamedit.blas.chunks` into
+    stacks of at most :func:`lamedit.model.stack_width` models; and the mono
+    languages, cut the same way (:func:`lamedit.metrics.run_mono`).  One
+    probe batch serves every stack.
     """
     modes = [m.cov_mode for m, _ in points]
     if include_mono:
@@ -400,32 +409,39 @@ def score_points(config, dataset, model, points, include_mono=False):
     tsvm_modes = sorted(depths)
     held = merging.delta_factors([delta_sets[mode] for mode in tsvm_modes], [depths[mode] for mode in tsvm_modes])
     factors = dict(zip(tsvm_modes, held))
+    configs = list(alphas)
+    merged = dict(
+        zip(configs, blas.spread(lambda m: merging.merge(m, delta_sets[m.cov_mode], factors.get(m.cov_mode)), configs))
+    )
+    del held, factors
     probes = metrics.probe_batch(model, dataset)
+    width = model_core.stack_width(model)
 
-    def merge_and_score(merge_cfg):
-        merged = merging.merge(merge_cfg, delta_sets[merge_cfg.cov_mode], factors.get(merge_cfg.cov_mode))
-        return [
-            metrics.MetricsReport(
-                method=merge_cfg.method,
-                cov_mode=merge_cfg.cov_mode,
-                alpha=float(alpha),
-                rank_ratio=merge_cfg.rank_ratio if merge_cfg.base_rule == "tsvm" else None,
-                seed=config.seed,
-                languages=probes.languages,
-                rows=metrics.evaluate_all(merging.apply_update(model, merged, alpha), probes),
-            )
-            for alpha in alphas[merge_cfg]
-        ]
+    def score(stack):
+        return metrics.evaluate_all([merging.apply_update(model, merged[m], alpha) for m, alpha in stack], probes)
 
-    def mono_row(language_id):
-        return metrics.run_mono(model, probes, delta_sets[PER_LANGUAGE], language_id, config.alpha)
+    def mono(language_ids):
+        return metrics.run_mono(model, probes.select(language_ids), delta_sets[PER_LANGUAGE], config.alpha)
 
-    tasks = [functools.partial(merge_and_score, m) for m in alphas]
+    scored = [(m, alpha) for m in configs for alpha in alphas[m]]
+    stacks = blas.chunks(scored, width)
+    tasks = [functools.partial(score, stack) for stack in stacks]
     if include_mono:
-        tasks += [functools.partial(mono_row, i) for i in probes.language_ids]
+        tasks += [functools.partial(mono, ids) for ids in blas.chunks(probes.language_ids, width)]
     done = blas.spread(lambda task: task(), tasks)
-    per_config = {m: iter(reports) for m, reports in zip(alphas, done)}
-    reports = [next(per_config[m]) for m, _ in points]
+    rows = dict(zip(scored, itertools.chain.from_iterable(done[: len(stacks)])))
+    reports = [
+        metrics.MetricsReport(
+            method=m.method,
+            cov_mode=m.cov_mode,
+            alpha=float(alpha),
+            rank_ratio=m.rank_ratio if m.base_rule == "tsvm" else None,
+            seed=config.seed,
+            languages=probes.languages,
+            rows=rows[(m, alpha)],
+        )
+        for m, alpha in points
+    ]
     if include_mono:
         # Each language edited with only its own per-language deltas.
         reports.append(
@@ -436,7 +452,7 @@ def score_points(config, dataset, model, points, include_mono=False):
                 rank_ratio=None,
                 seed=config.seed,
                 languages=probes.languages,
-                rows=tuple(done[len(alphas) :]),
+                rows=tuple(itertools.chain.from_iterable(done[len(stacks) :])),
             )
         )
     return reports

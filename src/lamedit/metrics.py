@@ -8,7 +8,8 @@ portability the one-hop probes against the new tokens.
 
 Scoring reads a :class:`ProbeBatch`: the probes, concatenated once, with
 their prefix cached on the unedited model (:func:`probe_batch`).  Every
-model edited from it (runs, sweeps, mono) is scored from that prefix.
+model edited from it (runs, sweeps, mono) is scored from that prefix, in
+stacks of models that run through one walk.
 :func:`accuracy`, the tests' reference, scores one probe family from its own
 prefix on the model it is given.
 """
@@ -122,19 +123,19 @@ class ProbeBatch:
     """Some languages' probes, concatenated, with their prefix on the unedited model.
 
     Columns run language by language, each language's four families in
-    MetricsRow order; ``stops`` holds the cumulative family ends.  Every model
-    edited from ``prefix.base`` is scored by one prediction that starts from
-    the cached prefix (``state + w_out_edited @ key`` at the first edit
-    layer), which gives the bits of a full forward pass.  Predictions are per
-    column (:func:`lamedit.model.predict_batch` runs them in column blocks),
-    so each (language, family) gets the predictions of its own
-    :func:`accuracy` call.  Its final states and scores are that call's bits
-    only when ``n_facts`` lines up with the BLAS kernels' column grouping:
-    a narrower product may take other kernels, and the batch's blocks need
-    not start where a family does.  A batch is never written after it is
-    built: a run's or sweep's scores read one batch from every thread of a
-    :func:`lamedit.blas.spread`, each on one-thread kernels whose bits match
-    a serial score's.
+    MetricsRow order; ``stops`` holds the cumulative family ends.  Models
+    edited from ``prefix.base`` are scored as one stack
+    (:func:`lamedit.model.predict_stack`) that starts from the cached prefix
+    (``state + w_out_edited @ key`` at the first edit layer), which gives
+    each model the bits of its own full forward pass.  Predictions are per
+    column (the stack runs in column blocks), so each (language, family)
+    gets the predictions of its own :func:`accuracy` call.  Its final states
+    and scores are that call's bits only when ``n_facts`` lines up with the
+    BLAS kernels' column grouping: a narrower product may take other
+    kernels, and the batch's blocks need not start where a family does.  A
+    batch is never written after it is built: a run's or sweep's scores read
+    one batch from every thread of a :func:`lamedit.blas.spread`, each on
+    one-thread kernels whose bits match a serial score's.
     """
 
     dataset: object  # MultilingualDataset
@@ -155,28 +156,49 @@ class ProbeBatch:
     def languages(self):
         return tuple(self.dataset.languages[i] for i in self.language_ids)
 
-    def language(self, language_id):
-        """The batch of one of its languages, sharing this prefix's columns."""
-        k = self.language_ids.index(language_id)
-        start = self.stops[4 * k - 1] if k else 0
-        stop = self.stops[4 * k + 3]
+    def select(self, language_ids):
+        """The batch of a consecutive run of its languages, sharing this prefix's columns."""
+        language_ids = tuple(language_ids)
+        first = self.language_ids.index(language_ids[0])
+        last = first + len(language_ids) - 1
+        if self.language_ids[first : last + 1] != language_ids:
+            raise ShapeError(f"languages {language_ids} are not a consecutive run of {self.language_ids}")
+        start = self.stops[4 * first - 1] if first else 0
+        stop = self.stops[4 * last + 3]
         return ProbeBatch(
             dataset=self.dataset,
-            language_ids=(language_id,),
+            language_ids=language_ids,
             prefix=self.prefix.columns(start, stop),
             expected=self.expected[start:stop],
-            stops=self.stops[4 * k : 4 * k + 4] - start,
+            stops=self.stops[4 * first : 4 * last + 4] - start,
         )
 
-    def rows(self, model):
-        """One MetricsRow per language of the batch for ``model``.
+    def language(self, language_id):
+        """The batch of one of its languages, sharing this prefix's columns."""
+        return self.select((language_id,))
 
-        ``model`` must share the prefix's unedited layers
-        (:meth:`~lamedit.model.Prefix.check`), or :class:`ShapeError` is raised.
+    def _rows(self, hits):
+        """One MetricsRow per language of the batch for each model's hits, (K, N), a tuple per model.
+
+        Each score is its family's hit count over its length, the value
+        ``np.mean`` gives the family's hits.
         """
-        hits = model_core.predict_batch(model, self.prefix) == self.expected
-        scores = [float(np.mean(segment)) for segment in np.split(hits, self.stops[:-1])]
-        return tuple(MetricsRow(*scores[4 * k : 4 * k + 4]) for k in range(self.m_languages))
+        ends = np.cumsum(hits, axis=1)[:, self.stops - 1]
+        counts = np.diff(ends, axis=1, prepend=0)
+        scores = (counts / np.diff(self.stops, prepend=0)).tolist()
+        return tuple(
+            tuple(MetricsRow(*model_scores[4 * k : 4 * k + 4]) for k in range(self.m_languages))
+            for model_scores in scores
+        )
+
+    def rows(self, models):
+        """One MetricsRow per language of the batch for each of ``models``, a tuple per model.
+
+        The models run as one stack.  Each must share the prefix's unedited
+        layers (:meth:`~lamedit.model.Prefix.check`), or :class:`ShapeError`
+        is raised.
+        """
+        return self._rows(model_core.predict_stack(models, self.prefix) == self.expected)
 
 
 def probe_batch(model, dataset):
@@ -192,24 +214,32 @@ def probe_batch(model, dataset):
     )
 
 
-def evaluate_all(model, probes):
-    """Rows for every language of ``probes``, in its language order.
+def evaluate_all(models, probes):
+    """Rows for every language of ``probes``, in its language order, for each of ``models``.
 
     ``probes`` is a :class:`ProbeBatch` from :func:`probe_batch` on the
-    unedited model ``model`` was edited from.
+    unedited model every one of ``models`` was edited from.  The models are
+    scored as one stack, whose walk holds one block's states for each of
+    them (:func:`lamedit.model.stack_width` bounds a caller's stacks).
     """
-    return probes.rows(model)
+    return probes.rows(models)
 
 
-def run_mono(model, probes, delta_set, language_id, alpha=1.0):
-    """Edit with a single language's own deltas and evaluate in that language.
+def run_mono(model, probes, delta_set, alpha=1.0):
+    """Each language of ``probes`` edited with its own deltas and evaluated in that language.
 
-    This is exactly the m=1 merge pipeline.  ``delta_set`` must hold deltas
-    solved with per-language covariance: each language's entries depend only
-    on its own requests, so they equal a single-language solve.  They are
-    scaled by ``alpha``, applied, and scored on the language's columns of
-    ``probes``, a :class:`ProbeBatch` on ``model``.
+    For each language this is exactly the m=1 merge pipeline.  ``delta_set``
+    must hold deltas solved with per-language covariance: each language's
+    entries depend only on its own requests, so they equal a
+    single-language solve.  They are scaled by ``alpha`` and applied, and
+    the edited models run as one stack, each on its own language's columns
+    of ``probes``, a :class:`ProbeBatch` on ``model`` whose languages have
+    one column count.  Returns one MetricsRow per language, in its order.
     """
-    own = {layer: delta_set.delta(layer, language_id) for layer in delta_set.layers}
-    edited = merging.apply_update(model, own, alpha)
-    return probes.language(language_id).rows(edited)[0]
+    batches = [probes.language(i) for i in probes.language_ids]
+    edited = [
+        merging.apply_update(model, {layer: delta_set.delta(layer, i) for layer in delta_set.layers}, alpha)
+        for i in probes.language_ids
+    ]
+    predictions = model_core.predict_stack(edited, model_core.Prefix.stack(b.prefix for b in batches))
+    return tuple(batch._rows([hits == batch.expected])[0][0] for batch, hits in zip(batches, predictions))

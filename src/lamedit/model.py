@@ -15,11 +15,21 @@ pairs with the transition ``hidden[l-1] -> hidden[l]``.
 Edits change only the edit layers' ``w_out``.  A batch's :class:`Prefix` (the
 state entering the first edit layer, and that layer's keys) is therefore the
 same on the unedited model and on every model edited from it.  Target
-computation (:func:`keys_and_targets`) and prediction (:func:`predict_batch`)
-always run on from a prefix computed once on the unedited model, and
-:func:`keys_at` walks a batch to some layers' keys; both keep only the
-running state.  :func:`forward_batch` is the full pass with its per-layer
-trace, the reference their bits are held to.
+computation (:func:`keys_and_targets_stack`) and prediction
+(:func:`predict_stack`) always run on from a prefix computed once on the
+unedited model, and :func:`keys_at` walks a batch to some layers' keys; all
+keep only the running state.  :func:`forward_batch` is the full pass with
+its per-layer trace, the reference their bits are held to.
+
+One walk serves one model or a *stack* of K models edited from one base:
+the running state is (K, d, n), a layer whose array every model shares runs
+as that one (h, d) or (d, h) matrix broadcast over the stack, and a layer
+whose ``w_out`` differs runs against the models' (K, d, h) stack.  Each
+stacked numpy call runs the kernel of the one-model call on each slice, on
+the same operand shapes, so every slice holds the bits of its model's own
+walk; :func:`predict_batch` and :func:`keys_and_targets` are the stacks of
+one.  The codebook readout and its argmax run one model at a time, so only
+one (columns, vocab) score matrix is alive per stack.
 """
 
 from __future__ import annotations
@@ -32,11 +42,19 @@ from .errors import IllConditionedError, InvalidRequestError, ShapeError
 
 LN_EPS = 1e-5
 
-# Columns per block of :func:`predict_batch`: one block's running states and
+# Columns per block of :func:`predict_stack`: one block's running states and
 # (columns, vocab) score matrix, not the whole batch's, are alive at once.  A
 # shorter tail joins the last whole block, so no block is narrower than this
 # unless the batch is.
 PREDICT_BLOCK = 512
+
+# Bytes that one stack's largest arrays stay within: a scoring stack's keys
+# of one block, (models, h, PREDICT_BLOCK) float64, so 3 models at h=64 and
+# 1 from h=128 up (:func:`stack_width`), and an edit-loop stack's (h, h)
+# systems (:func:`lamedit.solvers.edit_model`).  Wider stacks ran slower per
+# model and raised the peak resident set (README, "Edited models run as
+# stacks").
+STACK_BYTES = 768 * 1024
 
 
 def _check_finite(name, arr):
@@ -174,20 +192,22 @@ def _unchecked(instance, **changes):
     return copy
 
 
+
+
 def _normalize(states):
-    """Layer-normalize ``states`` (d, n) column-wise, with no affine."""
+    """Layer-normalize ``states`` (d, n), or a stack (K, d, n), column-wise, with no affine."""
     # The variance from the centred states, as ``states.var`` computes it.
-    centred = states - states.mean(axis=0, keepdims=True)
-    scale = np.square(centred).sum(axis=0, keepdims=True)
-    scale /= states.shape[0]
+    centred = states - states.mean(axis=-2, keepdims=True)
+    scale = np.square(centred).sum(axis=-2, keepdims=True)
+    scale /= states.shape[-2]
     scale += LN_EPS
     centred /= np.sqrt(scale, out=scale)
     return centred
 
 
-def _layer_keys(model, layer_index, states):
-    """Keys of 1-based ``layer_index`` for a batch of hidden states (d, n)."""
-    keys = model.layer(layer_index).w_in @ _normalize(states)
+def _keys(w_in, states):
+    """A layer's keys ``relu(w_in @ layernorm(states))``; either operand may be a stack."""
+    keys = w_in @ _normalize(states)
     return np.maximum(keys, 0.0, out=keys)
 
 
@@ -207,12 +227,25 @@ class Prefix:
     Every model edited from ``base`` shares the layers below the first edit
     layer and that layer's ``w_in``, so it maps the batch to this same state
     and these same keys.  Running such a model on from here gives the
-    bits of its full forward pass.
+    bits of its full forward pass.  A stacked prefix (:meth:`stack`) holds
+    one batch per model of a stack, all of one width, as (K, d, n) states
+    and (K, h, n) keys.
     """
 
     base: ToyModel
-    state: np.ndarray  # (d, n)
-    key: np.ndarray  # (h, n)
+    state: np.ndarray  # (d, n), or (K, d, n) stacked
+    key: np.ndarray  # (h, n), or (K, h, n) stacked
+
+    @classmethod
+    def stack(cls, prefixes):
+        """The stacked prefix of unstacked ``prefixes`` on one base, batches of one width, in order."""
+        prefixes = list(prefixes)
+        if not prefixes:
+            raise ShapeError("a stacked prefix needs at least one prefix")
+        base = prefixes[0].base
+        if any(p.base is not base or p.state.ndim != 2 or p.n != prefixes[0].n for p in prefixes):
+            raise ShapeError("stacked prefixes must be unstacked batches of one width on one base")
+        return cls(base=base, state=np.stack([p.state for p in prefixes]), key=np.stack([p.key for p in prefixes]))
 
     @property
     def layer(self):
@@ -221,11 +254,11 @@ class Prefix:
 
     @property
     def n(self):
-        return self.state.shape[1]
+        return self.state.shape[-1]
 
     def columns(self, start, stop):
         """The prefix of the batch's columns ``start:stop``."""
-        return replace(self, state=self.state[:, start:stop], key=self.key[:, start:stop])
+        return replace(self, state=self.state[..., start:stop], key=self.key[..., start:stop])
 
     def check(self, model):
         """Raise :class:`ShapeError` unless ``model`` shares the prefix's layers.
@@ -247,18 +280,38 @@ class Prefix:
             )
 
 
-def _walk(model, state, layers, key_layers):
-    """Run ``layers`` (1-based, ascending) on ``state`` (d, n), keeping only the running state.
+def _weights(models, layers):
+    """``(layer, w_in, w_out)`` of each 1-based layer of ``layers`` over ``models``.
 
-    Returns the state after the last of them and ``{layer: keys}`` for each
-    of ``key_layers`` that is one of ``layers``.  ``state`` is never written.
+    Where every model holds the very same array, as the models
+    :meth:`ToyModel.with_w_out` makes share all but the new one, that one
+    array; otherwise the models' arrays stacked, (K, h, d) or (K, d, h).
+    """
+
+    def one(arrays):
+        return arrays[0] if all(a is arrays[0] for a in arrays) else np.stack(arrays)
+
+    weights = []
+    for l in layers:
+        stacked = [model.layer(l) for model in models]
+        weights.append((l, one([x.w_in for x in stacked]), one([x.w_out for x in stacked])))
+    return weights
+
+
+def _walk(weights, state, key_layers):
+    """Run ``weights`` (:func:`_weights`, ascending) on ``state`` (d, n), keeping only the running state.
+
+    A stacked weight or ``state`` (K, d, n) makes the running state a stack
+    from there on.  Returns the state after the last layer and
+    ``{layer: keys}`` for each of ``key_layers`` that is one of the walked
+    layers.  ``state`` is never written.
     """
     keys = {}
-    for l in layers:
-        layer_keys = _layer_keys(model, l, state)
+    for l, w_in, w_out in weights:
+        layer_keys = _keys(w_in, state)
         if l in key_layers:
             keys[l] = layer_keys
-        update = model.layer(l).w_out @ layer_keys
+        update = w_out @ layer_keys
         update += state
         state = update
     return state, keys
@@ -267,8 +320,8 @@ def _walk(model, state, layers, key_layers):
 def compute_prefix(model, inputs):
     """The :class:`Prefix` of ``inputs`` (d, n) on ``model``."""
     first = model.edit_layers[0]
-    state, _ = _walk(model, _check_inputs(model, inputs), range(1, first), ())
-    return Prefix(base=model, state=state, key=_layer_keys(model, first, state))
+    state, _ = _walk(_weights((model,), range(1, first)), _check_inputs(model, inputs), ())
+    return Prefix(base=model, state=state, key=_keys(model.layer(first).w_in, state))
 
 
 def keys_at(model, inputs, layers):
@@ -279,19 +332,48 @@ def keys_at(model, inputs, layers):
     per-layer trace.
     """
     last = max(layers)
-    state, keys = _walk(model, _check_inputs(model, inputs), range(1, last), layers)
-    keys[last] = _layer_keys(model, last, state)
+    state, keys = _walk(_weights((model,), range(1, last)), _check_inputs(model, inputs), layers)
+    keys[last] = _keys(model.layer(last).w_in, state)
     return keys
 
 
-def _run_prefix(model, prefix, key_layer):
-    """``model``'s final state on the prefix's batch, and its keys at ``key_layer``."""
-    prefix.check(model)
-    first = prefix.layer
-    state = model.layer(first).w_out @ prefix.key
+def _stack_weights(models, prefix):
+    """The weights (:func:`_weights`) of ``models`` from the prefix's layer up.
+
+    Every model must share the prefix's unedited layers
+    (:meth:`Prefix.check`) and have one depth, and a stacked prefix must
+    hold one batch per model; otherwise :class:`ShapeError` is raised.
+    """
+    if not models:
+        raise ShapeError("a stack needs at least one model")
+    for model in models:
+        prefix.check(model)
+    n_layers = models[0].n_layers
+    if any(model.n_layers != n_layers for model in models):
+        raise ShapeError("a stack's models must have one depth")
+    if prefix.state.ndim == 3 and len(prefix.state) != len(models):
+        raise ShapeError(f"stacked prefix holds {len(prefix.state)} batches for {len(models)} models")
+    return _weights(models, range(prefix.layer, n_layers + 1))
+
+
+def _run_prefix(weights, prefix, key_layer):
+    """The final state on the prefix's batch, and the keys at ``key_layer``, of a stack's weights.
+
+    ``weights`` are :func:`_stack_weights` of the stack on ``prefix``; the
+    results are (d, n) and (h, n) unless a weight or the prefix is stacked.
+    """
+    (first, _, w_out), rest = weights[0], weights[1:]
+    state = w_out @ prefix.key
     state += prefix.state
-    state, keys = _walk(model, state, range(first + 1, model.n_layers + 1), (key_layer,))
+    state, keys = _walk(rest, state, (key_layer,))
     return state, prefix.key if key_layer == first else keys.get(key_layer)
+
+
+def _as_stack(array, k):
+    """``array`` as a stack of ``k``: itself when stacked, else views of it."""
+    if array.ndim == 3:
+        return array
+    return array[None] if k == 1 else np.broadcast_to(array, (k, *array.shape))
 
 
 def forward_batch(model, inputs):
@@ -312,51 +394,68 @@ def forward_batch(model, inputs):
     keys = np.empty((model.n_layers, model.h, n))
     hidden[0] = inputs
     for l in range(1, model.n_layers + 1):
-        keys[l - 1] = _layer_keys(model, l, hidden[l - 1])
+        keys[l - 1] = _keys(model.layer(l).w_in, hidden[l - 1])
         hidden[l] = hidden[l - 1] + model.layer(l).w_out @ keys[l - 1]
     return hidden, keys
 
 
-def predict_batch(model, prefix):
-    """Predicted token per column of ``prefix``'s batch; ties resolve to the lowest index.
+def stack_width(model):
+    """Models per scoring stack on ``model``'s shape: one block's keys within :data:`STACK_BYTES`."""
+    return max(1, STACK_BYTES // (8 * model.h * PREDICT_BLOCK))
 
-    ``prefix`` is the batch's :class:`Prefix` on the unedited model ``model``
-    was edited from (:func:`compute_prefix`), and the run starts there.  The
-    stack runs keeping only the running state (no per-layer trace), in
-    blocks of :data:`PREDICT_BLOCK` columns, the last of which also takes
-    a shorter tail, and each block's state is scored as a (columns, vocab)
-    matrix so the argmax runs along contiguous rows.  OpenBLAS may run a
-    narrower product through other kernels or another column grouping: run
+
+def predict_stack(models, prefix):
+    """Predicted token per column of ``prefix``'s batch for each of ``models``, (K, n).
+
+    Ties resolve to the lowest index.  ``prefix`` is the batch's
+    :class:`Prefix` on the unedited model every one of ``models`` was edited
+    from (:func:`compute_prefix`), or a stack of batches, one per model
+    (:meth:`Prefix.stack`); the run starts there.  The stack runs as one walk
+    keeping only the running state (no per-layer trace), in blocks of
+    :data:`PREDICT_BLOCK` columns, the last of which also takes a shorter
+    tail.  Each block's state is scored one model at a time, as a (columns,
+    vocab) matrix so the argmax runs along contiguous rows.  OpenBLAS may run
+    a narrower product through other kernels or another column grouping: run
     as their own blocks, tails of 1 to 452 columns moved their final states
     off the whole batch's, by up to 1.2e-14 at d=128.  With no block
-    narrower than :data:`PREDICT_BLOCK` unless the batch is, the blocks'
-    final states and score rows equal the whole batch's, and the states
-    equal :func:`forward_batch`'s final state, bit for bit under OpenBLAS's
-    SkylakeX, Haswell and Sandybridge kernels (``OPENBLAS_CORETYPE``).
-    A forward pass that overflows, as an edit scaled by a huge weight makes
-    it, raises :class:`IllConditionedError` rather than scoring a layer
-    norm that divided by infinity.
+    narrower than :data:`PREDICT_BLOCK` unless the batch is, each model's
+    block final states and score rows equal its whole batch's, and the
+    states equal :func:`forward_batch`'s final state, bit for bit under
+    OpenBLAS's SkylakeX, Haswell and Sandybridge kernels
+    (``OPENBLAS_CORETYPE``), whatever the stack's size.  A forward pass that
+    overflows, as an edit scaled by a huge weight makes it, raises
+    :class:`IllConditionedError` rather than scoring a layer norm that
+    divided by infinity.
     """
+    models = tuple(models)
+    weights = _stack_weights(models, prefix)
+    predictions = np.empty((len(models), prefix.n), dtype=np.intp)
     n_blocks = max(prefix.n // PREDICT_BLOCK, 1)
-    blocks = []
     try:
         # numpy's error state is per thread, so this holds on a spread's workers too.
         with np.errstate(over="raise", invalid="raise"):
             for i in range(n_blocks):
-                stop = (i + 1) * PREDICT_BLOCK if i + 1 < n_blocks else prefix.n
-                state, _ = _run_prefix(model, prefix.columns(i * PREDICT_BLOCK, stop), None)
-                blocks.append(np.argmax(state.T @ model.codebook, axis=1))
+                start = i * PREDICT_BLOCK
+                stop = start + PREDICT_BLOCK if i + 1 < n_blocks else prefix.n
+                state, _ = _run_prefix(weights, prefix.columns(start, stop), None)
+                for k, (model, final) in enumerate(zip(models, _as_stack(state, len(models)))):
+                    predictions[k, start:stop] = np.argmax(final.T @ model.codebook, axis=1)
     except FloatingPointError as exc:
         raise IllConditionedError(f"the scored model's forward pass overflows: {exc}") from exc
-    return np.concatenate(blocks)
+    return predictions
 
 
-def keys_and_targets(model, prefix, new_tokens, layer):
-    """Keys and per-request target values at one edit layer, from one forward pass.
+def predict_batch(model, prefix):
+    """Predicted token per column of ``prefix``'s batch: :func:`predict_stack` of one model."""
+    return predict_stack((model,), prefix)[0]
+
+
+def keys_and_targets_stack(models, prefix, new_tokens, layer):
+    """Keys and per-request target values of each of ``models`` at one edit layer, from one walk.
 
     For each request the desired final-state residual is
-    ``codebook[new_token] - h_final(input)`` measured on the model passed in.
-    The target value at ``layer`` is the layer's current value plus an equal
+    ``codebook[new_token] - h_final(input)`` measured on the model.  The
+    target value at ``layer`` is the layer's current value plus an equal
     share of that residual, where the share divides by the number of edit
     layers at or above ``layer``.  Solving edit layers bottom-to-top and
     recomputing between layers therefore walks the final state onto the new
@@ -364,34 +463,52 @@ def keys_and_targets(model, prefix, new_tokens, layer):
 
     Parameters
     ----------
+    models : sequence of K ToyModel
+        Edited from the unedited model ``prefix`` was computed on.
     prefix : :class:`Prefix`
-        The requests' prefix on the unedited model ``model`` was edited from
-        (:func:`compute_prefix`); the forward pass starts there.
-    new_tokens : int array (n,)
+        The requests' prefix on that model (:func:`compute_prefix`), shared
+        by every model, or stacked, one batch per model (:meth:`Prefix.stack`);
+        the walk starts there.
+    new_tokens : int array (K, n)
+        One row per model.
     layer : int
-        1-based index; must be one of the model's edit layers.
+        1-based index; must be one of the models' edit layers.
 
     Returns
     -------
-    keys : ndarray (h, n)
+    keys : ndarray (K, h, n)
         The layer's keys for the prefix's batch.
-    targets : ndarray (d, n)
+    targets : ndarray (K, d, n)
     """
-    if layer not in model.edit_layers:
-        raise ShapeError(f"layer {layer} is not an edit layer {model.edit_layers}")
+    models = tuple(models)
+    weights = _stack_weights(models, prefix)
+    if layer not in models[0].edit_layers:
+        raise ShapeError(f"layer {layer} is not an edit layer {models[0].edit_layers}")
+    new_tokens = np.asarray(new_tokens)
+    if new_tokens.ndim != 2 or len(new_tokens) != len(models):
+        raise InvalidRequestError(f"new_tokens must be a ({len(models)}, n) integer array, a row per model")
+    vocab = min(model.vocab_size for model in models)
+    if new_tokens.size and (new_tokens.min() < 0 or new_tokens.max() >= vocab):
+        raise InvalidRequestError(
+            f"token ids must be in 0..{vocab - 1}, got range [{new_tokens.min()}, {new_tokens.max()}]"
+        )
+    if prefix.n != new_tokens.shape[1]:
+        raise ShapeError(f"prefix has {prefix.n} columns for {new_tokens.shape[1]} new tokens")
+
+    final, layer_keys = _run_prefix(weights, prefix, layer)
+    current = next(w_out for l, _, w_out in weights if l == layer) @ layer_keys
+    wanted = np.stack([model.codebook[:, tokens] for model, tokens in zip(models, new_tokens)])
+    remaining = sum(1 for l in models[0].edit_layers if l >= layer)
+    return _as_stack(layer_keys, len(models)), current + (wanted - final) / remaining
+
+
+def keys_and_targets(model, prefix, new_tokens, layer):
+    """Keys (h, n) and targets (d, n) of ``model`` at one edit layer: :func:`keys_and_targets_stack` of one.
+
+    ``new_tokens`` is a 1-d integer array (n,).
+    """
     new_tokens = np.asarray(new_tokens)
     if new_tokens.ndim != 1:
         raise InvalidRequestError("new_tokens must be a 1-d integer array")
-    if new_tokens.size and (new_tokens.min() < 0 or new_tokens.max() >= model.vocab_size):
-        raise InvalidRequestError(
-            f"token ids must be in 0..{model.vocab_size - 1}, got range "
-            f"[{new_tokens.min()}, {new_tokens.max()}]"
-        )
-    if prefix.n != new_tokens.size:
-        raise ShapeError(f"prefix has {prefix.n} columns for {new_tokens.size} new tokens")
-
-    final, layer_keys = _run_prefix(model, prefix, layer)
-    current = model.layer(layer).w_out @ layer_keys
-    residual = model.codebook[:, new_tokens] - final
-    remaining = sum(1 for l in model.edit_layers if l >= layer)
-    return layer_keys, current + residual / remaining
+    keys, targets = keys_and_targets_stack((model,), prefix, new_tokens[None], layer)
+    return keys[0], targets[0]

@@ -12,7 +12,15 @@ request keys onto target values while limiting damage to preserved keys:
 ``edit_model`` runs either solver over every edit layer in bottom-to-top
 order for every language, recomputing keys and targets on per-language
 working copies, and returns all per-(layer, language) perturbations relative
-to the original weights.  The input model is never mutated.
+to the original weights.  The input model is never mutated.  The languages
+step through each layer in stacks: their working copies walk as one stack
+(:func:`lamedit.model.keys_and_targets_stack`), and their per-language
+covariances, right-hand sides, memit systems, Cholesky checks, inverses and
+condition numbers are stacked numpy calls, each slice through the kernel of its own
+call on the same shapes, so every delta keeps the bits of a loop over the
+languages.  A stack holds as many languages as keep its (h, h) systems
+within :data:`lamedit.model.STACK_BYTES`: a dataset's 12 at h=64, one at a
+time at h=256.
 
 Everything ``edit_model`` shares with the unedited model comes in prepared
 on it, once per run: the preserved term of every layer from
@@ -29,8 +37,9 @@ phases, with one switch into the solving library and one back:
 1. numpy forms every distinct system at the layer with its 1-norm, and each
    language's right-hand side: forwards, matmuls and norms;
 2. the method's library factors, condition-checks and solves them all back
-   to back: numpy on its one thread (:mod:`lamedit.blas`) for memit, scipy
-   at its default count for alphaedit;
+   to back: numpy on its one thread (:mod:`lamedit.blas`) for memit, a
+   layer's systems as one stack, and scipy at its default count for
+   alphaedit, one system at a time on the main thread;
 3. numpy stores each (d, h) delta array under its (layer, language) and
    updates the working copies.
 
@@ -141,19 +150,29 @@ def _cond_from_rcond(rcond):
     return 1.0 / rcond if rcond > 0 else float("inf")
 
 
+def _transposed(matrices):
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(matrices, -1, -2)
+
+
+def _norm_1(matrices):
+    """The 1-norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(matrices, 1, axis=(-2, -1))
+
+
 def _rhs(projector, w_out, keys, targets):
-    """One solve's (h, d) right-hand side; alphaedit's carries ``projector``, memit's none."""
+    """One solve's (h, d) right-hand side, or a stack's; alphaedit's carries ``projector``, memit's none."""
     residual = targets - w_out @ keys
     if projector is None:
-        return keys @ residual.T
-    return projector @ keys @ residual.T
+        return keys @ _transposed(residual)
+    return projector @ keys @ _transposed(residual)
 
 
 def _memit_matrix(cov_preserved, cov_request, lam):
-    """The symmetrised system ``lam * cov_preserved + cov_request`` and its 1-norm."""
+    """The symmetrised system ``lam * cov_preserved + cov_request`` and its 1-norm, or a stack's."""
     system = lam * cov_preserved + cov_request
-    system = 0.5 * (system + system.T)
-    return system, np.linalg.norm(system, 1)
+    system = 0.5 * (system + _transposed(system))
+    return system, _norm_1(system)
 
 
 def _memit_cholesky(system, norm, cond_limit):
@@ -168,26 +187,32 @@ def _memit_cholesky(system, norm, cond_limit):
 
 
 def _memit_inverse(system, norm, cond_limit):
-    """Solver of a memit system through its explicit inverse, in numpy's LAPACK.
+    """The explicit inverse of a memit system, or of each of a stack, in numpy's LAPACK.
 
     A Cholesky factorisation checks the system positive definite and the
     inverse is formed once, so each right-hand side costs one matmul.  Its
     condition is the exact 1-norm condition number ``||S||_1 ||S^-1||_1``,
-    never below ``dpocon``'s estimate.
+    never below ``dpocon``'s estimate.  A stack runs each system through
+    the kernels of its own call, and raises the error of the first system
+    that fails, as a loop over them would.
     """
     try:
         np.linalg.cholesky(system)
         inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError as exc:
+        if system.ndim == 3:
+            for one, one_norm in zip(system, norm):
+                _memit_inverse(one, one_norm, cond_limit)
         raise IllConditionedError(f"normal-equation system is not positive definite: {exc}") from exc
-    _check_condition(norm * np.linalg.norm(inverse, 1), cond_limit, "normal-equation system")
-    return functools.partial(np.matmul, inverse)
+    for cond in np.atleast_1d(norm * _norm_1(inverse)):
+        _check_condition(cond, cond_limit, "normal-equation system")
+    return inverse
 
 
 def _alphaedit_matrix(projector, cov_request, lam):
-    """The transposed projected system ``(lam * I + cov_request @ P).T`` and its 1-norm."""
-    system_t = (lam * np.eye(projector.shape[0]) + cov_request @ projector).T
-    return system_t, np.linalg.norm(system_t, 1)
+    """The transposed projected system ``(lam * I + cov_request @ P).T`` and its 1-norm, or a stack's."""
+    system_t = _transposed(lam * np.eye(projector.shape[0]) + cov_request @ projector)
+    return system_t, _norm_1(system_t)
 
 
 def _alphaedit_lu(system_t, norm, cond_limit):
@@ -375,7 +400,7 @@ def request_prefix(model, requests):
 
 
 def _layer_matrix(method, preserved_term, cov_request, request_count, lam):
-    """The system of one solve at one layer and its 1-norm, before factoring."""
+    """The system of one solve at one layer and its 1-norm, or a stack's, before factoring."""
     if method == METHOD_MEMIT:
         # The per-sample preserved moment rescaled to the request batch size,
         # so lam weighs preservation against requests independently of how
@@ -384,14 +409,17 @@ def _layer_matrix(method, preserved_term, cov_request, request_count, lam):
     return _alphaedit_matrix(preserved_term.projector, cov_request, lam)
 
 
-def _solve_systems(factor, systems, rhs, cond_limit):
-    """Each right-hand side's (d, h) delta, back to back: every system factored and checked once, then solved."""
-    deltas = [None] * len(rhs)
-    for matrix, norm, users in systems:
-        solve = factor(matrix, norm, cond_limit)
-        for i in users:
-            deltas[i] = solve(rhs[i]).T
-    return deltas
+def _alphaedit_solve(system_t, norm, rhs, cond_limit):
+    """Each right-hand side's (h, d) solve, back to back, in scipy.
+
+    ``system_t`` is one system for every right-hand side, factored and
+    checked once, or a stack of one per right-hand side, each factored,
+    checked and solved in turn.
+    """
+    if system_t.ndim == 2:
+        solve = _alphaedit_lu(system_t, norm, cond_limit)
+        return [solve(b) for b in rhs]
+    return [_alphaedit_lu(one, one_norm, cond_limit)(b) for one, one_norm, b in zip(system_t, norm, rhs)]
 
 
 def edit_model(
@@ -408,16 +436,22 @@ def edit_model(
     Per-language perturbations are computed against the original weights:
     each language gets its own working copy that accumulates only its own
     lower-layer edits, which is what makes the resulting per-language deltas
-    independently mergeable.  Each (language, layer) step takes its keys and
-    targets from one forward pass of that language's working copy, run on
-    from the requests' prefix.  In the shared covariance mode every
-    language's system at a layer is the same matrix, so it is factored and
+    independently mergeable.  The languages run in stacks, in language order:
+    runs of consecutive languages of one request count (a dataset's all have
+    one), each as long as keeps its (h, h) systems within
+    :data:`lamedit.model.STACK_BYTES`.  At each layer after the first, a
+    stack's working copies take their keys and targets from one stacked
+    walk, run on from their requests' prefixes; at the first edit layer they
+    are the prefixes' own.  In the shared covariance mode every language's
+    system at a layer is the same matrix, so it is factored and
     condition-checked once per layer; in the per-language mode once per
-    (layer, language).  Each layer runs in three phases (see the module
+    (layer, language), memit's as one stack whose first failing system, in
+    language order, raises.  Each layer runs in three phases (see the module
     docstring): numpy forms the systems and right-hand sides, the method's
     library factors, checks and solves them back to back, and numpy stores
     the deltas and updates the working copies.  alphaedit's phase 2 runs
-    inside :func:`lamedit.blas.scipy_run`.
+    inside :func:`lamedit.blas.scipy_run`.  Every delta has the bits of a
+    loop that walks, factors and solves one language at a time.
 
     Parameters
     ----------
@@ -451,44 +485,69 @@ def edit_model(
     if any(prep.prefix.base is not model for prep in prepared):
         raise ShapeError("a RequestPrefix was computed on another model")
 
+    # The languages walk and solve in stacks, in language order: runs of
+    # consecutive languages of one request count, each as long as keeps its
+    # (h, h) systems within STACK_BYTES (a dataset's 12 languages at h=64,
+    # one at a time at h=256).
+    width = max(1, model_core.STACK_BYTES // (8 * model.h * model.h))
+    groups = []
+    for i, prep in enumerate(prepared):
+        if groups and len(groups[-1]) < width and prepared[groups[-1][0]].prefix.n == prep.prefix.n:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    stacks = [
+        (
+            group,
+            model_core.Prefix.stack(prepared[i].prefix for i in group),
+            np.stack([prepared[i].requests.new_tokens for i in group]),
+            np.stack([prepared[i].targets for i in group]),
+        )
+        for group in groups
+    ]
+
     entries = {}
-    working = {lang: model for lang in language_ids}
+    working = [model] * len(prepared)
     for layer in model.edit_layers:
         term = preserved[layer]
         projector = term.projector if method == METHOD_ALPHAEDIT else None
-        # Phase 1, numpy: each language's keys and right-hand side, then
-        # every distinct system at this layer with its 1-norm and the
-        # indices of the right-hand sides it solves.
-        layer_keys = []
-        rhs = []
-        for prep in prepared:
-            copy = working[prep.language_id]
-            if layer == prep.prefix.layer:
-                keys, targets = prep.prefix.key, prep.targets
-            else:
-                keys, targets = model_core.keys_and_targets(copy, prep.prefix, prep.requests.new_tokens, layer)
-            layer_keys.append(keys)
-            rhs.append(_rhs(projector, copy.layer(layer).w_out, keys, targets))
+        w_out = model.layer(layer).w_out  # every working copy's, until this layer's edit
+        # Phase 1, numpy: each stack's keys and right-hand sides from one
+        # walk, then this layer's one shared system or each stack's
+        # per-language systems, with their 1-norms, and the right-hand sides
+        # each solves.
+        walked = [
+            (prefix.key, targets)
+            if layer == prefix.layer
+            else model_core.keys_and_targets_stack([working[i] for i in group], prefix, tokens, layer)
+            for group, prefix, tokens, targets in stacks
+        ]
+        rhs = [_rhs(projector, w_out, keys, targets) for keys, targets in walked]
         if cov_mode == SHARED:
-            count = sum(keys.shape[1] for keys in layer_keys)
-            shared = cov_mod.cov_shared(layer_keys)
-            systems = [(*_layer_matrix(method, term, shared, count, lam), range(len(rhs)))]
+            shared = cov_mod.cov_shared(language_keys for keys, _ in walked for language_keys in keys)
+            count = sum(prep.prefix.n for prep in prepared)
+            solves = [(*_layer_matrix(method, term, shared, count, lam), rhs)]
         else:
-            systems = [
-                (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[1], lam), [i])
-                for i, keys in enumerate(layer_keys)
+            solves = [
+                (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[-1], lam), [stack_rhs])
+                for (keys, _), stack_rhs in zip(walked, rhs)
             ]
-        # Phase 2, the method's library: alphaedit's run is scipy's.
+        # Phase 2, the method's library: alphaedit's run is scipy's.  Each
+        # language's (h, d) solution, in language order.
+        solved = []
         if method == METHOD_MEMIT:
-            deltas = _solve_systems(_memit_inverse, systems, rhs, cond_limit)
+            for system, norm, users in solves:
+                inverse = _memit_inverse(system, norm, cond_limit)
+                for stack_rhs in users:
+                    solved.extend(inverse @ stack_rhs)
         else:
             with blas.scipy_run():
-                deltas = _solve_systems(_alphaedit_lu, systems, rhs, cond_limit)
-        # Phase 3, numpy: store the deltas and move each working copy on.
-        for lang, delta in zip(language_ids, deltas):
-            entries[(layer, lang)] = delta
-            w_out = working[lang].layer(layer).w_out
-            working[lang] = working[lang].with_w_out(layer, w_out + delta)
+                for system, norm, users in solves:
+                    solved.extend(_alphaedit_solve(system, norm, [b for stack_rhs in users for b in stack_rhs], cond_limit))
+        # Phase 3, numpy: store the (d, h) deltas and move each working copy on.
+        for i, (lang, solution) in enumerate(zip(language_ids, solved)):
+            entries[(layer, lang)] = solution.T
+            working[i] = working[i].with_w_out(layer, w_out + solution.T)
 
     return DeltaSet(
         cov_mode=cov_mode,

@@ -288,7 +288,7 @@ def _init_codebook(model, prefix, tokens, dataset, rng):
         low + NEW_TOKEN_NOISE * rng.standard_normal((d, n))
     )
 
-    final, _ = model_core._run_prefix(model, prefix, None)
+    final, _ = model_core._run_prefix(model_core._stack_weights((model,), prefix), prefix, None)
     sums = np.zeros((d, dataset.config.vocab_size))
     counts = np.zeros(dataset.config.vocab_size)
     # Language-major columns: the sums add in language order, as one pass per language would.

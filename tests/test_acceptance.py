@@ -34,7 +34,7 @@ def pinned_reports(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes
     for mc in pinned_config.merges:
         merged = merge(mc, pinned_delta_sets[mc.cov_mode])
         edited = apply_update(model, merged, pinned_config.alpha)
-        rows = metrics.evaluate_all(edited, pinned_probes)
+        (rows,) = metrics.evaluate_all([edited], pinned_probes)
         reports[mc.method] = float(np.mean([r.averaged for r in rows]))
     return reports
 
@@ -42,10 +42,7 @@ def pinned_reports(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes
 @pytest.fixture(scope="module")
 def pinned_mono(pinned_config, pinned_bench, pinned_delta_sets, pinned_probes):
     dataset, model = pinned_bench
-    rows = [
-        metrics.run_mono(model, pinned_probes, pinned_delta_sets["per_language"], i, pinned_config.alpha)
-        for i in pinned_probes.language_ids
-    ]
+    rows = metrics.run_mono(model, pinned_probes, pinned_delta_sets["per_language"], pinned_config.alpha)
     report = metrics.MetricsReport(
         method=experiment.MONO_METHOD,
         cov_mode="per_language",
@@ -224,7 +221,7 @@ def test_criterion_9_determinism(acceptance_log, pinned_config, pinned_benchmark
 def test_criterion_10_pre_edit_sanity(acceptance_log, pinned_bench, pinned_probes):
     dataset, model = pinned_bench
     req_recall, _ = recall_of(model, dataset)
-    specificity = float(np.mean([row.specificity for row in metrics.evaluate_all(model, pinned_probes)]))
+    specificity = float(np.mean([row.specificity for row in metrics.evaluate_all([model], pinned_probes)[0]]))
     ok = req_recall >= 0.95 and specificity >= 0.95
     acceptance_log(
         10, ok,

@@ -218,11 +218,12 @@ def test_thread_scope_entries_per_command(tiny_setup, monkeypatch, command):
     "command, spreads",
     [
         (["generate"], 0),
-        # The merge-and-score phase: every delta SVD, then the task list.
-        (["run"], 2),
-        (["run", "--method", "alphaedit"], 2),
-        (["sweep", "--axis", "alpha"], 2),
-        (["sweep", "--axis", "rank"], 2),
+        # The merge-and-score phase: every delta SVD, then every merge, then
+        # the scoring stacks.
+        (["run"], 3),
+        (["run", "--method", "alphaedit"], 3),
+        (["sweep", "--axis", "alpha"], 3),
+        (["sweep", "--axis", "rank"], 3),
     ],
     ids=["generate", "run", "run-alphaedit", "sweep-alpha", "sweep-rank"],
 )
@@ -672,6 +673,25 @@ class TestSpread:
         assert not runner.is_alive()
         assert outcome == [[3 * x for x in range(2000)]]
         assert sorted(calls) == list(range(2000))
+
+    @pytest.mark.parametrize(
+        "cores, n, width, lengths",
+        [
+            (2, 6, 3, [3, 3]),
+            (2, 48, 3, [3] * 16),
+            (2, 10, 8, [5, 5]),
+            (2, 12, 3, [3, 3, 3, 3]),
+            (1, 6, 3, [3, 3]),
+            (1, 6, 8, [6]),
+            (4, 3, 8, [1, 1, 1]),
+            (2, 0, 3, []),
+        ],
+    )
+    def test_chunks_are_even_runs_at_most_width_and_one_per_thread(self, monkeypatch, cores, n, width, lengths):
+        _cores(monkeypatch, cores)
+        runs = blas.chunks(range(n), width)
+        assert [len(run) for run in runs] == lengths
+        assert [x for run in runs for x in run] == list(range(n))
 
     def test_one_core_starts_no_thread(self, monkeypatch):
         _cores(monkeypatch, 1)

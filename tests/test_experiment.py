@@ -405,6 +405,7 @@ class TestComputeDeltaSets:
         count(model_mod, "keys_at")
         count(model_mod, "compute_prefix")
         count(model_mod, "keys_and_targets")
+        count(model_mod, "keys_and_targets_stack")
         delta_sets = experiment.compute_delta_sets(model, dataset, solver, modes)
 
         n_layers, m = len(model.edit_layers), dataset.m_languages
@@ -415,10 +416,12 @@ class TestComputeDeltaSets:
         assert calls["keys_at"] == 1
         assert calls["forward_batch"] == 0
         # One request prefix and one first-layer target computation per
-        # language, shared by both modes; then one forward from the prefix
-        # per (mode, language, later layer) step serving both keys and targets.
+        # language, shared by both modes (each a stack of one); then one
+        # stacked forward of every language from the prefixes per (mode,
+        # later layer) step, serving both keys and targets.
         assert calls["compute_prefix"] == m
-        assert calls["keys_and_targets"] == m + len(modes) * m * (n_layers - 1)
+        assert calls["keys_and_targets"] == m
+        assert calls["keys_and_targets_stack"] == m + len(modes) * (n_layers - 1)
         for mode in modes:
             for key, delta in fresh[mode].entries.items():
                 assert np.array_equal(delta_sets[mode].entries[key], delta)

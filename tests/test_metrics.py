@@ -63,7 +63,7 @@ class TestAccuracy:
 class TestEvaluate:
     def test_unedited_model_efficacy_near_zero_specificity_high(self, small_bench):
         dataset, model = small_bench
-        rows = evaluate_all(model, probe_batch(model, dataset))
+        (rows,) = evaluate_all([model], probe_batch(model, dataset))
         for row in rows:
             assert row.efficacy <= 0.05
             assert row.specificity >= 0.95
@@ -76,7 +76,7 @@ class TestEvaluate:
             model, ds.all_language_requests(), ds.preserved_inputs_all(), 2.75, cov_mode="shared"
         )
         edited = apply_update(model, merge(MergeConfig("sum_cov"), delta_set), 1.0)
-        for row in evaluate_all(edited, probe_batch(model, ds)):
+        for row in evaluate_all([edited], probe_batch(model, ds))[0]:
             assert row.generalization == row.efficacy
 
     def test_refit_on_new_tokens_reaches_high_efficacy(self):
@@ -86,7 +86,7 @@ class TestEvaluate:
         ds = generate_dataset(cfg)
         swapped = replace(ds, old_tokens=ds.new_tokens.copy(), new_tokens=ds.old_tokens.copy())
         refit, _ = fit_initial_model(cfg, swapped)
-        eff = float(np.mean([row.efficacy for row in evaluate_all(refit, probe_batch(refit, ds))]))
+        eff = float(np.mean([row.efficacy for row in evaluate_all([refit], probe_batch(refit, ds))[0]]))
         assert eff >= 0.95
 
     def test_averaged_recomputes_bit_exactly(self):
@@ -102,7 +102,7 @@ class TestEvaluate:
         dataset, model = small_bench
         reports = []
         for _ in range(2):
-            rows = evaluate_all(model, probe_batch(model, dataset))
+            (rows,) = evaluate_all([model], probe_batch(model, dataset))
             rep = MetricsReport(
                 method="sum", cov_mode="per_language", alpha=1.0, rank_ratio=None,
                 seed=dataset.config.seed, languages=dataset.languages, rows=rows,
@@ -116,6 +116,7 @@ class TestEvaluate:
         dataset, model = small_bench
         probes = probe_batch(model, dataset)
         edited = apply_update(model, merge(MergeConfig("mean"), per_language_deltas), 1.0)
+        references = []
         for scored in (model, edited):
             reference = tuple(
                 MetricsRow(
@@ -128,12 +129,15 @@ class TestEvaluate:
                 )
                 for i in range(dataset.m_languages)
             )
-            assert evaluate_all(scored, probes) == reference
-            assert tuple(probes.language(i).rows(scored)[0] for i in range(dataset.m_languages)) == reference
+            assert evaluate_all([scored], probes) == (reference,)
+            assert tuple(probes.language(i).rows([scored])[0][0] for i in range(dataset.m_languages)) == reference
+            references.append(reference)
+        # Scored as one stack, each model keeps its own rows.
+        assert evaluate_all([model, edited, model], probes) == (*references, references[0])
 
     def test_report_row_count_enforced(self, small_bench):
         dataset, model = small_bench
-        rows = evaluate_all(model, probe_batch(model, dataset))
+        (rows,) = evaluate_all([model], probe_batch(model, dataset))
         with pytest.raises(ShapeError):
             MetricsReport(
                 method="sum", cov_mode="per_language", alpha=1.0, rank_ratio=None,
@@ -151,19 +155,14 @@ class TestRunMono:
     def test_zero_alpha_equals_unedited_baseline(self, small_bench, per_language_deltas):
         dataset, model = small_bench
         probes = probe_batch(model, dataset)
-        base = evaluate_all(model, probes)
-        for lang in range(dataset.m_languages):
-            assert run_mono(model, probes, per_language_deltas, lang, alpha=0.0) == base[lang]
+        assert run_mono(model, probes, per_language_deltas, alpha=0.0) == evaluate_all([model], probes)[0]
 
     def test_mono_efficacy_dominates_multilingual_sum(self, small_bench, per_language_deltas):
         dataset, model = small_bench
         probes = probe_batch(model, dataset)
         edited = apply_update(model, merge(MergeConfig("sum"), per_language_deltas), 1.0)
-        sum_eff = float(np.mean([row.efficacy for row in evaluate_all(edited, probes)]))
-        mono_eff = float(np.mean([
-            run_mono(model, probes, per_language_deltas, i).efficacy
-            for i in range(dataset.m_languages)
-        ]))
+        sum_eff = float(np.mean([row.efficacy for row in evaluate_all([edited], probes)[0]]))
+        mono_eff = float(np.mean([row.efficacy for row in run_mono(model, probes, per_language_deltas)]))
         assert mono_eff >= sum_eff
 
 
@@ -211,11 +210,12 @@ class TestProbeBatch:
         )])
         plain = predict_batch(edited, compute_prefix(edited, columns))
         assert np.array_equal(predict_batch(edited, probes.prefix), plain)
-        assert evaluate_all(edited, probes) == per_family_rows(edited, dataset)
+        assert evaluate_all([edited], probes) == (per_family_rows(edited, dataset),)
+        mono = run_mono(model, probes, delta_set, alpha)
         for i in range(dataset.m_languages):
             own = {layer: delta_set.delta(layer, i) for layer in edit_layers}
             mono_edited = apply_update(model, own, alpha)
-            assert run_mono(model, probes, delta_set, i, alpha) == per_family_rows(mono_edited, dataset)[i]
+            assert mono[i] == per_family_rows(mono_edited, dataset)[i]
 
     def test_probe_batch_matches_dataset_shape(self, small_bench):
         dataset, model = small_bench
@@ -226,6 +226,18 @@ class TestProbeBatch:
         one = probes.language(1)
         assert one.languages == (dataset.languages[1],)
         assert one.prefix.n == 4 * dataset.n_facts
+
+    def test_selected_languages_score_like_the_whole_batch(self, small_bench, per_language_deltas):
+        dataset, model = small_bench
+        probes = probe_batch(model, dataset)
+        edited = apply_update(model, merge(MergeConfig("sum"), per_language_deltas), 1.0)
+        (whole,) = evaluate_all([edited], probes)
+        two = probes.select((1, 2))
+        assert two.languages == dataset.languages[1:3]
+        assert evaluate_all([edited], two) == (whole[1:3],)
+        assert run_mono(model, two, per_language_deltas) == run_mono(model, probes, per_language_deltas)[1:3]
+        with pytest.raises(ShapeError, match="consecutive"):
+            probes.select((0, 2))
 
     @pytest.mark.parametrize("changed", ["layer_1_w_in", "layer_1_w_out", "first_edit_w_in"])
     def test_model_not_sharing_the_prefix_rejected(self, small_bench, changed):
@@ -242,13 +254,16 @@ class TestProbeBatch:
             layers[first] = replace(layers[first], w_in=layers[first].w_in * 1.01)
         other = replace(model, layers=tuple(layers))
         with pytest.raises(ShapeError, match="does not share"):
-            evaluate_all(other, probes)
+            evaluate_all([other], probes)
         with pytest.raises(ShapeError, match="does not share"):
-            probes.language(0).rows(other)
+            probes.language(0).rows([other])
+        # One stranger refuses its whole stack.
+        with pytest.raises(ShapeError, match="does not share"):
+            evaluate_all([model, other], probes)
 
     def test_edited_w_out_of_first_edit_layer_accepted(self, small_bench):
         dataset, model = small_bench
         probes = probe_batch(model, dataset)
         first = model.edit_layers[0]
         edited = model.with_w_out(first, model.layer(first).w_out * 1.1)
-        assert evaluate_all(edited, probes) == per_family_rows(edited, dataset)
+        assert evaluate_all([edited], probes) == (per_family_rows(edited, dataset),)

@@ -10,15 +10,21 @@ from lamedit.model import (
     LN_EPS,
     PREDICT_BLOCK,
     LamLayer,
+    Prefix,
     ToyModel,
     compute_prefix,
     forward_batch,
     keys_and_targets,
+    keys_and_targets_stack,
     keys_at,
     predict_batch,
+    predict_stack,
+    stack_width,
     _normalize,
     _run_prefix,
+    _stack_weights,
     _walk,
+    _weights,
 )
 
 
@@ -61,6 +67,11 @@ def forward_one(model, x):
     """``forward_batch`` on the one-column batch of ``x``: hidden (L+1, d) and keys (L, h)."""
     hidden, keys = forward_batch(model, np.asarray(x, dtype=float)[:, None])
     return hidden[:, :, 0], keys[:, :, 0]
+
+
+def run_prefix(model, prefix, key_layer):
+    """``model``'s final state on the prefix's batch and its keys at ``key_layer``, from the walk."""
+    return _run_prefix(_stack_weights((model,), prefix), prefix, key_layer)
 
 
 def predict_one(model, x):
@@ -244,7 +255,7 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         model = random_model(rng, vocab=23)
         prefix = compute_prefix(model, rng.standard_normal((8, n)))
-        state, _ = _run_prefix(model, prefix, None)
+        state, _ = run_prefix(model, prefix, None)
         expected = np.argmax(state.T @ model.codebook, axis=1)
         assert np.array_equal(predict_batch(model, prefix), expected)
 
@@ -259,14 +270,14 @@ class TestPredict:
         prefix = compute_prefix(model, inputs)
         states = []
 
-        def run_prefix(*args):
+        def watched(*args):
             state, keys = _run_prefix(*args)
             states.append(state)
             return state, keys
 
-        monkeypatch.setattr(model_module, "_run_prefix", run_prefix)
+        monkeypatch.setattr(model_module, "_run_prefix", watched)
         predictions = predict_batch(model, prefix)
-        whole, _ = _run_prefix(model, prefix, None)
+        whole, _ = run_prefix(model, prefix, None)
         hidden, _ = forward_batch(model, inputs)
         assert np.array_equal(np.hstack(states), whole)
         assert np.array_equal(whole, hidden[-1])
@@ -381,7 +392,7 @@ class TestComputeTargetValues:
         for current in (model, edited):
             hidden, keys = forward_batch(current, inputs)
             for l in edit_layers:
-                final, run_keys = _run_prefix(current, prefix, l)
+                final, run_keys = run_prefix(current, prefix, l)
                 assert np.array_equal(final, hidden[-1])
                 assert np.array_equal(run_keys, keys[l - 1])
                 assert np.array_equal(keys_and_targets(current, prefix, tokens, l)[0], keys[l - 1])
@@ -495,12 +506,12 @@ class TestNoWrites:
         }
         before = {name: array.copy() for name, array in watched.items()}
         calls = [
-            lambda: _walk(model, inputs, range(1, n_layers + 1), edit_layers),
+            lambda: _walk(_weights((model,), range(1, n_layers + 1)), inputs, edit_layers),
             lambda: compute_prefix(model, inputs),
             lambda: keys_at(model, inputs, edit_layers),
             lambda: preserved_keys(model, inputs, edit_layers),
             lambda: predict_batch(edited, prefix),
-            *(lambda l=l: _run_prefix(edited, prefix, l) for l in (None, *edit_layers)),
+            *(lambda l=l: run_prefix(edited, prefix, l) for l in (None, *edit_layers)),
             *(lambda l=l: keys_and_targets(edited, prefix, tokens, l) for l in edit_layers),
         ]
         for call in calls:
@@ -564,3 +575,116 @@ class TestWithWOut:
         for codebook in (2 * np.eye(4), bad, np.eye(3), np.zeros((4, 0))):
             with pytest.raises(ShapeError):
                 ToyModel(layers=(layer,), codebook=codebook, edit_layers=(1,))
+
+
+def edited_stack(rng, model, k):
+    """``k`` models edited from ``model``; about half of them keep the base's top edit layer."""
+    models = []
+    for _ in range(k):
+        edited = model
+        for l in model.edit_layers[: 1 + int(rng.integers(0, 2))]:
+            edited = edited.with_w_out(l, edited.layer(l).w_out + 0.1 * rng.standard_normal((model.d, model.h)))
+        models.append(edited)
+    return models
+
+
+# Batch widths: multiples of 64, and ragged ones, up to a few blocks.
+STACK_WIDTHS = st.one_of(st.integers(1, 20).map(lambda b: 64 * b), st.integers(1, 1300))
+
+
+class TestStack:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        n=STACK_WIDTHS,
+        wide=st.booleans(),
+    )
+    @example(seed=7, k=8, n=3072, wide=False)
+    @example(seed=8, k=3, n=1536, wide=True)
+    @example(seed=9, k=2, n=1030, wide=True)
+    def test_stacked_walk_gives_each_models_bits(self, seed, k, n, wide):
+        # Each slice of a stacked walk runs its model's kernels on the same
+        # shapes, so its final state is that model's forward_batch bits and
+        # its predictions are that model's own, whatever the stack's size.
+        d, h = (128, 256) if wide else (32, 64)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d=d, h=h, n_layers=4, vocab=64, edit_layers=(2, 3))
+        models = edited_stack(rng, model, k)
+        inputs = rng.standard_normal((d, n))
+        prefix = compute_prefix(model, inputs)
+        states, _ = _run_prefix(_stack_weights(models, prefix), prefix, None)
+        states = model_module._as_stack(states, k)
+        predictions = predict_stack(models, prefix)
+        assert predictions.shape == (k, n)
+        for i, edited in enumerate(models):
+            hidden, _ = forward_batch(edited, inputs)
+            assert np.array_equal(states[i], hidden[-1])
+            assert np.array_equal(predictions[i], predict_batch(edited, prefix))
+            assert np.array_equal(predictions[i], np.argmax(hidden[-1].T @ edited.codebook, axis=1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        n=st.integers(1, 80),
+        layer=st.sampled_from([2, 3]),
+    )
+    def test_stacked_prefix_gives_each_models_own_batch(self, seed, k, n, layer):
+        # A stacked prefix holds one batch per model, as the edit loop's
+        # languages and mono's stacks have them.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d=32, h=64, n_layers=4, vocab=64, edit_layers=(2, 3))
+        models = edited_stack(rng, model, k)
+        prefixes = [compute_prefix(model, rng.standard_normal((32, n))) for _ in range(k)]
+        tokens = rng.integers(0, model.vocab_size, size=(k, n))
+        stacked = Prefix.stack(prefixes)
+        keys, targets = keys_and_targets_stack(models, stacked, tokens, layer)
+        predictions = predict_stack(models, stacked)
+        for i, (edited, prefix) in enumerate(zip(models, prefixes)):
+            own_keys, own_targets = keys_and_targets(edited, prefix, tokens[i], layer)
+            assert np.array_equal(keys[i], own_keys)
+            assert np.array_equal(targets[i], own_targets)
+            assert np.array_equal(predictions[i], predict_batch(edited, prefix))
+
+    def test_stack_member_not_sharing_the_prefix_rejected(self):
+        rng = np.random.default_rng(30)
+        model = random_model(rng)
+        prefix = compute_prefix(model, rng.standard_normal((8, 5)))
+        edited = model.with_w_out(2, model.layer(2).w_out + 0.1)
+        # Equal values in a new array: the prefix cannot tell them from an edit.
+        layers = list(model.layers)
+        layers[0] = LamLayer(layers[0].w_in.copy(), layers[0].w_out)
+        stranger = ToyModel(layers=tuple(layers), codebook=model.codebook, edit_layers=model.edit_layers)
+        tokens = np.zeros((3, 5), dtype=int)
+        with pytest.raises(ShapeError, match="does not share"):
+            predict_stack([edited, stranger, model], prefix)
+        with pytest.raises(ShapeError, match="does not share"):
+            keys_and_targets_stack([edited, stranger, model], prefix, tokens, 2)
+        with pytest.raises(ShapeError):
+            predict_stack([], prefix)
+        with pytest.raises(ShapeError, match="2 batches for 3 models"):
+            predict_stack([edited, edited, model], Prefix.stack([prefix, prefix]))
+        with pytest.raises(InvalidRequestError):
+            keys_and_targets_stack([edited, model], prefix, tokens, 2)
+
+    def test_stacked_prefixes_must_share_base_and_width(self):
+        rng = np.random.default_rng(31)
+        model = random_model(rng)
+        other = random_model(rng)
+        a = compute_prefix(model, rng.standard_normal((8, 5)))
+        with pytest.raises(ShapeError):
+            Prefix.stack([a, compute_prefix(model, rng.standard_normal((8, 6)))])
+        with pytest.raises(ShapeError):
+            Prefix.stack([a, compute_prefix(other, rng.standard_normal((8, 5)))])
+        with pytest.raises(ShapeError):
+            Prefix.stack([Prefix.stack([a, a])])
+        with pytest.raises(ShapeError):
+            Prefix.stack([])
+
+    def test_stack_width_keeps_a_blocks_keys_within_the_budget(self):
+        rng = np.random.default_rng(32)
+        for h, width in ((64, 3), (128, 1), (256, 1), (12, 16)):
+            model = random_model(rng, d=8, h=h)
+            assert stack_width(model) == width
+            assert width == 1 or 8 * width * h * PREDICT_BLOCK <= model_module.STACK_BYTES

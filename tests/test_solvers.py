@@ -20,6 +20,8 @@ from lamedit.solvers import (
     DEFAULT_LAM_MEMIT,
     DEFAULT_REL_TOL,
     LanguageRequests,
+    _alphaedit_lu,
+    _alphaedit_matrix,
     _memit_inverse,
     _memit_matrix,
     _rhs,
@@ -504,12 +506,13 @@ class TestEditModel:
         preserved = preserved_terms(model, dataset.preserved_inputs_all())
         probes = probe_batch(model, dataset)
         all_languages = edit_model(model, prepare(model, dataset.all_language_requests()), preserved, 2.75)
+        mono = run_mono(model, probes, all_languages, alpha=1.0)
         for lang in range(dataset.m_languages):
             single = edit_model(model, prepare(model, [dataset.language_requests(lang)]), preserved, 2.75)
             merged = {layer: merge_sum(single.layer_deltas(layer)) for layer in single.layers}
             edited = apply_update(model, merged, 1.0)
-            row_pipeline = evaluate_all(edited, probes)[lang]
-            assert run_mono(model, probes, all_languages, lang, alpha=1.0) == row_pipeline
+            row_pipeline = evaluate_all([edited], probes)[0][lang]
+            assert mono[lang] == row_pipeline
 
     def test_per_language_deltas_solve_own_objective(self):
         # Two languages with disjoint keys: each language's delta must reach
@@ -578,7 +581,8 @@ class TestLayerFactorisation:
     def test_one_factor_per_layer_shared_per_language_otherwise(
         self, small_bench, monkeypatch, method, library, routines, cov_mode
     ):
-        # memit checks and inverts each system in numpy; alphaedit LU-factors it in scipy.
+        # memit checks and inverts each system in numpy, a layer's systems as
+        # one stack; alphaedit LU-factors each in scipy.  Systems are counted.
         dataset, model = small_bench
         requests = prepare(model, dataset.all_language_requests())
         preserved = preserved_terms(model, dataset.preserved_inputs_all(), method, rel_tol=0.02)
@@ -586,9 +590,9 @@ class TestLayerFactorisation:
         for name in routines:
             original = getattr(library, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(system, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += len(system) if np.ndim(system) == 3 else 1
+                return _original(system, *args, **kwargs)
 
             monkeypatch.setattr(library, name, counted)
         edit_model(model, requests, preserved, SolverSettings(method=method).lam, method=method, cov_mode=cov_mode)
@@ -621,7 +625,7 @@ class TestLayerFactorisation:
         record(scipy.linalg.lapack, "dgecon", "scipy")
         for name in ("cov_per_language", "cov_shared"):
             record(cov_mod, name, "numpy")
-        record(model_mod, "keys_and_targets", "numpy")
+        record(model_mod, "keys_and_targets_stack", "numpy")
         record(type(model), "with_w_out", "numpy")
         edit_model(model, requests, preserved, DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=cov_mode)
         runs = []
@@ -659,8 +663,7 @@ class TestLayerFactorisation:
                 # The editor's own per-language memit builder, given the shared system.
                 count = sum(r.inputs.shape[1] for r in requests)
                 system = _memit_matrix(preserved[first] * count, shared, DEFAULT_LAM_MEMIT)
-                solve = _memit_inverse(*system, DEFAULT_COND_LIMIT)
-                own = solve(_rhs(None, w_out, keys, targets)).T
+                own = (_memit_inverse(*system, DEFAULT_COND_LIMIT) @ _rhs(None, w_out, keys, targets)).T
             else:
                 own = solve_alphaedit(
                     w_out, keys, targets, preserved[first], shared, DEFAULT_LAM_ALPHAEDIT
@@ -689,3 +692,142 @@ class TestLayerFactorisation:
             assert again.entries.keys() == fresh.entries.keys()
             for key, delta in fresh.entries.items():
                 assert np.array_equal(again.entries[key], delta)
+
+
+def per_language_loop(model, prepared, preserved, lam, method, cov_mode, cond_limit=DEFAULT_COND_LIMIT):
+    """The edit loop one language at a time: the reference of edit_model's stacks.
+
+    Each language's keys and targets come from its own walk, and each of its
+    systems is factored and solved on its own (a shared system once per
+    language), through the 2-d calls of the solver helpers.
+    """
+    prepared = sorted(prepared, key=lambda prep: prep.language_id)
+    working = {prep.language_id: model for prep in prepared}
+    entries = {}
+    for layer in model.edit_layers:
+        term = preserved[layer]
+        projector = term.projector if method == "alphaedit" else None
+        batches = []
+        for prep in prepared:
+            copy = working[prep.language_id]
+            if layer == prep.prefix.layer:
+                keys, targets = prep.prefix.key, prep.targets
+            else:
+                keys, targets = keys_and_targets(copy, prep.prefix, prep.requests.new_tokens, layer)
+            batches.append((keys, _rhs(projector, copy.layer(layer).w_out, keys, targets)))
+
+        def system(cov, count):
+            if method == "memit":
+                return _memit_matrix(term * count, cov, lam)
+            return _alphaedit_matrix(term.projector, cov, lam)
+
+        if cov_mode == SHARED:
+            shared = cov_mod.cov_shared([keys for keys, _ in batches])
+            systems = [system(shared, sum(keys.shape[1] for keys, _ in batches))] * len(batches)
+        else:
+            systems = [system(cov_mod.cov_per_language(keys), keys.shape[1]) for keys, _ in batches]
+        for prep, (matrix, norm), (_, rhs) in zip(prepared, systems, batches):
+            if method == "memit":
+                solution = _memit_inverse(matrix, norm, cond_limit) @ rhs
+            else:
+                solution = _alphaedit_lu(matrix, norm, cond_limit)(rhs)
+            entries[(layer, prep.language_id)] = solution.T
+            w_out = working[prep.language_id].layer(layer).w_out
+            working[prep.language_id] = working[prep.language_id].with_w_out(layer, w_out + solution.T)
+    return entries
+
+
+def assert_stacked_loop_bits(model, requests, preserved, lam, method, cov_mode):
+    prepared = prepare(model, requests)
+    stacked = edit_model(model, prepared, preserved, lam, method=method, cov_mode=cov_mode)
+    reference = per_language_loop(model, prepared, preserved, lam, method, cov_mode)
+    assert stacked.entries.keys() == reference.keys()
+    for key, delta in reference.items():
+        assert np.array_equal(stacked.entries[key], delta), key
+
+
+def random_preserved(rng, method, h, edit_layers, null_frac=0.5):
+    """A well-conditioned memit term, or an alphaedit projector with a real null space, per layer."""
+    preserved = {}
+    for layer in edit_layers:
+        if method == "memit":
+            b = rng.standard_normal((h, h))
+            preserved[layer] = np.eye(h) + b @ b.T / h
+        else:
+            kept = rng.standard_normal((h, int(null_frac * h)))
+            preserved[layer] = nullspace_projector(kept @ kept.T, rel_tol=1e-8)
+    return preserved
+
+
+class TestStackedEditLoop:
+    @pytest.mark.parametrize("stacked", [3, 2], ids=["one-stack", "stacks-of-2"])
+    @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+    @pytest.mark.parametrize("method", ["memit", "alphaedit"])
+    def test_bench_deltas_are_the_per_language_loops_bits(self, small_bench, monkeypatch, method, cov_mode, stacked):
+        # Three languages as one stack, or as a stack of two and one of one.
+        dataset, model = small_bench
+        monkeypatch.setattr(model_mod, "STACK_BYTES", stacked * 8 * model.h * model.h)
+        preserved = preserved_terms(model, dataset.preserved_inputs_all(), method, rel_tol=0.02)
+        lam = SolverSettings(method=method).lam
+        assert_stacked_loop_bits(model, dataset.all_language_requests(), preserved, lam, method, cov_mode)
+
+    @pytest.mark.parametrize("stack_bytes", [model_mod.STACK_BYTES, 2**24], ids=["default", "one-stack"])
+    @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+    @pytest.mark.parametrize("method", ["memit", "alphaedit"])
+    def test_wide_deltas_are_the_per_language_loops_bits(self, monkeypatch, method, cov_mode, stack_bytes):
+        # The wide benchmark's shape: d=128, h=256, 64 requests a language.
+        # By default its languages solve one at a time; with room for all
+        # four systems they walk and solve as one stack.
+        monkeypatch.setattr(model_mod, "STACK_BYTES", stack_bytes)
+        rng = np.random.default_rng(40)
+        model = random_model(rng, d=128, h=256, n_layers=4, vocab=64, edit_layers=(2, 3, 4))
+        requests = [
+            LanguageRequests(lang, rng.standard_normal((128, 64)), rng.integers(0, 64, 64)) for lang in range(4)
+        ]
+        preserved = random_preserved(rng, method, 256, model.edit_layers)
+        lam = DEFAULT_LAM_MEMIT if method == "memit" else DEFAULT_LAM_ALPHAEDIT
+        assert_stacked_loop_bits(model, requests, preserved, lam, method, cov_mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(2, 24),
+        d_frac=st.floats(0.0, 1.0),
+        n_layers=st.integers(2, 4),
+        counts=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        lam=st.floats(0.05, 10.0),
+        method=st.sampled_from(["memit", "alphaedit"]),
+        cov_mode=st.sampled_from([PER_LANGUAGE, SHARED]),
+    )
+    def test_deltas_are_the_per_language_loops_bits(self, seed, h, d_frac, n_layers, counts, lam, method, cov_mode):
+        # Languages with one request count walk as one stack; unequal
+        # counts make several stacks.
+        rng = np.random.default_rng(seed)
+        d = 2 + int(d_frac * (h - 2))
+        edit_layers = tuple(range(2, n_layers + 1))
+        model = random_model(rng, d=d, h=h, n_layers=n_layers, vocab=12, edit_layers=edit_layers)
+        requests = [
+            LanguageRequests(lang, rng.standard_normal((d, n)), rng.integers(0, 12, n))
+            for lang, n in enumerate(counts)
+        ]
+        preserved = random_preserved(rng, method, h, edit_layers, null_frac=float(rng.uniform()))
+        assert_stacked_loop_bits(model, requests, preserved, lam, method, cov_mode)
+
+    def test_a_stack_raises_the_first_failing_systems_error(self):
+        # Stacked, memit's systems are checked as a loop over them would be:
+        # the first one that fails raises, whichever check it fails.
+        rng = np.random.default_rng(41)
+        b = rng.standard_normal((6, 6))
+        good = np.eye(6) + b @ b.T
+        steep = np.diag([1e6, 1, 1, 1, 1, 1e-9])
+        indefinite = -np.eye(6)
+        norms = lambda systems: np.array([np.linalg.norm(m, 1) for m in systems])
+        for systems, raised in (
+            ([good, steep, indefinite], "condition estimate"),
+            ([good, indefinite, steep], "not positive definite"),
+        ):
+            stack = np.stack(systems)
+            with pytest.raises(IllConditionedError, match=raised):
+                _memit_inverse(stack, norms(systems), 1e12)
+        inverse = _memit_inverse(np.stack([good, good]), norms([good, good]), 1e12)
+        assert np.array_equal(inverse[1], _memit_inverse(good, np.linalg.norm(good, 1), 1e12))
