@@ -18,10 +18,11 @@ alphaedit's null-space projector ``eigh`` and LU.  Two tools work beside the
 setting, and neither changes an output bit:
 
 * :func:`scipy_run` is the one way ``run`` and ``sweep`` call scipy: every
-  scipy call they make (alphaedit's projector ``eigh``, and each edit
-  layer's LU factors, condition estimates and solves) runs inside it, on the
-  main thread.  It holds one lock through the body and stops scipy's idle
-  workers on the way out, whether the body returns or raises.  After a
+  scipy call they make (alphaedit's projector ``eigh``, and each stack's LU
+  factors, condition estimates and solves at each edit layer) runs inside
+  it, on the main thread, one run per projector and per stack's solves.  It
+  holds one lock through the body and stops scipy's idle workers on the way
+  out, whether the body returns or raises.  After a
   threaded call a library's idle workers spin for about 0.1 s, and on 2
   cores they would take the cores from numpy's next kernel.  The lock keeps
   a thread from stopping the pool while another thread's scipy run is in

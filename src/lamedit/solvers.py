@@ -26,36 +26,39 @@ Everything ``edit_model`` shares with the unedited model comes in prepared
 on it, once per run: the preserved term of every layer from
 :func:`preserved_terms` (one walk of the preserved sample), and each
 language's requests as a :class:`RequestPrefix` from :func:`request_prefix`.
-In the shared covariance mode each layer's system (the same matrix for every
-language) is factored and condition-checked once, then applied to each
-language's right-hand side.
 
-numpy and scipy bundle separate OpenBLAS builds whose thread pools stall each
-other when calls alternate, so ``edit_model`` runs each edit layer in three
-phases, with one switch into the solving library and one back:
+Each edit layer takes one pass per stack.  Every stack first walks to the
+layer for its keys and targets, and in the shared covariance mode the
+layer's one system (the same matrix for every language) is formed from all
+their keys.  Then, in language order, each stack forms its right-hand sides
+(and, in the per-language mode, its own systems), solves them, stores each
+(d, h) delta under its (layer, language) and moves its working copies on.
+One helper forms a system, or a stack's, and solves it for the method:
 
-1. numpy forms every distinct system at the layer with its 1-norm, and each
-   language's right-hand side: forwards, matmuls and norms;
-2. the method's library factors, condition-checks and solves them all back
-   to back: numpy on its one thread (:mod:`lamedit.blas`) for memit, a
-   layer's systems as one stack, and scipy at its default count for
-   alphaedit, one system at a time on the main thread;
-3. numpy stores each (d, h) delta array under its (layer, language) and
-   updates the working copies.
+* memit's systems stay in numpy, on its one thread (:mod:`lamedit.blas`): a
+  Cholesky check, one explicit inverse per system, its exact 1-norm
+  condition number and a matmul per right-hand side.
+* alphaedit's systems go through scipy's LU factor, ``dgecon`` and LU solve,
+  whose bits the rank-deficient tsvm merges of its deltas are sensitive to.
+  Each stack's scipy calls run in one :func:`lamedit.blas.scipy_run` on the
+  main thread, which stops scipy's idle workers after it so they do not
+  take the cores from numpy's next calls; that changes no bit.  A shared
+  system is factored and condition-checked once, inside the first stack's
+  run.  These, with the projector's ``eigh`` (in its own run), are the only
+  scipy calls of ``run`` and ``sweep``.
 
-alphaedit's phase 2, like its projector's ``eigh``, runs inside
-:func:`lamedit.blas.scipy_run`, which stops scipy's idle workers after it so
-they do not take the cores from numpy's next calls; that changes no bit.
-These are the only scipy calls of ``run`` and ``sweep``.
+numpy and scipy bundle separate OpenBLAS builds whose thread pools once
+stalled each other when their calls alternated.  numpy now runs on one
+thread with no pool, and every scipy run stops scipy's pool after it, so a
+handover per stack costs little: at the wide benchmark's h=256, six LU
+factor-and-solve pairs took 17.7 ms in one handover and 18.4 ms in six
+(medians of 60, interleaved, on a shared 2-core Xeon), about 0.2 ms a
+handover.
 
-memit systems stay in numpy throughout: a Cholesky check, one explicit
-inverse per system, its exact 1-norm condition number and a matmul per
-right-hand side.  alphaedit systems go through scipy's LU factor, ``dgecon``
-and LU solve, whose bits the rank-deficient tsvm merges of its deltas are
-sensitive to.  ``solve_memit`` keeps scipy's Cholesky solve, whose bits fix
-the fitted backbone; the fit is set-up, which calls scipy outside the
-handover.  Both ``solve_*`` functions build their system and right-hand side
-with the same helpers as ``edit_model``.
+``solve_memit`` keeps scipy's Cholesky solve, whose bits fix the fitted
+backbone; the fit is set-up, which calls scipy outside the handover.  Both
+``solve_*`` functions build their system and right-hand side with the same
+helpers as ``edit_model``.
 """
 
 from __future__ import annotations
@@ -399,27 +402,36 @@ def request_prefix(model, requests):
     return RequestPrefix(requests=requests, prefix=prefix, targets=targets)
 
 
-def _layer_matrix(method, preserved_term, cov_request, request_count, lam):
-    """The system of one solve at one layer and its 1-norm, or a stack's, before factoring."""
+def _layer_solver(method, term, cov_request, request_count, lam, cond_limit):
+    """Form one layer's system, or a stack of them, and return the function that solves it.
+
+    ``solve(rhs)`` takes a stack of (h, d) right-hand sides and returns their
+    (h, d) solutions in order: a single system solves every right-hand side,
+    a stack's k-th system the k-th.  memit's systems are Cholesky-checked and
+    inverted here, in numpy, so each solve is one matmul.  alphaedit's
+    transposed systems and their 1-norms are formed here, in numpy, and each
+    ``solve`` is one :func:`lamedit.blas.scipy_run` on the calling thread: it
+    LU-factors and ``dgecon``-checks each system of a stack before solving
+    with it, and a single system once, inside the first ``solve``.
+    """
     if method == METHOD_MEMIT:
         # The per-sample preserved moment rescaled to the request batch size,
         # so lam weighs preservation against requests independently of how
         # many keys went into either statistic.
-        return _memit_matrix(preserved_term * request_count, cov_request, lam)
-    return _alphaedit_matrix(preserved_term.projector, cov_request, lam)
+        inverse = _memit_inverse(*_memit_matrix(term * request_count, cov_request, lam), cond_limit)
+        return lambda rhs: inverse @ rhs
+    system_t, norm = _alphaedit_matrix(term.projector, cov_request, lam)
+    factored = []
 
+    def solve(rhs):
+        with blas.scipy_run():
+            if system_t.ndim == 3:
+                return [_alphaedit_lu(one, one_norm, cond_limit)(b) for one, one_norm, b in zip(system_t, norm, rhs)]
+            if not factored:
+                factored.append(_alphaedit_lu(system_t, norm, cond_limit))
+            return [factored[0](b) for b in rhs]
 
-def _alphaedit_solve(system_t, norm, rhs, cond_limit):
-    """Each right-hand side's (h, d) solve, back to back, in scipy.
-
-    ``system_t`` is one system for every right-hand side, factored and
-    checked once, or a stack of one per right-hand side, each factored,
-    checked and solved in turn.
-    """
-    if system_t.ndim == 2:
-        solve = _alphaedit_lu(system_t, norm, cond_limit)
-        return [solve(b) for b in rhs]
-    return [_alphaedit_lu(one, one_norm, cond_limit)(b) for one, one_norm, b in zip(system_t, norm, rhs)]
+    return solve
 
 
 def edit_model(
@@ -446,11 +458,10 @@ def edit_model(
     system at a layer is the same matrix, so it is factored and
     condition-checked once per layer; in the per-language mode once per
     (layer, language), memit's as one stack whose first failing system, in
-    language order, raises.  Each layer runs in three phases (see the module
-    docstring): numpy forms the systems and right-hand sides, the method's
-    library factors, checks and solves them back to back, and numpy stores
-    the deltas and updates the working copies.  alphaedit's phase 2 runs
-    inside :func:`lamedit.blas.scipy_run`.  Every delta has the bits of a
+    language order, raises.  Each stack then solves, stores its deltas and
+    moves its working copies on before the next stack solves (see the module
+    docstring); alphaedit's solves of a stack run in one
+    :func:`lamedit.blas.scipy_run`.  Every delta has the bits of a
     loop that walks, factors and solves one language at a time.
 
     Parameters
@@ -512,42 +523,24 @@ def edit_model(
         term = preserved[layer]
         projector = term.projector if method == METHOD_ALPHAEDIT else None
         w_out = model.layer(layer).w_out  # every working copy's, until this layer's edit
-        # Phase 1, numpy: each stack's keys and right-hand sides from one
-        # walk, then this layer's one shared system or each stack's
-        # per-language systems, with their 1-norms, and the right-hand sides
-        # each solves.
+        # Each stack's keys and targets at this layer, from one walk.
         walked = [
             (prefix.key, targets)
             if layer == prefix.layer
             else model_core.keys_and_targets_stack([working[i] for i in group], prefix, tokens, layer)
             for group, prefix, tokens, targets in stacks
         ]
-        rhs = [_rhs(projector, w_out, keys, targets) for keys, targets in walked]
         if cov_mode == SHARED:
             shared = cov_mod.cov_shared(language_keys for keys, _ in walked for language_keys in keys)
-            count = sum(prep.prefix.n for prep in prepared)
-            solves = [(*_layer_matrix(method, term, shared, count, lam), rhs)]
-        else:
-            solves = [
-                (*_layer_matrix(method, term, cov_mod.cov_per_language(keys), keys.shape[-1], lam), [stack_rhs])
-                for (keys, _), stack_rhs in zip(walked, rhs)
-            ]
-        # Phase 2, the method's library: alphaedit's run is scipy's.  Each
-        # language's (h, d) solution, in language order.
-        solved = []
-        if method == METHOD_MEMIT:
-            for system, norm, users in solves:
-                inverse = _memit_inverse(system, norm, cond_limit)
-                for stack_rhs in users:
-                    solved.extend(inverse @ stack_rhs)
-        else:
-            with blas.scipy_run():
-                for system, norm, users in solves:
-                    solved.extend(_alphaedit_solve(system, norm, [b for stack_rhs in users for b in stack_rhs], cond_limit))
-        # Phase 3, numpy: store the (d, h) deltas and move each working copy on.
-        for i, (lang, solution) in enumerate(zip(language_ids, solved)):
-            entries[(layer, lang)] = solution.T
-            working[i] = working[i].with_w_out(layer, w_out + solution.T)
+            solve = _layer_solver(method, term, shared, sum(prep.prefix.n for prep in prepared), lam, cond_limit)
+        # In language order, each stack solves, stores its (d, h) deltas and
+        # moves its working copies on.
+        for group, (keys, targets) in zip(groups, walked):
+            if cov_mode != SHARED:
+                solve = _layer_solver(method, term, cov_mod.cov_per_language(keys), keys.shape[-1], lam, cond_limit)
+            for i, solution in zip(group, solve(_rhs(projector, w_out, keys, targets))):
+                entries[(layer, language_ids[i])] = solution.T
+                working[i] = working[i].with_w_out(layer, w_out + solution.T)
 
     return DeltaSet(
         cov_mode=cov_mode,

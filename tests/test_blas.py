@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamedit import blas, cli, experiment, merging, solvers, synthdata
+from lamedit import model as model_mod
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import IllConditionedError
 from lamedit.merging import MergeConfig
 
 from test_experiment import TINY_CONFIG, tiny_setup, write_config  # noqa: F401 (tiny_setup is a fixture)
+from test_model import random_model
+from test_solvers import random_preserved
 
 PACKAGES = ("numpy", "scipy")
 # The lookup itself, kept for reading counts while a test replaces it.
@@ -360,8 +363,8 @@ def _scipy_runs_left_spinning(events):
 
 
 def test_every_alphaedit_scipy_call_runs_inside_the_handover(tmp_path, monkeypatch):
-    # alphaedit's projector eigh and its phase 2 in both covariance modes are
-    # the only scipy calls, each inside exactly one scipy_run on the main
+    # alphaedit's projector eigh and each stack's solves in both covariance
+    # modes are the only scipy calls, each inside exactly one scipy_run on the main
     # thread; memit makes none.  Two cores, so each spread starts a worker.
     config_path = write_config(tmp_path, dict(TINY_CONFIG, solver={"method": "alphaedit", "rel_tol": 0.02}))
     bench = str(tmp_path / "bench")
@@ -424,9 +427,70 @@ def test_alphaedit_scipy_stops_hold_the_scipy_lock(tmp_path, monkeypatch):
     argv = ["run", config_path, "--dataset", bench, "--out", str(tmp_path / "run"), "--method", "alphaedit"]
     assert cli.main(argv) == 0
     # Per edit layer: one stop after the projector's eigh, and one after
-    # phase 2 in each covariance mode.
+    # each stack's solves in each covariance mode.  The tiny benchmark's
+    # three languages at h=16 are one stack.
     layers = len(TINY_CONFIG["dataset"]["edit_layers"])
     assert held == [True] * (3 * layers)
+    assert not blas._SCIPY_RUN.locked()
+
+
+@pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
+def test_alphaedit_runs_one_handover_per_stack_in_language_order(monkeypatch, cov_mode):
+    # At h=192 STACK_BYTES holds two (h, h) systems, so three languages edit
+    # as a stack of two and a stack of one.  Each stack's scipy calls run
+    # inside one handover on the main thread, in language order, and a stop
+    # of scipy's pool follows each; a shared system is factored and checked
+    # once, inside the first stack's handover.
+    h = 192
+    assert model_mod.STACK_BYTES // (8 * h * h) == 2
+    rng = np.random.default_rng(43)
+    model = random_model(rng, d=16, h=h, n_layers=3, vocab=32, edit_layers=(2, 3))
+    requests = [
+        solvers.request_prefix(model, solvers.LanguageRequests(lang, rng.standard_normal((16, 8)), rng.integers(0, 32, 8)))
+        for lang in range(3)
+    ]
+    preserved = random_preserved(rng, "alphaedit", h, model.edit_layers)
+    events = []
+    _watch(monkeypatch, events)
+    watched_run, watched_solve = blas.scipy_run, scipy.linalg.lu_solve
+    solutions = []
+
+    @contextlib.contextmanager
+    def scipy_run():
+        events.append(("enter", "scipy", None))
+        with watched_run():
+            yield
+
+    def lu_solve(*args, **kwargs):
+        solutions.append(watched_solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(blas, "scipy_run", scipy_run)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", lu_solve)
+    delta_set = solvers.edit_model(
+        model, requests, preserved, solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=cov_mode
+    )
+    inside = {"depth": 1, "locked": True, "item": False, "main": True}
+    handovers = []
+    for kind, name, where in events:
+        if kind == "enter":
+            handovers.append([])
+        elif kind == "scipy":
+            assert where == inside, name
+            handovers[-1].append(name)
+        elif kind == "stop":
+            assert name == "scipy" and where["locked"] and where["main"]
+            handovers[-1].append("stop")
+    if cov_mode == SHARED:
+        layer = [["lu_factor", "dgecon", "lu_solve", "lu_solve", "stop"], ["lu_solve", "stop"]]
+    else:
+        layer = [["lu_factor", "dgecon", "lu_solve"] * 2 + ["stop"], ["lu_factor", "dgecon", "lu_solve", "stop"]]
+    assert handovers == layer * len(model.edit_layers)
+    assert _scipy_runs_left_spinning(events) == []
+    # The k-th solve of a layer is the k-th language's delta.
+    deltas = [delta_set.delta(layer, lang) for layer in model.edit_layers for lang in range(3)]
+    assert len(solutions) == len(deltas)
+    assert all(np.array_equal(solution, delta.T) for solution, delta in zip(solutions, deltas))
     assert not blas._SCIPY_RUN.locked()
 
 

@@ -601,11 +601,11 @@ class TestLayerFactorisation:
 
     @pytest.mark.parametrize("cov_mode", [PER_LANGUAGE, SHARED])
     def test_alphaedit_scipy_calls_run_once_per_layer(self, small_bench, monkeypatch, cov_mode):
-        # numpy and scipy bundle separate OpenBLAS builds whose thread pools
-        # stall each other when calls alternate, so each edit layer's LU
-        # factors, condition estimates and solves run back to back, between
-        # the numpy steps that collect keys and moments and update the
-        # working copies.
+        # Each stack's LU factors, condition estimates and solves run back
+        # to back in one scipy handover, between the numpy steps that walk
+        # the stack, form its systems and right-hand sides, and update its
+        # working copies.  The bench's three languages at h=32 are one
+        # stack, so each edit layer makes one run.
         dataset, model = small_bench
         requests = prepare(model, dataset.all_language_requests())
         preserved = preserved_terms(model, dataset.preserved_inputs_all(), "alphaedit", rel_tol=0.02)
