@@ -47,13 +47,12 @@ One helper forms a system, or a stack's, and solves it for the method:
   run.  These, with the projector's ``eigh`` (in its own run), are the only
   scipy calls of ``run`` and ``sweep``.
 
-numpy and scipy bundle separate OpenBLAS builds whose thread pools once
-stalled each other when their calls alternated.  numpy now runs on one
-thread with no pool, and every scipy run stops scipy's pool after it, so a
-handover per stack costs little: at the wide benchmark's h=256, six LU
-factor-and-solve pairs took 17.7 ms in one handover and 18.4 ms in six
-(medians of 60, interleaved, on a shared 2-core Xeon), about 0.2 ms a
-handover.
+numpy and scipy bundle separate OpenBLAS builds, but numpy runs on one
+thread with no pool and every scipy run stops scipy's pool after it, so
+their calls may alternate and a handover per stack costs little: at the
+wide benchmark's h=256, six LU factor-and-solve pairs took 17.7 ms in one
+handover and 18.4 ms in six (medians of 60, interleaved, on a shared 2-core
+Xeon), about 0.2 ms a handover.
 
 ``solve_memit`` keeps scipy's Cholesky solve, whose bits fix the fitted
 backbone; the fit is set-up, which calls scipy outside the handover.  Both
@@ -421,15 +420,16 @@ def _layer_solver(method, term, cov_request, request_count, lam, cond_limit):
         inverse = _memit_inverse(*_memit_matrix(term * request_count, cov_request, lam), cond_limit)
         return lambda rhs: inverse @ rhs
     system_t, norm = _alphaedit_matrix(term.projector, cov_request, lam)
-    factored = []
+    factored = None
 
     def solve(rhs):
+        nonlocal factored
         with blas.scipy_run():
             if system_t.ndim == 3:
                 return [_alphaedit_lu(one, one_norm, cond_limit)(b) for one, one_norm, b in zip(system_t, norm, rhs)]
-            if not factored:
-                factored.append(_alphaedit_lu(system_t, norm, cond_limit))
-            return [factored[0](b) for b in rhs]
+            if factored is None:
+                factored = _alphaedit_lu(system_t, norm, cond_limit)
+            return [factored(b) for b in rhs]
 
     return solve
 
