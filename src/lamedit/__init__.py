@@ -15,7 +15,6 @@ from .covariance import (
     const_stats,
     cov_per_language,
     cov_shared,
-    preserved_keys,
     request_keys,
 )
 from .errors import (
@@ -60,11 +59,9 @@ from .solvers import (
     DeltaSet,
     LanguageRequests,
     NullProjector,
-    RequestPrefix,
     edit_model,
     nullspace_projector,
     preserved_terms,
-    request_prefix,
     solve_alphaedit,
     solve_memit,
 )

@@ -53,40 +53,17 @@ def cov_shared(keys):
     return total
 
 
-def preserved_keys(model, preserved_inputs, layers):
-    """Preserved-knowledge keys at each 1-based layer of ``layers``, from one walk.
-
-    The walk stops at the last of ``layers`` and keeps only the running state
-    (:func:`lamedit.model.keys_at`), never the whole stack's trace.
-
-    Parameters
-    ----------
-    preserved_inputs : ndarray (d, p)
-        May be empty (p == 0); the keys are then empty too, and their
-        statistics are explicit zeros, valid only for solvers that do not
-        weight the preserved term.
-
-    Returns
-    -------
-    dict mapping each layer of ``layers`` -> keys, ndarray (h, p)
-    """
-    preserved_inputs = np.asarray(preserved_inputs, dtype=float)
-    if preserved_inputs.ndim != 2 or preserved_inputs.shape[0] != model.d:
-        raise ShapeError(f"preserved inputs must be (d, p) with d={model.d}")
-    if preserved_inputs.shape[1] == 0:
-        return {layer: np.zeros((model.h, 0)) for layer in layers}
-    return model_core.keys_at(model, preserved_inputs, layers)
-
-
 def const_stats(model, preserved_inputs, layer):
     """Preserved-knowledge covariance and keys at a 1-based layer.
 
-    The one-layer view of :func:`preserved_keys`.
+    The keys come from one walk of ``preserved_inputs`` (d, p) up to the
+    layer (:func:`lamedit.model.keys_at`); an empty sample (p == 0) gives
+    empty keys and a zero covariance.
 
     Returns
     -------
     cov : ndarray (h, h)
     keys : ndarray (h, p)
     """
-    keys = preserved_keys(model, preserved_inputs, (layer,))[layer]
+    keys = model_core.keys_at(model, preserved_inputs, (layer,))[layer]
     return cov_per_language(keys), keys

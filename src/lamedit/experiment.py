@@ -346,13 +346,13 @@ def _check_model_fits_dataset(model, gen_config, model_path):
 
 
 def compute_delta_sets(model, dataset, solver, cov_modes):
-    """Per-language delta sets for each requested covariance mode.
+    """Per-language delta sets for each requested covariance mode, from one :func:`solvers.edit_model` call.
 
-    The preserved statistics (and alphaedit's null-space projectors), and
-    each language's request prefix and first-layer targets, are computed once
-    on the unedited model and shared by every mode.  An alphaedit projector
-    onto an empty null space warns (:class:`EmptyNullSpaceWarning`): its
-    layer's edits are exactly zero.
+    The preserved statistics (and alphaedit's null-space projectors) are
+    computed once on the unedited model and shared by every mode, as
+    ``edit_model`` shares each language's request prefix and first-layer
+    targets.  An alphaedit projector onto an empty null space warns
+    (:class:`EmptyNullSpaceWarning`): its layer's edits are exactly zero.
     """
     preserved = solvers.preserved_terms(model, dataset.preserved_inputs_all(), solver.method, solver.rel_tol)
     if solver.method == solvers.METHOD_ALPHAEDIT:
@@ -363,19 +363,15 @@ def compute_delta_sets(model, dataset, solver, cov_modes):
                 f"{', '.join(empty)}, so their edits are exactly zero",
                 EmptyNullSpaceWarning,
             )
-    requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
-    return {
-        mode: solvers.edit_model(
-            model,
-            requests,
-            preserved,
-            solver.lam,
-            method=solver.method,
-            cov_mode=mode,
-            cond_limit=solver.cond_limit,
-        )
-        for mode in sorted(set(cov_modes))
-    }
+    return solvers.edit_model(
+        model,
+        dataset.all_language_requests(),
+        preserved,
+        solver.lam,
+        method=solver.method,
+        cov_modes=cov_modes,
+        cond_limit=solver.cond_limit,
+    )
 
 
 def score_points(config, dataset, model, points, include_mono=False):

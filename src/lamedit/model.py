@@ -17,8 +17,9 @@ state entering the first edit layer, and that layer's keys) is therefore the
 same on the unedited model and on every model edited from it.  Target
 computation (:func:`keys_and_targets_stack`) and prediction
 (:func:`predict_stack`) always run on from a prefix computed once on the
-unedited model, and :func:`keys_at` walks a batch to some layers' keys; all
-keep only the running state.  :func:`forward_batch` is the full pass with
+unedited model, and :func:`keys_at` walks a batch to some layers' keys (the
+preserved sample's, for :func:`lamedit.solvers.preserved_terms` and
+:func:`lamedit.covariance.const_stats`); all keep only the running state.  :func:`forward_batch` is the full pass with
 its per-layer trace, the reference their bits are held to.
 
 One walk serves one model or a *stack* of K models edited from one base:
@@ -329,7 +330,7 @@ def keys_at(model, inputs, layers):
 
     One walk up to the last of them, keeping only the running state, gives
     the bits of :func:`forward_batch`'s keys at those layers without its
-    per-layer trace.
+    per-layer trace.  An empty batch (n == 0) gives empty (h, 0) keys.
     """
     last = max(layers)
     state, keys = _walk(_weights((model,), range(1, last)), _check_inputs(model, inputs), layers)

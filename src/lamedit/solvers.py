@@ -11,29 +11,32 @@ request keys onto target values while limiting damage to preserved keys:
 
 ``edit_model`` runs either solver over every edit layer in bottom-to-top
 order for every language, recomputing keys and targets on per-language
-working copies, and returns all per-(layer, language) perturbations relative
-to the original weights.  The input model is never mutated.  The languages
-step through each layer in stacks: their working copies walk as one stack
-(:func:`lamedit.model.keys_and_targets_stack`), and their per-language
-covariances, right-hand sides, memit systems, Cholesky checks, inverses and
-condition numbers are stacked numpy calls, each slice through the kernel of its own
-call on the same shapes, so every delta keeps the bits of a loop over the
-languages.  A stack holds as many languages as keep its (h, h) systems
-within :data:`lamedit.model.STACK_BYTES`: a dataset's 12 at h=64, one at a
-time at h=256.
+working copies, and returns each covariance mode's per-(layer, language)
+perturbations relative to the original weights.  The input model is never
+mutated.  The languages step through each layer in stacks: their working
+copies walk as one stack (:func:`lamedit.model.keys_and_targets_stack`),
+and their per-language covariances, right-hand sides, memit systems,
+Cholesky checks, inverses and condition numbers are stacked numpy calls,
+each slice through the kernel of its own call on the same shapes, so every
+delta keeps the bits of a loop over the languages.  A stack holds as many
+languages as keep its (h, h) systems within
+:data:`lamedit.model.STACK_BYTES`: a dataset's 12 at h=64, one at a time at
+h=256.
 
-Everything ``edit_model`` shares with the unedited model comes in prepared
-on it, once per run: the preserved term of every layer from
-:func:`preserved_terms` (one walk of the preserved sample), and each
-language's requests as a :class:`RequestPrefix` from :func:`request_prefix`.
+One ``edit_model`` call edits in every covariance mode a run needs, and
+prepares what the modes share on the unedited model once: each stack's
+request prefix, and its keys and targets at the first edit layer, from one
+walk.  The preserved term of every layer comes in from
+:func:`preserved_terms` (one walk of the preserved sample).
 
-Each edit layer takes one pass per stack.  Every stack first walks to the
-layer for its keys and targets, and in the shared covariance mode the
-layer's one system (the same matrix for every language) is formed from all
-their keys.  Then, in language order, each stack forms its right-hand sides
-(and, in the per-language mode, its own systems), solves them, stores each
-(d, h) delta under its (layer, language) and moves its working copies on.
-One helper forms a system, or a stack's, and solves it for the method:
+In each mode, each edit layer takes one pass per stack.  Every stack first
+walks to the layer for its keys and targets, and in the shared covariance
+mode the layer's one system (the same matrix for every language) is formed
+from all their keys.  Then, in language order, each stack forms its
+right-hand sides (and, in the per-language mode, its own systems), solves
+them, stores each (d, h) delta under its (layer, language) and moves its
+working copies on.  One helper forms a system, or a stack's, and solves it
+for the method:
 
 * memit's systems stay in numpy, on its one thread (:mod:`lamedit.blas`): a
   Cholesky check, one explicit inverse per system, its exact 1-norm
@@ -360,7 +363,7 @@ def preserved_terms(model, preserved_inputs, method=METHOD_MEMIT, rel_tol=DEFAUL
     if method not in METHODS:
         raise ShapeError(f"unknown method {method!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite entry
-        keys = cov_mod.preserved_keys(model, preserved_inputs, model.edit_layers)
+        keys = model_core.keys_at(model, preserved_inputs, model.edit_layers)
         covs = {layer: cov_mod.cov_per_language(keys[layer]) for layer in model.edit_layers}
     terms = {}
     for layer, cov in covs.items():
@@ -373,32 +376,6 @@ def preserved_terms(model, preserved_inputs, method=METHOD_MEMIT, rel_tol=DEFAUL
         else:
             terms[layer] = nullspace_projector(cov, rel_tol=rel_tol)
     return terms
-
-
-@dataclass(frozen=True)
-class RequestPrefix:
-    """One language's requests prepared on the unedited model ``prefix.base``.
-
-    Holds the requests' :class:`~lamedit.model.Prefix` and their targets at
-    the first edit layer.  Every working copy in :func:`edit_model` starts
-    from the prefix, and at the first edit layer each copy is still the base,
-    so the keys there are ``prefix.key`` and the targets these.
-    """
-
-    requests: LanguageRequests
-    prefix: model_core.Prefix
-    targets: np.ndarray  # (d, n) at the base's first edit layer
-
-    @property
-    def language_id(self):
-        return self.requests.language_id
-
-
-def request_prefix(model, requests):
-    """The :class:`RequestPrefix` of one language's requests on ``model``."""
-    prefix = model_core.compute_prefix(model, requests.inputs)
-    _, targets = model_core.keys_and_targets(model, prefix, requests.new_tokens, prefix.layer)
-    return RequestPrefix(requests=requests, prefix=prefix, targets=targets)
 
 
 def _layer_solver(method, term, cov_request, request_count, lam, cond_limit):
@@ -440,10 +417,10 @@ def edit_model(
     preserved,
     lam,
     method=METHOD_MEMIT,
-    cov_mode=PER_LANGUAGE,
+    cov_modes=(PER_LANGUAGE,),
     cond_limit=DEFAULT_COND_LIMIT,
 ):
-    """One-step batch edit over all edit layers and languages.
+    """One-step batch edit over all edit layers and languages, in each covariance mode.
 
     Per-language perturbations are computed against the original weights:
     each language gets its own working copy that accumulates only its own
@@ -451,50 +428,53 @@ def edit_model(
     independently mergeable.  The languages run in stacks, in language order:
     runs of consecutive languages of one request count (a dataset's all have
     one), each as long as keeps its (h, h) systems within
-    :data:`lamedit.model.STACK_BYTES`.  At each layer after the first, a
-    stack's working copies take their keys and targets from one stacked
-    walk, run on from their requests' prefixes; at the first edit layer they
-    are the prefixes' own.  In the shared covariance mode every language's
-    system at a layer is the same matrix, so it is factored and
-    condition-checked once per layer; in the per-language mode once per
-    (layer, language), memit's as one stack whose first failing system, in
-    language order, raises.  Each stack then solves, stores its deltas and
-    moves its working copies on before the next stack solves (see the module
-    docstring); alphaedit's solves of a stack run in one
-    :func:`lamedit.blas.scipy_run`.  Every delta has the bits of a
-    loop that walks, factors and solves one language at a time.
+    :data:`lamedit.model.STACK_BYTES`.  Each stack's requests are prepared on
+    ``model`` once for every mode: their stacked prefix (one
+    :func:`lamedit.model.compute_prefix` per language) and their keys and
+    targets at the first edit layer, where every working copy is still
+    ``model``, from one walk.  Each mode then steps through the edit layers
+    in turn; at each layer after the first, a stack's working copies take
+    their keys and targets from one stacked walk, run on from the prefix.  In
+    the shared covariance mode every language's system at a layer is the same
+    matrix, so it is factored and condition-checked once per layer; in the
+    per-language mode once per (layer, language), memit's as one stack whose
+    first failing system, in language order, raises.  Each stack then
+    solves, stores its deltas and moves its working copies on before the
+    next stack solves (see the module docstring); alphaedit's solves of a
+    stack run in one :func:`lamedit.blas.scipy_run`.  Every delta has the
+    bits of a loop that walks, factors and solves one language at a time, in
+    one mode at a time.
 
     Parameters
     ----------
-    requests : sequence of RequestPrefix
-        One per language, from :func:`request_prefix` on ``model``; language
-        ids must be unique.
+    requests : sequence of LanguageRequests
+        One per language; language ids must be unique.
     preserved : dict
         :func:`preserved_terms` of ``model`` for ``method``.
     lam : float
         For memit the preserved moment is normalized per sample and rescaled
         to the request batch size before weighting, so lam expresses the
         preservation-to-request ratio regardless of either sample count.
-    cov_mode : "per_language" | "shared"
-        Whether each language's request covariance is its own or the sum
-        across all languages.
+    cov_modes : sequence of "per_language" | "shared"
+        The covariance modes to edit in: whether each language's request
+        covariance is its own or the sum across all languages.  They run in
+        sorted order, each once.
 
     Returns
     -------
-    DeltaSet
+    dict mapping each mode -> DeltaSet
     """
     if method not in METHODS:
         raise ShapeError(f"unknown method {method!r}")
-    if cov_mode not in cov_mod.COV_MODES:
-        raise ShapeError(f"unknown covariance mode {cov_mode!r}")
-    prepared = sorted(requests, key=lambda prep: prep.language_id)
-    if not prepared:
+    modes = sorted(set(cov_modes))
+    if not modes or any(mode not in cov_mod.COV_MODES for mode in modes):
+        raise ShapeError(f"covariance modes must be a nonempty choice of {cov_mod.COV_MODES}, got {cov_modes!r}")
+    requests = sorted(requests, key=lambda req: req.language_id)
+    if not requests:
         raise ShapeError("edit_model needs at least one language batch")
-    language_ids = tuple(prep.language_id for prep in prepared)
+    language_ids = tuple(req.language_id for req in requests)
     if len(set(language_ids)) != len(language_ids):
         raise ShapeError(f"duplicate language ids in requests: {language_ids}")
-    if any(prep.prefix.base is not model for prep in prepared):
-        raise ShapeError("a RequestPrefix was computed on another model")
 
     # The languages walk and solve in stacks, in language order: runs of
     # consecutive languages of one request count, each as long as keeps its
@@ -502,49 +482,50 @@ def edit_model(
     # one at a time at h=256).
     width = max(1, model_core.STACK_BYTES // (8 * model.h * model.h))
     groups = []
-    for i, prep in enumerate(prepared):
-        if groups and len(groups[-1]) < width and prepared[groups[-1][0]].prefix.n == prep.prefix.n:
+    for i, req in enumerate(requests):
+        if groups and len(groups[-1]) < width and len(requests[groups[-1][0]].new_tokens) == len(req.new_tokens):
             groups[-1].append(i)
         else:
             groups.append([i])
-    stacks = [
-        (
-            group,
-            model_core.Prefix.stack(prepared[i].prefix for i in group),
-            np.stack([prepared[i].requests.new_tokens for i in group]),
-            np.stack([prepared[i].targets for i in group]),
+    first = model.edit_layers[0]
+    stacks = []  # (group, prefix, tokens, keys and targets at the first edit layer)
+    for group in groups:
+        prefix = model_core.Prefix.stack(model_core.compute_prefix(model, requests[i].inputs) for i in group)
+        tokens = np.stack([requests[i].new_tokens for i in group])
+        at_first = model_core.keys_and_targets_stack([model] * len(group), prefix, tokens, first)
+        stacks.append((group, prefix, tokens, at_first))
+    request_count = sum(len(req.new_tokens) for req in requests)
+
+    delta_sets = {}
+    for cov_mode in modes:
+        entries = {}
+        working = [model] * len(requests)
+        for layer in model.edit_layers:
+            term = preserved[layer]
+            projector = term.projector if method == METHOD_ALPHAEDIT else None
+            w_out = model.layer(layer).w_out  # every working copy's, until this layer's edit
+            # Each stack's keys and targets at this layer, from one walk.
+            walked = [
+                at_first
+                if layer == first
+                else model_core.keys_and_targets_stack([working[i] for i in group], prefix, tokens, layer)
+                for group, prefix, tokens, at_first in stacks
+            ]
+            if cov_mode == SHARED:
+                shared = cov_mod.cov_shared(language_keys for keys, _ in walked for language_keys in keys)
+                solve = _layer_solver(method, term, shared, request_count, lam, cond_limit)
+            # In language order, each stack solves, stores its (d, h) deltas and
+            # moves its working copies on.
+            for group, (keys, targets) in zip(groups, walked):
+                if cov_mode != SHARED:
+                    solve = _layer_solver(method, term, cov_mod.cov_per_language(keys), keys.shape[-1], lam, cond_limit)
+                for i, solution in zip(group, solve(_rhs(projector, w_out, keys, targets))):
+                    entries[(layer, language_ids[i])] = solution.T
+                    working[i] = working[i].with_w_out(layer, w_out + solution.T)
+        delta_sets[cov_mode] = DeltaSet(
+            cov_mode=cov_mode,
+            layers=tuple(model.edit_layers),
+            language_ids=language_ids,
+            entries=entries,
         )
-        for group in groups
-    ]
-
-    entries = {}
-    working = [model] * len(prepared)
-    for layer in model.edit_layers:
-        term = preserved[layer]
-        projector = term.projector if method == METHOD_ALPHAEDIT else None
-        w_out = model.layer(layer).w_out  # every working copy's, until this layer's edit
-        # Each stack's keys and targets at this layer, from one walk.
-        walked = [
-            (prefix.key, targets)
-            if layer == prefix.layer
-            else model_core.keys_and_targets_stack([working[i] for i in group], prefix, tokens, layer)
-            for group, prefix, tokens, targets in stacks
-        ]
-        if cov_mode == SHARED:
-            shared = cov_mod.cov_shared(language_keys for keys, _ in walked for language_keys in keys)
-            solve = _layer_solver(method, term, shared, sum(prep.prefix.n for prep in prepared), lam, cond_limit)
-        # In language order, each stack solves, stores its (d, h) deltas and
-        # moves its working copies on.
-        for group, (keys, targets) in zip(groups, walked):
-            if cov_mode != SHARED:
-                solve = _layer_solver(method, term, cov_mod.cov_per_language(keys), keys.shape[-1], lam, cond_limit)
-            for i, solution in zip(group, solve(_rhs(projector, w_out, keys, targets))):
-                entries[(layer, language_ids[i])] = solution.T
-                working[i] = working[i].with_w_out(layer, w_out + solution.T)
-
-    return DeltaSet(
-        cov_mode=cov_mode,
-        layers=tuple(model.edit_layers),
-        language_ids=language_ids,
-        entries=entries,
-    )
+    return delta_sets

@@ -395,7 +395,7 @@ def test_every_alphaedit_scipy_call_runs_inside_the_handover(tmp_path, monkeypat
 
 def test_handover_frees_the_lock_and_stops_the_pool_when_a_solve_raises(small_bench, monkeypatch):
     dataset, model = small_bench
-    requests = [solvers.request_prefix(model, req) for req in dataset.all_language_requests()]
+    requests = dataset.all_language_requests()
     preserved = solvers.preserved_terms(model, dataset.preserved_inputs_all(), "alphaedit", rel_tol=0.02)
     events = []
     _record_stops(monkeypatch, events)
@@ -446,8 +446,7 @@ def test_alphaedit_runs_one_handover_per_stack_in_language_order(monkeypatch, co
     rng = np.random.default_rng(43)
     model = random_model(rng, d=16, h=h, n_layers=3, vocab=32, edit_layers=(2, 3))
     requests = [
-        solvers.request_prefix(model, solvers.LanguageRequests(lang, rng.standard_normal((16, 8)), rng.integers(0, 32, 8)))
-        for lang in range(3)
+        solvers.LanguageRequests(lang, rng.standard_normal((16, 8)), rng.integers(0, 32, 8)) for lang in range(3)
     ]
     preserved = random_preserved(rng, "alphaedit", h, model.edit_layers)
     events = []
@@ -467,9 +466,9 @@ def test_alphaedit_runs_one_handover_per_stack_in_language_order(monkeypatch, co
 
     monkeypatch.setattr(blas, "scipy_run", scipy_run)
     monkeypatch.setattr(scipy.linalg, "lu_solve", lu_solve)
-    delta_set = solvers.edit_model(
-        model, requests, preserved, solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=cov_mode
-    )
+    (delta_set,) = solvers.edit_model(
+        model, requests, preserved, solvers.DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_modes=(cov_mode,)
+    ).values()
     inside = {"depth": 1, "locked": True, "item": False, "main": True}
     handovers = []
     for kind, name, where in events:
@@ -619,11 +618,12 @@ def test_scoped_bits_equal_default_thread_bits_at_h256(tmp_path, monkeypatch):
             **{f"w_out{i}": layer.w_out for i, layer in enumerate(model.layers)},
         }
 
-        def edit_model(*args, cov_mode, **kwargs):
-            delta_set = real_edit(*args, cov_mode=cov_mode, **kwargs)
-            for key, delta in delta_set.entries.items():
-                arrays[cov_mode, "delta", key] = delta
-            return delta_set
+        def edit_model(*args, **kwargs):
+            delta_sets = real_edit(*args, **kwargs)
+            for cov_mode, delta_set in delta_sets.items():
+                for key, delta in delta_set.entries.items():
+                    arrays[cov_mode, "delta", key] = delta
+            return delta_sets
 
         def delta_factors(delta_sets, depths):
             all_factors = real_factors(delta_sets, depths)

@@ -399,7 +399,7 @@ class TestComputeDeltaSets:
             monkeypatch.setattr(module, name, wrapper)
 
         count(covariance, "const_stats")
-        count(covariance, "preserved_keys")
+        count(solvers, "edit_model")
         count(solvers, "nullspace_projector")
         count(model_mod, "forward_batch")
         count(model_mod, "keys_at")
@@ -409,19 +409,22 @@ class TestComputeDeltaSets:
         delta_sets = experiment.compute_delta_sets(model, dataset, solver, modes)
 
         n_layers, m = len(model.edit_layers), dataset.m_languages
+        # One edit_model call edits in both modes.
+        assert calls["edit_model"] == 1
         # One preserved walk gives every edit layer's keys, with no full trace.
-        assert calls["preserved_keys"] == 1
         assert calls["const_stats"] == 0
         assert calls["nullspace_projector"] == (n_layers if method == "alphaedit" else 0)
         assert calls["keys_at"] == 1
         assert calls["forward_batch"] == 0
-        # One request prefix and one first-layer target computation per
-        # language, shared by both modes (each a stack of one); then one
-        # stacked forward of every language from the prefixes per (mode,
-        # later layer) step, serving both keys and targets.
+        # One request prefix per language, and one stacked walk of every
+        # language at the first edit layer, shared by both modes; then one
+        # stacked walk from the prefixes per (mode, later layer) step,
+        # serving both keys and targets.  A dataset's languages share one
+        # request count, so they stack as wide as STACK_BYTES allows.
+        stacks = -(-m // (model_mod.STACK_BYTES // (8 * model.h * model.h)))
         assert calls["compute_prefix"] == m
-        assert calls["keys_and_targets"] == m
-        assert calls["keys_and_targets_stack"] == m + len(modes) * (n_layers - 1)
+        assert calls["keys_and_targets"] == 0
+        assert calls["keys_and_targets_stack"] == stacks * (1 + len(modes) * (n_layers - 1))
         for mode in modes:
             for key, delta in fresh[mode].entries.items():
                 assert np.array_equal(delta_sets[mode].entries[key], delta)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamedit import container, model as model_module
-from lamedit.covariance import preserved_keys
+from lamedit.covariance import const_stats
 from lamedit.errors import InvalidRequestError, ShapeError
 from lamedit.model import (
     LN_EPS,
@@ -465,8 +465,10 @@ class TestKeysAt:
         assert sorted(walked) == list(layers)
         for l in layers:
             assert np.array_equal(walked[l], keys[l - 1])
-        preserved = preserved_keys(model, inputs, layers)
-        assert all(np.array_equal(preserved[l], keys[l - 1]) for l in layers)
+        assert all(np.array_equal(const_stats(model, inputs, l)[1], keys[l - 1]) for l in layers)
+        # An empty preserved sample walks to empty keys.
+        empty = keys_at(model, inputs[:, :0], layers)
+        assert all(empty[l].shape == (model.h, 0) for l in layers)
 
 
 def _arrays(model):
@@ -509,7 +511,7 @@ class TestNoWrites:
             lambda: _walk(_weights((model,), range(1, n_layers + 1)), inputs, edit_layers),
             lambda: compute_prefix(model, inputs),
             lambda: keys_at(model, inputs, edit_layers),
-            lambda: preserved_keys(model, inputs, edit_layers),
+            *(lambda l=l: const_stats(model, inputs, l) for l in edit_layers),
             lambda: predict_batch(edited, prefix),
             *(lambda l=l: run_prefix(edited, prefix, l) for l in (None, *edit_layers)),
             *(lambda l=l: keys_and_targets(edited, prefix, tokens, l) for l in edit_layers),

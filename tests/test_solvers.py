@@ -28,7 +28,6 @@ from lamedit.solvers import (
     edit_model,
     nullspace_projector,
     preserved_terms,
-    request_prefix,
     solve_alphaedit,
     solve_memit,
 )
@@ -36,15 +35,17 @@ from lamedit.solvers import (
 from test_model import random_model
 
 
-def prepare(model, requests):
-    """Each language's :class:`RequestPrefix` on ``model``."""
-    return [request_prefix(model, req) for req in requests]
+def edit_one(model, requests, preserved, lam, method="memit", cov_mode=PER_LANGUAGE, **kwargs):
+    """``edit_model``'s delta set in one covariance mode."""
+    return edit_model(model, requests, preserved, lam, method=method, cov_modes=(cov_mode,), **kwargs)[cov_mode]
 
 
-def edit_requests(model, requests, preserved_inputs, lam, method="memit", rel_tol=DEFAULT_REL_TOL, **kwargs):
-    """``edit_model`` on raw requests and preserved inputs, both prepared on ``model`` first."""
+def edit_requests(
+    model, requests, preserved_inputs, lam, method="memit", rel_tol=DEFAULT_REL_TOL, cov_mode=PER_LANGUAGE, **kwargs
+):
+    """``edit_model``'s delta set in one covariance mode, from raw preserved inputs."""
     preserved = preserved_terms(model, preserved_inputs, method, rel_tol)
-    return edit_model(model, prepare(model, requests), preserved, lam, method=method, **kwargs)
+    return edit_one(model, requests, preserved, lam, method=method, cov_mode=cov_mode, **kwargs)
 
 
 def edit_objective(w, delta, keys, targets, k_const, lam):
@@ -362,7 +363,7 @@ class TestEditModel:
         for layer in edit_layers:
             b = rng.standard_normal((h, h))
             preserved[layer] = np.eye(h) + b @ b.T / h
-        delta_set = edit_model(model, prepare(model, requests), preserved, lam, cov_mode=cov_mode)
+        delta_set = edit_one(model, requests, preserved, lam, cov_mode=cov_mode)
         working = {req.language_id: model for req in requests}
         prefixes = {req.language_id: compute_prefix(model, req.inputs) for req in requests}
         for layer in edit_layers:
@@ -412,9 +413,7 @@ class TestEditModel:
         for layer in edit_layers:
             kept = rng.standard_normal((h, int(null_frac * h)))
             preserved[layer] = nullspace_projector(kept @ kept.T, rel_tol=1e-8)
-        delta_set = edit_model(
-            model, prepare(model, requests), preserved, lam, method="alphaedit", cov_mode=cov_mode
-        )
+        delta_set = edit_one(model, requests, preserved, lam, method="alphaedit", cov_mode=cov_mode)
         working = {req.language_id: model for req in requests}
         prefixes = {req.language_id: compute_prefix(model, req.inputs) for req in requests}
         for layer in edit_layers:
@@ -470,8 +469,8 @@ class TestEditModel:
             else:
                 kept = rng.standard_normal((h, int(null_frac * h)))
                 preserved[layer] = nullspace_projector(kept @ kept.T, rel_tol=1e-8)
-        shared = edit_model(model, prepare(model, requests), preserved, lam, method=method, cov_mode=SHARED)
-        edited = edit_model(model, prepare(model, [joint]), preserved, lam, method=method, cov_mode=SHARED)
+        shared = edit_one(model, requests, preserved, lam, method=method, cov_mode=SHARED)
+        edited = edit_one(model, [joint], preserved, lam, method=method, cov_mode=SHARED)
         first = edit_layers[0]
         expected = edited.delta(first, 0)
         total = merge_sum(shared.layer_deltas(first))
@@ -493,10 +492,7 @@ class TestEditModel:
         dataset, model = small_bench
         negative = {layer: -np.eye(model.h) for layer in model.edit_layers}
         with pytest.raises(IllConditionedError, match="not positive definite"):
-            edit_model(
-                model, prepare(model, dataset.all_language_requests()), negative, DEFAULT_LAM_MEMIT,
-                cov_mode=cov_mode,
-            )
+            edit_one(model, dataset.all_language_requests(), negative, DEFAULT_LAM_MEMIT, cov_mode=cov_mode)
 
     def test_mono_equals_m1_merge_pipeline(self, small_bench):
         # Mono reads each language's deltas out of the all-language
@@ -505,10 +501,10 @@ class TestEditModel:
         dataset, model = small_bench
         preserved = preserved_terms(model, dataset.preserved_inputs_all())
         probes = probe_batch(model, dataset)
-        all_languages = edit_model(model, prepare(model, dataset.all_language_requests()), preserved, 2.75)
+        all_languages = edit_one(model, dataset.all_language_requests(), preserved, 2.75)
         mono = run_mono(model, probes, all_languages, alpha=1.0)
         for lang in range(dataset.m_languages):
-            single = edit_model(model, prepare(model, [dataset.language_requests(lang)]), preserved, 2.75)
+            single = edit_one(model, [dataset.language_requests(lang)], preserved, 2.75)
             merged = {layer: merge_sum(single.layer_deltas(layer)) for layer in single.layers}
             edited = apply_update(model, merged, 1.0)
             row_pipeline = evaluate_all([edited], probes)[0][lang]
@@ -584,7 +580,7 @@ class TestLayerFactorisation:
         # memit checks and inverts each system in numpy, a layer's systems as
         # one stack; alphaedit LU-factors each in scipy.  Systems are counted.
         dataset, model = small_bench
-        requests = prepare(model, dataset.all_language_requests())
+        requests = dataset.all_language_requests()
         preserved = preserved_terms(model, dataset.preserved_inputs_all(), method, rel_tol=0.02)
         calls = Counter()
         for name in routines:
@@ -595,7 +591,7 @@ class TestLayerFactorisation:
                 return _original(system, *args, **kwargs)
 
             monkeypatch.setattr(library, name, counted)
-        edit_model(model, requests, preserved, SolverSettings(method=method).lam, method=method, cov_mode=cov_mode)
+        edit_one(model, requests, preserved, SolverSettings(method=method).lam, method=method, cov_mode=cov_mode)
         per_layer = 1 if cov_mode == SHARED else dataset.m_languages
         assert calls == {name: len(model.edit_layers) * per_layer for name in routines}
 
@@ -607,7 +603,7 @@ class TestLayerFactorisation:
         # working copies.  The bench's three languages at h=32 are one
         # stack, so each edit layer makes one run.
         dataset, model = small_bench
-        requests = prepare(model, dataset.all_language_requests())
+        requests = dataset.all_language_requests()
         preserved = preserved_terms(model, dataset.preserved_inputs_all(), "alphaedit", rel_tol=0.02)
         calls = []
 
@@ -627,7 +623,7 @@ class TestLayerFactorisation:
             record(cov_mod, name, "numpy")
         record(model_mod, "keys_and_targets_stack", "numpy")
         record(type(model), "with_w_out", "numpy")
-        edit_model(model, requests, preserved, DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=cov_mode)
+        edit_one(model, requests, preserved, DEFAULT_LAM_ALPHAEDIT, method="alphaedit", cov_mode=cov_mode)
         runs = []
         previous = None
         for library, name in calls:
@@ -650,8 +646,8 @@ class TestLayerFactorisation:
         dataset, model = small_bench
         requests = dataset.all_language_requests()
         preserved = preserved_terms(model, dataset.preserved_inputs_all(), method, rel_tol=0.02)
-        delta_set = edit_model(
-            model, prepare(model, requests), preserved, SolverSettings(method=method).lam, method=method, cov_mode=SHARED
+        delta_set = edit_one(
+            model, requests, preserved, SolverSettings(method=method).lam, method=method, cov_mode=SHARED
         )
         first = model.edit_layers[0]
         batches = [keys_and_targets(model, compute_prefix(model, r.inputs), r.new_tokens, first) for r in requests]
@@ -670,50 +666,44 @@ class TestLayerFactorisation:
                 )
             assert np.array_equal(delta_set.delta(first, req.language_id), own)
 
-    def test_request_prefix_of_another_model_rejected(self, small_bench):
-        dataset, model = small_bench
-        other = model.with_w_out(model.edit_layers[-1], model.layer(model.edit_layers[-1]).w_out * 1.5)
-        prepared = [request_prefix(other, r) for r in dataset.all_language_requests()]
-        preserved = preserved_terms(model, dataset.preserved_inputs_all())
-        with pytest.raises(ShapeError, match="another model"):
-            edit_model(model, prepared, preserved, DEFAULT_LAM_MEMIT)
-
     def test_request_prefixes_give_the_same_deltas(self, small_bench):
-        # One run reuses each language's prefix for every covariance mode:
-        # edits must neither depend on the requests' order nor change the
-        # prefixes they read, so reused prefixes give fresh prefixes' bits.
+        # One call shares each stack's prefix and first-layer keys and targets
+        # between the modes: its deltas must be the bits of one call per mode,
+        # and must not depend on the order the requests come in.
         dataset, model = small_bench
         requests = dataset.all_language_requests()
         preserved = preserved_terms(model, dataset.preserved_inputs_all())
-        reused = prepare(model, reversed(requests))
-        for mode in (PER_LANGUAGE, SHARED, PER_LANGUAGE):
-            fresh = edit_model(model, prepare(model, requests), preserved, DEFAULT_LAM_MEMIT, cov_mode=mode)
-            again = edit_model(model, reused, preserved, DEFAULT_LAM_MEMIT, cov_mode=mode)
-            assert again.entries.keys() == fresh.entries.keys()
-            for key, delta in fresh.entries.items():
-                assert np.array_equal(again.entries[key], delta)
+        modes = (PER_LANGUAGE, SHARED)
+        both = edit_model(model, requests, preserved, DEFAULT_LAM_MEMIT, cov_modes=modes)
+        reversed_both = edit_model(model, requests[::-1], preserved, DEFAULT_LAM_MEMIT, cov_modes=modes[::-1])
+        assert list(both) == list(reversed_both) == list(modes)
+        for mode in modes:
+            alone = edit_one(model, requests, preserved, DEFAULT_LAM_MEMIT, cov_mode=mode)
+            for delta_set in (both[mode], reversed_both[mode]):
+                assert delta_set.cov_mode == mode
+                assert delta_set.entries.keys() == alone.entries.keys()
+                for key, delta in alone.entries.items():
+                    assert np.array_equal(delta_set.entries[key], delta)
 
 
-def per_language_loop(model, prepared, preserved, lam, method, cov_mode, cond_limit=DEFAULT_COND_LIMIT):
+def per_language_loop(model, requests, preserved, lam, method, cov_mode, cond_limit=DEFAULT_COND_LIMIT):
     """The edit loop one language at a time: the reference of edit_model's stacks.
 
-    Each language's keys and targets come from its own walk, and each of its
-    systems is factored and solved on its own (a shared system once per
-    language), through the 2-d calls of the solver helpers.
+    Each language's prefix, keys and targets come from its own walks, and
+    each of its systems is factored and solved on its own (a shared system
+    once per language), through the 2-d calls of the solver helpers.
     """
-    prepared = sorted(prepared, key=lambda prep: prep.language_id)
-    working = {prep.language_id: model for prep in prepared}
+    requests = sorted(requests, key=lambda req: req.language_id)
+    prefixes = {req.language_id: compute_prefix(model, req.inputs) for req in requests}
+    working = {req.language_id: model for req in requests}
     entries = {}
     for layer in model.edit_layers:
         term = preserved[layer]
         projector = term.projector if method == "alphaedit" else None
         batches = []
-        for prep in prepared:
-            copy = working[prep.language_id]
-            if layer == prep.prefix.layer:
-                keys, targets = prep.prefix.key, prep.targets
-            else:
-                keys, targets = keys_and_targets(copy, prep.prefix, prep.requests.new_tokens, layer)
+        for req in requests:
+            copy = working[req.language_id]
+            keys, targets = keys_and_targets(copy, prefixes[req.language_id], req.new_tokens, layer)
             batches.append((keys, _rhs(projector, copy.layer(layer).w_out, keys, targets)))
 
         def system(cov, count):
@@ -726,21 +716,20 @@ def per_language_loop(model, prepared, preserved, lam, method, cov_mode, cond_li
             systems = [system(shared, sum(keys.shape[1] for keys, _ in batches))] * len(batches)
         else:
             systems = [system(cov_mod.cov_per_language(keys), keys.shape[1]) for keys, _ in batches]
-        for prep, (matrix, norm), (_, rhs) in zip(prepared, systems, batches):
+        for req, (matrix, norm), (_, rhs) in zip(requests, systems, batches):
             if method == "memit":
                 solution = _memit_inverse(matrix, norm, cond_limit) @ rhs
             else:
                 solution = _alphaedit_lu(matrix, norm, cond_limit)(rhs)
-            entries[(layer, prep.language_id)] = solution.T
-            w_out = working[prep.language_id].layer(layer).w_out
-            working[prep.language_id] = working[prep.language_id].with_w_out(layer, w_out + solution.T)
+            entries[(layer, req.language_id)] = solution.T
+            w_out = working[req.language_id].layer(layer).w_out
+            working[req.language_id] = working[req.language_id].with_w_out(layer, w_out + solution.T)
     return entries
 
 
 def assert_stacked_loop_bits(model, requests, preserved, lam, method, cov_mode):
-    prepared = prepare(model, requests)
-    stacked = edit_model(model, prepared, preserved, lam, method=method, cov_mode=cov_mode)
-    reference = per_language_loop(model, prepared, preserved, lam, method, cov_mode)
+    stacked = edit_one(model, requests, preserved, lam, method=method, cov_mode=cov_mode)
+    reference = per_language_loop(model, requests, preserved, lam, method, cov_mode)
     assert stacked.entries.keys() == reference.keys()
     for key, delta in reference.items():
         assert np.array_equal(stacked.entries[key], delta), key
