@@ -277,6 +277,15 @@ def write_benchmark(config, out_dir, force=False):
     return dataset, model, manifest
 
 
+def _recorded_gen_config(manifest):
+    """The dataset config the benchmark manifest records, its seed the config seed."""
+    recorded = manifest.get("config")
+    if not isinstance(recorded, dict):
+        raise ConfigError("benchmark manifest records no config")
+    # Only these shaped the benchmark; other keys may be ones a later schema retired.
+    return config_from_dict({k: recorded[k] for k in ("seed", "dataset") if k in recorded}).dataset
+
+
 def check_benchmark_dataset(config, manifest):
     """Raise ConfigError unless ``config``'s dataset section is the benchmark's.
 
@@ -284,11 +293,7 @@ def check_benchmark_dataset(config, manifest):
     another seed or shape would record settings its numbers did not come from.
     The error names the first differing field.
     """
-    recorded = manifest.get("config")
-    if not isinstance(recorded, dict):
-        raise ConfigError("benchmark manifest records no config")
-    # Only these shaped the benchmark; other keys may be ones a later schema retired.
-    built = config_from_dict({k: recorded[k] for k in ("seed", "dataset") if k in recorded}).dataset
+    built = _recorded_gen_config(manifest)
     for f in fields(built):
         ours, theirs = getattr(config.dataset, f.name), getattr(built, f.name)
         if ours != theirs:
@@ -296,13 +301,34 @@ def check_benchmark_dataset(config, manifest):
             raise ConfigError(f"config {name}={ours!r} differs from the benchmark's {theirs!r}")
 
 
+def _check_dataset_fits_manifest(dataset, manifest, dataset_path):
+    """Raise ConfigError unless the dataset is the one the manifest records.
+
+    The dataset records the config it was generated under and its
+    languages.  Its seed is the fit's effective seed, which a retried fit
+    derives from the config seed, so the manifest's ``fit.effective_seed``
+    stands in for the config seed.  A dataset from another benchmark of the
+    same shape would otherwise be scored and recorded under this one's seed.
+    """
+    fit = manifest.get("fit")
+    built = replace(_recorded_gen_config(manifest), seed=fit.get("effective_seed") if isinstance(fit, dict) else None)
+    recorded = [(f.name, getattr(dataset.config, f.name), getattr(built, f.name)) for f in fields(built)]
+    recorded.append(("languages", list(dataset.languages), manifest.get("languages")))
+    for name, ours, theirs in recorded:
+        if ours != theirs:
+            raise ConfigError(f"{dataset_path}: dataset has {name}={ours!r}, the benchmark manifest records {theirs!r}")
+
+
 def load_benchmark(bench_dir, config=None):
     """Dataset, model and manifest of a benchmark directory.
 
     With ``config``, its dataset section must match the benchmark's
-    (:func:`check_benchmark_dataset`).  The model must have the dataset
-    config's shape; unreadable files and a misfit model raise
-    :class:`~lamedit.errors.ContainerError` or :class:`ConfigError`.
+    (:func:`check_benchmark_dataset`).  The dataset must be the one the
+    manifest records, and the model must have the dataset config's shape;
+    unreadable files, a dataset from another benchmark and a misfit model
+    raise :class:`~lamedit.errors.ContainerError` or :class:`ConfigError`.
+    A model of the right shape fitted for another benchmark is not detected:
+    ``model.lam`` records no seed.
     """
     manifest_path = os.path.join(bench_dir, MANIFEST_FILE)
     try:
@@ -317,7 +343,9 @@ def load_benchmark(bench_dir, config=None):
         raise ConfigError(f"benchmark manifest {manifest_path} names no dataset and model files")
     if config is not None:
         check_benchmark_dataset(config, manifest)
-    dataset = container.load_dataset(os.path.join(bench_dir, files["dataset"]))
+    dataset_path = os.path.join(bench_dir, files["dataset"])
+    dataset = container.load_dataset(dataset_path)
+    _check_dataset_fits_manifest(dataset, manifest, dataset_path)
     model_path = os.path.join(bench_dir, files["model"])
     model = container.load_model(model_path)
     _check_model_fits_dataset(model, dataset.config, model_path)

@@ -798,6 +798,34 @@ class TestRunCommand:
         assert named in err and path in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("swap", ["seed", "languages"])
+    def test_dataset_of_another_benchmark_exit_2(self, tiny_setup, tmp_path, capsys, swap):
+        # A dataset.lam of the same shape from a benchmark of another seed, or
+        # with its languages in another order, would be scored and recorded as
+        # this benchmark's; it is refused at load, with or without a config.
+        config_path, bench_dir, _ = tiny_setup
+        broken = tmp_path / "bench"
+        shutil.copytree(bench_dir, broken)
+        path = str(broken / experiment.DATASET_FILE)
+        if swap == "seed":
+            other, other_config = tmp_path / "other", write_config(tmp_path, dict(TINY_CONFIG, seed=11), "other.json")
+            assert cli.main(["generate", other_config, "--out", str(other)]) == 0
+            shutil.copyfile(other / experiment.DATASET_FILE, path)
+        else:
+            arrays, meta = container.load_arrays(path)
+            meta["languages"] = meta["languages"][::-1]
+            container.save_arrays(path, arrays, meta=meta)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = cli.main(["run", config_path, "--dataset", str(broken), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:") and "Traceback" not in err
+        assert f"dataset has {swap}=" in err and path in err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=f"dataset has {swap}="):
+            experiment.load_benchmark(str(broken))
+
     @pytest.mark.parametrize("command", [["generate"], ["run", "--dataset", "{bench}"]], ids=["generate", "run"])
     def test_dataset_seed_exit_2(self, tiny_setup, tmp_path, capsys, command):
         # The dataset seed is the top-level seed; a dataset.seed is refused, not ignored.
