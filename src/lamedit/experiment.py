@@ -374,12 +374,13 @@ def _check_model_fits_dataset(model, gen_config, model_path):
 
 
 def compute_delta_sets(model, dataset, solver, cov_modes):
-    """Per-language delta sets for each requested covariance mode, from one :func:`solvers.edit_model` call.
+    """Per-language delta sets for each requested covariance mode, from one edit.
 
     The preserved statistics (and alphaedit's null-space projectors) are
-    computed once on the unedited model and shared by every mode, as
-    ``edit_model`` shares each language's request prefix and first-layer
-    targets.  An alphaedit projector onto an empty null space warns
+    computed once on the unedited model, and one
+    :func:`lamedit.solvers.edit_model` call edits in every mode, sharing
+    each language's request prefix and first-layer targets between them.
+    An alphaedit projector onto an empty null space warns
     (:class:`EmptyNullSpaceWarning`): its layer's edits are exactly zero.
     """
     preserved = solvers.preserved_terms(model, dataset.preserved_inputs_all(), solver.method, solver.rel_tol)

@@ -19,8 +19,9 @@ computation (:func:`keys_and_targets_stack`) and prediction
 (:func:`predict_stack`) always run on from a prefix computed once on the
 unedited model, and :func:`keys_at` walks a batch to some layers' keys (the
 preserved sample's, for :func:`lamedit.solvers.preserved_terms` and
-:func:`lamedit.covariance.const_stats`); all keep only the running state.  :func:`forward_batch` is the full pass with
-its per-layer trace, the reference their bits are held to.
+:func:`lamedit.covariance.const_stats`); all keep only the running state.
+:func:`forward_batch` is the full pass with its per-layer trace, the
+reference their bits are held to.
 
 One walk serves one model or a *stack* of K models edited from one base:
 the running state is (K, d, n), a layer whose array every model shares runs
