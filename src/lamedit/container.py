@@ -109,7 +109,7 @@ def load_arrays(path):
     header_len = struct.unpack("<Q", raw[8:16])[0] if len(raw) >= 16 else 0
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ContainerError(f"{path}: truncated or unreadable container header") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: container header is not a JSON object")

@@ -230,15 +230,24 @@ def config_from_dict(doc):
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
-def load_config(path):
+def _read_json(path, what):
+    """The JSON document in the file ``path``, which messages call the ``what``.
+
+    A file that cannot be read, is not UTF-8 JSON, holds an integer longer
+    than Python's 4300-digit limit or nests deeper than the decoder's
+    recursion limit raises :class:`ConfigError` naming it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path):
+    return config_from_dict(_read_json(path, "config"))
 
 
 def config_to_dict(config):
@@ -331,13 +340,7 @@ def load_benchmark(bench_dir, config=None):
     ``model.lam`` records no seed.
     """
     manifest_path = os.path.join(bench_dir, MANIFEST_FILE)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"no benchmark at {bench_dir} (missing {MANIFEST_FILE}): {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"benchmark manifest {manifest_path} is not valid JSON: {exc}") from exc
+    manifest = _read_json(manifest_path, "benchmark manifest")
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not (isinstance(files, dict) and all(isinstance(files.get(k), str) for k in ("dataset", "model"))):
         raise ConfigError(f"benchmark manifest {manifest_path} names no dataset and model files")
@@ -767,13 +770,7 @@ def build_comparison(run_dirs, allow_mixed=False):
     docs = []
     for run_dir in run_dirs:
         path = os.path.join(run_dir, "metrics.json")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read run output {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"run output {path} is not valid JSON: {exc}") from exc
+        doc = _read_json(path, "run output")
         if not (isinstance(doc, dict) and isinstance(doc.get("reports"), list)):
             raise ConfigError(f"run output {path} holds no reports list")
         config = doc.get("config", {})
