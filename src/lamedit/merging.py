@@ -21,7 +21,7 @@ import numpy as np
 
 from . import blas
 from .covariance import PER_LANGUAGE, SHARED
-from .errors import ConfigError, RankRatioError, ShapeError
+from .errors import ConfigError, IllConditionedError, RankRatioError, ShapeError
 
 MERGE_METHODS = ("sum", "mean", "tsvm", "sum_cov", "mean_cov", "tsvm_cov")
 
@@ -230,7 +230,8 @@ def apply_update(model, merged, alpha):
 
     ``merged`` maps 1-based layer to a (d, h) matrix, as :func:`merge`
     returns.  ``alpha`` may be zero (the model comes back unchanged);
-    negative scales are rejected.  Every merged layer must be one of the
+    negative scales are rejected, and a scale whose update overflows raises
+    :class:`IllConditionedError`.  Every merged layer must be one of the
     model's edit layers with a matching shape.
     """
     if alpha < 0:
@@ -243,5 +244,10 @@ def apply_update(model, merged, alpha):
         w_out = out.layer(layer).w_out
         if matrix.shape != w_out.shape:
             raise ShapeError(f"merged delta shape {matrix.shape} != w_out shape {w_out.shape}")
-        out = out.with_w_out(layer, w_out + alpha * matrix)
+        try:
+            with np.errstate(over="raise"):
+                updated = w_out + alpha * matrix
+        except FloatingPointError:
+            raise IllConditionedError(f"alpha {alpha!r} overflows the update of layer {layer}") from None
+        out = out.with_w_out(layer, updated)
     return out

@@ -174,10 +174,18 @@ def _rhs(projector, w_out, keys, targets):
 
 
 def _memit_matrix(cov_preserved, cov_request, lam):
-    """The symmetrised system ``lam * cov_preserved + cov_request`` and its 1-norm, or a stack's."""
-    system = lam * cov_preserved + cov_request
-    system = 0.5 * (system + _transposed(system))
-    return system, _norm_1(system)
+    """The symmetrised system ``lam * cov_preserved + cov_request`` and its 1-norm, or a stack's.
+
+    A system whose entries or 1-norm overflow, as a huge finite ``lam``
+    makes them, raises :class:`IllConditionedError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite norm
+        system = lam * cov_preserved + cov_request
+        system = 0.5 * (system + _transposed(system))
+        norm = _norm_1(system)
+    if not np.isfinite(norm).all():
+        raise IllConditionedError(f"normal-equation system at lam {lam!r} is not finite: it overflows")
+    return system, norm
 
 
 def _memit_cholesky(system, norm, cond_limit):
