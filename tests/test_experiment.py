@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -940,6 +941,34 @@ class TestRunCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "metrics.csv").exists() and not (out / "metrics.json").exists()
 
+    def test_overflowing_weight_scale_exit_3(self, tiny_setup, tmp_path, capsys):
+        # At lam_memit 0.5 the summed edit has entries above 1, so the finite
+        # scale 1.7e308 overflows the update itself, before any forward pass:
+        # one line naming alpha and the layer, and no RuntimeWarning on the
+        # way (pytest.ini makes each one an error).
+        _, bench_dir, _ = tiny_setup
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, solver=dict(TINY_CONFIG["solver"], lam_memit=0.5)))
+        capsys.readouterr()
+        argv = ["run", config_path, "--dataset", bench_dir, "--out", str(tmp_path / "o"), "--alpha", "1.7e308"]
+        code = cli.main([*argv, "--merge", "sum"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: alpha 1.7e+308 overflows the update of layer ")
+
+    def test_overflowing_memit_system_exit_3(self, tiny_setup, tmp_path, capsys):
+        # lam_memit 1e308 is finite, but the system it weighs is not: refused
+        # in one line naming the system, with no NaN condition estimate and no
+        # RuntimeWarning on the way.
+        _, bench_dir, _ = tiny_setup
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, solver=dict(TINY_CONFIG["solver"], lam_memit=1e308)))
+        capsys.readouterr()
+        code = cli.main(["run", config_path, "--dataset", bench_dir, "--out", str(tmp_path / "o"), "--merge", "sum"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: normal-equation system at lam 1e+308 is not finite")
+
     def test_svd_failing_twice_exit_3(self, tiny_setup, tmp_path, capsys, monkeypatch):
         # gesdd fails on a delta and on its transpose: a tsvm run ends in one line, no traceback.
         config_path, bench_dir, _ = tiny_setup
@@ -1035,6 +1064,20 @@ class TestSweepCommand:
         assert err.count("\n") == 1
         assert err.startswith("numerical failure:") and "forward pass overflows" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not any(out.iterdir())
+
+    def test_overflowing_weight_scale_grid_point_exit_3(self, tiny_setup, tmp_path, capsys):
+        # At lam_memit 0.5 the grid point 1.7e308 overflows the summed update itself.
+        _, bench_dir, _ = tiny_setup
+        solver = dict(TINY_CONFIG["solver"], lam_memit=0.5)
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, solver=solver, alpha_grid=[1.0, 1.7e308]))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = cli.main(["sweep", config_path, "--dataset", bench_dir, "--out", str(out), "--axis", "alpha"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: alpha 1.7e+308 overflows the update of layer ")
         assert not any(out.iterdir())
 
     def test_sweep_points_equal_fresh_runs(self, tiny_setup):
@@ -1433,6 +1476,49 @@ class TestCsvText:
             "method,axis,point,efficacy,generalization,specificity,portability,averaged\n"
         )
         assert experiment.comparison_csv_text(("en", "fr"), {}) == "method,en,fr,avg\n"
+
+
+# Bytes that no JSON file the CLI reads may hold, one per way decoding
+# fails: not UTF-8, not JSON, an integer longer than Python's 4300-digit
+# limit, and nesting deeper than the decoder's recursion limit.
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe{",
+    "not-json": b"{not json",
+    "long-int": b"9" * 5001,
+    "deep": b"[" * 200000,
+}
+
+
+class TestUndecodableInput:
+    # A config, a benchmark manifest, a run's metrics.json or a .lam header
+    # that cannot be read (a directory in its place) or decoded ends the
+    # command with exit 2 and one line naming the file, never a traceback.
+    @pytest.mark.parametrize("content", [None, *UNDECODABLE.values()], ids=["unreadable", *UNDECODABLE])
+    @pytest.mark.parametrize("target", ["config", "manifest", "metrics", "header"])
+    def test_exit_2_naming_the_file(self, tiny_setup, tmp_path, capsys, target, content):
+        config_path, bench_dir, _ = tiny_setup
+        bench = _damaged_copy(bench_dir, tmp_path / "bench")
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        path, argv = {
+            "config": (str(tmp_path / "config.json"), ["generate", str(tmp_path / "config.json")]),
+            "manifest": (os.path.join(bench, experiment.MANIFEST_FILE), ["run", config_path, "--dataset", bench]),
+            "metrics": (str(run_dir / "metrics.json"), ["report", str(run_dir)]),
+            "header": (os.path.join(bench, experiment.DATASET_FILE), ["run", config_path, "--dataset", bench]),
+        }[target]
+        if os.path.exists(path):
+            os.remove(path)
+        if content is None:
+            os.mkdir(path)
+        else:
+            if target == "header":
+                content = container.MAGIC + struct.pack("<Q", len(content)) + content
+            with open(path, "wb") as fh:
+                fh.write(content)
+        capsys.readouterr()
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:") and path in err
 
 
 class TestCliFuzz:
