@@ -97,7 +97,7 @@ def cmd_generate(args):
         f"{dataset.n_preserved} preserved facts, vocab {dataset.config.vocab_size}"
     )
     print(
-        f"fit attempt {fit['attempt']}: request recall {fit['request_recall']:.4f}, "
+        f"backbone fit: request recall {fit['request_recall']:.4f}, "
         f"preserved recall {fit['preserved_recall']:.4f}"
     )
     return 0

@@ -41,14 +41,7 @@ class IllConditionedError(LameditError):
 
 
 class FitError(LameditError):
-    """Initial model fit missed the recall floor.
-
-    ``diagnostics`` records per-pass recall so a failed fit can be inspected.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
+    """Initial model fit missed the recall floor."""
 
 
 class EmptyNullSpaceWarning(UserWarning):

@@ -111,6 +111,8 @@ class ExperimentConfig:
         if self.rank_grid[0] <= 0 or self.rank_grid[-1] > 1:
             raise ConfigError("rank_grid values must lie in (0, 1]")
         _check_alpha("alpha", self.alpha)
+        for value in self.alpha_grid:
+            _check_alpha("alpha_grid values", value)
         for m in self.merges:
             if m.base_rule == "tsvm":
                 # Refused here, not after every edit has been computed.
@@ -274,12 +276,7 @@ def write_benchmark(config, out_dir, force=False):
         "kind": "benchmark",
         "config": config_to_dict(config),
         "languages": list(dataset.languages),
-        "fit": {
-            "attempt": info["attempt"],
-            "effective_seed": info["seed"],
-            "request_recall": info["request_recall"],
-            "preserved_recall": info["preserved_recall"],
-        },
+        "fit": info,
         "files": {"dataset": DATASET_FILE, "model": MODEL_FILE},
     }
     _write_json(manifest_path, manifest)
@@ -313,14 +310,11 @@ def check_benchmark_dataset(config, manifest):
 def _check_dataset_fits_manifest(dataset, manifest, dataset_path):
     """Raise ConfigError unless the dataset is the one the manifest records.
 
-    The dataset records the config it was generated under and its
-    languages.  Its seed is the fit's effective seed, which a retried fit
-    derives from the config seed, so the manifest's ``fit.effective_seed``
-    stands in for the config seed.  A dataset from another benchmark of the
-    same shape would otherwise be scored and recorded under this one's seed.
+    The dataset records the config it was generated under, seed included,
+    and its languages.  A dataset from another benchmark of the same shape
+    would otherwise be scored and recorded under this one's seed.
     """
-    fit = manifest.get("fit")
-    built = replace(_recorded_gen_config(manifest), seed=fit.get("effective_seed") if isinstance(fit, dict) else None)
+    built = _recorded_gen_config(manifest)
     recorded = [(f.name, getattr(dataset.config, f.name), getattr(built, f.name)) for f in fields(built)]
     recorded.append(("languages", list(dataset.languages), manifest.get("languages")))
     for name, ours, theirs in recorded:

@@ -7,11 +7,11 @@ a noisy rephrase, an unrelated preserved fact, and a one-hop variant reached
 through a fixed rotation).  ``fit_initial_model`` then builds a backbone that
 recalls every fact's original token by repeatedly solving the edit layers'
 down-projections with the same normal-equation machinery the editors use.
-Its floor, pass limit and retry count are the module's ``FIT_*`` constants.
+Its floor and pass limit are the module's ``FIT_*`` constants; a fit that
+misses the floor fails, and nothing retries it under another seed.
 
 All randomness derives from the config seed through fixed named streams, so
-generation is bit-reproducible; retries after a failed fit derive fresh
-streams from (seed, attempt).
+generation is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ FIT_RIDGE = 1e-5
 FIT_MAX_PASSES = 16
 FIT_STOP_AT = 0.995
 FIT_FLOOR = 0.95
-# build_benchmark's further attempts, each on a dataset from a derived seed.
-FIT_RETRIES = 3
 # Background down-projections stay small so the unfitted stack is a mild
 # perturbation of the identity map; larger scales put the depth-6 stack in a
 # chaotic regime where fact clusters are no longer linearly separable.
@@ -311,8 +309,8 @@ def fit_initial_model(cfg, dataset):
     bottom-to-top, solving each layer's down-projection with the ridge normal
     equations against the old-token targets; sweeps repeat, at most
     ``FIT_MAX_PASSES``, until recall reaches ``FIT_STOP_AT``.  Raises
-    :class:`FitError` with per-pass diagnostics if the last pass's recall is
-    below ``FIT_FLOOR``.
+    :class:`FitError`, naming the seed, the number of passes and both
+    recalls, if the last pass's recall is below ``FIT_FLOOR``.
 
     One prefix of :func:`_all_fact_inputs` on the seed model serves the
     codebook's anchors and every pass's keys, targets and recall: the fit
@@ -336,8 +334,7 @@ def fit_initial_model(cfg, dataset):
     prefix = model_core.compute_prefix(seed_model, inputs)
     model = replace(seed_model, codebook=_init_codebook(seed_model, prefix, tokens, dataset, rng))
     identity = np.eye(cfg.h)
-    history = []
-    for pass_idx in range(FIT_MAX_PASSES):
+    for passes in range(1, FIT_MAX_PASSES + 1):
         for layer in cfg.edit_layers:
             keys, targets = model_core.keys_and_targets(model, prefix, tokens, layer)
             cov_request = cov_mod.cov_per_language(keys)
@@ -345,49 +342,23 @@ def fit_initial_model(cfg, dataset):
             delta = solve_memit(model.layer(layer).w_out, keys, targets, identity, cov_request, ridge)
             model = model.with_w_out(layer, model.layer(layer).w_out + delta)
         recall = _recall_stats(model, prefix, dataset)
-        history.append({"pass": pass_idx + 1, "request_recall": recall[0], "preserved_recall": recall[1]})
         if min(recall) >= FIT_STOP_AT:
             break
-    req_recall, pres_recall = recall
     if min(recall) < FIT_FLOOR:
         raise FitError(
-            f"fit recall {min(recall):.4f} below floor {FIT_FLOOR}",
-            diagnostics={"history": history, "request_recall": req_recall, "preserved_recall": pres_recall},
+            f"backbone fit at seed {cfg.seed} missed the recall floor {FIT_FLOOR} after pass {passes}: "
+            f"request recall {recall[0]:.4f}, preserved recall {recall[1]:.4f}"
         )
     return model, recall
 
 
 def build_benchmark(cfg):
-    """Generate a dataset and fit its backbone, retrying on a failed fit.
+    """Generate the dataset at ``cfg.seed`` and fit its backbone.
 
-    A failed first attempt is followed by at most ``FIT_RETRIES`` more.
-    Attempt ``k`` regenerates with the derived seed stream (seed, k); the
-    retry path is therefore as deterministic as the first attempt.  Returns
-    ``(dataset, model, info)`` where info records the attempt count and the
-    achieved recall.
+    Returns ``(dataset, model, info)`` where info holds the fit's
+    ``request_recall`` and ``preserved_recall``.  A failed fit raises
+    :class:`FitError`.
     """
-    failures = []
-    for attempt in range(FIT_RETRIES + 1):
-        attempt_cfg = cfg if attempt == 0 else replace(cfg, seed=_derived_seed(cfg.seed, attempt))
-        dataset = generate_dataset(attempt_cfg)
-        try:
-            model, (req_recall, pres_recall) = fit_initial_model(attempt_cfg, dataset)
-        except FitError as exc:
-            failures.append({"attempt": attempt, "diagnostics": exc.diagnostics})
-            continue
-        info = {
-            "attempt": attempt,
-            "seed": attempt_cfg.seed,
-            "request_recall": req_recall,
-            "preserved_recall": pres_recall,
-            "failures": failures,
-        }
-        return dataset, model, info
-    raise FitError(
-        f"fit failed on {FIT_RETRIES + 1} attempts for seed {cfg.seed}",
-        diagnostics={"failures": failures},
-    )
-
-
-def _derived_seed(seed, attempt):
-    return int(np.random.SeedSequence([seed, 0xA77E, attempt]).generate_state(1)[0])
+    dataset = generate_dataset(cfg)
+    model, (req_recall, pres_recall) = fit_initial_model(cfg, dataset)
+    return dataset, model, {"request_recall": req_recall, "preserved_recall": pres_recall}

@@ -18,7 +18,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamedit import cli, container, covariance, experiment, merging, metrics, solvers
+from lamedit import cli, container, covariance, experiment, merging, metrics, solvers, synthdata
 from lamedit import model as model_mod
 from lamedit.covariance import PER_LANGUAGE, SHARED
 from lamedit.errors import ConfigError
@@ -314,10 +314,12 @@ class TestConfig:
         [
             ("alpha_grid", [0.5, 1.0, float("nan")]),
             ("alpha_grid", [0.5, 1.0, float("inf")]),
+            ("alpha_grid", [0.0, 1.0]),
+            ("alpha_grid", [-0.5, 1.0]),
             ("rank_grid", [0.25, float("nan")]),
         ],
     )
-    def test_non_finite_grid_rejected(self, tmp_path, capsys, field, grid):
+    def test_invalid_grid_rejected(self, tmp_path, capsys, field, grid):
         with pytest.raises(ConfigError, match=field):
             experiment.config_from_dict(dict(TINY_CONFIG, **{field: grid}))
         config_path = write_config(tmp_path, dict(TINY_CONFIG, **{field: grid}))
@@ -495,6 +497,27 @@ class TestGenerateCommand:
         doc["dataset"] = dict(TINY_CONFIG["dataset"], vocab_size=4)
         bad2 = write_config(tmp_path, doc, name="bad2.json")
         assert cli.main(["generate", bad2, "--out", str(tmp_path / "y")]) == 2
+
+    def test_summary_lines(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert cli.main(["generate", write_config(tmp_path), "--out", str(out)]) == 0
+        with open(out / experiment.MANIFEST_FILE, encoding="utf-8") as fh:
+            fit = json.load(fh)["fit"]
+        assert sorted(fit) == ["preserved_recall", "request_recall"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"benchmark written to {out}: 8 facts x 3 languages, 16 preserved facts, vocab 48",
+            f"backbone fit: request recall {fit['request_recall']:.4f}, "
+            f"preserved recall {fit['preserved_recall']:.4f}",
+        ]
+
+    def test_failed_fit_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(synthdata, "FIT_FLOOR", 1.01)
+        out = tmp_path / "bench"
+        assert cli.main(["generate", write_config(tmp_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: backbone fit at seed 9 missed the recall floor 1.01")
+        assert not (out / experiment.MANIFEST_FILE).exists()
 
 
 class TestBlasThreadCount:

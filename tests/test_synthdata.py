@@ -201,7 +201,8 @@ class TestFit:
         container.save_model(a, model1)
         container.save_model(b, model2)
         assert a.read_bytes() == b.read_bytes()
-        assert info1["attempt"] == info2["attempt"]
+        assert info1 == info2
+        assert ds1.config == cfg
 
     def test_recall_computed_once_per_pass(self, monkeypatch):
         # The last pass's recall is the fit's and the benchmark's; nothing
@@ -219,7 +220,6 @@ class TestFit:
         monkeypatch.setattr(synthdata, "solve_memit", counted("solve", synthdata.solve_memit))
         cfg = tiny_cfg()
         dataset, model, info = build_benchmark(cfg)
-        assert info["attempt"] == 0
         assert calls["recall"] * len(cfg.edit_layers) == calls["solve"] > 0
         monkeypatch.undo()
         assert (info["request_recall"], info["preserved_recall"]) == recall_of(model, dataset)
@@ -263,22 +263,23 @@ class TestFit:
         assert np.array_equal(model.codebook, seen["codebook"])
         assert np.array_equal(model.codebook, loop_codebook(seen["model"], dataset, seen["rng"]))
 
-    def test_fit_error_carries_diagnostics(self, monkeypatch):
+    def test_fit_error_names_passes_and_recalls(self, monkeypatch):
         monkeypatch.setattr(synthdata, "FIT_FLOOR", 1.01)
         monkeypatch.setattr(synthdata, "FIT_MAX_PASSES", 1)
         cfg = tiny_cfg()
         ds = generate_dataset(cfg)
-        with pytest.raises(lm.FitError) as err:
+        pattern = r"after pass 1: request recall \d\.\d{4}, preserved recall \d\.\d{4}$"
+        with pytest.raises(lm.FitError, match=pattern):
             fit_initial_model(cfg, ds)
-        assert len(err.value.diagnostics["history"]) == 1
 
-    def test_build_benchmark_retries_then_raises(self, monkeypatch):
-        # An unreachable floor exhausts every attempt; the error reports them.
+    def test_build_benchmark_error_names_seed(self, monkeypatch):
+        # An unreachable floor fails the one fit; nothing retries it.
         monkeypatch.setattr(synthdata, "FIT_FLOOR", 1.01)
-        monkeypatch.setattr(synthdata, "FIT_RETRIES", 2)
-        with pytest.raises(lm.FitError) as err:
-            build_benchmark(tiny_cfg())
-        assert len(err.value.diagnostics["failures"]) == 3
+        calls = []
+        monkeypatch.setattr(synthdata, "generate_dataset", lambda cfg: calls.append(cfg) or generate_dataset(cfg))
+        with pytest.raises(lm.FitError, match="at seed 7 missed the recall floor 1.01"):
+            build_benchmark(tiny_cfg(seed=7))
+        assert calls == [tiny_cfg(seed=7)]
 
     def test_language_names_follow_benchmark_codes(self):
         assert tiny_cfg(m_languages=3).language_names() == ("en", "zh", "cz")
